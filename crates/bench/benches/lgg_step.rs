@@ -1,7 +1,7 @@
 //! Bench: per-step cost of the LGG protocol as the network scales.
 //!
 //! LGG's cost per step is `O(Σ_v deg(v) log deg(v))` for the sorted
-//! preference plus the engine's `O(n + m)` bookkeeping; this bench pins
+//! preference plus the engine's active-set bookkeeping; this bench pins
 //! the constants and verifies the hot loop stays allocation-free (the
 //! per-iteration time should scale linearly in `n + m`).
 
@@ -11,7 +11,7 @@ use mgraph::generators;
 use netmodel::TrafficSpecBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simqueue::{EngineMode, HistoryMode, SimulationBuilder};
+use simqueue::{HistoryMode, SimulationBuilder};
 use std::hint::black_box;
 
 fn bench_step_scaling(c: &mut Criterion) {
@@ -70,47 +70,9 @@ fn bench_step_density(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_modes(c: &mut Criterion) {
-    // Sparse active-set engine vs dense reference on the two regimes that
-    // bound it: a draining steady state (tiny active set — shortest-path,
-    // since LGG's steady state is a network-wide gradient) and the LGG
-    // gradient itself (active set ~ all of V). BENCH_throughput.json
-    // tracks the same contrast at full scale via `lgg-sim bench`.
-    let mut group = c.benchmark_group("engine_mode/grid16");
-    let spec = TrafficSpecBuilder::new(generators::grid2d(16, 16))
-        .source(0, 1)
-        .sink(255, 2)
-        .build()
-        .unwrap();
-    for mode in [EngineMode::SparseActive, EngineMode::DenseReference] {
-        for (regime, lgg) in [("drain", false), ("gradient", true)] {
-            let proto: Box<dyn simqueue::RoutingProtocol> = if lgg {
-                Box::new(Lgg::new())
-            } else {
-                Box::new(lgg_core::baselines::ShortestPathRouting::new(&spec))
-            };
-            let mut sim = SimulationBuilder::new(spec.clone(), proto)
-                .engine_mode(mode)
-                .history(HistoryMode::None)
-                .build();
-            sim.run(2000); // reach the regime's steady state first
-            group.bench_function(
-                BenchmarkId::from_parameter(format!("{mode:?}/{regime}")),
-                |b| {
-                    b.iter(|| {
-                        sim.step();
-                        black_box(sim.total_packets())
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_step_scaling, bench_step_density, bench_engine_modes
+    targets = bench_step_scaling, bench_step_density
 }
 criterion_main!(benches);

@@ -1,7 +1,6 @@
-//! `lgg-sim bench`: a fixed throughput suite timing the sparse active-set
-//! engine ([`EngineMode::SparseActive`]), the dense reference engine
-//! ([`EngineMode::DenseReference`]) and the density-adaptive
-//! [`EngineMode::Auto`], writing the numbers to `BENCH_throughput.json`.
+//! `lgg-sim bench`: a fixed throughput suite timing the step pipeline
+//! ([`simqueue::Simulation::step`]) on workloads from nearly idle to
+//! saturated, writing the numbers to `BENCH_throughput.json`.
 //!
 //! The suite is deliberately small and fixed so successive runs (and
 //! successive PRs) produce comparable files:
@@ -9,44 +8,42 @@
 //! * `grid-16x16-steady` / `grid-64x64-steady` — single source/sink pair on
 //!   a grid, feasible rates, shortest-path forwarding: the steady state
 //!   keeps only the packets in flight busy, so almost the whole grid is
-//!   idle. This is the sparse engine's home turf. (The protocol matters:
-//!   LGG's steady state is a network-wide queue *gradient* — nearly every
-//!   node holds packets by construction — so a draining protocol is the
-//!   one that actually exhibits a sparse active set.)
+//!   idle, and the active-set pipeline visits only the busy nodes. (The
+//!   protocol matters: LGG's steady state is a network-wide queue
+//!   *gradient* — nearly every node holds packets by construction — so a
+//!   draining protocol is the one that actually exhibits a sparse active
+//!   set.)
 //! * `lgg-gradient-16x16` — the same grid under LGG, recording the dense
-//!   gradient regime honestly: here the active set is nearly all of `V`
-//!   and sparse bookkeeping is pure overhead.
+//!   gradient regime honestly: here the active set is nearly all of `V`.
 //! * `random-512-dense` — an oversubscribed random graph where backlogs
-//!   grow everywhere; the active set approaches all of `V` and the two
-//!   engines should converge (an honest worst case).
+//!   grow everywhere; the active set approaches all of `V` (an honest
+//!   worst case).
 //! * three files from `scenarios/` — saturated dumbbell, lossy sensor
 //!   field (matching-LGG + Gilbert–Elliott loss), bursty R-generalized
 //!   gauntlet (lying + lazy extraction) — covering the declaration and
 //!   loss machinery.
 //!
-//! Each case is run once untimed as warm-up, then `REPS` times per engine
-//! mode; the fastest repetition is reported (minimum-of-N is the usual
-//! noise filter for throughput benches).
+//! Each case is run once untimed as warm-up, then `REPS` times; the
+//! fastest repetition is reported (minimum-of-N is the usual noise filter
+//! for throughput benches).
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use simqueue::{
-    EngineMode, GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder, SimObserver,
+    GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder, SimObserver,
     WindowAggregator,
 };
 
 use crate::sweep::SweepReport;
 use crate::{Endpoint, ProtocolSpec, Scenario, LggError, SimOverrides, TopologySpec};
 
-/// Timed repetitions per (case, engine) pair; the fastest is reported.
-/// Five repetitions (up from three) because the min-of-N filter has to
-/// beat scheduler noise on shared machines: the Auto engine's acceptance
-/// bar (within 5% of the better fixed engine) is tighter than the noise
-/// floor of a 3-rep minimum.
+/// Timed repetitions per case; the fastest is reported. Five because the
+/// min-of-N filter has to beat scheduler noise on shared machines: the
+/// 2% observer gate is tighter than the noise floor of a 3-rep minimum.
 const REPS: usize = 5;
 
-/// Throughput numbers for one engine on one case.
+/// Throughput numbers for one timed leg.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 pub struct EngineThroughput {
     /// Simulation steps per wall-clock second.
@@ -56,7 +53,7 @@ pub struct EngineThroughput {
     pub ns_per_node_edge_step: f64,
 }
 
-/// One benchmark case: all three engines on the same scenario.
+/// One benchmark case.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct BenchCase {
     /// Suite-stable case name.
@@ -67,18 +64,8 @@ pub struct BenchCase {
     pub edges: usize,
     /// Steps simulated per timed repetition.
     pub steps: u64,
-    /// Sparse active-set engine numbers.
-    pub sparse: EngineThroughput,
-    /// Dense reference engine numbers (the seed engine's cost profile).
-    pub dense: EngineThroughput,
-    /// Density-adaptive engine numbers (the CLI default).
-    pub auto: EngineThroughput,
-    /// `sparse.steps_per_sec / dense.steps_per_sec`.
-    pub speedup: f64,
-    /// `auto.steps_per_sec / max(sparse, dense).steps_per_sec` — the
-    /// adaptive engine's cost relative to the better fixed choice (the
-    /// acceptance bar is >= 0.95 on every case).
-    pub auto_vs_best: f64,
+    /// Step-pipeline throughput.
+    pub throughput: EngineThroughput,
 }
 
 /// The whole suite, as serialized to `BENCH_throughput.json`.
@@ -103,14 +90,12 @@ pub struct BenchReport {
 }
 
 /// Invariant-guard overhead on one case: the unguarded production path
-/// against a fully-checking [`simqueue::InvariantGuard`], same engine and
-/// step count for both legs.
+/// against a fully-checking [`simqueue::InvariantGuard`], same step count
+/// for both legs.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct GuardBench {
     /// Suite case the overhead is measured on.
     pub case: String,
-    /// Engine mode used for both legs (kebab-case).
-    pub engine: String,
     /// Steps per timed repetition (never scaled by `--quick`, same
     /// reasoning as [`ObserverBench::steps`]).
     pub steps: u64,
@@ -126,13 +111,11 @@ pub struct GuardBench {
 }
 
 /// Observer overhead on one case: the production disabled path against
-/// two live observers, same engine and step count for all three legs.
+/// two live observers, same step count for all three legs.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ObserverBench {
     /// Suite case the overhead is measured on.
     pub case: String,
-    /// Engine mode used for every leg (kebab-case).
-    pub engine: String,
     /// Steps per timed repetition. Never scaled by `--quick`: the CI
     /// regression gate compares these numbers against a recorded
     /// baseline, and a 2% bar is meaningless on 1/10-length runs.
@@ -208,8 +191,8 @@ pub(crate) fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
     ]
 }
 
-/// The `scenarios/` files in the suite, with step counts capped so the
-/// dense engine finishes in seconds.
+/// The `scenarios/` files in the suite, with step counts capped so each
+/// case finishes in seconds.
 const SCENARIO_FILES: &[(&str, &str, u64)] = &[
     ("saturated-dumbbell", "saturated_dumbbell.json", 20_000),
     ("lossy-sensor-field", "lossy_sensor_field.json", 20_000),
@@ -244,22 +227,18 @@ where
     Ok(best_ns)
 }
 
-/// Engine/history overrides shared by every timed leg of a case.
-/// `SimOverrides` owns a boxed observer slot, so it is rebuilt per call
-/// rather than cloned.
-fn bench_overrides(mode: EngineMode) -> SimOverrides {
+/// History override shared by every timed leg of a case. `SimOverrides`
+/// owns a boxed observer slot, so it is rebuilt per call rather than
+/// cloned.
+fn bench_overrides() -> SimOverrides {
     SimOverrides {
-        engine: Some(mode),
         history: Some(HistoryMode::None),
         ..SimOverrides::default()
     }
 }
 
-fn time_engine(sc: &Scenario, mode: EngineMode, steps: u64) -> Result<f64, LggError> {
-    time_runs(|| sc.build_with_observer(bench_overrides(mode), NoopObserver), steps)
-}
-
-fn round(x: f64, decimals: i32) -> f64 {
+/// Rounds `x` to `decimals` decimal places (report formatting).
+pub(crate) fn round(x: f64, decimals: i32) -> f64 {
     let f = 10f64.powi(decimals);
     (x * f).round() / f
 }
@@ -270,32 +249,23 @@ fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError
     let edges = spec.graph.edge_count();
     let size = (nodes + edges) as f64;
 
-    let per_mode = |mode| -> Result<EngineThroughput, LggError> {
-        let ns = time_engine(sc, mode, steps)?;
-        Ok(EngineThroughput {
-            steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-            ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-        })
-    };
-    let sparse = per_mode(EngineMode::SparseActive)?;
-    let dense = per_mode(EngineMode::DenseReference)?;
-    let auto = per_mode(EngineMode::Auto)?;
-
-    let best = sparse.steps_per_sec.max(dense.steps_per_sec);
+    let ns = time_runs(
+        || sc.build_with_observer(bench_overrides(), NoopObserver),
+        steps,
+    )?;
     Ok(BenchCase {
         name: name.to_string(),
         nodes,
         edges,
         steps,
-        sparse,
-        dense,
-        auto,
-        speedup: round(sparse.steps_per_sec / dense.steps_per_sec, 2),
-        auto_vs_best: round(auto.steps_per_sec / best, 2),
+        throughput: EngineThroughput {
+            steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
+            ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
+        },
     })
 }
 
-/// Measures observer overhead on the sparse `grid-16x16-steady` case.
+/// Measures observer overhead on the `grid-16x16-steady` case.
 /// The disabled leg goes through the production [`Scenario::build`] path
 /// (a `Simulation<ScenarioObserver>` with `telemetry: off`), so the
 /// number reflects what every default `lgg-sim` run actually pays for
@@ -314,22 +284,20 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
         steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
         ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
     };
-    let mode = EngineMode::SparseActive;
 
     eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x3 observers)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides(mode)), steps)?);
+    let off = throughput(time_runs(|| sc.build(bench_overrides()), steps)?);
     let ring = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(mode), RingRecorder::new(4096)),
+        || sc.build_with_observer(bench_overrides(), RingRecorder::new(4096)),
         steps,
     )?);
     let window = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(mode), WindowAggregator::new(256)),
+        || sc.build_with_observer(bench_overrides(), WindowAggregator::new(256)),
         steps,
     )?);
 
     Ok(ObserverBench {
         case: name,
-        engine: "sparse-active".into(),
         steps,
         off,
         ring,
@@ -339,8 +307,7 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
     })
 }
 
-/// Measures invariant-guard overhead on the sparse `grid-16x16-steady`
-/// case: the unguarded production build path against the same scenario
+/// Measures invariant-guard overhead on the `grid-16x16-steady` case: the unguarded production build path against the same scenario
 /// with every hard check live. The guard sees every per-step event (it
 /// wraps the observer boundary before any thinning), so this is its
 /// worst-case honest price; the off leg doubles as the number the 2%
@@ -358,21 +325,19 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
         steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
         ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
     };
-    let mode = EngineMode::SparseActive;
 
     eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x2 legs)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides(mode)), steps)?);
+    let off = throughput(time_runs(|| sc.build(bench_overrides()), steps)?);
     let guarded = throughput(time_runs(
         || {
             let guard = InvariantGuard::new(&sc.traffic_spec()?, GuardConfig::checks());
-            sc.build_with_observer(bench_overrides(mode), guard)
+            sc.build_with_observer(bench_overrides(), guard)
         },
         steps,
     )?);
 
     Ok(GuardBench {
         case: name,
-        engine: "sparse-active".into(),
         steps,
         off,
         guarded,
@@ -381,10 +346,8 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
 }
 
 /// CI gate: errors when the disabled-observer throughput in `report`
-/// falls more than 2% below the recorded baseline. The reference is the
-/// baseline file's own `observer.off` leg when present, else its
-/// recorded sparse throughput for the same case — i.e. the pre-telemetry
-/// number the subsystem's overhead budget was set against.
+/// falls more than 2% below the recorded baseline file's own
+/// `observer.off` leg.
 pub fn check_observer_baseline(
     report: &BenchReport,
     baseline: &BenchReport,
@@ -397,19 +360,7 @@ pub fn check_observer_baseline(
         .observer
         .as_ref()
         .map(|o| o.off.steps_per_sec)
-        .or_else(|| {
-            baseline
-                .cases
-                .iter()
-                .find(|c| c.name == current.case)
-                .map(|c| c.sparse.steps_per_sec)
-        })
-        .ok_or_else(|| {
-            LggError::scenario(format!(
-                "baseline has neither an observer section nor a '{}' case",
-                current.case
-            ))
-        })?;
+        .ok_or_else(|| LggError::scenario("baseline has no observer bench section"))?;
     if current.off.steps_per_sec < 0.98 * reference {
         return Err(LggError::scenario(format!(
             "disabled-observer throughput regressed: {} steps/s is more than 2% below \
@@ -431,7 +382,7 @@ pub fn check_observer_baseline(
 pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, LggError> {
     let mut cases = Vec::new();
     for (name, sc, steps) in synthetic_cases(quick) {
-        eprintln!("bench: {name} ({steps} steps x{REPS} reps x3 engines)...");
+        eprintln!("bench: {name} ({steps} steps x{REPS} reps)...");
         cases.push(run_case(&name, &sc, steps)?);
     }
     for &(name, file, steps) in SCENARIO_FILES {
@@ -444,7 +395,7 @@ pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, L
         })?;
         let sc = Scenario::from_json(&text)?;
         let steps = if quick { steps / 10 } else { steps };
-        eprintln!("bench: {name} ({steps} steps x{REPS} reps x3 engines)...");
+        eprintln!("bench: {name} ({steps} steps x{REPS} reps)...");
         cases.push(run_case(name, &sc, steps)?);
     }
     let observer = Some(observer_bench()?);
@@ -466,7 +417,7 @@ mod tests {
     fn synthetic_cases_build_and_step() {
         for (name, sc, _) in synthetic_cases(true) {
             let mut sim = sc
-                .build_with_observer(bench_overrides(EngineMode::SparseActive), NoopObserver)
+                .build_with_observer(bench_overrides(), NoopObserver)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             sim.run(10);
         }
@@ -478,30 +429,8 @@ mod tests {
         let report = run_bench_suite(dir, true).unwrap();
         assert_eq!(report.cases.len(), 7);
         for c in &report.cases {
-            assert!(c.sparse.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.dense.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.auto.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.speedup > 0.0, "{}", c.name);
-            // The derived ratios must be consistent with the raw
-            // steps/sec they were computed from (up to their 2-decimal
-            // rounding).
-            let speedup = c.sparse.steps_per_sec / c.dense.steps_per_sec;
-            assert!(
-                (c.speedup - speedup).abs() <= 0.005 + 1e-9,
-                "{}: speedup {} inconsistent with raw {}",
-                c.name,
-                c.speedup,
-                speedup
-            );
-            let best = c.sparse.steps_per_sec.max(c.dense.steps_per_sec);
-            let auto_vs_best = c.auto.steps_per_sec / best;
-            assert!(
-                (c.auto_vs_best - auto_vs_best).abs() <= 0.005 + 1e-9,
-                "{}: auto_vs_best {} inconsistent with raw {}",
-                c.name,
-                c.auto_vs_best,
-                auto_vs_best
-            );
+            assert!(c.throughput.steps_per_sec > 0.0, "{}", c.name);
+            assert!(c.throughput.ns_per_node_edge_step > 0.0, "{}", c.name);
         }
 
         // Observer overhead is part of every suite run, at full length
@@ -533,14 +462,13 @@ mod tests {
         assert!(back.sweep.is_none());
     }
 
-    fn fake_report(off_sps: f64, with_observer: bool, sparse_case: Option<f64>) -> BenchReport {
+    fn fake_report(off_sps: f64, with_observer: bool) -> BenchReport {
         let tp = |sps: f64| EngineThroughput {
             steps_per_sec: sps,
             ns_per_node_edge_step: 1.0,
         };
         let observer = with_observer.then(|| ObserverBench {
             case: "grid-16x16-steady".into(),
-            engine: "sparse-active".into(),
             steps: 50_000,
             off: tp(off_sps),
             ring: tp(off_sps * 0.8),
@@ -548,24 +476,9 @@ mod tests {
             ring_vs_off: 0.8,
             window_vs_off: 0.9,
         });
-        let cases = sparse_case
-            .map(|sps| {
-                vec![BenchCase {
-                    name: "grid-16x16-steady".into(),
-                    nodes: 256,
-                    edges: 480,
-                    steps: 50_000,
-                    sparse: tp(sps),
-                    dense: tp(sps / 2.0),
-                    auto: tp(sps),
-                    speedup: 2.0,
-                    auto_vs_best: 1.0,
-                }]
-            })
-            .unwrap_or_default();
         BenchReport {
             generated_by: "test".into(),
-            cases,
+            cases: Vec::new(),
             sweep: None,
             observer,
             guard: None,
@@ -575,22 +488,17 @@ mod tests {
     #[test]
     fn observer_baseline_gate_accepts_and_rejects() {
         // Within 2% of the baseline's own off leg: ok (even slightly slower).
-        let baseline = fake_report(1000.0, true, Some(1100.0));
-        check_observer_baseline(&fake_report(985.0, true, None), &baseline).unwrap();
+        let baseline = fake_report(1000.0, true);
+        check_observer_baseline(&fake_report(985.0, true), &baseline).unwrap();
         // More than 2% below: rejected.
-        let err = check_observer_baseline(&fake_report(975.0, true, None), &baseline)
+        let err = check_observer_baseline(&fake_report(975.0, true), &baseline)
             .unwrap_err()
             .to_string();
         assert!(err.contains("regressed"), "{err}");
-        // A pre-telemetry baseline (no observer section) falls back to the
-        // recorded sparse throughput of the same case.
-        let old = fake_report(0.0, false, Some(1000.0));
-        check_observer_baseline(&fake_report(985.0, true, None), &old).unwrap();
-        assert!(check_observer_baseline(&fake_report(900.0, true, None), &old).is_err());
-        // A baseline with neither is an error, as is a report without the
-        // observer section.
-        let empty = fake_report(0.0, false, None);
-        assert!(check_observer_baseline(&fake_report(985.0, true, None), &empty).is_err());
+        // A baseline without the observer section is an error, as is a
+        // report without it.
+        let empty = fake_report(0.0, false);
+        assert!(check_observer_baseline(&fake_report(985.0, true), &empty).is_err());
         assert!(check_observer_baseline(&empty, &baseline).is_err());
     }
 }

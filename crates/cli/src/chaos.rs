@@ -24,9 +24,9 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use simqueue::checkpoint::fnv1a;
 use simqueue::{
     BudgetKind, FaultSpec, GuardConfig, GuardOutcome, GuardReport, HistoryMode, InvariantGuard,
     LggError, NoopObserver, SimOverrides, Violation,
@@ -132,42 +132,32 @@ enum TrialOutcome {
     Violated(Box<(Scenario, Violation)>),
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn fnv1a_u64(hash: u64, x: u64) -> u64 {
-    fnv1a(hash, &x.to_le_bytes())
-}
-
+/// FNV-1a over every outcome's tag, counters (little-endian) and text,
+/// concatenated in trial order.
 fn digest_outcomes(outcomes: &[TrialOutcome]) -> String {
-    let h = outcomes.iter().fold(FNV_OFFSET, |h, o| match o {
-        TrialOutcome::Clean { steps, sup_total } => {
-            fnv1a_u64(fnv1a_u64(fnv1a_u64(h, 0), *steps), *sup_total)
+    let mut bytes = Vec::new();
+    let mut put = |xs: &[u64], text: &str| {
+        for x in xs {
+            bytes.extend_from_slice(&x.to_le_bytes());
         }
-        TrialOutcome::Budget { kind, steps } => {
-            let k = match kind {
-                BudgetKind::Steps => 1,
-                BudgetKind::Backlog => 2,
-                BudgetKind::WallClock => 3,
-            };
-            fnv1a_u64(fnv1a_u64(fnv1a_u64(h, 1), k), *steps)
+        bytes.extend_from_slice(text.as_bytes());
+    };
+    for o in outcomes {
+        match o {
+            TrialOutcome::Clean { steps, sup_total } => put(&[0, *steps, *sup_total], ""),
+            TrialOutcome::Budget { kind, steps } => {
+                let k = match kind {
+                    BudgetKind::Steps => 1,
+                    BudgetKind::Backlog => 2,
+                    BudgetKind::WallClock => 3,
+                };
+                put(&[1, k, *steps], "")
+            }
+            TrialOutcome::BuildError(msg) => put(&[2], msg),
+            TrialOutcome::Violated(b) => put(&[3, b.1.step], b.1.kind.as_str()),
         }
-        TrialOutcome::BuildError(msg) => fnv1a(fnv1a_u64(h, 2), msg.as_bytes()),
-        TrialOutcome::Violated(b) => {
-            let v = &b.1;
-            fnv1a(
-                fnv1a_u64(fnv1a_u64(h, 3), v.step),
-                v.kind.as_str().as_bytes(),
-            )
-        }
-    });
-    format!("{h:016x}")
+    }
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// The guard configuration chaos trials run under: the hard invariants
@@ -425,7 +415,6 @@ pub fn compose_trial(campaign_seed: u64, i: usize, steps: u64) -> Scenario {
         } else {
             crate::ExtractionSpec::Lazy
         },
-        engine: crate::EngineSpec::Auto,
         telemetry: ObserverSpec::Off,
         steps,
         seed,
@@ -707,10 +696,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, LggError> {
             ""
         }
     );
-    let outcomes: Vec<TrialOutcome> = scenarios
-        .par_iter()
-        .map(|sc| classify(sc, cfg.steps, fault))
-        .collect();
+    let outcomes = parpool::run_ordered(scenarios.iter().collect(), |sc| {
+        classify(sc, cfg.steps, fault)
+    });
 
     let digest = digest_outcomes(&outcomes);
     let mut report = ChaosReport {

@@ -51,7 +51,7 @@ pub use sweep::{
     run_sweep, sweep_digest, write_sweep_into_bench, SweepConfig, SweepItem, SweepReport,
 };
 pub use scenario::{
-    DeclarationSpec, DynamicsSpec, Endpoint, EngineSpec, ExtractionSpec, GeneralizedNode,
+    DeclarationSpec, DynamicsSpec, Endpoint, ExtractionSpec, GeneralizedNode,
     InjectionSpec, LossSpec, ObserverSpec, ProtocolSpec, Scenario, ScenarioObserver,
     TopologySpec,
 };

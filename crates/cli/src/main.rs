@@ -436,21 +436,17 @@ fn run_bench(args: &[String]) -> ExitCode {
             }
             for c in &report.cases {
                 println!(
-                    "{:<22} {:>7} nodes+edges  sparse {:>12.1} steps/s  dense {:>12.1} steps/s  x{:.2}  auto {:>12.1} steps/s ({:.2} of best)",
+                    "{:<22} {:>7} nodes+edges  {:>12.1} steps/s  {:.3} ns/(node+edge)/step",
                     c.name,
                     c.nodes + c.edges,
-                    c.sparse.steps_per_sec,
-                    c.dense.steps_per_sec,
-                    c.speedup,
-                    c.auto.steps_per_sec,
-                    c.auto_vs_best
+                    c.throughput.steps_per_sec,
+                    c.throughput.ns_per_node_edge_step
                 );
             }
             if let Some(obs) = &report.observer {
                 println!(
-                    "observer overhead on {} ({}): off {:.1} steps/s  ring {:.1} ({:.3} of off)  window {:.1} ({:.3} of off)",
+                    "observer overhead on {}: off {:.1} steps/s  ring {:.1} ({:.3} of off)  window {:.1} ({:.3} of off)",
                     obs.case,
-                    obs.engine,
                     obs.off.steps_per_sec,
                     obs.ring.steps_per_sec,
                     obs.ring_vs_off,
@@ -460,8 +456,8 @@ fn run_bench(args: &[String]) -> ExitCode {
             }
             if let Some(g) = &report.guard {
                 println!(
-                    "guard overhead on {} ({}): off {:.1} steps/s  guarded {:.1} ({:.3} of off)",
-                    g.case, g.engine, g.off.steps_per_sec, g.guarded.steps_per_sec, g.guarded_vs_off
+                    "guard overhead on {}: off {:.1} steps/s  guarded {:.1} ({:.3} of off)",
+                    g.case, g.off.steps_per_sec, g.guarded.steps_per_sec, g.guarded_vs_off
                 );
             }
             println!("wrote {out}");
@@ -582,7 +578,7 @@ fn run_trace_cmd(args: &[String]) -> ExitCode {
 }
 
 /// `lgg-sim sweep [--smoke] [--out FILE] [--scenarios DIR] [--threads N]`:
-/// run the scenario × seed × rate × engine grid serially and across the
+/// run the 12-item scenario × seed × rate grid serially and across the
 /// work-stealing pool, check bit-for-bit agreement, and record wall-clock
 /// numbers in the `sweep` section of the bench file.
 fn run_sweep_cmd(args: &[String]) -> ExitCode {

@@ -166,7 +166,8 @@ pub enum InjectionSpec {
 }
 
 impl InjectionSpec {
-    fn build(&self) -> Result<Box<dyn InjectionProcess>, LggError> {
+    /// Builds the arrival process this spec names.
+    pub fn build(&self) -> Result<Box<dyn InjectionProcess>, LggError> {
         Ok(match self {
             InjectionSpec::Exact => Box::new(ExactInjection),
             InjectionSpec::Scaled { num, den } => {
@@ -217,7 +218,8 @@ pub enum LossSpec {
 }
 
 impl LossSpec {
-    fn build(&self) -> Result<Box<dyn LossModel>, LggError> {
+    /// Builds the loss model this spec names.
+    pub fn build(&self) -> Result<Box<dyn LossModel>, LggError> {
         Ok(match self {
             LossSpec::None => Box::new(NoLoss),
             LossSpec::Iid { p } => {
@@ -263,7 +265,8 @@ pub enum DynamicsSpec {
 }
 
 impl DynamicsSpec {
-    fn build(&self, edge_count: usize) -> Box<dyn TopologyProcess> {
+    /// Builds the topology process this spec names for `edge_count` links.
+    pub fn build(&self, edge_count: usize) -> Box<dyn TopologyProcess> {
         match self {
             DynamicsSpec::Static => Box::new(StaticTopology),
             DynamicsSpec::Markov { p_fail, p_repair } => {
@@ -317,7 +320,9 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    fn build(&self, spec: &TrafficSpec, seed: u64) -> Box<dyn RoutingProtocol> {
+    /// Builds the protocol this spec names for `spec`; `seed` drives any
+    /// randomized tie-breaking.
+    pub fn build(&self, spec: &TrafficSpec, seed: u64) -> Box<dyn RoutingProtocol> {
         match self {
             ProtocolSpec::Lgg => Box::new(Lgg::new()),
             ProtocolSpec::LggRandom => Box::new(Lgg::with_tie_break(TieBreak::Random, seed)),
@@ -351,7 +356,8 @@ pub enum DeclarationSpec {
 }
 
 impl DeclarationSpec {
-    fn build(&self) -> Box<dyn DeclarationPolicy> {
+    /// Builds the declaration policy this spec names.
+    pub fn build(&self) -> Box<dyn DeclarationPolicy> {
         match self {
             DeclarationSpec::Truthful => Box::new(TruthfulDeclaration),
             DeclarationSpec::ZeroBelowR => Box::new(ZeroBelowRetention),
@@ -374,37 +380,11 @@ pub enum ExtractionSpec {
 }
 
 impl ExtractionSpec {
-    fn build(&self) -> Box<dyn ExtractionPolicy> {
+    /// Builds the extraction policy this spec names.
+    pub fn build(&self) -> Box<dyn ExtractionPolicy> {
         match self {
             ExtractionSpec::Max => Box::new(MaxExtraction),
             ExtractionSpec::Lazy => Box::new(LazyExtraction),
-        }
-    }
-}
-
-/// Engine selection (see [`simqueue::EngineMode`]).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Default)]
-#[serde(rename_all = "kebab-case")]
-#[non_exhaustive]
-pub enum EngineSpec {
-    /// Decide per run from the measured active-set density (the default:
-    /// sparse wins on quiescent networks, dense on saturated ones, and the
-    /// two regimes are bit-for-bit identical so switching is free).
-    #[default]
-    Auto,
-    /// Always use the active-set stepper.
-    SparseActive,
-    /// Always use the full-scan reference stepper.
-    DenseReference,
-}
-
-impl EngineSpec {
-    /// The corresponding engine mode.
-    pub fn mode(&self) -> simqueue::EngineMode {
-        match self {
-            EngineSpec::Auto => simqueue::EngineMode::Auto,
-            EngineSpec::SparseActive => simqueue::EngineMode::SparseActive,
-            EngineSpec::DenseReference => simqueue::EngineMode::DenseReference,
         }
     }
 }
@@ -566,9 +546,6 @@ pub struct Scenario {
     /// Extraction policy (default max).
     #[serde(default)]
     pub extraction: ExtractionSpec,
-    /// Engine mode (default auto: density-adaptive sparse/dense).
-    #[serde(default)]
-    pub engine: EngineSpec,
     /// Telemetry (default off: the zero-cost disabled observer).
     #[serde(default)]
     pub telemetry: ObserverSpec,
@@ -625,7 +602,6 @@ impl Scenario {
     ) -> Result<simqueue::Simulation<ScenarioObserver>, LggError> {
         let SimOverrides {
             seed,
-            engine,
             history,
             observer,
             checkpoint,
@@ -637,7 +613,6 @@ impl Scenario {
         self.build_with_observer(
             SimOverrides {
                 seed,
-                engine,
                 history,
                 observer: None,
                 checkpoint,
@@ -659,14 +634,12 @@ impl Scenario {
     ) -> Result<simqueue::Simulation<O>, LggError> {
         let spec = self.traffic_spec()?;
         let seed = overrides.seed.unwrap_or(self.seed);
-        let mode = overrides.engine.unwrap_or_else(|| self.engine.mode());
         let history = overrides
             .history
             .unwrap_or(simqueue::HistoryMode::Sampled((self.steps / 1024).max(1)));
         let protocol = self.protocol.build(&spec, seed);
         let dynamics = self.dynamics.build(spec.graph.edge_count());
         let mut sim = SimulationBuilder::new(spec, protocol)
-            .engine_mode(mode)
             .injection(self.injection.build()?)
             .loss(self.loss.build()?)
             .topology(dynamics)
@@ -701,7 +674,6 @@ mod tests {
         assert_eq!(sc.loss, LossSpec::None);
         assert_eq!(sc.dynamics, DynamicsSpec::Static);
         assert_eq!(sc.declaration, DeclarationSpec::Truthful);
-        assert_eq!(sc.engine, EngineSpec::Auto);
         let spec = sc.traffic_spec().unwrap();
         assert_eq!(spec.arrival_rate(), 1);
         assert!(spec.is_classic());
@@ -725,7 +697,6 @@ mod tests {
             dynamics: DynamicsSpec::Rotating { k: 1 },
             declaration: DeclarationSpec::FullRetention,
             extraction: ExtractionSpec::Lazy,
-            engine: EngineSpec::DenseReference,
             telemetry: ObserverSpec::Window { size: 64 },
             steps: 500,
             seed: 7,
@@ -747,17 +718,37 @@ mod tests {
     #[test]
     fn overrides_replace_scenario_settings() {
         let sc = Scenario::from_json(MINIMAL).unwrap();
-        // Engine override is visible; seed override changes the protocol
-        // seed path without touching the scenario.
-        let sim = sc
-            .build(SimOverrides {
-                engine: Some(simqueue::EngineMode::DenseReference),
-                history: Some(simqueue::HistoryMode::None),
-                seed: Some(42),
-                ..SimOverrides::default()
-            })
-            .unwrap();
-        assert_eq!(sim.engine_mode(), simqueue::EngineMode::DenseReference);
+        let run = |seed| {
+            let mut sim = sc
+                .build(SimOverrides {
+                    history: Some(simqueue::HistoryMode::None),
+                    seed,
+                    ..SimOverrides::default()
+                })
+                .unwrap();
+            sim.run(50);
+            sim.metrics().clone()
+        };
+        // The history override is visible, and the seed override replaces
+        // the scenario's seed (explicitly passing it changes nothing).
+        assert!(run(None).history.is_empty());
+        assert_eq!(run(Some(sc.seed)), run(None));
+    }
+
+    #[test]
+    fn legacy_engine_key_is_ignored() {
+        // Files written while the engine was selectable carry an `engine`
+        // key; there is one step pipeline now, so the key parses and has
+        // no effect.
+        let legacy = MINIMAL.replace(
+            r#""protocol": "lgg""#,
+            r#""protocol": "lgg", "engine": "dense-reference""#,
+        );
+        assert_ne!(legacy, MINIMAL);
+        assert_eq!(
+            Scenario::from_json(&legacy).unwrap(),
+            Scenario::from_json(MINIMAL).unwrap()
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `lgg-sim sweep`: fan a parameter grid across the in-tree work-stealing
 //! pool and record serial-vs-parallel wall-clock numbers.
 //!
-//! The grid is scenario × seed × injection rate × engine mode. Every item
+//! The grid is scenario × seed × injection rate (12 items). Every item
 //! is an independent simulation carrying its own master seed, so the sweep
 //! is embarrassingly parallel *and* deterministic by construction: the
 //! pool only decides which worker runs which item, never what any item
@@ -18,14 +18,14 @@
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::bench::{synthetic_cases, BenchReport};
-use crate::{EngineSpec, InjectionSpec, Scenario, LggError, SimOverrides};
+use crate::bench::{round, synthetic_cases, BenchReport};
+use crate::{InjectionSpec, LggError, Scenario, SimOverrides};
+use simqueue::checkpoint::fnv1a;
 use simqueue::{HistoryMode, NoopObserver};
 
-/// One grid point: a scenario under a specific seed, rate and engine.
+/// One grid point: a scenario under a specific seed and rate.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct SweepItem {
     /// Suite-stable scenario name.
@@ -34,8 +34,6 @@ pub struct SweepItem {
     pub seed: u64,
     /// Injection scaling `num/den` applied to every source rate.
     pub rate: String,
-    /// Engine mode (kebab-case, as in scenario files).
-    pub engine: EngineSpec,
     /// Steps simulated.
     pub steps: u64,
 }
@@ -101,18 +99,13 @@ impl Default for SweepConfig {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+/// Little-endian bytes of `xs`, concatenated — the input the FNV-1a
+/// digests below hash.
+fn le_bytes(xs: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    xs.into_iter().flat_map(u64::to_le_bytes).collect()
 }
 
-fn fnv1a_u64(hash: u64, x: u64) -> u64 {
-    fnv1a(hash, &x.to_le_bytes())
-}
-
-/// Builds the parameter grid: scenario × seed × rate × engine.
+/// Builds the parameter grid: scenario × seed × rate.
 fn build_grid(cfg: &SweepConfig) -> Result<Vec<(SweepItem, Scenario)>, LggError> {
     // Two synthetic suite scenarios with opposite density profiles (the
     // steady grid is sparse-friendly, the oversubscribed random graph is
@@ -149,31 +142,26 @@ fn build_grid(cfg: &SweepConfig) -> Result<Vec<(SweepItem, Scenario)>, LggError>
         }
     };
 
-    let engines = [EngineSpec::Auto, EngineSpec::SparseActive, EngineSpec::DenseReference];
     let mut grid = Vec::new();
     for (name, base) in &scenarios {
         for seed in [1u64, 2] {
             for (num, den) in [(1u64, 1u64), (1, 2)] {
-                for engine in engines {
-                    let steps = steps_for(name);
-                    let sc = Scenario {
+                let steps = steps_for(name);
+                let sc = Scenario {
+                    seed,
+                    injection: InjectionSpec::Scaled { num, den },
+                    steps,
+                    ..base.clone()
+                };
+                grid.push((
+                    SweepItem {
+                        scenario: name.clone(),
                         seed,
-                        injection: InjectionSpec::Scaled { num, den },
-                        engine,
+                        rate: format!("{num}/{den}"),
                         steps,
-                        ..base.clone()
-                    };
-                    grid.push((
-                        SweepItem {
-                            scenario: name.clone(),
-                            seed,
-                            rate: format!("{num}/{den}"),
-                            engine,
-                            steps,
-                        },
-                        sc,
-                    ));
-                }
+                    },
+                    sc,
+                ));
             }
         }
     }
@@ -191,10 +179,7 @@ fn run_item(item: &SweepItem, sc: &Scenario) -> Result<SweepOutcome, LggError> {
     )?;
     sim.run(item.steps);
     let m = sim.metrics();
-    let queue_fnv = sim
-        .queues()
-        .iter()
-        .fold(FNV_OFFSET, |h, &q| fnv1a_u64(h, q));
+    let queue_fnv = fnv1a(&le_bytes(sim.queues().iter().copied()));
     Ok(SweepOutcome {
         delivered: m.delivered,
         sent: m.sent,
@@ -207,23 +192,19 @@ fn run_item(item: &SweepItem, sc: &Scenario) -> Result<SweepOutcome, LggError> {
 /// Runs the whole grid once across the current pool configuration,
 /// returning outcomes in input order.
 fn run_grid(grid: &[(SweepItem, Scenario)]) -> Result<Vec<SweepOutcome>, LggError> {
-    let results: Vec<Result<SweepOutcome, LggError>> = grid
-        .par_iter()
-        .map(|(item, sc)| run_item(item, sc))
-        .collect();
-    results.into_iter().collect()
+    parpool::run_ordered(grid.iter().collect(), |(item, sc)| run_item(item, sc))
+        .into_iter()
+        .collect()
 }
 
 /// Condenses an outcome vector into a printable FNV-1a digest.
 pub fn digest_outcomes(outcomes: &[SweepOutcome]) -> String {
-    let h = outcomes.iter().fold(FNV_OFFSET, |h, o| {
-        let h = fnv1a_u64(h, o.delivered);
-        let h = fnv1a_u64(h, o.sent);
-        let h = fnv1a_u64(h, o.lost);
-        let h = fnv1a_u64(h, o.sup_total);
-        fnv1a_u64(h, o.queue_fnv)
-    });
-    format!("{h:016x}")
+    let bytes = le_bytes(
+        outcomes
+            .iter()
+            .flat_map(|o| [o.delivered, o.sent, o.lost, o.sup_total, o.queue_fnv]),
+    );
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// Runs the sweep grid once under the *current* pool configuration and
@@ -233,11 +214,6 @@ pub fn sweep_digest(cfg: &SweepConfig) -> Result<String, LggError> {
     let grid = build_grid(cfg)?;
     let outcomes = run_grid(&grid)?;
     Ok(digest_outcomes(&outcomes))
-}
-
-fn round(x: f64, decimals: i32) -> f64 {
-    let f = 10f64.powi(decimals);
-    (x * f).round() / f
 }
 
 /// Runs the full sweep: one-thread leg, parallel leg, equality check,
@@ -342,21 +318,21 @@ mod tests {
     #[test]
     fn grid_covers_all_dimensions() {
         let grid = build_grid(&smoke_cfg()).unwrap();
-        // 3 scenarios x 2 seeds x 2 rates x 3 engines.
-        assert_eq!(grid.len(), 36);
+        // 3 scenarios x 2 seeds x 2 rates.
+        assert_eq!(grid.len(), 12);
         let scenarios: std::collections::BTreeSet<_> =
             grid.iter().map(|(i, _)| i.scenario.clone()).collect();
         assert_eq!(scenarios.len(), 3);
-        let engines: std::collections::BTreeSet<_> =
-            grid.iter().map(|(i, _)| format!("{:?}", i.engine)).collect();
-        assert_eq!(engines.len(), 3);
+        let rates: std::collections::BTreeSet<_> =
+            grid.iter().map(|(i, _)| i.rate.clone()).collect();
+        assert_eq!(rates.len(), 2);
     }
 
     #[test]
     fn smoke_sweep_is_deterministic_and_reports() {
         let report = run_sweep(&smoke_cfg()).unwrap();
-        assert_eq!(report.items, 36);
-        assert_eq!(report.grid.len(), 36);
+        assert_eq!(report.items, 12);
+        assert_eq!(report.grid.len(), 12);
         assert!(report.serial_secs > 0.0);
         assert!(report.parallel_secs > 0.0);
         assert!(report.threads >= 1);
@@ -379,7 +355,6 @@ mod tests {
                 scenario: "grid-16x16-steady".into(),
                 seed: 1,
                 rate: "1/2".into(),
-                engine: EngineSpec::Auto,
                 steps: 300,
             }],
         };

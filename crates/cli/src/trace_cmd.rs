@@ -2,8 +2,8 @@
 //! Lines.
 //!
 //! One line per [`simqueue::TraceEvent`], in emission order — which the
-//! engine guarantees is identical across engine modes and thread counts,
-//! so the byte stream doubles as a determinism witness. `--smoke` runs a
+//! engine guarantees is identical across thread counts, so the byte
+//! stream doubles as a determinism witness. `--smoke` runs a
 //! small built-in scenario twice and verifies the two captures are
 //! byte-identical before printing the digest (the form CI runs).
 
@@ -11,16 +11,10 @@ use simqueue::JsonlSink;
 
 use crate::{Scenario, LggError, SimOverrides};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a digest of a byte stream, printed as 16 hex digits — the same
 /// witness format `lgg-sim sweep` uses for outcome digests.
 pub fn fnv1a_digest(bytes: &[u8]) -> String {
-    let h = bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME));
-    format!("{h:016x}")
+    format!("{:016x}", simqueue::checkpoint::fnv1a(bytes))
 }
 
 /// Runs `steps` of `sc` with a [`JsonlSink`] attached and returns the

@@ -7,7 +7,6 @@ use lgg_core::Lgg;
 use netmodel::TrafficSpecBuilder;
 use simqueue::declare::FullRetention;
 use simqueue::LazyExtraction;
-use rayon::prelude::*;
 use simqueue::injection::BernoulliInjection;
 use simqueue::loss::IidLoss;
 use simqueue::{HistoryMode, SimulationBuilder};
@@ -32,38 +31,33 @@ pub fn run(quick: bool) -> ExperimentReport {
         &["topology", "regime", "bound 5nΔ²", "max drift", "violations"],
     );
 
-    let rows: Vec<_> = catalog
-        .par_iter()
-        .flat_map(|(name, spec)| {
-            regimes
-                .par_iter()
-                .map(|(regime, loss_p, bern_p)| {
-                    let bound = 5.0
-                        * spec.node_count() as f64
-                        * (spec.max_degree() as f64).powi(2);
-                    let mut builder = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
-                        .seed(0xE2)
-                        .history(HistoryMode::None);
-                    if *loss_p > 0.0 {
-                        builder = builder.loss(Box::new(IidLoss::new(*loss_p)));
-                    }
-                    if *bern_p < 1.0 {
-                        builder = builder.injection(Box::new(BernoulliInjection::new(*bern_p)));
-                    }
-                    let mut sim = builder.build();
-                    let samples = measure_drift(&mut sim, steps);
-                    let report = check_drift_bound(&samples, bound);
-                    (
-                        name.clone(),
-                        regime.to_string(),
-                        bound,
-                        report.max_delta,
-                        report.violations,
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
+    // One work item per (topology, regime) pair, topology-major.
+    let items: Vec<_> = catalog
+        .iter()
+        .flat_map(|(name, spec)| regimes.iter().map(move |regime| (name, spec, regime)))
         .collect();
+    let rows: Vec<_> = parpool::run_ordered(items, |(name, spec, (regime, loss_p, bern_p))| {
+        let bound = 5.0 * spec.node_count() as f64 * (spec.max_degree() as f64).powi(2);
+        let mut builder = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+            .seed(0xE2)
+            .history(HistoryMode::None);
+        if *loss_p > 0.0 {
+            builder = builder.loss(Box::new(IidLoss::new(*loss_p)));
+        }
+        if *bern_p < 1.0 {
+            builder = builder.injection(Box::new(BernoulliInjection::new(*bern_p)));
+        }
+        let mut sim = builder.build();
+        let samples = measure_drift(&mut sim, steps);
+        let report = check_drift_bound(&samples, bound);
+        (
+            name.clone(),
+            regime.to_string(),
+            bound,
+            report.max_delta,
+            report.violations,
+        )
+    });
 
     let mut total_violations = 0usize;
     for (name, regime, bound, max_drift, violations) in &rows {

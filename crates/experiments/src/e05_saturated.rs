@@ -7,7 +7,6 @@
 use lgg_core::analysis::census_recurrent;
 use lgg_core::Lgg;
 use netmodel::{classify, CutCase};
-use rayon::prelude::*;
 use simqueue::{HistoryMode, SimulationBuilder};
 
 use crate::common::{fnum, run_windowed, saturated_catalog, steps_for};
@@ -25,15 +24,18 @@ pub fn run(quick: bool) -> ExperimentReport {
     // The window aggregator rides along on the same runs that produce
     // the verdict table: the observer is passive, so the outcomes are
     // identical to the unobserved runs they replaced.
-    let results: Vec<_> = catalog
-        .par_iter()
-        .map(|(name, spec)| {
-            let class = classify(spec);
-            let (o, windows) =
-                run_windowed(spec, Box::new(Lgg::new()), steps, 0xE5, steps / WINDOWS, |b| b);
-            (name.clone(), class, o, windows)
-        })
-        .collect();
+    let results: Vec<_> = parpool::run_ordered(catalog.iter().collect(), |(name, spec)| {
+        let class = classify(spec);
+        let (o, windows) = run_windowed(
+            spec,
+            Box::new(Lgg::new()),
+            steps,
+            0xE5,
+            steps / WINDOWS,
+            |b| b,
+        );
+        (name.clone(), class, o, windows)
+    });
 
     let mut table = Table::new(
         format!("LGG on saturated networks ({steps} steps, exact injection, no loss)"),
@@ -84,17 +86,14 @@ pub fn run(quick: bool) -> ExperimentReport {
         &["network", "recurrent nodes", "n", "all infinitely bounded"],
     );
     let mut all_recurrent = true;
-    let census_rows: Vec<_> = catalog
-        .par_iter()
-        .map(|(name, spec)| {
-            let mut sim = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
-                .history(HistoryMode::None)
-                .seed(0xE5)
-                .build();
-            let census = census_recurrent(&mut sim, steps / 5, steps, 3, 4);
-            (name.clone(), spec.node_count(), census)
-        })
-        .collect();
+    let census_rows: Vec<_> = parpool::run_ordered(catalog.iter().collect(), |(name, spec)| {
+        let mut sim = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+            .history(HistoryMode::None)
+            .seed(0xE5)
+            .build();
+        let census = census_recurrent(&mut sim, steps / 5, steps, 3, 4);
+        (name.clone(), spec.node_count(), census)
+    });
     for (name, n, census) in &census_rows {
         let recurrent = census.bounded_nodes().count();
         census_table.push_row(vec![

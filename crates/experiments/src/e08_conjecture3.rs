@@ -7,7 +7,6 @@
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::injection::UniformInjection;
 
 use crate::common::{fnum, run_customized, steps_for};
@@ -49,14 +48,11 @@ pub fn run(quick: bool) -> ExperimentReport {
             .filter(|&m| m > 0)
             .collect();
         for mu in mus {
-            let outcomes: Vec<_> = seeds
-                .par_iter()
-                .map(|&seed| {
-                    run_customized(spec, Box::new(Lgg::new()), steps, seed, |b| {
-                        b.injection(Box::new(UniformInjection { mean: mu }))
-                    })
+            let outcomes: Vec<_> = parpool::run_ordered(seeds.iter().collect(), |&seed| {
+                run_customized(spec, Box::new(Lgg::new()), steps, seed, |b| {
+                    b.injection(Box::new(UniformInjection { mean: mu }))
                 })
-                .collect();
+            });
             let stable = outcomes.iter().filter(|o| o.stable()).count();
             let diverging = outcomes.iter().filter(|o| o.diverging()).count();
             let max_sup = outcomes.iter().map(|o| o.sup_total).max().unwrap();

@@ -11,7 +11,6 @@ use lgg_core::interference::MatchingLgg;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::injection::ScaledInjection;
 
 use crate::common::{fnum, run_customized, steps_for};
@@ -85,20 +84,17 @@ pub fn run(quick: bool) -> ExperimentReport {
     );
     let mut pass = true;
     for (name, spec, (num, den), expect_stable) in &cases {
-        let outcomes: Vec<_> = [true, false]
-            .par_iter()
-            .map(|&matching| {
-                let proto: Box<dyn simqueue::RoutingProtocol> = if matching {
-                    Box::new(MatchingLgg::new())
-                } else {
-                    Box::new(Lgg::new())
-                };
-                let o = run_customized(spec, proto, steps, 0xE10, |b| {
-                    b.injection(Box::new(ScaledInjection::new(*num, *den)))
-                });
-                (matching, o)
-            })
-            .collect();
+        let outcomes: Vec<_> = parpool::run_ordered([true, false].iter().collect(), |&matching| {
+            let proto: Box<dyn simqueue::RoutingProtocol> = if matching {
+                Box::new(MatchingLgg::new())
+            } else {
+                Box::new(Lgg::new())
+            };
+            let o = run_customized(spec, proto, steps, 0xE10, |b| {
+                b.injection(Box::new(ScaledInjection::new(*num, *den)))
+            });
+            (matching, o)
+        });
         for (matching, o) in outcomes {
             table.push_row(vec![
                 name.clone(),

@@ -11,7 +11,6 @@
 use lgg_core::{Lgg, TieBreak};
 use maxflow::Algorithm;
 use netmodel::ExtendedNetwork;
-use rayon::prelude::*;
 use simqueue::loss::IidLoss;
 
 use crate::common::{run_customized, run_protocol, saturated_catalog, steps_for};
@@ -29,13 +28,10 @@ pub fn run(quick: bool) -> ExperimentReport {
     );
     let mut tie_ok = true;
     for (name, spec) in &catalog {
-        let rows: Vec<_> = TieBreak::ALL
-            .par_iter()
-            .map(|&tb| {
-                let o = run_protocol(spec, Box::new(Lgg::with_tie_break(tb, 0xE14)), steps, 0xE14);
-                (tb, o)
-            })
-            .collect();
+        let rows: Vec<_> = parpool::run_ordered(TieBreak::ALL.iter().collect(), |&tb| {
+            let o = run_protocol(spec, Box::new(Lgg::with_tie_break(tb, 0xE14)), steps, 0xE14);
+            (tb, o)
+        });
         for (tb, o) in rows {
             tie_table.push_row(vec![
                 name.clone(),
@@ -54,9 +50,8 @@ pub fn run(quick: bool) -> ExperimentReport {
     );
     let mut loss_ok = true;
     for (name, spec) in &catalog {
-        let sweep: Vec<_> = [0.0f64, 0.1, 0.3, 0.6, 0.9]
-            .par_iter()
-            .map(|&p| {
+        let sweep: Vec<_> =
+            parpool::run_ordered([0.0f64, 0.1, 0.3, 0.6, 0.9].iter().collect(), |&p| {
                 let o = run_customized(spec, Box::new(Lgg::new()), steps, 0xE14, |b| {
                     if p > 0.0 {
                         b.loss(Box::new(IidLoss::new(p)))
@@ -65,8 +60,7 @@ pub fn run(quick: bool) -> ExperimentReport {
                     }
                 });
                 (p, o)
-            })
-            .collect();
+            });
         let lossless_sup = sweep[0].1.sup_total;
         let mut prev_sup = u64::MAX;
         for (p, o) in &sweep {

@@ -10,7 +10,6 @@ use lgg_core::analysis::queue_profile;
 use lgg_core::bounds::unsaturated_bounds;
 use lgg_core::Lgg;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::{HistoryMode, SimulationBuilder};
 
 use crate::common::{fnum, run_lgg, steps_for};
@@ -51,14 +50,11 @@ pub fn run(quick: bool) -> ExperimentReport {
         cases.push((format!("diamond-{layers}x3"), diamond_spec(layers)));
     }
 
-    let rows: Vec<_> = cases
-        .par_iter()
-        .map(|(name, spec)| {
-            let bound = unsaturated_bounds(spec).map(|b| b.state_bound);
-            let o = run_lgg(spec, steps, 0xE15);
-            (name.clone(), spec.node_count(), bound, o)
-        })
-        .collect();
+    let rows: Vec<_> = parpool::run_ordered(cases.iter().collect(), |(name, spec)| {
+        let bound = unsaturated_bounds(spec).map(|b| b.state_bound);
+        let o = run_lgg(spec, steps, 0xE15);
+        (name.clone(), spec.node_count(), bound, o)
+    });
 
     let mut table = Table::new(
         format!("backlog scaling with network size ({steps} steps)"),

@@ -93,8 +93,6 @@ impl Default for LatencyStats {
 pub(crate) struct AgeState {
     /// Birth timestamp FIFO per node, mirroring queue contents.
     pub fifos: Vec<VecDeque<u64>>,
-    /// Arrivals staged during the transmission phase.
-    pub staged: Vec<Vec<u64>>,
     /// Retired-packet statistics.
     pub stats: LatencyStats,
 }
@@ -103,7 +101,6 @@ impl AgeState {
     pub(crate) fn new(n: usize) -> Self {
         AgeState {
             fifos: vec![VecDeque::new(); n],
-            staged: vec![Vec::new(); n],
             stats: LatencyStats::new(),
         }
     }

@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::error::LggError;
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"LGGCKPT1";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -450,12 +450,12 @@ mod tests {
             Err(LggError::CheckpointCorrupt { .. })
         ));
         // Future version.
-        let mut v2 = img.clone();
-        v2[8] = 2;
+        let mut v3 = img.clone();
+        v3[8] = 3;
         assert!(matches!(
-            decode(&v2),
+            decode(&v3),
             Err(LggError::CheckpointVersion {
-                found: 2,
+                found: 3,
                 expected: FORMAT_VERSION
             })
         ));

@@ -28,8 +28,8 @@ pub trait DeclarationPolicy {
 
     /// True when [`DeclarationPolicy::declare`] is a pure function of
     /// `(spec, v, q)` — it reads neither `t` nor the RNG nor any mutable
-    /// state. The engine's sparse mode then skips calling it for idle
-    /// nodes (`q = 0`), substituting a value precomputed once per run;
+    /// state. The engine then skips calling it for idle nodes (`q = 0`),
+    /// substituting a value precomputed once per run;
     /// stateful or randomized policies keep the default `false` and get a
     /// full per-node scan every step, preserving their RNG stream exactly.
     fn is_stateless(&self) -> bool {

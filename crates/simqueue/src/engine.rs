@@ -1,27 +1,32 @@
 //! The synchronous simulation engine.
 //!
-//! Two stepping strategies implement the same seven-phase semantics:
+//! [`Simulation::step`] is the one step pipeline: it executes the seven
+//! phases documented on the crate root, organized around the
+//! **active-node set** `{v : q_t(v) > 0}`.
 //!
-//! * [`EngineMode::SparseActive`] (default) — the hot path is organized
-//!   around the **active-node set** `{v : q_t(v) > 0}`. Injection and
-//!   extraction iterate precomputed source/sink lists, declaration touches
-//!   only nodes whose queue changed (for stateless policies), the network
-//!   state `P_t = Σ q²` and total `Σ q` are maintained incrementally from
-//!   per-node deltas, and plan validation replaces its O(m) `edge_used`
-//!   clear with per-edge generation stamps. Cost per step is
-//!   O(active + plan) instead of O(n + m).
-//! * [`EngineMode::DenseReference`] — the straightforward full-scan
-//!   implementation. It is kept verbatim as the semantic reference (the
-//!   sparse mode must match it bit for bit, RNG streams included; the
-//!   equivalence tests below and the property suite enforce this) and as
-//!   the baseline the throughput harness compares against.
-//! * [`EngineMode::Auto`] — measures the active-set density every
-//!   [`AUTO_CHECK_INTERVAL`] steps and delegates to whichever strategy is
-//!   cheaper for the current regime (sparse bookkeeping is pure overhead
-//!   once most of `V` holds packets — LGG's saturated gradient regime).
-//!   Because the two strategies are bit-for-bit identical, switching
-//!   between them mid-run cannot change any observable outcome, so `Auto`
-//!   inherits the same determinism guarantee.
+//! * An occupancy bitset (one `u64` word per 64 nodes) tracks the active
+//!   set. A credit sets a node's bit; the closing metrics pass, which
+//!   visits every set bit anyway, clears the bits of nodes that drained.
+//!   The set therefore needs no merge, sort or separate sweep. Once per
+//!   step, after injection, it is expanded into the ascending node list
+//!   that declaration and [`NetView::active_nodes`] read.
+//! * Injection and extraction iterate the precomputed source and sink
+//!   lists; declaration touches only nodes holding packets (for
+//!   stateless policies).
+//! * The network state `P_t = Σ q²`, the total `Σ q` and the largest
+//!   queue are summed over the active set in one pass at the end of the
+//!   step.
+//! * Plan validation marks the links and counts the sends it accepts, and
+//!   the transmission loop unmarks exactly those, so no O(m + n) clear
+//!   is needed.
+//! * Surviving packets are credited to their receivers inside the
+//!   transmission loop, with no staging.
+//!
+//! Cost per step is O(active + plan + n/64). The full-scan executable
+//! specification of the same semantics lives in the integration-test
+//! crate (`tests/src/lib.rs`) as the differential oracle: every scenario
+//! file and property case must agree with it bit for bit, RNG streams
+//! included.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -42,45 +47,6 @@ use crate::metrics::{HistoryMode, Metrics, Snapshot};
 use crate::protocol::{NetView, RoutingProtocol, Transmission};
 use crate::rng::{split_seed, streams};
 use crate::trace::{NoopObserver, SimObserver, TraceEvent};
-
-/// Which stepping strategy the engine uses. All modes produce identical
-/// trajectories and metrics for the same seed; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Active-set stepping: O(active + plan) per step.
-    #[default]
-    SparseActive,
-    /// Full-scan stepping: O(n + m) per step. The semantic reference and
-    /// throughput baseline.
-    DenseReference,
-    /// Adaptive: re-measures the active-set density every
-    /// [`AUTO_CHECK_INTERVAL`] steps and runs the sparse strategy below
-    /// [`AUTO_SPARSE_BELOW`], the dense strategy above
-    /// [`AUTO_DENSE_ABOVE`] (hysteresis in between). The scenario runner
-    /// (`lgg-sim`) defaults to this mode.
-    Auto,
-}
-
-/// Steps between density checks in [`EngineMode::Auto`]. The check is an
-/// O(1) list-length read in the sparse regime and an O(n) queue scan in
-/// the dense regime, so the amortized overhead is ≤ one node-read per
-/// step either way.
-pub const AUTO_CHECK_INTERVAL: u64 = 64;
-
-/// [`EngineMode::Auto`] switches to dense stepping when at least this
-/// fraction of nodes hold packets. Calibrated against the
-/// `BENCH_throughput.json` suite: the dense engine's full-scan advantage
-/// (no active-set maintenance) only materializes once roughly half of `V`
-/// is active — `lgg-gradient-16x16` and `random-512-dense` sit near
-/// density 1 and run 1.1–1.3× faster dense, while the steady grids sit
-/// below density 0.05 and run 2–7× faster sparse.
-pub const AUTO_DENSE_ABOVE: f64 = 0.5;
-
-/// [`EngineMode::Auto`] switches back to sparse stepping when the active
-/// fraction falls below this value. Strictly less than
-/// [`AUTO_DENSE_ABOVE`] so a density hovering at the boundary cannot
-/// oscillate (each dense→sparse switch pays an O(n + m) state rebuild).
-pub const AUTO_SPARSE_BELOW: f64 = 0.375;
 
 /// Decides how many packets an extractor removes at the end of a step.
 ///
@@ -169,78 +135,114 @@ fn clamp_extraction(spec: &TrafficSpec, v: NodeId, q: u64, raw: u64) -> u64 {
     raw.clamp(lower, upper)
 }
 
-/// Adds `amt` packets to `v`'s queue, maintaining the incremental `Σ q²`
-/// and `Σ q` accumulators; a node waking from empty is recorded in `woken`
-/// for the next active-set merge.
-#[inline]
-fn credit_queue(
-    queues: &mut [u64],
-    acc_pt: &mut u128,
-    acc_total: &mut u64,
-    woken: &mut Vec<NodeId>,
-    v: NodeId,
-    amt: u64,
-) {
-    if amt == 0 {
-        return;
-    }
-    let q = queues[v.index()];
-    let nq = q + amt;
-    queues[v.index()] = nq;
-    *acc_pt += (nq as u128) * (nq as u128) - (q as u128) * (q as u128);
-    *acc_total += amt;
-    if q == 0 {
-        woken.push(v);
-    }
+/// Queue lengths plus an occupancy bitset over them, one `u64` word per
+/// 64 nodes. Bit `v` is set for every node with `q(v) > 0`: a credit from
+/// an empty queue sets it. A debit leaves it alone; the step's closing
+/// pass, [`QueueState::settle`], drops the bits of nodes that drained, so
+/// between steps the set is exactly `{v : q(v) > 0}`.
+struct QueueState {
+    q: Vec<u64>,
+    occupied: Vec<u64>,
 }
 
-/// Removes `amt` packets from `v`'s queue, maintaining the accumulators.
-/// A node draining to empty stays in the active list until the end-of-step
-/// sweep removes it.
-#[inline]
-fn debit_queue(queues: &mut [u64], acc_pt: &mut u128, acc_total: &mut u64, v: NodeId, amt: u64) {
-    if amt == 0 {
-        return;
-    }
-    let q = queues[v.index()];
-    let nq = q - amt;
-    queues[v.index()] = nq;
-    *acc_pt -= (q as u128) * (q as u128) - (nq as u128) * (nq as u128);
-    *acc_total -= amt;
+/// What [`QueueState::settle`] sums over the active set.
+struct Totals {
+    /// `Σ q²`.
+    pt: u128,
+    /// `Σ q`.
+    total: u64,
+    /// The largest queue.
+    max_q: u64,
+    /// Nodes holding packets.
+    active: usize,
 }
 
-/// Merges the (unsorted, possibly duplicated) `woken` list into the
-/// sorted, duplicate-free `active` list via `scratch`.
-fn merge_woken(active: &mut Vec<NodeId>, woken: &mut Vec<NodeId>, scratch: &mut Vec<NodeId>) {
-    if woken.is_empty() {
-        return;
+impl QueueState {
+    fn new(q: Vec<u64>) -> Self {
+        let mut qs = QueueState {
+            occupied: vec![!0; q.len().div_ceil(64)],
+            q,
+        };
+        qs.settle();
+        qs
     }
-    woken.sort_unstable();
-    woken.dedup();
-    scratch.clear();
-    scratch.reserve(active.len() + woken.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < active.len() && j < woken.len() {
-        match active[i].cmp(&woken[j]) {
-            std::cmp::Ordering::Less => {
-                scratch.push(active[i]);
-                i += 1;
+
+    /// Adds `amt` packets to node `v`'s queue.
+    #[inline]
+    fn credit(&mut self, v: usize, amt: u64) {
+        if self.q[v] == 0 && amt > 0 {
+            self.occupied[v / 64] |= 1 << (v % 64);
+        }
+        self.q[v] += amt;
+    }
+
+    /// Removes `amt <= q(v)` packets from node `v`'s queue.
+    #[inline]
+    fn debit(&mut self, v: usize, amt: u64) {
+        self.q[v] -= amt;
+    }
+
+    /// Refills `out` with the nodes whose bit is set, in ascending order.
+    fn fill_active(&self, out: &mut Vec<NodeId>) {
+        out.clear();
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let base = (w * 64) as u32;
+            // A full word needs no bit scan.
+            if word == !0 {
+                out.extend((base..base + 64).map(NodeId::new));
+                continue;
             }
-            std::cmp::Ordering::Greater => {
-                scratch.push(woken[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                scratch.push(active[i]);
-                i += 1;
-                j += 1;
+            let mut bits = word;
+            while bits != 0 {
+                out.push(NodeId::new(base + bits.trailing_zeros()));
+                bits &= bits - 1;
             }
         }
     }
-    scratch.extend_from_slice(&active[i..]);
-    scratch.extend_from_slice(&woken[j..]);
-    std::mem::swap(active, scratch);
-    woken.clear();
+
+    /// Number of nodes whose bit is set.
+    fn active_count(&self) -> usize {
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Clears the bits of drained nodes (and of any padding past the last
+    /// node), making the set exact, and sums the queues it covers: idle
+    /// nodes add nothing to `Σ q²`, `Σ q` or the max.
+    fn settle(&mut self) -> Totals {
+        let mut sums = Totals {
+            pt: 0,
+            total: 0,
+            max_q: 0,
+            active: 0,
+        };
+        let mut add = |x: u64| {
+            sums.pt += (x as u128) * (x as u128);
+            sums.total += x;
+            sums.max_q = sums.max_q.max(x);
+            (x > 0) as u64
+        };
+        let q = &self.q;
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let (mut bits, mut keep) = (*word, 0u64);
+            // A word at least half full is summed as a plain slice,
+            // without bit scans.
+            let chunk = &q[(w * 64).min(q.len())..(w * 64 + 64).min(q.len())];
+            if 2 * bits.count_ones() as usize >= chunk.len() {
+                for (b, &x) in chunk.iter().enumerate() {
+                    keep |= add(x) << b;
+                }
+                bits = 0;
+            }
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                keep |= add(q.get(w * 64 + b as usize).copied().unwrap_or(0)) << b;
+                bits &= bits - 1;
+            }
+            *word = keep;
+        }
+        sums.active = self.active_count();
+        sums
+    }
 }
 
 /// Builder for [`Simulation`] with sensible classic-network defaults:
@@ -279,7 +281,6 @@ pub struct SimulationBuilder<O: SimObserver = NoopObserver> {
     history: HistoryMode,
     initial_queues: Option<Vec<u64>>,
     track_ages: bool,
-    mode: EngineMode,
     observer: O,
 }
 
@@ -298,7 +299,6 @@ impl SimulationBuilder<NoopObserver> {
             history: HistoryMode::Sampled(16),
             initial_queues: None,
             track_ages: false,
-            mode: EngineMode::SparseActive,
             observer: NoopObserver,
         }
     }
@@ -322,7 +322,6 @@ impl<O: SimObserver> SimulationBuilder<O> {
             history: self.history,
             initial_queues: self.initial_queues,
             track_ages: self.track_ages,
-            mode: self.mode,
             observer,
         }
     }
@@ -369,12 +368,6 @@ impl<O: SimObserver> SimulationBuilder<O> {
         self
     }
 
-    /// Selects the stepping strategy (default: [`EngineMode::SparseActive`]).
-    pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Starts the run from the given queue vector instead of all-empty —
     /// used by the drift experiments that warm-start above `nY²`.
     pub fn initial_queues(mut self, q: Vec<u64>) -> Self {
@@ -408,14 +401,6 @@ impl<O: SimObserver> SimulationBuilder<O> {
             a
         });
         let traffic = TrafficIndex::new(&self.spec);
-        let acc_pt: u128 = queues.iter().map(|&q| (q as u128) * (q as u128)).sum();
-        let acc_total: u64 = queues.iter().sum();
-        let active: Vec<NodeId> = self
-            .spec
-            .graph
-            .nodes()
-            .filter(|v| queues[v.index()] > 0)
-            .collect();
         let mut declaration = self.declaration;
         let stateless_declaration = declaration.is_stateless();
         let idle_declared: Vec<u64> = if stateless_declaration {
@@ -439,37 +424,21 @@ impl<O: SimObserver> SimulationBuilder<O> {
         } else {
             vec![0; n]
         };
-        // Auto picks its starting regime from the initial density (warm
-        // starts can begin saturated).
-        let auto_dense = self.mode == EngineMode::Auto
-            && active.len() as f64 / n.max(1) as f64 >= AUTO_DENSE_ABOVE;
         Simulation {
             ages,
-            queues,
+            queues: QueueState::new(queues),
             declared,
             idle_declared,
             stateless_declaration,
             active_edges: vec![true; m],
             prev_active_edges: Vec::new(),
-            arrivals: vec![0; n],
             plan: Vec::new(),
             lost_mask: Vec::new(),
+            active: Vec::new(),
+            declared_set: vec![0; n.div_ceil(64)],
             edge_used: vec![false; m],
-            budget: vec![0; n],
-            active,
-            woken: Vec::new(),
-            node_scratch: Vec::new(),
-            touched: Vec::new(),
-            declared_dirty: Vec::new(),
-            acc_pt,
-            acc_total,
-            stamp: 0,
-            edge_stamp: vec![0; m],
-            budget_stamp: vec![0; n],
-            all_nodes: self.spec.graph.nodes().collect(),
+            sent: vec![0; n],
             traffic,
-            auto_dense,
-            mode: self.mode,
             t: 0,
             metrics: {
                 let mut m = Metrics::new();
@@ -502,8 +471,6 @@ impl<O: SimObserver> SimulationBuilder<O> {
 pub struct SimOverrides {
     /// Replaces the scenario's master seed.
     pub seed: Option<u64>,
-    /// Replaces the scenario's engine mode.
-    pub engine: Option<EngineMode>,
     /// Replaces the scenario's history mode.
     pub history: Option<HistoryMode>,
     /// Installs a custom observer in place of the scenario's telemetry
@@ -523,10 +490,6 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     spec: TrafficSpec,
     /// Precomputed source/sink/special-node lists (ascending node order).
     traffic: TrafficIndex,
-    mode: EngineMode,
-    /// [`EngineMode::Auto`]'s current regime: `true` while delegating to
-    /// the dense strategy. Unused in the fixed modes.
-    auto_dense: bool,
     protocol: Box<dyn RoutingProtocol>,
     injection: Box<dyn InjectionProcess>,
     loss: Box<dyn LossModel>,
@@ -535,47 +498,32 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     extraction: Box<dyn ExtractionPolicy>,
     history: HistoryMode,
 
-    queues: Vec<u64>,
+    queues: QueueState,
     declared: Vec<u64>,
     /// What each node declares when its queue is empty — precomputed for
     /// stateless declaration policies so idle nodes need no per-step call.
     idle_declared: Vec<u64>,
     stateless_declaration: bool,
+    /// Bitset of the nodes written in the last stateless declaration
+    /// pass — the only entries of `declared` that may differ from
+    /// `idle_declared`.
+    declared_set: Vec<u64>,
     active_edges: Vec<bool>,
     /// Last step's link states, kept only while an observer is enabled —
     /// phase 1 diffs it against `active_edges` to emit link flip events.
     prev_active_edges: Vec<bool>,
-
-    // Active-set state (sparse mode). `active` is sorted, duplicate-free,
-    // and equals {v : q > 0} exactly at the start of every step.
+    /// The ascending active set `{v : q > 0}` as it stands after
+    /// injection, refilled from the occupancy bitset every step.
     active: Vec<NodeId>,
-    /// Nodes whose queue went 0 → positive since the last merge.
-    woken: Vec<NodeId>,
-    node_scratch: Vec<NodeId>,
-    /// Receivers that got at least one surviving packet this step.
-    touched: Vec<NodeId>,
-    /// Nodes written in the last declaration pass — exactly the entries of
-    /// `declared` that may differ from `idle_declared`.
-    declared_dirty: Vec<NodeId>,
-    /// Incremental `P_t = Σ q²`.
-    acc_pt: u128,
-    /// Incremental `Σ q`.
-    acc_total: u64,
-    /// Generation counter for the stamp vectors below; bumped once per
-    /// validation pass so "clearing" `edge_used`/`budget` is free.
-    stamp: u64,
-    edge_stamp: Vec<u64>,
-    budget_stamp: Vec<u64>,
+    /// Links validation accepted a packet on this step, and packets
+    /// accepted per sender. Phase 5 resets exactly the entries it
+    /// executes, so both are all clear between steps.
+    edge_used: Vec<bool>,
+    sent: Vec<u32>,
 
     // Reused per-step scratch (allocation-free hot loop).
-    arrivals: Vec<u64>,
     plan: Vec<Transmission>,
     lost_mask: Vec<bool>,
-    /// Dense-reference-mode link occupancy (the sparse path uses stamps).
-    edge_used: Vec<bool>,
-    budget: Vec<u64>,
-    /// All of `V`, exposed as the dense mode's `active_nodes` view.
-    all_nodes: Vec<NodeId>,
 
     t: u64,
     metrics: Metrics,
@@ -596,11 +544,6 @@ impl<O: SimObserver> Simulation<O> {
         &self.spec
     }
 
-    /// The stepping strategy in use.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
     /// Current step count.
     pub fn time(&self) -> u64 {
         self.t
@@ -608,63 +551,41 @@ impl<O: SimObserver> Simulation<O> {
 
     /// Current queue lengths.
     pub fn queues(&self) -> &[u64] {
-        &self.queues
+        &self.queues.q
     }
 
-    /// Current network state `P_t = Σ q²`, recomputed from scratch — an
-    /// independent cross-check of the incremental accumulator.
+    /// Current network state `P_t = Σ q²`, recomputed from the full queue
+    /// vector — an independent cross-check of the per-step value, which
+    /// sums over the active set only.
     pub fn network_state(&self) -> u128 {
-        self.queues.iter().map(|&q| (q as u128) * (q as u128)).sum()
+        let q = &self.queues.q;
+        q.iter().map(|&x| (x as u128) * (x as u128)).sum()
     }
 
     /// Total stored packets `Σ q`, recomputed from scratch.
     pub fn total_packets(&self) -> u64 {
-        self.queues.iter().sum()
+        self.queues.q.iter().sum()
     }
 
     /// Test-only fault hook: conjures `amount` packets into node
     /// `v mod n`'s queue *without* counting them as injected — a
     /// deliberate conservation bug for exercising the invariant guard
-    /// (see [`crate::guard`]). The sparse bookkeeping (accumulators,
-    /// active list) is kept consistent so the corruption is invisible to
+    /// (see [`crate::guard`]). The engine's own bookkeeping (occupancy)
+    /// is kept consistent so the corruption is invisible to
     /// everything except the conservation ledger, exactly like a real
     /// state-update bug would be. Call between steps only.
     #[doc(hidden)]
     pub fn corrupt_queue_for_test(&mut self, v: u32, amount: u64) {
-        if amount == 0 || self.queues.is_empty() {
+        if self.queues.q.is_empty() {
             return;
         }
-        let idx = (v as usize) % self.queues.len();
-        let old = self.queues[idx];
-        let new = old + amount;
-        self.queues[idx] = new;
-        self.acc_total += amount;
-        self.acc_pt += (new as u128) * (new as u128) - (old as u128) * (old as u128);
-        if old == 0 {
-            let node = NodeId::new(idx as u32);
-            if let Err(pos) = self.active.binary_search(&node) {
-                self.active.insert(pos, node);
-            }
-        }
+        let idx = (v as usize) % self.queues.q.len();
+        self.queues.credit(idx, amount);
     }
 
     /// Number of nodes currently holding packets.
     pub fn active_node_count(&self) -> usize {
-        match self.effective_mode() {
-            EngineMode::SparseActive => self.active.len(),
-            _ => self.queues.iter().filter(|&&q| q > 0).count(),
-        }
-    }
-
-    /// The stepping strategy the next [`Simulation::step`] will execute:
-    /// resolves [`EngineMode::Auto`] to its current regime, and is the
-    /// identity for the fixed modes.
-    pub fn effective_mode(&self) -> EngineMode {
-        match self.mode {
-            EngineMode::Auto if self.auto_dense => EngineMode::DenseReference,
-            EngineMode::Auto => EngineMode::SparseActive,
-            fixed => fixed,
-        }
+        self.queues.active_count()
     }
 
     /// Metrics accumulated so far.
@@ -706,100 +627,16 @@ impl<O: SimObserver> Simulation<O> {
 
     /// Executes one synchronous step (the seven phases documented on the
     /// crate root).
+    // Kept out of line: inlined into callers' stepping loops, the step
+    // measured about 7% slower on the saturated 16×16 LGG grid.
+    #[inline(never)]
     pub fn step(&mut self) {
-        match self.mode {
-            EngineMode::SparseActive => self.step_sparse(),
-            EngineMode::DenseReference => self.step_dense(),
-            EngineMode::Auto => self.step_auto(),
-        }
-    }
-
-    /// Adaptive stepping: periodically re-measures the active-set density
-    /// and delegates to the cheaper strategy. Correctness is free — both
-    /// strategies are bit-for-bit identical — so only the switch points
-    /// need care: the sparse invariants (active list, accumulators,
-    /// dirty-declaration list, zeroed arrivals) go stale across dense
-    /// steps and are rebuilt on re-entry.
-    fn step_auto(&mut self) {
-        if self.t % AUTO_CHECK_INTERVAL == 0 {
-            let n = self.spec.node_count().max(1);
-            let active = if self.auto_dense {
-                self.queues.iter().filter(|&&q| q > 0).count()
-            } else {
-                // Sparse invariant: `active` is exactly {v : q > 0} at the
-                // start of a step.
-                self.active.len()
-            };
-            let density = active as f64 / n as f64;
-            if self.auto_dense {
-                if density < AUTO_SPARSE_BELOW {
-                    self.auto_dense = false;
-                    self.rebuild_sparse_state();
-                    if self.observer.enabled() {
-                        self.observer.observe(TraceEvent::EngineSwitch {
-                            t: self.t,
-                            dense: false,
-                        });
-                    }
-                }
-            } else if density >= AUTO_DENSE_ABOVE {
-                self.auto_dense = true;
-                if self.observer.enabled() {
-                    self.observer.observe(TraceEvent::EngineSwitch {
-                        t: self.t,
-                        dense: true,
-                    });
-                }
-            }
-        }
-        if self.auto_dense {
-            self.step_dense()
-        } else {
-            self.step_sparse()
-        }
-    }
-
-    /// Re-establishes every invariant the sparse stepper relies on after a
-    /// stretch of dense steps: the sorted active list, the incremental
-    /// `Σ q²` / `Σ q` accumulators, the zeroed arrivals scratch (the dense
-    /// stepper leaves the previous step's counts behind), and the
-    /// dirty-declaration list for stateless policies (dense full scans
-    /// overwrite `declared` at every node).
-    fn rebuild_sparse_state(&mut self) {
-        let queues = &self.queues;
-        self.active.clear();
-        self.active
-            .extend(self.spec.graph.nodes().filter(|v| queues[v.index()] > 0));
-        self.woken.clear();
-        self.arrivals.iter_mut().for_each(|a| *a = 0);
-        self.acc_total = self.queues.iter().sum();
-        self.acc_pt = self
-            .queues
-            .iter()
-            .map(|&q| (q as u128) * (q as u128))
-            .sum();
-        if self.stateless_declaration {
-            let declared = &self.declared;
-            let idle = &self.idle_declared;
-            self.declared_dirty.clear();
-            self.declared_dirty.extend(
-                self.spec
-                    .graph
-                    .nodes()
-                    .filter(|v| declared[v.index()] != idle[v.index()]),
-            );
-        }
-    }
-
-    /// Active-set stepping. Equivalence with [`Simulation::step_dense`] is
-    /// exact, RNG streams included; the per-phase comments record why.
-    fn step_sparse(&mut self) {
         let t = self.t;
         let spec = &self.spec;
         let g = &spec.graph;
         // One flag check per step: when the observer is disabled (the
         // NoopObserver default makes this a compile-time constant) every
-        // emit site below folds away and the step runs exactly as before.
+        // emit site below folds away.
         let observing = self.observer.enabled();
 
         // 1. Topology.
@@ -822,23 +659,15 @@ impl<O: SimObserver> Simulation<O> {
         }
 
         // 2. Injection (clamped to in(v); Definition 5). Only the
-        // precomputed source list is visited — the dense loop skips
-        // in(v) = 0 nodes before consuming any randomness, so restricting
-        // the iteration leaves the injection RNG stream untouched.
+        // precomputed source list is visited: a node with in(v) = 0 can
+        // receive nothing and draws no randomness.
         for &v in &self.traffic.sources {
             let cap = spec.in_rate(v);
             let amt = self
                 .injection
                 .amount(v, t, cap, &mut self.rng_injection)
                 .min(cap);
-            credit_queue(
-                &mut self.queues,
-                &mut self.acc_pt,
-                &mut self.acc_total,
-                &mut self.woken,
-                v,
-                amt,
-            );
+            self.queues.credit(v.index(), amt);
             self.metrics.injected += amt;
             if observing && amt > 0 {
                 self.observer.observe(TraceEvent::Injection {
@@ -852,42 +681,44 @@ impl<O: SimObserver> Simulation<O> {
             }
         }
 
-        // 3. Declaration (clamped to Definition 6(ii)). Merge freshly
-        // woken sources first, so `active` is exactly the sorted set
-        // {v : q > 0} from here through planning.
-        merge_woken(&mut self.active, &mut self.woken, &mut self.node_scratch);
+        // 3. Declaration (clamped to Definition 6(ii)). `active` is the
+        // sorted set {v : q > 0} from here through planning.
+        self.queues.fill_active(&mut self.active);
         if self.stateless_declaration {
             // A stateless policy consumes no randomness and depends only
             // on q, so idle nodes keep their precomputed declaration and
             // only nodes holding packets need a fresh call. Nodes that
-            // drained since the last pass must fall back to their idle
-            // value first.
-            for &v in &self.declared_dirty {
-                self.declared[v.index()] = self.idle_declared[v.index()];
+            // drained since the last pass fall back to their idle value.
+            let occupied = &self.queues.occupied;
+            for (w, (set, &occ)) in self.declared_set.iter_mut().zip(occupied).enumerate() {
+                let mut drained = *set & !occ;
+                while drained != 0 {
+                    let v = w * 64 + drained.trailing_zeros() as usize;
+                    self.declared[v] = self.idle_declared[v];
+                    drained &= drained - 1;
+                }
+                *set = occ;
             }
-            self.declared_dirty.clear();
             for &v in &self.active {
-                let q = self.queues[v.index()];
+                let q = self.queues.q[v.index()];
                 let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
                 self.declared[v.index()] = clamp_declaration(spec, v, q, raw);
-                self.declared_dirty.push(v);
             }
         } else {
             // Stateful or randomized policies get the full scan: their RNG
             // stream and internal state must see every node, every step.
             for v in g.nodes() {
-                let q = self.queues[v.index()];
+                let q = self.queues.q[v.index()];
                 let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
                 self.declared[v.index()] = clamp_declaration(spec, v, q, raw);
             }
         }
         // Lie audit: the declaration clamp forces every non-special node
         // truthful, so `declared ≠ q` can only occur on the precomputed
-        // (ascending) special-node list — scanning it yields the same
-        // event order in both engines.
+        // (ascending) special-node list.
         if observing {
             for &v in &self.traffic.specials {
-                let q = self.queues[v.index()];
+                let q = self.queues.q[v.index()];
                 let d = self.declared[v.index()];
                 if d != q {
                     self.observer.observe(TraceEvent::DeclarationLie {
@@ -907,7 +738,7 @@ impl<O: SimObserver> Simulation<O> {
                 graph: g,
                 spec,
                 declared: &self.declared,
-                true_queues: &self.queues,
+                true_queues: &self.queues.q,
                 active_edges: &self.active_edges,
                 active_nodes: &self.active,
                 t,
@@ -917,309 +748,7 @@ impl<O: SimObserver> Simulation<O> {
 
         // Validate the plan in order: one packet per link, active links
         // only, senders cannot overdraw. Invalid entries are dropped and
-        // counted. Generation stamps replace the O(m) + O(n) clears of
-        // `edge_used`/`budget`: a stamp from an earlier pass means
-        // unused / uninitialized.
-        self.stamp += 1;
-        let cur = self.stamp;
-        let mut write = 0usize;
-        for read in 0..self.plan.len() {
-            let tx = self.plan[read];
-            let e = tx.edge.index();
-            let from = tx.from.index();
-            let valid = e < self.edge_stamp.len()
-                && self.edge_stamp[e] != cur
-                && self.active_edges[e]
-                && {
-                    if self.budget_stamp[from] != cur {
-                        self.budget_stamp[from] = cur;
-                        self.budget[from] = self.queues[from];
-                    }
-                    self.budget[from] > 0
-                }
-                && {
-                    let (a, b) = g.endpoints(tx.edge);
-                    a == tx.from || b == tx.from
-                };
-            if valid {
-                self.edge_stamp[e] = cur;
-                self.budget[from] -= 1;
-                self.plan[write] = tx;
-                write += 1;
-            } else {
-                self.metrics.rejected_plans += 1;
-                if observing {
-                    self.observer.observe(TraceEvent::PlanRejected {
-                        t,
-                        edge: tx.edge.index() as u32,
-                        from: tx.from.index() as u32,
-                    });
-                }
-            }
-        }
-        self.plan.truncate(write);
-
-        // 5. Transmission & loss. Senders always delete; receivers gain
-        // only surviving packets (Section II). Arrivals accumulate per
-        // receiver and are applied through the touched-receiver list
-        // instead of a full O(n) sweep.
-        self.lost_mask.clear();
-        self.lost_mask.resize(self.plan.len(), false);
-        self.loss.apply(
-            g,
-            &self.plan,
-            &self.queues,
-            t,
-            &mut self.rng_loss,
-            &mut self.lost_mask,
-        );
-        self.touched.clear();
-        for i in 0..self.plan.len() {
-            let tx = self.plan[i];
-            let lost = self.lost_mask[i];
-            if observing {
-                self.observer.observe(TraceEvent::Transmission {
-                    t,
-                    edge: tx.edge.index() as u32,
-                    from: tx.from.index() as u32,
-                    to: g.other_endpoint(tx.edge, tx.from).index() as u32,
-                });
-                if lost {
-                    self.observer.observe(TraceEvent::Loss {
-                        t,
-                        edge: tx.edge.index() as u32,
-                        from: tx.from.index() as u32,
-                    });
-                }
-            }
-            debit_queue(
-                &mut self.queues,
-                &mut self.acc_pt,
-                &mut self.acc_total,
-                tx.from,
-                1,
-            );
-            self.metrics.sent += 1;
-            self.metrics.link_sends[tx.edge.index()] += 1;
-            let born = self
-                .ages
-                .as_mut()
-                .map(|a| a.fifos[tx.from.index()].pop_front().expect("age/queue sync"));
-            if lost {
-                self.metrics.lost += 1;
-            } else {
-                let to = g.other_endpoint(tx.edge, tx.from);
-                if self.arrivals[to.index()] == 0 {
-                    self.touched.push(to);
-                }
-                self.arrivals[to.index()] += 1;
-                if let (Some(ages), Some(b)) = (&mut self.ages, born) {
-                    ages.staged[to.index()].push(b);
-                }
-            }
-        }
-        for i in 0..self.touched.len() {
-            let v = self.touched[i];
-            let amt = self.arrivals[v.index()];
-            self.arrivals[v.index()] = 0;
-            credit_queue(
-                &mut self.queues,
-                &mut self.acc_pt,
-                &mut self.acc_total,
-                &mut self.woken,
-                v,
-                amt,
-            );
-        }
-        if let Some(ages) = &mut self.ages {
-            for &v in &self.touched {
-                let staged = std::mem::take(&mut ages.staged[v.index()]);
-                ages.fifos[v.index()].extend(staged);
-            }
-        }
-
-        // 6. Extraction (clamped to Definition 7(i)). Only the precomputed
-        // sink list — every sink is visited whether or not it holds
-        // packets, exactly like the dense loop, so policies that consume
-        // randomness (sharing rng_policy with declaration) see the same
-        // stream.
-        for &v in &self.traffic.sinks {
-            let q = self.queues[v.index()];
-            let raw = self.extraction.extract(spec, v, q, t, &mut self.rng_policy);
-            let amt = clamp_extraction(spec, v, q, raw);
-            debit_queue(
-                &mut self.queues,
-                &mut self.acc_pt,
-                &mut self.acc_total,
-                v,
-                amt,
-            );
-            self.metrics.delivered += amt;
-            if observing && amt > 0 {
-                self.observer.observe(TraceEvent::Extraction {
-                    t,
-                    node: v.index() as u32,
-                    amount: amt,
-                });
-            }
-            if let Some(ages) = &mut self.ages {
-                for _ in 0..amt {
-                    let born = ages.fifos[v.index()].pop_front().expect("age/queue sync");
-                    ages.stats.record(t - born);
-                }
-            }
-        }
-
-        // 7. Metrics, read off the incremental accumulators. Every node
-        // with q > 0 is in `active` (held since the phase-3 merge) or
-        // `woken` (first packets arrived in phase 5), so their union
-        // covers the max; the merge-and-sweep then restores the exact
-        // active-set invariant for the next step.
-        self.t += 1;
-        self.metrics.steps += 1;
-        let pt = self.acc_pt;
-        let total = self.acc_total;
-        let mut max_q: u64 = 0;
-        for &v in self.active.iter().chain(self.woken.iter()) {
-            max_q = max_q.max(self.queues[v.index()]);
-        }
-        merge_woken(&mut self.active, &mut self.woken, &mut self.node_scratch);
-        {
-            let queues = &self.queues;
-            self.active.retain(|v| queues[v.index()] > 0);
-        }
-        debug_assert_eq!(total, self.queues.iter().sum::<u64>());
-        debug_assert_eq!(pt, self.network_state());
-        debug_assert_eq!(
-            self.active.len(),
-            self.queues.iter().filter(|&&q| q > 0).count()
-        );
-        if observing {
-            self.observer.observe(TraceEvent::Sample {
-                t,
-                pt,
-                total,
-                max_queue: max_q,
-                active: self.active.len() as u64,
-            });
-        }
-        self.metrics.sup_pt = self.metrics.sup_pt.max(pt);
-        self.metrics.sup_total = self.metrics.sup_total.max(total);
-        self.metrics.max_queue_ever = self.metrics.max_queue_ever.max(max_q);
-        self.metrics.packet_steps += total as u128;
-        let record = match self.history {
-            HistoryMode::None => false,
-            HistoryMode::EveryStep => true,
-            HistoryMode::Sampled(stride) => stride > 0 && self.t % stride == 0,
-        };
-        if record {
-            self.metrics.history.push(Snapshot {
-                t: self.t,
-                pt,
-                total_packets: total,
-                max_queue: max_q,
-            });
-        }
-    }
-
-    /// Full-scan reference stepping — the original engine, kept as the
-    /// executable specification of the step semantics and as the
-    /// throughput baseline.
-    fn step_dense(&mut self) {
-        let t = self.t;
-        let spec = &self.spec;
-        let g = &spec.graph;
-        // Mirrors step_sparse exactly: same events, same order, so the
-        // trace — like every other observable — is engine-mode-invariant.
-        let observing = self.observer.enabled();
-
-        // 1. Topology.
-        if observing {
-            self.prev_active_edges.clear();
-            self.prev_active_edges.extend_from_slice(&self.active_edges);
-        }
-        self.topology
-            .update(g, t, &mut self.rng_topology, &mut self.active_edges);
-        if observing {
-            for e in 0..self.active_edges.len() {
-                if self.active_edges[e] != self.prev_active_edges[e] {
-                    self.observer.observe(if self.active_edges[e] {
-                        TraceEvent::LinkUp { t, edge: e as u32 }
-                    } else {
-                        TraceEvent::LinkDown { t, edge: e as u32 }
-                    });
-                }
-            }
-        }
-
-        // 2. Injection (clamped to in(v); Definition 5).
-        for v in g.nodes() {
-            let cap = spec.in_rate(v);
-            if cap == 0 {
-                continue;
-            }
-            let amt = self
-                .injection
-                .amount(v, t, cap, &mut self.rng_injection)
-                .min(cap);
-            self.queues[v.index()] += amt;
-            self.metrics.injected += amt;
-            if observing && amt > 0 {
-                self.observer.observe(TraceEvent::Injection {
-                    t,
-                    node: v.index() as u32,
-                    amount: amt,
-                });
-            }
-            if let Some(ages) = &mut self.ages {
-                ages.fifos[v.index()].extend(std::iter::repeat(t).take(amt as usize));
-            }
-        }
-
-        // 3. Declaration (clamped to Definition 6(ii)).
-        for v in g.nodes() {
-            let q = self.queues[v.index()];
-            let raw = self
-                .declaration
-                .declare(spec, v, q, t, &mut self.rng_policy);
-            self.declared[v.index()] = clamp_declaration(spec, v, q, raw);
-        }
-        // Lie audit — same special-node scan as the sparse stepper.
-        if observing {
-            for &v in &self.traffic.specials {
-                let q = self.queues[v.index()];
-                let d = self.declared[v.index()];
-                if d != q {
-                    self.observer.observe(TraceEvent::DeclarationLie {
-                        t,
-                        node: v.index() as u32,
-                        true_q: q,
-                        declared: d,
-                    });
-                }
-            }
-        }
-
-        // 4. Planning.
-        self.plan.clear();
-        {
-            let view = NetView {
-                graph: g,
-                spec,
-                declared: &self.declared,
-                true_queues: &self.queues,
-                active_edges: &self.active_edges,
-                active_nodes: &self.all_nodes,
-                t,
-            };
-            self.protocol.plan(&view, &mut self.plan);
-        }
-
-        // Validate the plan in order: one packet per link, active links
-        // only, senders cannot overdraw. Invalid entries are dropped and
         // counted.
-        self.budget.copy_from_slice(&self.queues);
-        self.edge_used.iter_mut().for_each(|u| *u = false);
         let mut write = 0usize;
         for read in 0..self.plan.len() {
             let tx = self.plan[read];
@@ -1228,14 +757,14 @@ impl<O: SimObserver> Simulation<O> {
             let valid = e < self.edge_used.len()
                 && !self.edge_used[e]
                 && self.active_edges[e]
-                && self.budget[from] > 0
+                && (self.sent[from] as u64) < self.queues.q[from]
                 && {
                     let (a, b) = g.endpoints(tx.edge);
                     a == tx.from || b == tx.from
                 };
             if valid {
                 self.edge_used[e] = true;
-                self.budget[from] -= 1;
+                self.sent[from] += 1;
                 self.plan[write] = tx;
                 write += 1;
             } else {
@@ -1252,25 +781,33 @@ impl<O: SimObserver> Simulation<O> {
         self.plan.truncate(write);
 
         // 5. Transmission & loss. Senders always delete; receivers gain
-        // only surviving packets (Section II).
+        // only surviving packets (Section II). Survivors are credited on
+        // the spot: validation bounded every sender by its queue before
+        // this phase, so a debit can never consume a packet that arrived
+        // this step, and a sender's ages pop from the FIFO front while
+        // arrivals join at the back. Each executed entry also clears the
+        // link mark and send count validation set for it.
         self.lost_mask.clear();
         self.lost_mask.resize(self.plan.len(), false);
         self.loss.apply(
             g,
             &self.plan,
-            &self.queues,
+            &self.queues.q,
             t,
             &mut self.rng_loss,
             &mut self.lost_mask,
         );
-        self.arrivals.iter_mut().for_each(|a| *a = 0);
-        for (tx, &lost) in self.plan.iter().zip(self.lost_mask.iter()) {
+        self.metrics.sent += self.plan.len() as u64;
+        for (&tx, &lost) in self.plan.iter().zip(&self.lost_mask) {
+            let to = g.other_endpoint(tx.edge, tx.from);
+            self.edge_used[tx.edge.index()] = false;
+            self.sent[tx.from.index()] = 0;
             if observing {
                 self.observer.observe(TraceEvent::Transmission {
                     t,
                     edge: tx.edge.index() as u32,
                     from: tx.from.index() as u32,
-                    to: g.other_endpoint(tx.edge, tx.from).index() as u32,
+                    to: to.index() as u32,
                 });
                 if lost {
                     self.observer.observe(TraceEvent::Loss {
@@ -1280,42 +817,32 @@ impl<O: SimObserver> Simulation<O> {
                     });
                 }
             }
-            self.queues[tx.from.index()] -= 1;
-            self.metrics.sent += 1;
+            self.queues.debit(tx.from.index(), 1);
             self.metrics.link_sends[tx.edge.index()] += 1;
-            let born = self
-                .ages
-                .as_mut()
-                .map(|a| a.fifos[tx.from.index()].pop_front().expect("age/queue sync"));
             if lost {
                 self.metrics.lost += 1;
             } else {
-                let to = g.other_endpoint(tx.edge, tx.from);
-                self.arrivals[to.index()] += 1;
-                if let (Some(ages), Some(b)) = (&mut self.ages, born) {
-                    ages.staged[to.index()].push(b);
+                self.queues.credit(to.index(), 1);
+            }
+            if let Some(ages) = &mut self.ages {
+                let born = ages.fifos[tx.from.index()]
+                    .pop_front()
+                    .expect("age/queue sync");
+                if !lost {
+                    ages.fifos[to.index()].push_back(born);
                 }
             }
         }
-        for v in 0..self.arrivals.len() {
-            self.queues[v] += self.arrivals[v];
-        }
-        if let Some(ages) = &mut self.ages {
-            for v in 0..ages.staged.len() {
-                let staged = std::mem::take(&mut ages.staged[v]);
-                ages.fifos[v].extend(staged);
-            }
-        }
 
-        // 6. Extraction (clamped to Definition 7(i)).
-        for v in g.nodes() {
-            if spec.out_rate(v) == 0 {
-                continue;
-            }
-            let q = self.queues[v.index()];
+        // 6. Extraction (clamped to Definition 7(i)). Every sink is
+        // visited whether or not it holds packets, so policies that
+        // consume randomness (sharing rng_policy with declaration) see
+        // the same stream every step.
+        for &v in &self.traffic.sinks {
+            let q = self.queues.q[v.index()];
             let raw = self.extraction.extract(spec, v, q, t, &mut self.rng_policy);
             let amt = clamp_extraction(spec, v, q, raw);
-            self.queues[v.index()] -= amt;
+            self.queues.debit(v.index(), amt);
             self.metrics.delivered += amt;
             if observing && amt > 0 {
                 self.observer.observe(TraceEvent::Extraction {
@@ -1332,25 +859,26 @@ impl<O: SimObserver> Simulation<O> {
             }
         }
 
-        // 7. Metrics.
+        // 7. Metrics, summed over the active set: idle nodes add nothing
+        // to Σ q², Σ q or the max.
         self.t += 1;
         self.metrics.steps += 1;
-        let mut pt: u128 = 0;
-        let mut total: u64 = 0;
-        let mut max_q: u64 = 0;
-        for &q in &self.queues {
-            pt += (q as u128) * (q as u128);
-            total += q;
-            max_q = max_q.max(q);
-        }
+        let Totals {
+            pt,
+            total,
+            max_q,
+            active,
+        } = self.queues.settle();
+        debug_assert_eq!(total, self.total_packets());
+        debug_assert_eq!(pt, self.network_state());
+        debug_assert_eq!(active, self.queues.q.iter().filter(|&&q| q > 0).count());
         if observing {
-            let active = self.queues.iter().filter(|&&q| q > 0).count() as u64;
             self.observer.observe(TraceEvent::Sample {
                 t,
                 pt,
                 total,
                 max_queue: max_q,
-                active,
+                active: active as u64,
             });
         }
         self.metrics.sup_pt = self.metrics.sup_pt.max(pt);
@@ -1370,15 +898,6 @@ impl<O: SimObserver> Simulation<O> {
                 max_queue: max_q,
             });
         }
-    }
-}
-
-/// Stable wire tag for [`EngineMode`] inside checkpoint payloads.
-fn mode_tag(mode: EngineMode) -> u32 {
-    match mode {
-        EngineMode::SparseActive => 0,
-        EngineMode::DenseReference => 1,
-        EngineMode::Auto => 2,
     }
 }
 
@@ -1391,11 +910,12 @@ fn mode_tag(mode: EngineMode) -> u32 {
 /// same queues, same metrics, same RNG draws, same trace events. Anything
 /// that influences a future step must therefore be captured: per-node
 /// queues and declarations, the link-activity mask, all four engine RNG
-/// streams, packet ages, accumulated metrics, the Auto-mode regime flag,
-/// and every component's private state (via the `save_state`/`load_state`
-/// hooks on the component traits). Per-step scratch (plans, stamps,
-/// arrival counts) is deliberately *not* saved: it is dead between steps,
-/// and restore resets it to the same state `build()` produces.
+/// streams, packet ages, accumulated metrics, and every component's
+/// private state (via the `save_state`/`load_state` hooks on the
+/// component traits). Derived state (the occupancy bitset) and per-step
+/// scratch (plans, link marks) are deliberately *not* saved: restore
+/// recomputes the former from the queues and resets the latter to the
+/// state `build()` produces.
 impl<O: SimObserver> Simulation<O> {
     /// Serializes the complete dynamic state into a checkpoint payload.
     ///
@@ -1409,7 +929,6 @@ impl<O: SimObserver> Simulation<O> {
         wire::put_u64(&mut out, self.spec.node_count() as u64);
         wire::put_u64(&mut out, self.spec.graph.edge_count() as u64);
         wire::put_u64(&mut out, self.spec.retention);
-        wire::put_u32(&mut out, mode_tag(self.mode));
         wire::put_bool(&mut out, self.ages.is_some());
         wire::put_str(&mut out, self.protocol.name());
         wire::put_str(&mut out, self.injection.name());
@@ -1420,15 +939,12 @@ impl<O: SimObserver> Simulation<O> {
 
         // Dynamic engine state.
         wire::put_u64(&mut out, self.t);
-        wire::put_bool(&mut out, self.auto_dense);
-        wire::put_u64_slice(&mut out, &self.queues);
+        wire::put_u64_slice(&mut out, &self.queues.q);
         wire::put_u64_slice(&mut out, &self.declared);
         wire::put_bool_slice(&mut out, &self.active_edges);
         wire::put_bytes(&mut out, &checkpoint::json_to_bytes(&self.metrics));
         if let Some(ages) = &self.ages {
             wire::put_bytes(&mut out, &checkpoint::json_to_bytes(&ages.stats));
-            // `staged` is drained within each step, so between steps only
-            // the per-node FIFOs carry information.
             for fifo in &ages.fifos {
                 let flat: Vec<u64> = fifo.iter().copied().collect();
                 wire::put_u64_slice(&mut out, &flat);
@@ -1474,7 +990,7 @@ impl<O: SimObserver> Simulation<O> {
     /// Restores state captured by [`Simulation::checkpoint_payload`].
     ///
     /// The simulation must have been built from the *same scenario* (same
-    /// topology, components, engine mode, seed). The fingerprint check
+    /// topology, components, seed). The fingerprint check
     /// catches configuration drift with a [`LggError::CheckpointMismatch`]
     /// naming the first disagreement; payload damage surfaces as
     /// [`LggError::CheckpointCorrupt`]. On any error the simulation is
@@ -1505,14 +1021,6 @@ impl<O: SimObserver> Simulation<O> {
                 self.spec.retention.to_string(),
             ));
         }
-        let ck_mode = r.u32()?;
-        if ck_mode != mode_tag(self.mode) {
-            return Err(mismatch(
-                "engine mode",
-                ck_mode.to_string(),
-                mode_tag(self.mode).to_string(),
-            ));
-        }
         let ck_ages = r.bool_()?;
         if ck_ages != self.ages.is_some() {
             return Err(mismatch(
@@ -1536,14 +1044,13 @@ impl<O: SimObserver> Simulation<O> {
         }
 
         self.t = r.u64()?;
-        self.auto_dense = r.bool_()?;
         let queues = r.u64_vec()?;
         let declared = r.u64_vec()?;
         let active_edges = r.bool_vec()?;
         if queues.len() != n || declared.len() != n || active_edges.len() != m {
             return Err(LggError::corrupt("state vector length mismatch"));
         }
-        self.queues = queues;
+        self.queues = QueueState::new(queues);
         self.declared = declared;
         self.active_edges = active_edges;
         self.metrics = checkpoint::json_from_bytes(r.bytes()?)?;
@@ -1551,11 +1058,10 @@ impl<O: SimObserver> Simulation<O> {
             ages.stats = checkpoint::json_from_bytes(r.bytes()?)?;
             for (v, fifo) in ages.fifos.iter_mut().enumerate() {
                 *fifo = VecDeque::from(r.u64_vec()?);
-                if fifo.len() as u64 != self.queues[v] {
+                if fifo.len() as u64 != self.queues.q[v] {
                     return Err(LggError::corrupt("age FIFO length disagrees with queue"));
                 }
             }
-            ages.staged.iter_mut().for_each(Vec::clear);
         }
         for rng in [
             &mut self.rng_injection,
@@ -1578,22 +1084,18 @@ impl<O: SimObserver> Simulation<O> {
         self.observer.load_state(r.bytes()?)?;
         r.done()?;
 
-        // Reset per-step scratch to the exact state `build()` produces —
-        // the steppers establish their own invariants from here. Stamps
-        // restart at 0 safely: validation bumps `stamp` before comparing.
-        self.stamp = 0;
-        self.edge_stamp.iter_mut().for_each(|s| *s = 0);
-        self.budget_stamp.iter_mut().for_each(|s| *s = 0);
-        self.edge_used.iter_mut().for_each(|u| *u = false);
-        self.budget.iter_mut().for_each(|b| *b = 0);
+        // Reset per-step scratch to the exact state `build()` produces.
         self.plan.clear();
         self.lost_mask.clear();
-        self.touched.clear();
-        self.node_scratch.clear();
         self.prev_active_edges.clear();
-        // Rebuilds the active list, accumulators, zeroed arrivals, and the
-        // dirty-declaration list from the restored queues/declarations.
-        self.rebuild_sparse_state();
+        // Nodes whose declaration differs from their idle value are the
+        // ones the next stateless declaration pass must reset.
+        self.declared_set.iter_mut().for_each(|w| *w = 0);
+        for v in 0..n {
+            if self.declared[v] != self.idle_declared[v] {
+                self.declared_set[v / 64] |= 1 << (v % 64);
+            }
+        }
         Ok(())
     }
 
@@ -1657,7 +1159,7 @@ impl<O: SimObserver> Simulation<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::declare::{FullRetention, RandomBelowRetention, ZeroBelowRetention};
+    use crate::declare::{FullRetention, RandomBelowRetention};
     use crate::injection::{BernoulliInjection, ScaledInjection};
     use crate::loss::IidLoss;
     use crate::protocol::NullProtocol;
@@ -1765,163 +1267,28 @@ mod tests {
         assert_ne!((q3, m3), (q1, m1), "different seeds should diverge");
     }
 
-    /// Runs one configuration under all three engine modes and requires
-    /// the entire observable outcome — queue vector, full metrics
-    /// including every history snapshot, latency stats — to match exactly.
-    fn assert_modes_agree(build: impl Fn() -> SimulationBuilder, steps: u64) {
-        let run = |mode: EngineMode| {
-            let mut sim = build()
-                .engine_mode(mode)
-                .history(HistoryMode::EveryStep)
-                .build();
-            sim.run(steps);
-            let ages = sim.latency_stats().cloned();
-            (sim.queues().to_vec(), sim.metrics().clone(), ages)
-        };
-        let sparse = run(EngineMode::SparseActive);
-        let dense = run(EngineMode::DenseReference);
-        let auto = run(EngineMode::Auto);
-        assert_eq!(sparse.0, dense.0, "queue vectors diverged");
-        assert_eq!(sparse.1, dense.1, "metrics diverged");
-        assert_eq!(sparse.2, dense.2, "latency stats diverged");
-        assert_eq!(auto.0, sparse.0, "auto queue vectors diverged");
-        assert_eq!(auto.1, sparse.1, "auto metrics diverged");
-        assert_eq!(auto.2, sparse.2, "auto latency stats diverged");
-    }
-
     #[test]
-    fn sparse_matches_dense_reference_classic() {
-        assert_modes_agree(
-            || {
-                SimulationBuilder::new(path_spec(), Box::new(TestGreedy))
-                    .loss(Box::new(IidLoss::new(0.2)))
-                    .seed(7)
-            },
-            300,
-        );
-    }
-
-    #[test]
-    fn sparse_matches_dense_reference_rgen_liars() {
-        // R-generalized network under every stateless lying policy: the
-        // idle-declaration fast path must reproduce FullRetention's
-        // nonzero declarations on empty special nodes.
-        fn zero() -> Box<dyn DeclarationPolicy> {
-            Box::new(ZeroBelowRetention)
-        }
-        fn full() -> Box<dyn DeclarationPolicy> {
-            Box::new(FullRetention)
-        }
-        for make in [zero as fn() -> Box<dyn DeclarationPolicy>, full] {
-            assert_modes_agree(
-                || {
-                    let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
-                        .generalized(0, 3, 1)
-                        .generalized(15, 1, 3)
-                        .retention(4)
-                        .build()
-                        .unwrap();
-                    SimulationBuilder::new(spec, Box::new(TestGreedy))
-                        .declaration(make())
-                        .extraction(Box::new(LazyExtraction))
-                        .seed(11)
-                },
-                400,
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_matches_dense_reference_random_declaration() {
-        // RandomBelowRetention consumes rng_policy per node per step: the
-        // sparse engine must fall back to the full scan to keep the stream
-        // aligned (is_stateless = false).
-        assert!(!RandomBelowRetention.is_stateless());
-        assert_modes_agree(
-            || {
-                let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
-                    .generalized(0, 2, 1)
-                    .generalized(15, 1, 2)
-                    .retention(3)
-                    .build()
-                    .unwrap();
-                SimulationBuilder::new(spec, Box::new(TestGreedy))
-                    .declaration(Box::new(RandomBelowRetention))
-                    .loss(Box::new(IidLoss::new(0.1)))
-                    .seed(13)
-            },
-            400,
-        );
-    }
-
-    #[test]
-    fn sparse_matches_dense_reference_bursty_ages() {
-        // Bernoulli injection + loss + age tracking on a larger random
-        // graph: exercises woken/touched bookkeeping under churn.
-        assert_modes_agree(
-            || {
-                let mut rng = StdRng::seed_from_u64(21);
-                let g = generators::connected_random(40, 30, &mut rng);
-                let spec = TrafficSpecBuilder::new(g)
-                    .source(0, 3)
-                    .sink(39, 4)
-                    .build()
-                    .unwrap();
-                SimulationBuilder::new(spec, Box::new(TestGreedy))
-                    .injection(Box::new(BernoulliInjection::new(0.6)))
-                    .loss(Box::new(IidLoss::new(0.15)))
-                    .track_ages(true)
-                    .seed(17)
-            },
-            300,
-        );
-    }
-
-    #[test]
-    fn sparse_matches_dense_reference_warm_start() {
-        assert_modes_agree(
-            || {
-                SimulationBuilder::new(path_spec(), Box::new(TestGreedy))
-                    .initial_queues(vec![9, 0, 4])
-                    .seed(3)
-            },
-            150,
-        );
-    }
-
-    #[test]
-    fn trace_is_engine_mode_invariant() {
-        // The event stream is part of the observable outcome: both
-        // steppers must emit identical events in identical order,
-        // covering lies, losses, rejections, and samples.
+    fn trace_covers_every_event_kind() {
+        // The event stream is part of the observable outcome: on this
+        // workload it must carry injections, lies, transmissions, losses
+        // and extractions, and close every step with exactly one sample.
         use crate::trace::RingRecorder;
-        let run = |mode: EngineMode| {
-            let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
-                .generalized(0, 3, 1)
-                .generalized(15, 1, 3)
-                .retention(4)
-                .build()
-                .unwrap();
-            let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
-                .declaration(Box::new(FullRetention))
-                .extraction(Box::new(LazyExtraction))
-                .loss(Box::new(IidLoss::new(0.2)))
-                .seed(11)
-                .engine_mode(mode)
-                .observer(RingRecorder::new(usize::MAX))
-                .build();
-            sim.run(200);
-            sim.into_observer().take()
-        };
-        let sparse = run(EngineMode::SparseActive);
-        let dense = run(EngineMode::DenseReference);
-        assert!(!sparse.is_empty());
-        assert_eq!(sparse.len(), dense.len(), "event counts diverged");
-        for (i, (a, b)) in sparse.iter().zip(&dense).enumerate() {
-            assert_eq!(a, b, "event {i} diverged");
-        }
-        // The stream exercises the interesting kinds on this workload.
-        let has = |f: fn(&TraceEvent) -> bool| sparse.iter().any(f);
+        let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
+            .generalized(0, 3, 1)
+            .generalized(15, 1, 3)
+            .retention(4)
+            .build()
+            .unwrap();
+        let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
+            .declaration(Box::new(FullRetention))
+            .extraction(Box::new(LazyExtraction))
+            .loss(Box::new(IidLoss::new(0.2)))
+            .seed(11)
+            .observer(RingRecorder::new(usize::MAX))
+            .build();
+        sim.run(200);
+        let events = sim.into_observer().take();
+        let has = |f: fn(&TraceEvent) -> bool| events.iter().any(f);
         assert!(has(|e| matches!(e, TraceEvent::Injection { .. })));
         assert!(has(|e| matches!(e, TraceEvent::DeclarationLie { .. })));
         assert!(has(|e| matches!(e, TraceEvent::Transmission { .. })));
@@ -1929,11 +1296,15 @@ mod tests {
         assert!(has(|e| matches!(e, TraceEvent::Extraction { .. })));
         assert!(has(|e| matches!(e, TraceEvent::Sample { .. })));
         // One sample per step, closing each step's event group.
-        let samples = sparse
+        let samples = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Sample { .. }))
             .count();
         assert_eq!(samples, 200);
+        assert!(matches!(
+            events.last(),
+            Some(TraceEvent::Sample { t: 199, .. })
+        ));
     }
 
     #[test]
@@ -1954,78 +1325,6 @@ mod tests {
         assert_eq!(plain.queues(), observed.queues());
         assert_eq!(plain.metrics(), observed.metrics());
         assert!(observed.observer().total_seen() > 0);
-    }
-
-    #[test]
-    fn auto_emits_engine_switch_events() {
-        use crate::trace::RingRecorder;
-        let spec = TrafficSpecBuilder::new(generators::path(4))
-            .source(0, 1)
-            .sink(1, 1)
-            .sink(2, 1)
-            .sink(3, 1)
-            .build()
-            .unwrap();
-        let mut sim = SimulationBuilder::new(spec, Box::new(NullProtocol))
-            .injection(Box::new(BernoulliInjection::new(0.0)))
-            .engine_mode(EngineMode::Auto)
-            .initial_queues(vec![8, 8, 8, 8])
-            .observer(RingRecorder::new(usize::MAX))
-            .build();
-        sim.run(AUTO_CHECK_INTERVAL + 1);
-        let switches: Vec<TraceEvent> = sim
-            .observer()
-            .events()
-            .filter(|e| matches!(e, TraceEvent::EngineSwitch { .. }))
-            .copied()
-            .collect();
-        assert_eq!(
-            switches,
-            vec![TraceEvent::EngineSwitch {
-                t: AUTO_CHECK_INTERVAL,
-                dense: false
-            }]
-        );
-    }
-
-    #[test]
-    fn auto_switches_dense_to_sparse_as_network_drains() {
-        // Every node warm-started and extracting: Auto must begin in the
-        // dense regime (initial density 1.0), then fall back to sparse
-        // stepping at the first density check after the network drains.
-        let spec = TrafficSpecBuilder::new(generators::path(4))
-            .source(0, 1)
-            .sink(1, 1)
-            .sink(2, 1)
-            .sink(3, 1)
-            .build()
-            .unwrap();
-        let mut sim = SimulationBuilder::new(spec, Box::new(NullProtocol))
-            // p = 0 injection: the source exists but never fires, so the
-            // warm-start load is all there is. NullProtocol moves nothing,
-            // so the sinks drain to zero while the source keeps its 8 —
-            // density settles at 0.25, below AUTO_SPARSE_BELOW.
-            .injection(Box::new(BernoulliInjection::new(0.0)))
-            .engine_mode(EngineMode::Auto)
-            .initial_queues(vec![8, 8, 8, 8])
-            .build();
-        assert_eq!(sim.effective_mode(), EngineMode::DenseReference);
-        // Sinks drain by t = 8; the regime check only fires every
-        // AUTO_CHECK_INTERVAL steps, so the flip lands on the next one.
-        sim.run(AUTO_CHECK_INTERVAL);
-        assert_eq!(sim.effective_mode(), EngineMode::DenseReference);
-        sim.run(1);
-        assert_eq!(sim.effective_mode(), EngineMode::SparseActive);
-        assert_eq!(sim.active_node_count(), 1);
-        assert_eq!(sim.queues(), &[8, 0, 0, 0]);
-    }
-
-    #[test]
-    fn auto_starts_sparse_on_cold_networks() {
-        let sim = SimulationBuilder::new(path_spec(), Box::new(TestGreedy))
-            .engine_mode(EngineMode::Auto)
-            .build();
-        assert_eq!(sim.effective_mode(), EngineMode::SparseActive);
     }
 
     #[test]
@@ -2126,19 +1425,39 @@ mod tests {
                 let _ = view;
             }
         }
-        for mode in [EngineMode::SparseActive, EngineMode::DenseReference] {
-            let mut sim = SimulationBuilder::new(path_spec(), Box::new(Rogue))
-                .engine_mode(mode)
-                .build();
-            sim.step();
-            let m = sim.metrics();
-            // Only the first source transmission on edge 0 is valid.
-            assert_eq!(m.sent, 1, "{mode:?}");
-            assert_eq!(m.rejected_plans, 3, "{mode:?}");
-            // Conservation still holds.
-            let stored: u64 = sim.queues().iter().sum();
-            assert_eq!(m.injected, stored + m.delivered + m.lost);
+        let mut sim = SimulationBuilder::new(path_spec(), Box::new(Rogue)).build();
+        sim.step();
+        let m = sim.metrics();
+        // Only the first source transmission on edge 0 is valid.
+        assert_eq!(m.sent, 1);
+        assert_eq!(m.rejected_plans, 3);
+        // Conservation still holds.
+        let stored: u64 = sim.queues().iter().sum();
+        assert_eq!(m.injected, stored + m.delivered + m.lost);
+    }
+
+    #[test]
+    fn queue_state_tracks_occupancy_across_words() {
+        // 130 nodes: two full bitset words and a partial third.
+        let mut qs = QueueState::new(vec![0; 130]);
+        assert_eq!(qs.occupied.len(), 3);
+        for v in [0, 63, 64, 127, 128, 129] {
+            qs.credit(v, 2);
         }
+        qs.debit(63, 2);
+        qs.debit(128, 1);
+        qs.credit(5, 0);
+        // A drained node keeps its bit until the closing pass.
+        assert_eq!(qs.active_count(), 6);
+        let sums = qs.settle();
+        assert_eq!((sums.active, sums.total, sums.max_q), (5, 9, 2));
+        assert_eq!(sums.pt, 4 + 4 + 4 + 1 + 4);
+        let mut seen = Vec::new();
+        qs.fill_active(&mut seen);
+        let want: Vec<NodeId> = [0, 64, 127, 128, 129].map(NodeId::new).to_vec();
+        assert_eq!(seen, want);
+        let rebuilt = QueueState::new(qs.q.clone());
+        assert_eq!(rebuilt.occupied, qs.occupied);
     }
 
     #[test]
@@ -2262,8 +1581,8 @@ mod tests {
     /// A stochastically loaded scenario exercising every checkpointed
     /// subsystem: Bernoulli injection (RNG), i.i.d. loss (RNG), Markov
     /// topology (RNG + private state), randomized declaration (policy
-    /// RNG), age tracking, and the given engine mode.
-    fn checkpoint_sim(mode: EngineMode) -> Simulation {
+    /// RNG), and age tracking.
+    fn checkpoint_sim() -> Simulation {
         let spec = TrafficSpecBuilder::new(generators::cycle(12))
             .source(0, 2)
             .source(4, 1)
@@ -2283,46 +1602,34 @@ mod tests {
             )))
             .declaration(Box::new(RandomBelowRetention))
             .track_ages(true)
-            .engine_mode(mode)
             .history(HistoryMode::EveryStep)
             .build()
     }
 
     #[test]
     fn checkpoint_round_trip_is_bit_for_bit() {
-        for mode in [
-            EngineMode::SparseActive,
-            EngineMode::DenseReference,
-            EngineMode::Auto,
-        ] {
-            let mut reference = checkpoint_sim(mode);
-            reference.run(137);
-            let payload = reference.checkpoint_payload();
-            reference.run(200);
+        let mut reference = checkpoint_sim();
+        reference.run(137);
+        let payload = reference.checkpoint_payload();
+        reference.run(200);
 
-            let mut resumed = checkpoint_sim(mode);
-            resumed.restore_checkpoint_payload(&payload).unwrap();
-            assert_eq!(resumed.time(), 137);
-            resumed.run(200);
+        let mut resumed = checkpoint_sim();
+        resumed.restore_checkpoint_payload(&payload).unwrap();
+        assert_eq!(resumed.time(), 137);
+        resumed.run(200);
 
-            assert_eq!(resumed.queues(), reference.queues(), "mode {mode:?}");
-            assert_eq!(
-                serde_json::to_string(resumed.metrics()).unwrap(),
-                serde_json::to_string(reference.metrics()).unwrap(),
-                "mode {mode:?}"
-            );
-            // The strongest form: the complete serialized states agree.
-            assert_eq!(
-                resumed.checkpoint_payload(),
-                reference.checkpoint_payload(),
-                "mode {mode:?}"
-            );
-        }
+        assert_eq!(resumed.queues(), reference.queues());
+        assert_eq!(
+            serde_json::to_string(resumed.metrics()).unwrap(),
+            serde_json::to_string(reference.metrics()).unwrap()
+        );
+        // The strongest form: the complete serialized states agree.
+        assert_eq!(resumed.checkpoint_payload(), reference.checkpoint_payload());
     }
 
     #[test]
     fn checkpoint_rejects_mismatched_scenario() {
-        let mut source = checkpoint_sim(EngineMode::SparseActive);
+        let mut source = checkpoint_sim();
         source.run(10);
         let payload = source.checkpoint_payload();
 
@@ -2338,7 +1645,7 @@ mod tests {
         assert!(err.to_string().contains("node count"), "{err}");
 
         // Same sizes, different components.
-        let mut other = checkpoint_sim(EngineMode::SparseActive);
+        let mut other = checkpoint_sim();
         let boxed: Box<dyn DeclarationPolicy> = Box::new(TruthfulDeclaration);
         // Rebuild with a different declaration policy via the builder.
         let spec = TrafficSpecBuilder::new(generators::cycle(12))
@@ -2380,11 +1687,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let mut reference = checkpoint_sim(EngineMode::SparseActive);
+        let mut reference = checkpoint_sim();
         reference.run(300);
         let want = reference.checkpoint_payload();
 
-        let mut first = checkpoint_sim(EngineMode::SparseActive);
+        let mut first = checkpoint_sim();
         first.set_checkpoint(Some(CheckpointConfig::new(50, &dir)));
         assert_eq!(first.checkpoint_config().unwrap().every, 50);
         first.run_until(140).unwrap();
@@ -2392,7 +1699,7 @@ mod tests {
         // step too, so resume starts exactly at 140.
         drop(first);
 
-        let mut second = checkpoint_sim(EngineMode::SparseActive);
+        let mut second = checkpoint_sim();
         second.set_checkpoint(Some(CheckpointConfig::new(50, &dir)));
         assert_eq!(second.resume_from_dir(&dir).unwrap(), Some(140));
         second.run_until(300).unwrap();

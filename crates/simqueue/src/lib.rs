@@ -59,8 +59,7 @@ pub use ages::LatencyStats;
 pub use checkpoint::CheckpointConfig;
 pub use declare::{DeclarationPolicy, TruthfulDeclaration};
 pub use engine::{
-    EngineMode, ExtractionPolicy, LazyExtraction, MaxExtraction, SimOverrides, Simulation,
-    SimulationBuilder, AUTO_CHECK_INTERVAL, AUTO_DENSE_ABOVE, AUTO_SPARSE_BELOW,
+    ExtractionPolicy, LazyExtraction, MaxExtraction, SimOverrides, Simulation, SimulationBuilder,
 };
 pub use error::LggError;
 pub use guard::{
@@ -85,7 +84,7 @@ pub mod prelude {
     pub use crate::checkpoint::CheckpointConfig;
     pub use crate::error::LggError;
     pub use crate::{
-        assess_stability, EngineMode, FaultSpec, GuardConfig, HistoryMode, InvariantGuard,
+        assess_stability, FaultSpec, GuardConfig, HistoryMode, InvariantGuard,
         Metrics, NetView, RoutingProtocol, SimObserver, SimOverrides, Simulation,
         SimulationBuilder, StabilityVerdict, TraceEvent, Transmission,
     };

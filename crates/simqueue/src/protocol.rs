@@ -36,8 +36,8 @@ pub struct NetView<'a> {
     pub active_edges: &'a [bool],
     /// Nodes that can possibly send this step: a sorted, duplicate-free
     /// list guaranteed to contain every node with a nonzero true queue
-    /// (nodes with empty queues may also appear — e.g. the engine's dense
-    /// reference mode lists all of `V`). Protocols whose transmissions are
+    /// (nodes with empty queues may also appear — e.g. a full-scan
+    /// stepper may list all of `V`). Protocols whose transmissions are
     /// budgeted by the true queue can iterate this instead of
     /// `graph.nodes()` to skip idle regions; the plans produced must be
     /// identical either way, since a node with `q = 0` has no budget.

@@ -2,8 +2,7 @@
 //!
 //! The engine's end-of-run [`Metrics`](crate::Metrics) answer *whether* a
 //! run was stable; this module answers *when* and *where* — when a queue
-//! blows past `nY²`, which link loses the packet, when
-//! [`EngineMode::Auto`](crate::EngineMode) flips regimes. Each simulation
+//! blows past `nY²`, which link loses the packet. Each simulation
 //! owns one [`SimObserver`] (default: [`NoopObserver`]) and emits a
 //! [`TraceEvent`] at every state change of the seven step phases
 //! documented on the crate root, in a fixed deterministic order:
@@ -18,12 +17,9 @@
 //! | 6 extraction | [`TraceEvent::Extraction`] per sink removing packets, ascending node id |
 //! | 7 metrics | one [`TraceEvent::Sample`] of the post-step state |
 //!
-//! [`TraceEvent::EngineSwitch`] marks `Auto`-mode regime changes (it fires
-//! before the step that runs under the new regime). Because the sparse and
-//! dense steppers are bit-for-bit equivalent, they emit **identical event
-//! streams** for the same seed — the trace is part of the observable
-//! outcome the equivalence suite locks down, and it is independent of
-//! `LGG_THREADS` like every other output.
+//! The trace is part of the observable outcome: the golden-trace test
+//! pins it byte for byte, and it is independent of `LGG_THREADS` like
+//! every other output.
 //!
 //! The disabled path is free: the engine asks `observer.enabled()` once
 //! per step and skips all event construction when it returns `false`.
@@ -130,14 +126,6 @@ pub enum TraceEvent {
         /// Packets extracted (post Definition 7(i) clamp).
         amount: u64,
     },
-    /// [`EngineMode::Auto`](crate::EngineMode) switched stepping
-    /// strategies; fires before the first step under the new regime.
-    EngineSwitch {
-        /// Step about to execute.
-        t: u64,
-        /// `true` when switching to the dense full-scan strategy.
-        dense: bool,
-    },
     /// Phase 7: sampled state after the step — the paper's trajectory
     /// `P_t = Σ q²` plus the totals stability arguments bound.
     Sample {
@@ -166,7 +154,6 @@ impl TraceEvent {
             | TraceEvent::Transmission { t, .. }
             | TraceEvent::Loss { t, .. }
             | TraceEvent::Extraction { t, .. }
-            | TraceEvent::EngineSwitch { t, .. }
             | TraceEvent::Sample { t, .. } => t,
         }
     }

@@ -5,8 +5,8 @@
 //!
 //! 1. **State identity** — saving at an arbitrary step and restoring
 //!    into a freshly built simulation yields a run that is bit-for-bit
-//!    the uninterrupted one, across engine modes, loss, dynamic
-//!    topology, lying declarations and a stateful external protocol.
+//!    the uninterrupted one, across loss, dynamic topology, lying
+//!    declarations and a stateful external protocol.
 //! 2. **Crash safety** — a truncated in-flight temp file or a corrupted
 //!    newer snapshot never poisons resume: the loader falls back to the
 //!    newest *intact* snapshot.
@@ -22,8 +22,7 @@ use simqueue::dynamic::MarkovTopology;
 use simqueue::injection::BernoulliInjection;
 use simqueue::loss::IidLoss;
 use simqueue::{
-    EngineMode, HistoryMode, LggError, NetView, RoutingProtocol, Simulation, SimulationBuilder,
-    Transmission,
+    HistoryMode, LggError, NetView, RoutingProtocol, Simulation, SimulationBuilder, Transmission,
 };
 
 /// A downstream-style protocol with *internal* RNG state: routes greedily
@@ -95,10 +94,9 @@ fn busy_spec(seed: u64, n: usize) -> TrafficSpec {
         .unwrap()
 }
 
-fn build_sim(seed: u64, n: usize, mode: EngineMode) -> Simulation {
+fn build_sim(seed: u64, n: usize) -> Simulation {
     SimulationBuilder::new(busy_spec(seed, n), Box::new(CoinGreedy::new(seed ^ 0xC01)))
         .seed(seed)
-        .engine_mode(mode)
         .injection(Box::new(BernoulliInjection::new(0.7)))
         .loss(Box::new(IidLoss::new(0.05)))
         .topology(Box::new(MarkovTopology::new(0.03, 0.5, vec![])))
@@ -117,21 +115,19 @@ proptest! {
 
     /// Save at an arbitrary step, restore into a *fresh* build, run both
     /// to the horizon: queues, metrics and a second snapshot agree
-    /// byte-for-byte, in every engine mode.
+    /// byte-for-byte.
     #[test]
     fn save_restore_identity_at_arbitrary_step(
         seed in 0u64..200,
         n in 6usize..14,
         cut in 1u64..150,
         extra in 1u64..100,
-        mode_ix in 0usize..3,
     ) {
-        let mode = [EngineMode::SparseActive, EngineMode::DenseReference, EngineMode::Auto][mode_ix];
-        let mut reference = build_sim(seed, n, mode);
+        let mut reference = build_sim(seed, n);
         reference.run(cut);
         let payload = reference.checkpoint_payload();
 
-        let mut restored = build_sim(seed, n, mode);
+        let mut restored = build_sim(seed, n);
         restored.restore_checkpoint_payload(&payload).unwrap();
         prop_assert_eq!(restored.time(), cut);
         prop_assert_eq!(restored.queues(), reference.queues());
@@ -152,11 +148,11 @@ proptest! {
         n in 6usize..12,
         cut in 1u64..80,
     ) {
-        let mut source = build_sim(seed, n, EngineMode::Auto);
+        let mut source = build_sim(seed, n);
         source.run(cut);
         let payload = source.checkpoint_payload();
         // One node bigger: fingerprint mismatch, typed and descriptive.
-        let mut other = build_sim(seed, n + 1, EngineMode::Auto);
+        let mut other = build_sim(seed, n + 1);
         let err = other.restore_checkpoint_payload(&payload).unwrap_err();
         prop_assert!(matches!(err, LggError::CheckpointMismatch { .. }), "{}", err);
         // The rejected target is still usable.
@@ -172,7 +168,7 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     let dir = std::env::temp_dir().join(format!("lgg_ckpt_crash_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut sim = build_sim(42, 9, EngineMode::SparseActive);
+    let mut sim = build_sim(42, 9);
     sim.run(60);
     let good_t = sim.time();
     let good_path = sim.write_checkpoint_to(&dir).unwrap();
@@ -192,7 +188,7 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     let (t, payload) = checkpoint::load_latest(&dir).unwrap().expect("good snapshot");
     assert_eq!(t, good_t);
 
-    let mut resumed = build_sim(42, 9, EngineMode::SparseActive);
+    let mut resumed = build_sim(42, 9);
     resumed.restore_checkpoint_payload(&payload).unwrap();
     assert_eq!(resumed.time(), good_t);
 
@@ -203,21 +199,38 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot written by one engine mode restores into another: the
-/// payload carries the *regime*, not the mode tag of the builder — the
-/// fingerprint pins the configured mode, so same-mode is required, but
-/// Auto runs snapshot and restore across its internal regime switches.
+/// A snapshot in the previous container format (version 1, which also
+/// carried an engine-mode tag) is refused with the typed version error,
+/// never parsed as if it were current.
 #[test]
-fn auto_mode_snapshot_survives_regime_switches() {
-    // Long enough for Auto's 64-step check interval to have fired.
-    let mut reference = build_sim(7, 10, EngineMode::Auto);
-    reference.run(200);
-    let payload = reference.checkpoint_payload();
+fn version_1_snapshots_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("lgg_ckpt_v1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
 
-    let mut restored = build_sim(7, 10, EngineMode::Auto);
-    restored.restore_checkpoint_payload(&payload).unwrap();
-    reference.run(200);
-    restored.run(200);
-    assert_eq!(restored.queues(), reference.queues());
-    assert_eq!(restored.checkpoint_payload(), reference.checkpoint_payload());
+    let mut sim = build_sim(7, 10);
+    sim.run(50);
+    let mut img = checkpoint::encode(sim.time(), &sim.checkpoint_payload());
+    // Rewrite the header as version 1 and re-seal the digest, so only
+    // the version distinguishes it from a current snapshot.
+    img[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let body_end = img.len() - 8;
+    let digest = checkpoint::fnv1a(&img[..body_end]);
+    img[body_end..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(dir.join(checkpoint::file_name(50)), &img).unwrap();
+
+    let err = build_sim(7, 10).resume_from_dir(&dir).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            LggError::CheckpointVersion {
+                found: 1,
+                expected: 2
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(err.exit_code(), 7);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,7 @@ cargo bench -p lgg-bench -- --test
 cargo run --release -p lgg-cli -- bench --quick --out "$(mktemp)" \
     --baseline BENCH_throughput.json
 
-# Sweep smoke: runs the scenario x seed x rate x engine grid serially and
+# Sweep smoke: runs the 12-item scenario x seed x rate grid serially and
 # in parallel and exits nonzero if the two result digests differ.
 cargo run --release -p lgg-cli -- sweep --smoke --out "$(mktemp)"
 

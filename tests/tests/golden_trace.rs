@@ -7,9 +7,9 @@
 //! shows up here as a diff instead of silently breaking downstream
 //! parsers. The fixture is small on purpose: 150 steps of a 3×3 grid
 //! with a lying R-generalized relay, i.i.d. loss and a rotating link
-//! outage under the density-adaptive engine — enough to cover every
-//! event kind except `plan-rejected` (covered separately below: LGG
-//! never overdraws, so it needs a flooding protocol).
+//! outage — enough to cover every event kind except `plan-rejected`
+//! (covered separately below: LGG never overdraws, so it needs a
+//! flooding protocol).
 
 use lgg_cli::{capture_trace, trace_smoke_scenario};
 
@@ -83,7 +83,6 @@ fn golden_fixture_covers_every_fixed_mode_event_kind() {
         "loss",
         "extraction",
         "sample",
-        "engine-switch",
     ] {
         let tag = format!("\"event\":\"{kind}\"");
         assert!(
