@@ -589,7 +589,7 @@ impl Scenario {
         for g in &self.generalized {
             b = b.generalized(g.node, g.r#in, g.out);
         }
-        b.build().map_err(|e| LggError::scenario(e.to_string()))
+        Ok(b.build()?)
     }
 
     /// Builds the ready-to-run simulation — the single construction entry
@@ -815,6 +815,19 @@ mod tests {
         let sc = Scenario::from_json(bad).unwrap();
         let err = sc.traffic_spec().unwrap_err();
         assert!(err.to_string().contains("99"));
+    }
+
+    #[test]
+    fn unbounded_retention_is_a_model_error() {
+        // R = u64::MAX would let a lie collide with the engine's
+        // "truthful" declaration sentinel; the spec refuses it.
+        let json = MINIMAL.replacen('{', "{\"retention\": 18446744073709551615,", 1);
+        let err = Scenario::from_json(&json).unwrap().traffic_spec().unwrap_err();
+        assert!(
+            matches!(err, LggError::Model(netmodel::ModelError::RetentionTooLarge)),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 5);
     }
 
     #[test]

@@ -48,6 +48,9 @@ pub enum ModelError {
     ZeroRate(u32),
     /// The specification has no source or no sink.
     MissingTerminals,
+    /// The retention constant is `u64::MAX`, which a lie could then equal;
+    /// the simulation engine reserves that value for "truthful".
+    RetentionTooLarge,
 }
 
 impl std::fmt::Display for ModelError {
@@ -64,6 +67,9 @@ impl std::fmt::Display for ModelError {
             ModelError::ZeroRate(v) => write!(f, "node {v} declared with zero rate"),
             ModelError::MissingTerminals => {
                 write!(f, "network needs at least one source and one sink")
+            }
+            ModelError::RetentionTooLarge => {
+                write!(f, "retention must be below {}", u64::MAX)
             }
         }
     }

@@ -105,11 +105,16 @@ impl TrafficSpec {
         self.graph.nodes().filter(|v| self.out_rate[v.index()] > 0)
     }
 
+    /// Is `v` in the special set `S ∪ D` (any nonzero rate)? Only these
+    /// nodes may retain packets and lie about their queue (Definition 6).
+    #[inline]
+    pub fn is_special(&self, v: NodeId) -> bool {
+        self.in_rate[v.index()] > 0 || self.out_rate[v.index()] > 0
+    }
+
     /// The special set `S ∪ D`: nodes with any nonzero rate.
     pub fn special_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph
-            .nodes()
-            .filter(|v| self.in_rate[v.index()] > 0 || self.out_rate[v.index()] > 0)
+        self.graph.nodes().filter(|&v| self.is_special(v))
     }
 
     /// `|S ∪ D|`, the constant appearing in Properties 3–6.
@@ -142,10 +147,14 @@ impl TrafficSpec {
                 .all(|v| self.in_rate[v.index()] == 0 || self.out_rate[v.index()] == 0)
     }
 
-    /// Validates that at least one source and one sink exist.
+    /// Validates that at least one source and one sink exist and that the
+    /// retention constant is below `u64::MAX`.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.sources().next().is_none() || self.sinks().next().is_none() {
             return Err(ModelError::MissingTerminals);
+        }
+        if self.retention == u64::MAX {
+            return Err(ModelError::RetentionTooLarge);
         }
         Ok(())
     }
@@ -395,6 +404,19 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ModelError::MissingTerminals);
+    }
+
+    #[test]
+    fn builder_rejects_unbounded_retention() {
+        let build = |r| {
+            TrafficSpecBuilder::new(generators::path(3))
+                .generalized(0, 1, 1)
+                .sink(2, 1)
+                .retention(r)
+                .build()
+        };
+        assert_eq!(build(u64::MAX).unwrap_err(), ModelError::RetentionTooLarge);
+        assert_eq!(build(u64::MAX - 1).unwrap().retention, u64::MAX - 1);
     }
 
     #[test]

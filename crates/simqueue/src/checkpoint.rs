@@ -11,12 +11,12 @@
 //! `save_state`/`load_state` hooks (see e.g.
 //! [`InjectionProcess`](crate::injection::InjectionProcess)).
 //!
-//! # Container format (version 1)
+//! # Container format (version 3)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"LGGCKPT1"
-//! 8       4     format version (u32 LE) = 1
+//! 8       4     format version (u32 LE) = 3
 //! 12      8     step count t (u64 LE)
 //! 20      8     payload length (u64 LE)
 //! 28      n     payload (opaque engine bytes, see DESIGN.md §11)
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::error::LggError;
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"LGGCKPT1";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -450,12 +450,12 @@ mod tests {
             Err(LggError::CheckpointCorrupt { .. })
         ));
         // Future version.
-        let mut v3 = img.clone();
-        v3[8] = 3;
+        let mut v4 = img.clone();
+        v4[8] = 4;
         assert!(matches!(
-            decode(&v3),
+            decode(&v4),
             Err(LggError::CheckpointVersion {
-                found: 3,
+                found: 4,
                 expected: FORMAT_VERSION
             })
         ));

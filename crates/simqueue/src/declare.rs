@@ -3,8 +3,11 @@
 //!
 //! Classic nodes are truthful. R-generalized nodes follow Definition 6(ii):
 //! when `q_t(v) > R` they must declare the truth; when `q_t(v) <= R` they
-//! may declare **any** value `<= R`. The engine clamps every declaration to
-//! that legality envelope, so no policy can cheat beyond what the paper
+//! may declare **any** value `<= R`. Only the special nodes `S ∪ D` may
+//! lie, so the engine consults the policy at those nodes only: once per
+//! step each, in ascending node order, and never at a relay, which always
+//! declares its true queue. It then clamps every declaration to the
+//! legality envelope, so no policy can cheat beyond what the paper
 //! allows. Lying strategies matter because the Section V-C induction
 //! models border nodes of the cut as exactly such liars.
 
@@ -13,11 +16,15 @@ use netmodel::TrafficSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Chooses the declared queue length of node `v` given its true length `q`.
+/// Chooses the declared queue length of special node `v` given its true
+/// length `q`.
 ///
-/// The engine enforces Definition 6(ii) afterwards: if `q > R` the
-/// declaration is forced to `q`; otherwise it is clamped to `<= R`. Plain
-/// relays (not in `S ∪ D`) are always forced truthful.
+/// Contract: the engine calls [`DeclarationPolicy::declare`] once per
+/// special node (`S ∪ D`) per step, in ascending node order, and never at
+/// a relay; relays always declare their true queue. A policy that draws
+/// randomness or keeps state therefore sees only the special nodes. The
+/// engine enforces Definition 6(ii) afterwards: if `q > R` the
+/// declaration is forced to `q`; otherwise it is clamped to `<= R`.
 pub trait DeclarationPolicy {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -25,16 +32,6 @@ pub trait DeclarationPolicy {
     /// The raw declaration before legality clamping.
     fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, t: u64, rng: &mut StdRng)
         -> u64;
-
-    /// True when [`DeclarationPolicy::declare`] is a pure function of
-    /// `(spec, v, q)` — it reads neither `t` nor the RNG nor any mutable
-    /// state. The engine then skips calling it for idle nodes (`q = 0`),
-    /// substituting a value precomputed once per run;
-    /// stateful or randomized policies keep the default `false` and get a
-    /// full per-node scan every step, preserving their RNG stream exactly.
-    fn is_stateless(&self) -> bool {
-        false
-    }
 
     /// Appends the policy's evolving state to `out` for a checkpoint (see
     /// [`crate::checkpoint`]). All shipped policies are pure functions of
@@ -68,10 +65,6 @@ impl DeclarationPolicy for TruthfulDeclaration {
     ) -> u64 {
         q
     }
-
-    fn is_stateless(&self) -> bool {
-        true
-    }
 }
 
 /// Generalized nodes under-declare as hard as possible: declare `0`
@@ -85,16 +78,11 @@ impl DeclarationPolicy for ZeroBelowRetention {
     }
 
     fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, _t: u64, _rng: &mut StdRng) -> u64 {
-        let special = spec.in_rate(v) > 0 || spec.out_rate(v) > 0;
-        if special && q <= spec.retention {
+        if spec.is_special(v) && q <= spec.retention {
             0
         } else {
             q
         }
-    }
-
-    fn is_stateless(&self) -> bool {
-        true
     }
 }
 
@@ -110,16 +98,11 @@ impl DeclarationPolicy for FullRetention {
     }
 
     fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, _t: u64, _rng: &mut StdRng) -> u64 {
-        let special = spec.in_rate(v) > 0 || spec.out_rate(v) > 0;
-        if special && q <= spec.retention {
+        if spec.is_special(v) && q <= spec.retention {
             spec.retention
         } else {
             q
         }
-    }
-
-    fn is_stateless(&self) -> bool {
-        true
     }
 }
 
@@ -133,8 +116,7 @@ impl DeclarationPolicy for RandomBelowRetention {
     }
 
     fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, _t: u64, rng: &mut StdRng) -> u64 {
-        let special = spec.in_rate(v) > 0 || spec.out_rate(v) > 0;
-        if special && q <= spec.retention {
+        if spec.is_special(v) && q <= spec.retention {
             rng.random_range(0..=spec.retention)
         } else {
             q
@@ -142,12 +124,10 @@ impl DeclarationPolicy for RandomBelowRetention {
     }
 }
 
-/// Clamps a raw declaration to the Definition 6(ii) legality envelope.
-/// Relays are forced truthful; special nodes must tell the truth above `R`
-/// and may say anything `<= R` below.
-pub(crate) fn clamp_declaration(spec: &TrafficSpec, v: NodeId, q: u64, raw: u64) -> u64 {
-    let special = spec.in_rate(v) > 0 || spec.out_rate(v) > 0;
-    if !special || q > spec.retention {
+/// Clamps a special node's raw declaration to the Definition 6(ii)
+/// envelope: the truth above `R`, anything `<= R` below.
+pub(crate) fn clamp_declaration(spec: &TrafficSpec, q: u64, raw: u64) -> u64 {
+    if q > spec.retention {
         q
     } else {
         raw.min(spec.retention)
@@ -214,19 +194,17 @@ mod tests {
     fn clamp_enforces_definition_6() {
         let spec = spec_r(5);
         // Above R: forced truthful no matter the raw claim.
-        assert_eq!(clamp_declaration(&spec, NodeId::new(0), 9, 0), 9);
+        assert_eq!(clamp_declaration(&spec, 9, 0), 9);
         // Below R: any claim up to R allowed, larger claims clamped to R.
-        assert_eq!(clamp_declaration(&spec, NodeId::new(0), 2, 4), 4);
-        assert_eq!(clamp_declaration(&spec, NodeId::new(0), 2, 99), 5);
-        // Relay: always truthful.
-        assert_eq!(clamp_declaration(&spec, NodeId::new(1), 2, 0), 2);
+        assert_eq!(clamp_declaration(&spec, 2, 4), 4);
+        assert_eq!(clamp_declaration(&spec, 2, 99), 5);
     }
 
     #[test]
     fn classic_network_cannot_lie_at_all() {
         let spec = spec_r(0);
         // R = 0: q <= R means q = 0 and the only legal claim is 0 = q.
-        assert_eq!(clamp_declaration(&spec, NodeId::new(0), 0, 7), 0);
-        assert_eq!(clamp_declaration(&spec, NodeId::new(0), 4, 0), 4);
+        assert_eq!(clamp_declaration(&spec, 0, 7), 0);
+        assert_eq!(clamp_declaration(&spec, 4, 0), 4);
     }
 }

@@ -9,10 +9,12 @@
 //!   visits every set bit anyway, clears the bits of nodes that drained.
 //!   The set therefore needs no merge, sort or separate sweep. Once per
 //!   step, after injection, it is expanded into the ascending node list
-//!   that declaration and [`NetView::active_nodes`] read.
-//! * Injection and extraction iterate the precomputed source and sink
-//!   lists; declaration touches only nodes holding packets (for
-//!   stateless policies).
+//!   that [`NetView::active_nodes`] reads.
+//! * Injection, declaration and extraction iterate the precomputed
+//!   source, special-node and sink lists. Only special nodes may lie
+//!   (Definition 6(ii)), so declarations are an overlay: an n-length
+//!   vector holding `u64::MAX` ("truthful, read the queue") everywhere
+//!   except at the special nodes, which phase 3 rewrites every step.
 //! * The network state `P_t = Σ q²`, the total `Σ q` and the largest
 //!   queue are summed over the active set in one pass at the end of the
 //!   step.
@@ -400,45 +402,20 @@ impl<O: SimObserver> SimulationBuilder<O> {
             a.seed(&queues);
             a
         });
-        let traffic = TrafficIndex::new(&self.spec);
-        let mut declaration = self.declaration;
-        let stateless_declaration = declaration.is_stateless();
-        let idle_declared: Vec<u64> = if stateless_declaration {
-            // A stateless policy ignores t and the RNG, so what a node
-            // declares while empty is a run constant we can precompute
-            // (FullRetention-style liars declare R > 0 even when idle).
-            let mut scratch_rng = StdRng::seed_from_u64(0);
-            self.spec
-                .graph
-                .nodes()
-                .map(|v| {
-                    let raw = declaration.declare(&self.spec, v, 0, 0, &mut scratch_rng);
-                    clamp_declaration(&self.spec, v, 0, raw)
-                })
-                .collect()
-        } else {
-            vec![0; n]
-        };
-        let declared = if stateless_declaration {
-            idle_declared.clone()
-        } else {
-            vec![0; n]
-        };
+        // A legal lie equals the overlay's "truthful" sentinel only if R does.
+        assert!(self.spec.retention < u64::MAX, "retention u64::MAX is reserved");
         Simulation {
             ages,
             queues: QueueState::new(queues),
-            declared,
-            idle_declared,
-            stateless_declaration,
+            declared: vec![u64::MAX; n],
             active_edges: vec![true; m],
             prev_active_edges: Vec::new(),
             plan: Vec::new(),
             lost_mask: Vec::new(),
             active: Vec::new(),
-            declared_set: vec![0; n.div_ceil(64)],
             edge_used: vec![false; m],
             sent: vec![0; n],
-            traffic,
+            traffic: TrafficIndex::new(&self.spec),
             t: 0,
             metrics: {
                 let mut m = Metrics::new();
@@ -454,7 +431,7 @@ impl<O: SimObserver> SimulationBuilder<O> {
             injection: self.injection,
             loss: self.loss,
             topology: self.topology,
-            declaration,
+            declaration: self.declaration,
             extraction: self.extraction,
             history: self.history,
             observer: self.observer,
@@ -499,15 +476,10 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     history: HistoryMode,
 
     queues: QueueState,
+    /// Declaration overlay read through [`NetView::declared_of`]: `u64::MAX`
+    /// ("truthful, read the queue") at relays, this step's clamped
+    /// declaration at special nodes. Derived state, so not checkpointed.
     declared: Vec<u64>,
-    /// What each node declares when its queue is empty — precomputed for
-    /// stateless declaration policies so idle nodes need no per-step call.
-    idle_declared: Vec<u64>,
-    stateless_declaration: bool,
-    /// Bitset of the nodes written in the last stateless declaration
-    /// pass — the only entries of `declared` that may differ from
-    /// `idle_declared`.
-    declared_set: Vec<u64>,
     active_edges: Vec<bool>,
     /// Last step's link states, kept only while an observer is enabled —
     /// phase 1 diffs it against `active_edges` to emit link flip events.
@@ -681,53 +653,23 @@ impl<O: SimObserver> Simulation<O> {
             }
         }
 
-        // 3. Declaration (clamped to Definition 6(ii)). `active` is the
+        // 3. Declaration (clamped to Definition 6(ii)). Relays are always
+        // truthful and keep their overlay sentinel; only the special
+        // nodes, in ascending order, consult the policy. `active` is the
         // sorted set {v : q > 0} from here through planning.
         self.queues.fill_active(&mut self.active);
-        if self.stateless_declaration {
-            // A stateless policy consumes no randomness and depends only
-            // on q, so idle nodes keep their precomputed declaration and
-            // only nodes holding packets need a fresh call. Nodes that
-            // drained since the last pass fall back to their idle value.
-            let occupied = &self.queues.occupied;
-            for (w, (set, &occ)) in self.declared_set.iter_mut().zip(occupied).enumerate() {
-                let mut drained = *set & !occ;
-                while drained != 0 {
-                    let v = w * 64 + drained.trailing_zeros() as usize;
-                    self.declared[v] = self.idle_declared[v];
-                    drained &= drained - 1;
-                }
-                *set = occ;
-            }
-            for &v in &self.active {
-                let q = self.queues.q[v.index()];
-                let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
-                self.declared[v.index()] = clamp_declaration(spec, v, q, raw);
-            }
-        } else {
-            // Stateful or randomized policies get the full scan: their RNG
-            // stream and internal state must see every node, every step.
-            for v in g.nodes() {
-                let q = self.queues.q[v.index()];
-                let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
-                self.declared[v.index()] = clamp_declaration(spec, v, q, raw);
-            }
-        }
-        // Lie audit: the declaration clamp forces every non-special node
-        // truthful, so `declared ≠ q` can only occur on the precomputed
-        // (ascending) special-node list.
-        if observing {
-            for &v in &self.traffic.specials {
-                let q = self.queues.q[v.index()];
-                let d = self.declared[v.index()];
-                if d != q {
-                    self.observer.observe(TraceEvent::DeclarationLie {
-                        t,
-                        node: v.index() as u32,
-                        true_q: q,
-                        declared: d,
-                    });
-                }
+        for &v in &self.traffic.specials {
+            let q = self.queues.q[v.index()];
+            let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
+            let d = clamp_declaration(spec, q, raw);
+            self.declared[v.index()] = d;
+            if observing && d != q {
+                self.observer.observe(TraceEvent::DeclarationLie {
+                    t,
+                    node: v.index() as u32,
+                    true_q: q,
+                    declared: d,
+                });
             }
         }
 
@@ -909,13 +851,14 @@ impl<O: SimObserver> Simulation<O> {
 /// latest snapshot is **bit-for-bit identical** to the uninterrupted run —
 /// same queues, same metrics, same RNG draws, same trace events. Anything
 /// that influences a future step must therefore be captured: per-node
-/// queues and declarations, the link-activity mask, all four engine RNG
-/// streams, packet ages, accumulated metrics, and every component's
-/// private state (via the `save_state`/`load_state` hooks on the
-/// component traits). Derived state (the occupancy bitset) and per-step
+/// queues, the link-activity mask, all four engine RNG streams, packet
+/// ages, accumulated metrics, and every component's private state (via
+/// the `save_state`/`load_state` hooks on the component traits). Derived
+/// state (the occupancy bitset, the declaration overlay) and per-step
 /// scratch (plans, link marks) are deliberately *not* saved: restore
-/// recomputes the former from the queues and resets the latter to the
-/// state `build()` produces.
+/// recomputes the bitset from the queues, phase 3 rewrites the overlay
+/// before the next plan, and the scratch is reset to the state `build()`
+/// produces.
 impl<O: SimObserver> Simulation<O> {
     /// Serializes the complete dynamic state into a checkpoint payload.
     ///
@@ -940,7 +883,6 @@ impl<O: SimObserver> Simulation<O> {
         // Dynamic engine state.
         wire::put_u64(&mut out, self.t);
         wire::put_u64_slice(&mut out, &self.queues.q);
-        wire::put_u64_slice(&mut out, &self.declared);
         wire::put_bool_slice(&mut out, &self.active_edges);
         wire::put_bytes(&mut out, &checkpoint::json_to_bytes(&self.metrics));
         if let Some(ages) = &self.ages {
@@ -1045,13 +987,11 @@ impl<O: SimObserver> Simulation<O> {
 
         self.t = r.u64()?;
         let queues = r.u64_vec()?;
-        let declared = r.u64_vec()?;
         let active_edges = r.bool_vec()?;
-        if queues.len() != n || declared.len() != n || active_edges.len() != m {
+        if queues.len() != n || active_edges.len() != m {
             return Err(LggError::corrupt("state vector length mismatch"));
         }
         self.queues = QueueState::new(queues);
-        self.declared = declared;
         self.active_edges = active_edges;
         self.metrics = checkpoint::json_from_bytes(r.bytes()?)?;
         if let Some(ages) = &mut self.ages {
@@ -1088,14 +1028,6 @@ impl<O: SimObserver> Simulation<O> {
         self.plan.clear();
         self.lost_mask.clear();
         self.prev_active_edges.clear();
-        // Nodes whose declaration differs from their idle value are the
-        // ones the next stateless declaration pass must reset.
-        self.declared_set.iter_mut().for_each(|w| *w = 0);
-        for v in 0..n {
-            if self.declared[v] != self.idle_declared[v] {
-                self.declared_set[v / 64] |= 1 << (v % 64);
-            }
-        }
         Ok(())
     }
 
@@ -1265,6 +1197,49 @@ mod tests {
         // path (it has very few reachable states); the full trajectory in
         // the metrics history cannot.
         assert_ne!((q3, m3), (q1, m1), "different seeds should diverge");
+    }
+
+    #[test]
+    fn declaration_is_consulted_once_per_special_node_per_step() {
+        // The DeclarationPolicy contract: one call per special node per
+        // step, in ascending node order, and none at a relay. The policy
+        // always claims 99, so every lie reported is the clamp's R = 3.
+        use crate::trace::RingRecorder;
+        use std::{cell::RefCell, rc::Rc};
+        struct Recording(Rc<RefCell<Vec<(u64, usize)>>>);
+        impl DeclarationPolicy for Recording {
+            fn name(&self) -> &'static str {
+                "recording"
+            }
+            fn declare(&mut self, _: &TrafficSpec, v: NodeId, _: u64, t: u64, _: &mut StdRng) -> u64 {
+                self.0.borrow_mut().push((t, v.index()));
+                99
+            }
+        }
+        let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
+            .source(0, 2)
+            .generalized(5, 1, 1)
+            .sink(15, 2)
+            .retention(3)
+            .build()
+            .unwrap();
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
+            .declaration(Box::new(Recording(Rc::clone(&calls))))
+            .observer(RingRecorder::new(usize::MAX))
+            .build();
+        sim.run(20);
+        let expected: Vec<(u64, usize)> = (0..20)
+            .flat_map(|t| [0, 5, 15].map(|v| (t, v)))
+            .collect();
+        assert_eq!(*calls.borrow(), expected);
+        let events = sim.into_observer().take();
+        assert!(events.iter().any(|e| matches!(e, TraceEvent::DeclarationLie { .. })));
+        for e in events {
+            if let TraceEvent::DeclarationLie { true_q, declared, .. } = e {
+                assert!(true_q <= 3 && declared == 3, "lied {declared} with queue {true_q}");
+            }
+        }
     }
 
     #[test]

@@ -245,12 +245,8 @@ impl InvariantGuard<NoopObserver> {
 impl<I: SimObserver> InvariantGuard<I> {
     /// A guard forwarding every event to `inner` after checking it.
     pub fn with_inner(spec: &TrafficSpec, config: GuardConfig, inner: I) -> Self {
-        let n = spec.node_count();
         let m = spec.graph.edge_count();
-        let mut special = vec![false; n];
-        for v in spec.special_nodes() {
-            special[v.index()] = true;
-        }
+        let special = spec.graph.nodes().map(|v| spec.is_special(v)).collect();
         let online_cap = config.online_cap;
         InvariantGuard {
             state: GuardState {

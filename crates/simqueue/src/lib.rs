@@ -11,9 +11,9 @@
 //! 2. **injection** — every node with `in(v) > 0` receives up to `in(v)`
 //!    packets from its [`injection::InjectionProcess`] (exactly `in(v)` for classic
 //!    sources; *at most* for pseudo-sources, Definition 5);
-//! 3. **declaration** — every node publishes a queue length through a
-//!    [`DeclarationPolicy`]; R-generalized nodes may lie below `R`
-//!    (Definition 6(ii)), everyone else is forced truthful;
+//! 3. **declaration** — every node publishes a queue length. Relays
+//!    publish the truth; the special nodes `S ∪ D` consult a
+//!    [`DeclarationPolicy`] and may lie below `R` (Definition 6(ii));
 //! 4. **planning** — the routing protocol (a [`RoutingProtocol`], e.g. LGG
 //!    from the `lgg-core` crate) chooses a set `E_t` of transmissions from
 //!    declared queues; the engine enforces the physical constraints (≤ 1

@@ -28,7 +28,10 @@ pub struct NetView<'a> {
     pub graph: &'a MultiGraph,
     /// The traffic specification (rates, retention).
     pub spec: &'a TrafficSpec,
-    /// Declared queue length per node — what neighbors *see*.
+    /// Declared queue length per node — what neighbors *see* — as an
+    /// overlay on `true_queues`: the entry `u64::MAX` means "truthful,
+    /// read the queue" (the engine writes real values at special nodes
+    /// only). Read it through [`NetView::declared_of`], never directly.
     pub declared: &'a [u64],
     /// True queue length per node — for baselines/analysis only.
     pub true_queues: &'a [u64],
@@ -47,10 +50,13 @@ pub struct NetView<'a> {
 }
 
 impl NetView<'_> {
-    /// Declared queue of `v`.
+    /// Declared queue of `v`: its `declared` entry, or its true queue where
+    /// that entry is the `u64::MAX` "truthful" sentinel.
     #[inline]
     pub fn declared_of(&self, v: NodeId) -> u64 {
-        self.declared[v.index()]
+        // Both loads are unconditional so the choice compiles to a select.
+        let (d, q) = (self.declared[v.index()], self.true_queues[v.index()]);
+        if d == u64::MAX { q } else { d }
     }
 
     /// True queue of `v`.

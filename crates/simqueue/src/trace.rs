@@ -70,9 +70,9 @@ pub enum TraceEvent {
     },
     /// Phase 3: a node declared a queue length different from its true
     /// one. Only R-generalized special nodes can do this (Definition
-    /// 6(ii)); the engine's declaration clamp forces everyone else
-    /// truthful, so every lie event names a special node and a declared
-    /// value ≤ R.
+    /// 6(ii)); the engine consults the declaration policy at those nodes
+    /// only and clamps what it says, so every lie event names a special
+    /// node and a declared value ≤ R.
     DeclarationLie {
         /// Step.
         t: u64,

@@ -199,38 +199,38 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot in the previous container format (version 1, which also
-/// carried an engine-mode tag) is refused with the typed version error,
-/// never parsed as if it were current.
+/// Snapshots in the previous container formats (version 1, which also
+/// carried an engine-mode tag, and version 2, which also carried the
+/// declared queues) are refused with the typed version error, never
+/// parsed as if they were current.
 #[test]
 fn version_1_snapshots_are_rejected() {
-    let dir = std::env::temp_dir().join(format!("lgg_ckpt_v1_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    for old in [1u32, 2] {
+        let dir = std::env::temp_dir().join(format!("lgg_ckpt_v{old}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
 
-    let mut sim = build_sim(7, 10);
-    sim.run(50);
-    let mut img = checkpoint::encode(sim.time(), &sim.checkpoint_payload());
-    // Rewrite the header as version 1 and re-seal the digest, so only
-    // the version distinguishes it from a current snapshot.
-    img[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let body_end = img.len() - 8;
-    let digest = checkpoint::fnv1a(&img[..body_end]);
-    img[body_end..].copy_from_slice(&digest.to_le_bytes());
-    std::fs::write(dir.join(checkpoint::file_name(50)), &img).unwrap();
+        let mut sim = build_sim(7, 10);
+        sim.run(50);
+        let mut img = checkpoint::encode(sim.time(), &sim.checkpoint_payload());
+        // Rewrite the header as the old version and re-seal the digest,
+        // so only the version distinguishes it from a current snapshot.
+        img[8..12].copy_from_slice(&old.to_le_bytes());
+        let body_end = img.len() - 8;
+        let digest = checkpoint::fnv1a(&img[..body_end]);
+        img[body_end..].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(dir.join(checkpoint::file_name(50)), &img).unwrap();
 
-    let err = build_sim(7, 10).resume_from_dir(&dir).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            LggError::CheckpointVersion {
-                found: 1,
-                expected: 2
-            }
-        ),
-        "{err}"
-    );
-    assert_eq!(err.exit_code(), 7);
+        let err = build_sim(7, 10).resume_from_dir(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LggError::CheckpointVersion { found, expected: 3 } if found == old
+            ),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 7);
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

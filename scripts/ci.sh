@@ -85,29 +85,32 @@ rm -rf "$GUARD_DUMP"
 # flushes and destructors), resume from the surviving snapshot, and
 # require the two trace artifacts to be byte-identical. Repeated at both
 # pool widths: a snapshot written under one LGG_THREADS must replay the
-# same bytes under any other.
+# same bytes under any other. The gauntlet's full-retention liars put
+# declaration lies in the traces on both sides of the resume point.
 SMOKE_SCENARIO="$(mktemp -d)/smoke.json"
 cargo run --release -p lgg-cli -- --template | sed 's/"steps": 50000/"steps": 2000/' \
     > "$SMOKE_SCENARIO"
-for threads in 1 4; do
-    WORK="$(mktemp -d)"
-    LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$SMOKE_SCENARIO" \
-        --trace "$WORK/full.jsonl"
-    # The killed leg exits via abort (SIGABRT, status 134) by design.
-    LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$SMOKE_SCENARIO" \
-        --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" \
-        --trace "$WORK/resumed.jsonl" --kill-after 1000 && {
-        echo "ci: kill-and-resume: expected the killed leg to abort" >&2
-        exit 1
-    } || true
-    LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$SMOKE_SCENARIO" \
-        --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" --resume \
-        --trace "$WORK/resumed.jsonl"
-    cmp "$WORK/full.jsonl" "$WORK/resumed.jsonl" || {
-        echo "ci: kill-and-resume: trace diverged at LGG_THREADS=$threads" >&2
-        exit 1
-    }
-    rm -rf "$WORK"
+for scenario in "$SMOKE_SCENARIO" scenarios/bursty_rgen_gauntlet.json; do
+    for threads in 1 4; do
+        WORK="$(mktemp -d)"
+        LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$scenario" \
+            --steps 2000 --trace "$WORK/full.jsonl"
+        # The killed leg exits via abort (SIGABRT, status 134) by design.
+        LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$scenario" \
+            --steps 2000 --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" \
+            --trace "$WORK/resumed.jsonl" --kill-after 1000 && {
+            echo "ci: kill-and-resume: expected the killed leg to abort" >&2
+            exit 1
+        } || true
+        LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$scenario" \
+            --steps 2000 --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" --resume \
+            --trace "$WORK/resumed.jsonl"
+        cmp "$WORK/full.jsonl" "$WORK/resumed.jsonl" || {
+            echo "ci: kill-and-resume: $scenario trace diverged at LGG_THREADS=$threads" >&2
+            exit 1
+        }
+        rm -rf "$WORK"
+    done
 done
 rm -rf "$(dirname "$SMOKE_SCENARIO")"
 

@@ -49,9 +49,9 @@ fn pipeline_matches_oracle_classic() {
 
 #[test]
 fn pipeline_matches_oracle_rgen_liars() {
-    // R-generalized network under every stateless lying policy: the
-    // pipeline's idle-declaration shortcut must reproduce FullRetention's
-    // nonzero declarations on empty special nodes.
+    // R-generalized network under both deterministic lying policies:
+    // FullRetention declares R > 0 on empty special nodes, which the
+    // pipeline's overlay must carry while the oracle recomputes every node.
     fn zero() -> Box<dyn DeclarationPolicy> {
         Box::new(ZeroBelowRetention)
     }
@@ -82,8 +82,8 @@ fn pipeline_matches_oracle_rgen_liars() {
 #[test]
 fn pipeline_matches_oracle_random_declaration() {
     // RandomBelowRetention draws from the policy stream at special nodes
-    // every step, so the pipeline must scan every node for it.
-    assert!(!RandomBelowRetention.is_stateless());
+    // with q <= R; the oracle consults every node, the pipeline only the
+    // special ones, and both must consume the same stream.
     assert_matches_oracle(
         || {
             let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
