@@ -106,7 +106,8 @@ pub struct GuardBench {
     /// All hard invariant checks live (conservation, link capacity,
     /// declaration legality) on a [`simqueue::NoopObserver`] inner.
     pub guarded: EngineThroughput,
-    /// `guarded.steps_per_sec / off.steps_per_sec`.
+    /// `guarded.steps_per_sec / off.steps_per_sec`. The guard can be on
+    /// by default once this is at least 0.9 (ROADMAP item 5).
     pub guarded_vs_off: f64,
 }
 
@@ -127,8 +128,9 @@ pub struct ObserverBench {
     /// In-memory [`RingRecorder`], capacity 4096 — every event crosses
     /// the observer boundary and most are retained.
     pub ring: EngineThroughput,
-    /// [`WindowAggregator`] with window 256 — every event is folded into
-    /// running aggregates (the experiments-driver configuration).
+    /// [`WindowAggregator`] with window 256 — every step record is folded
+    /// into running aggregates (the experiments-driver configuration); it
+    /// needs no events, so the engine builds none.
     pub window: EngineThroughput,
     /// `ring.steps_per_sec / off.steps_per_sec`.
     pub ring_vs_off: f64,
@@ -199,32 +201,45 @@ const SCENARIO_FILES: &[(&str, &str, u64)] = &[
     ("bursty-rgen-gauntlet", "bursty_rgen_gauntlet.json", 20_000),
 ];
 
-/// Times `steps` of a freshly built simulation: one untimed warm-up run,
-/// then min-of-[`REPS`] nanoseconds. The build closure executes outside
-/// the timed region, so observer construction cost never leaks into the
-/// per-step numbers.
-fn time_runs<O, F>(build: F, steps: u64) -> Result<f64, LggError>
+/// One timed leg: builds a fresh simulation with `build` and returns the
+/// nanoseconds `n` steps of it take. The build runs outside the timed
+/// region, so observer construction cost never leaks into the per-step
+/// numbers.
+fn leg<O, F>(build: F) -> impl FnMut(u64) -> Result<f64, LggError>
 where
     O: SimObserver,
     F: Fn() -> Result<simqueue::Simulation<O>, LggError>,
 {
-    // Warm-up: populate caches and fault pages outside the measurement.
-    let mut warm = build()?;
-    warm.run(steps.min(1_000));
-
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..REPS {
+    move |n| {
         let mut sim = build()?;
         let t = Instant::now();
-        sim.run(steps);
+        sim.run(n);
         let ns = t.elapsed().as_nanos() as f64;
         // Consume a result so the run cannot be optimized away.
         std::hint::black_box(sim.metrics().sup_total);
-        if ns < best_ns {
-            best_ns = ns;
+        Ok(ns)
+    }
+}
+
+/// Times `steps` steps of each leg: one untimed warm-up run of each
+/// (caches, page faults), then [`REPS`] rounds in which every leg runs
+/// once, in order. Each leg's fastest round is returned. Interleaving the
+/// legs puts them through the same host conditions, so a slow stretch of
+/// the machine cannot skew the ratios between them.
+fn time_interleaved<const N: usize>(
+    mut legs: [&mut dyn FnMut(u64) -> Result<f64, LggError>; N],
+    steps: u64,
+) -> Result<[f64; N], LggError> {
+    for leg in legs.iter_mut() {
+        leg(steps.min(1_000))?;
+    }
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..REPS {
+        for (leg, best) in legs.iter_mut().zip(&mut best) {
+            *best = best.min(leg(steps)?);
         }
     }
-    Ok(best_ns)
+    Ok(best)
 }
 
 /// History override shared by every timed leg of a case. `SimOverrides`
@@ -249,8 +264,10 @@ fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError
     let edges = spec.graph.edge_count();
     let size = (nodes + edges) as f64;
 
-    let ns = time_runs(
-        || sc.build_with_observer(bench_overrides(), NoopObserver),
+    let [ns] = time_interleaved(
+        [&mut leg(|| {
+            sc.build_with_observer(bench_overrides(), NoopObserver)
+        })],
         steps,
     )?;
     Ok(BenchCase {
@@ -286,15 +303,15 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
     };
 
     eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x3 observers)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides()), steps)?);
-    let ring = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(), RingRecorder::new(4096)),
+    let [off, ring, window] = time_interleaved(
+        [
+            &mut leg(|| sc.build(bench_overrides())),
+            &mut leg(|| sc.build_with_observer(bench_overrides(), RingRecorder::new(4096))),
+            &mut leg(|| sc.build_with_observer(bench_overrides(), WindowAggregator::new(256))),
+        ],
         steps,
-    )?);
-    let window = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(), WindowAggregator::new(256)),
-        steps,
-    )?);
+    )?
+    .map(throughput);
 
     Ok(ObserverBench {
         case: name,
@@ -307,11 +324,12 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
     })
 }
 
-/// Measures invariant-guard overhead on the `grid-16x16-steady` case: the unguarded production build path against the same scenario
-/// with every hard check live. The guard sees every per-step event (it
-/// wraps the observer boundary before any thinning), so this is its
-/// worst-case honest price; the off leg doubles as the number the 2%
-/// regression gate compares against its recorded baseline.
+/// Measures invariant-guard overhead on the `grid-16x16-steady` case: the
+/// unguarded production build path against the same scenario with every
+/// hard check live. The guard reads one step record per step (the ledger,
+/// the validated plan, the link mask and the declarations at `S ∪ D`) and
+/// needs no trace events, so with its `NoopObserver` inner the engine
+/// builds none; ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`.
 pub fn guard_bench() -> Result<GuardBench, LggError> {
     let (name, sc, steps) = synthetic_cases(false)
         .into_iter()
@@ -327,14 +345,17 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
     };
 
     eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x2 legs)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides()), steps)?);
-    let guarded = throughput(time_runs(
-        || {
-            let guard = InvariantGuard::new(&sc.traffic_spec()?, GuardConfig::checks());
-            sc.build_with_observer(bench_overrides(), guard)
-        },
+    let [off, guarded] = time_interleaved(
+        [
+            &mut leg(|| sc.build(bench_overrides())),
+            &mut leg(|| {
+                let guard = InvariantGuard::new(&spec, GuardConfig::checks());
+                sc.build_with_observer(bench_overrides(), guard)
+            }),
+        ],
         steps,
-    )?);
+    )?
+    .map(throughput);
 
     Ok(GuardBench {
         case: name,

@@ -21,7 +21,8 @@ use simqueue::injection::{
 use simqueue::loss::{AdversarialLoss, GilbertElliottLoss, IidLoss, LossModel, NoLoss};
 use simqueue::{
     ExtractionPolicy, JsonlSink, LazyExtraction, LggError, MaxExtraction, RoutingProtocol,
-    SimObserver, SimOverrides, SimulationBuilder, TraceEvent, WindowAggregator, WindowStats,
+    SimObserver, SimOverrides, SimulationBuilder, StepRecord, TraceEvent, WindowAggregator,
+    WindowStats,
 };
 
 use std::fs::File;
@@ -443,7 +444,8 @@ pub enum ScenarioObserver {
     /// Telemetry disabled — reports `enabled() == false`, so the engine
     /// skips event construction entirely.
     Off,
-    /// Windowed aggregation.
+    /// Windowed aggregation (reads step records only, so the engine
+    /// builds no events for it).
     Window(WindowAggregator),
     /// JSONL streaming to a file.
     Jsonl(JsonlSink<BufWriter<File>>),
@@ -466,8 +468,18 @@ impl SimObserver for ScenarioObserver {
     fn enabled(&self) -> bool {
         match self {
             ScenarioObserver::Off => false,
-            ScenarioObserver::Window(_) | ScenarioObserver::Jsonl(_) => true,
+            ScenarioObserver::Window(w) => w.enabled(),
+            ScenarioObserver::Jsonl(s) => s.enabled(),
             ScenarioObserver::Custom(o) => o.enabled(),
+        }
+    }
+
+    fn on_step(&mut self, step: &StepRecord<'_>) {
+        match self {
+            ScenarioObserver::Off => {}
+            ScenarioObserver::Window(w) => w.on_step(step),
+            ScenarioObserver::Jsonl(s) => s.on_step(step),
+            ScenarioObserver::Custom(o) => o.on_step(step),
         }
     }
 

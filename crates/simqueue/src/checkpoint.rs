@@ -11,12 +11,12 @@
 //! `save_state`/`load_state` hooks (see e.g.
 //! [`InjectionProcess`](crate::injection::InjectionProcess)).
 //!
-//! # Container format (version 3)
+//! # Container format (version 4)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"LGGCKPT1"
-//! 8       4     format version (u32 LE) = 3
+//! 8       4     format version (u32 LE) = 4
 //! 12      8     step count t (u64 LE)
 //! 20      8     payload length (u64 LE)
 //! 28      n     payload (opaque engine bytes, see DESIGN.md §11)
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::error::LggError;
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"LGGCKPT1";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -275,6 +275,11 @@ pub mod wire {
         out.extend_from_slice(&x.to_le_bytes());
     }
 
+    /// Appends an `f64` by its bit pattern (exact round trip).
+    pub fn put_f64(out: &mut Vec<u8>, x: f64) {
+        put_u64(out, x.to_bits());
+    }
+
     /// Appends a `bool` as one byte.
     pub fn put_bool(out: &mut Vec<u8>, x: bool) {
         out.push(x as u8);
@@ -349,6 +354,26 @@ pub mod wire {
             ))
         }
 
+        /// Reads an `f64` written by [`put_f64`].
+        pub fn f64(&mut self) -> Result<f64, LggError> {
+            Ok(f64::from_bits(self.u64()?))
+        }
+
+        /// Reads an element count and checks that that many elements of
+        /// at least `elem_bytes` bytes each fit in what is left, so a
+        /// corrupt (but digest-colliding) count fails here instead of
+        /// triggering a huge allocation.
+        pub fn count(&mut self, elem_bytes: usize) -> Result<usize, LggError> {
+            let n = self.u64()?;
+            let fits = usize::try_from(n).ok().filter(|&n| {
+                n.checked_mul(elem_bytes.max(1))
+                    .is_some_and(|b| b <= self.remaining())
+            });
+            fits.ok_or_else(|| {
+                LggError::corrupt(format!("element count {n} exceeds the state blob"))
+            })
+        }
+
         /// Reads a `bool` byte (strictly 0 or 1).
         pub fn bool_(&mut self) -> Result<bool, LggError> {
             match self.take(1, "bool")?[0] {
@@ -372,13 +397,7 @@ pub mod wire {
 
         /// Reads a length-prefixed `u64` vector.
         pub fn u64_vec(&mut self) -> Result<Vec<u64>, LggError> {
-            let n = self.u64()? as usize;
-            // The length itself must fit in what is left, so corrupt
-            // (but digest-colliding) input cannot trigger a huge
-            // allocation before the read fails.
-            if n.checked_mul(8).is_none_or(|b| b > self.buf.len() - self.pos) {
-                return Err(truncated("u64 vector"));
-            }
+            let n = self.count(8)?;
             (0..n).map(|_| self.u64()).collect()
         }
 
@@ -450,12 +469,12 @@ mod tests {
             Err(LggError::CheckpointCorrupt { .. })
         ));
         // Future version.
-        let mut v4 = img.clone();
-        v4[8] = 4;
+        let mut v5 = img.clone();
+        v5[8] = 5;
         assert!(matches!(
-            decode(&v4),
+            decode(&v5),
             Err(LggError::CheckpointVersion {
-                found: 4,
+                found: 5,
                 expected: FORMAT_VERSION
             })
         ));

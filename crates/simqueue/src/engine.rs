@@ -23,6 +23,12 @@
 //!   is needed.
 //! * Surviving packets are credited to their receivers inside the
 //!   transmission loop, with no staging.
+//! * Each phase adds its flow counts to the step's [`StepLedger`] and the
+//!   closing pass adds the post-step totals. [`Metrics`] fold the ledger,
+//!   and the observer receives it in a [`StepRecord`] together with the
+//!   validated plan, its loss mask, the link mask and the declarations at
+//!   `S ∪ D`. Trace events are built only when the observer asks for
+//!   them.
 //!
 //! Cost per step is O(active + plan + n/64). The full-scan executable
 //! specification of the same semantics lives in the integration-test
@@ -45,10 +51,10 @@ use crate::dynamic::{StaticTopology, TopologyProcess};
 use crate::error::LggError;
 use crate::injection::{ExactInjection, InjectionProcess};
 use crate::loss::{LossModel, NoLoss};
-use crate::metrics::{HistoryMode, Metrics, Snapshot};
+use crate::metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
 use crate::protocol::{NetView, RoutingProtocol, Transmission};
 use crate::rng::{split_seed, streams};
-use crate::trace::{NoopObserver, SimObserver, TraceEvent};
+use crate::trace::{Declaration, NoopObserver, SimObserver, StepRecord, TraceEvent};
 
 /// Decides how many packets an extractor removes at the end of a step.
 ///
@@ -404,6 +410,16 @@ impl<O: SimObserver> SimulationBuilder<O> {
         });
         // A legal lie equals the overlay's "truthful" sentinel only if R does.
         assert!(self.spec.retention < u64::MAX, "retention u64::MAX is reserved");
+        let traffic = TrafficIndex::new(&self.spec);
+        let declarations = traffic
+            .specials
+            .iter()
+            .map(|&node| Declaration {
+                node,
+                queue: 0,
+                declared: 0,
+            })
+            .collect();
         Simulation {
             ages,
             queues: QueueState::new(queues),
@@ -415,7 +431,8 @@ impl<O: SimObserver> SimulationBuilder<O> {
             active: Vec::new(),
             edge_used: vec![false; m],
             sent: vec![0; n],
-            traffic: TrafficIndex::new(&self.spec),
+            declarations,
+            traffic,
             t: 0,
             metrics: {
                 let mut m = Metrics::new();
@@ -493,9 +510,12 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     edge_used: Vec<bool>,
     sent: Vec<u32>,
 
-    // Reused per-step scratch (allocation-free hot loop).
+    // Reused per-step scratch (allocation-free hot loop). The validated
+    // plan, its loss mask and the declarations at `S ∪ D` (one slot per
+    // special node) are what observers see in the step record.
     plan: Vec<Transmission>,
     lost_mask: Vec<bool>,
+    declarations: Vec<Declaration>,
 
     t: u64,
     metrics: Metrics,
@@ -610,6 +630,10 @@ impl<O: SimObserver> Simulation<O> {
         // NoopObserver default makes this a compile-time constant) every
         // emit site below folds away.
         let observing = self.observer.enabled();
+        let mut ledger = StepLedger {
+            t,
+            ..StepLedger::default()
+        };
 
         // 1. Topology.
         if observing {
@@ -640,7 +664,7 @@ impl<O: SimObserver> Simulation<O> {
                 .amount(v, t, cap, &mut self.rng_injection)
                 .min(cap);
             self.queues.credit(v.index(), amt);
-            self.metrics.injected += amt;
+            ledger.injected += amt;
             if observing && amt > 0 {
                 self.observer.observe(TraceEvent::Injection {
                     t,
@@ -658,11 +682,12 @@ impl<O: SimObserver> Simulation<O> {
         // nodes, in ascending order, consult the policy. `active` is the
         // sorted set {v : q > 0} from here through planning.
         self.queues.fill_active(&mut self.active);
-        for &v in &self.traffic.specials {
+        for (&v, slot) in self.traffic.specials.iter().zip(&mut self.declarations) {
             let q = self.queues.q[v.index()];
             let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
             let d = clamp_declaration(spec, q, raw);
             self.declared[v.index()] = d;
+            (slot.queue, slot.declared) = (q, d);
             if observing && d != q {
                 self.observer.observe(TraceEvent::DeclarationLie {
                     t,
@@ -710,7 +735,7 @@ impl<O: SimObserver> Simulation<O> {
                 self.plan[write] = tx;
                 write += 1;
             } else {
-                self.metrics.rejected_plans += 1;
+                ledger.rejected += 1;
                 if observing {
                     self.observer.observe(TraceEvent::PlanRejected {
                         t,
@@ -739,7 +764,7 @@ impl<O: SimObserver> Simulation<O> {
             &mut self.rng_loss,
             &mut self.lost_mask,
         );
-        self.metrics.sent += self.plan.len() as u64;
+        ledger.sent = self.plan.len() as u64;
         for (&tx, &lost) in self.plan.iter().zip(&self.lost_mask) {
             let to = g.other_endpoint(tx.edge, tx.from);
             self.edge_used[tx.edge.index()] = false;
@@ -762,7 +787,7 @@ impl<O: SimObserver> Simulation<O> {
             self.queues.debit(tx.from.index(), 1);
             self.metrics.link_sends[tx.edge.index()] += 1;
             if lost {
-                self.metrics.lost += 1;
+                ledger.lost += 1;
             } else {
                 self.queues.credit(to.index(), 1);
             }
@@ -785,7 +810,7 @@ impl<O: SimObserver> Simulation<O> {
             let raw = self.extraction.extract(spec, v, q, t, &mut self.rng_policy);
             let amt = clamp_extraction(spec, v, q, raw);
             self.queues.debit(v.index(), amt);
-            self.metrics.delivered += amt;
+            ledger.delivered += amt;
             if observing && amt > 0 {
                 self.observer.observe(TraceEvent::Extraction {
                     t,
@@ -802,9 +827,9 @@ impl<O: SimObserver> Simulation<O> {
         }
 
         // 7. Metrics, summed over the active set: idle nodes add nothing
-        // to Σ q², Σ q or the max.
+        // to Σ q², Σ q or the max. The closed ledger is folded into the
+        // run totals and lent to the observer with the step's plan.
         self.t += 1;
-        self.metrics.steps += 1;
         let Totals {
             pt,
             total,
@@ -814,19 +839,25 @@ impl<O: SimObserver> Simulation<O> {
         debug_assert_eq!(total, self.total_packets());
         debug_assert_eq!(pt, self.network_state());
         debug_assert_eq!(active, self.queues.q.iter().filter(|&&q| q > 0).count());
+        (ledger.pt, ledger.total, ledger.max_queue) = (pt, total, max_q);
+        ledger.active = active as u64;
         if observing {
             self.observer.observe(TraceEvent::Sample {
                 t,
                 pt,
                 total,
                 max_queue: max_q,
-                active: active as u64,
+                active: ledger.active,
             });
         }
-        self.metrics.sup_pt = self.metrics.sup_pt.max(pt);
-        self.metrics.sup_total = self.metrics.sup_total.max(total);
-        self.metrics.max_queue_ever = self.metrics.max_queue_ever.max(max_q);
-        self.metrics.packet_steps += total as u128;
+        self.metrics.fold(&ledger);
+        self.observer.on_step(&StepRecord {
+            ledger,
+            plan: &self.plan,
+            lost: &self.lost_mask,
+            active_edges: &self.active_edges,
+            declarations: &self.declarations,
+        });
         let record = match self.history {
             HistoryMode::None => false,
             HistoryMode::EveryStep => true,

@@ -7,13 +7,21 @@
 //! 6(ii)), and on certified-unsaturated networks Lemma 1 caps the whole
 //! trajectory at `P_t ≤ nY² + 5nΔ²`. The engine is *supposed* to enforce
 //! all of that; [`InvariantGuard`] is the independent witness that it
-//! actually did, reconstructing each invariant from the
-//! [`TraceEvent`](crate::TraceEvent) stream alone and latching the first
-//! [`Violation`].
+//! actually did. It re-checks each invariant against the
+//! [`StepRecord`] the engine lends every observer when a step closes —
+//! the step's ledger, the validated plan with its loss mask, the link
+//! mask and the declarations at `S ∪ D` — and latches the first
+//! [`Violation`]. Within a step the checks run in phase order
+//! (declarations, then links in plan order, then conservation, the `P_t`
+//! bound and divergence), so the first violation is the one a reader of
+//! the step's events would meet first.
 //!
-//! The guard rides the existing [`SimObserver`] hook and wraps an inner
-//! observer, so a guarded run keeps its telemetry (window aggregation,
-//! JSONL traces) unchanged. Observers have no error channel back into the
+//! The guard needs no [`TraceEvent`]s, so it leaves the
+//! engine's event path as its inner observer set it: a guarded run with
+//! window telemetry or none builds no events at all. It wraps that inner
+//! observer and forwards everything to it, so a guarded run keeps its
+//! telemetry (window aggregation, JSONL traces) unchanged. Observers have
+//! no error channel back into the
 //! step loop, so aborting is split in two: the guard *latches*, and the
 //! [`run_guarded`](Simulation::run_guarded) driver polls the latch after
 //! every step, dumps a crash-safe checkpoint of the offending state for
@@ -33,11 +41,12 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::wire;
 use crate::engine::Simulation;
 use crate::error::LggError;
 use crate::metrics::Snapshot;
-use crate::stability::{OnlineStability, StabilityReport};
-use crate::trace::{NoopObserver, SimObserver, TraceEvent};
+use crate::stability::{OnlineStability, StabilityReport, StabilityVerdict};
+use crate::trace::{NoopObserver, SimObserver, StepRecord, TraceEvent};
 use netmodel::TrafficSpec;
 
 /// Which invariant a [`Violation`] names.
@@ -62,6 +71,15 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// Every kind, in the order of their one-byte checkpoint codes.
+    const ALL: [ViolationKind; 5] = [
+        ViolationKind::Conservation,
+        ViolationKind::LinkCapacity,
+        ViolationKind::DeclarationLegality,
+        ViolationKind::StateBound,
+        ViolationKind::Divergence,
+    ];
+
     /// The kebab-case name (matches the serde encoding).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -123,8 +141,7 @@ fn default_online_cap() -> usize {
 }
 
 /// What the guard checks and when it gives up. Everything is serializable
-/// so a guarded run's configuration survives checkpoints and lands in
-/// reproducer files verbatim.
+/// so a guarded run's configuration lands in reproducer files verbatim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GuardConfig {
     /// Check per-step packet conservation.
@@ -185,7 +202,7 @@ impl GuardConfig {
         }
     }
 
-    /// Whether any per-event check needs the event stream.
+    /// Whether any check is on (with none, the guard only forwards).
     fn any_check(&self) -> bool {
         self.conservation
             || self.link_capacity
@@ -201,37 +218,70 @@ impl Default for GuardConfig {
     }
 }
 
-/// The guard's evolving state, kept separate from the inner observer so
-/// checkpointing can serialize it as one JSON blob.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The guard's evolving state: what a checkpoint saves. The configuration
+/// is not part of it; like every component's settings, it comes from
+/// whoever builds the simulation.
+#[derive(Debug, Clone, PartialEq)]
 struct GuardState {
-    config: GuardConfig,
-    retention: u64,
-    /// `special[v]`: node `v` ∈ S ∪ D (the only legal liars).
-    special: Vec<bool>,
-    /// Mirror of the engine's link states, reconstructed from
-    /// `LinkUp`/`LinkDown` events (all links start active).
-    active_edges: Vec<bool>,
-    /// Per-step link usage stamps: `edge_seen[e] == t + 1` means edge `e`
-    /// already carried a packet in step `t`.
-    edge_seen: Vec<u64>,
     /// Total stored packets after the previous step.
     prev_total: u64,
-    /// End-of-step samples checked so far.
+    /// Steps checked so far.
     samples_seen: u64,
-    // Per-step accumulators, reset at each `Sample`.
-    step_injected: u64,
-    step_delivered: u64,
-    step_lost: u64,
     violation: Option<Violation>,
     online: OnlineStability,
 }
 
+impl GuardState {
+    /// Writes the state as a fixed-layout record: the conservation
+    /// baseline and step count, the latch, then the online detector.
+    fn save(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.prev_total);
+        wire::put_u64(out, self.samples_seen);
+        wire::put_bool(out, self.violation.is_some());
+        if let Some(v) = &self.violation {
+            let code = ViolationKind::ALL.iter().position(|&k| k == v.kind);
+            wire::put_u32(out, code.expect("every kind has a code") as u32);
+            wire::put_u64(out, v.step);
+            wire::put_str(out, &v.detail);
+        }
+        self.online.save(out);
+    }
+
+    fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        let (prev_total, samples_seen) = (r.u64()?, r.u64()?);
+        let violation = if r.bool_()? {
+            let code = r.u32()?;
+            let kind = *ViolationKind::ALL
+                .get(code as usize)
+                .ok_or_else(|| LggError::corrupt(format!("unknown violation kind {code}")))?;
+            let step = r.u64()?;
+            let detail = r.str_()?.to_string();
+            Some(Violation { kind, step, detail })
+        } else {
+            None
+        };
+        Ok(GuardState {
+            prev_total,
+            samples_seen,
+            violation,
+            online: OnlineStability::load(r)?,
+        })
+    }
+}
+
 /// The invariant monitor. Wraps an inner observer (default
-/// [`NoopObserver`]) and forwards every event, so guarding a run does not
-/// displace its telemetry.
+/// [`NoopObserver`]) and forwards every event and step to it, so guarding
+/// a run does not displace its telemetry.
 pub struct InvariantGuard<I: SimObserver = NoopObserver> {
+    config: GuardConfig,
     state: GuardState,
+    retention: u64,
+    /// `special[v]`: node `v` ∈ S ∪ D (the only legal liars).
+    special: Vec<bool>,
+    /// Per-step link usage stamps: `edge_seen[e] == t + 1` means edge `e`
+    /// already carried a packet in step `t`. Stamps of past steps never
+    /// match, so the array needs no clearing and no checkpointing.
+    edge_seen: Vec<u64>,
     inner: I,
 }
 
@@ -243,33 +293,27 @@ impl InvariantGuard<NoopObserver> {
 }
 
 impl<I: SimObserver> InvariantGuard<I> {
-    /// A guard forwarding every event to `inner` after checking it.
+    /// A guard around `inner`: it checks each step record, then forwards
+    /// the record and every event to `inner`.
     pub fn with_inner(spec: &TrafficSpec, config: GuardConfig, inner: I) -> Self {
-        let m = spec.graph.edge_count();
-        let special = spec.graph.nodes().map(|v| spec.is_special(v)).collect();
-        let online_cap = config.online_cap;
         InvariantGuard {
             state: GuardState {
-                config,
-                retention: spec.retention,
-                special,
-                active_edges: vec![true; m],
-                edge_seen: vec![0; m],
                 prev_total: 0,
                 samples_seen: 0,
-                step_injected: 0,
-                step_delivered: 0,
-                step_lost: 0,
                 violation: None,
-                online: OnlineStability::new(online_cap),
+                online: OnlineStability::new(config.online_cap),
             },
+            config,
+            retention: spec.retention,
+            special: spec.graph.nodes().map(|v| spec.is_special(v)).collect(),
+            edge_seen: vec![0; spec.graph.edge_count()],
             inner,
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &GuardConfig {
-        &self.state.config
+        &self.config
     }
 
     /// The first violation latched, if any.
@@ -307,167 +351,127 @@ impl<I: SimObserver> InvariantGuard<I> {
         self.inner
     }
 
-    fn latch(&mut self, kind: ViolationKind, step: u64, detail: String) {
+    /// Checks one closed step and records its sample. Once a violation is
+    /// latched the hard checks stop (the latch keeps the first), but the
+    /// baseline and the online detector keep following the run.
+    fn check(&mut self, step: &StepRecord<'_>) {
         if self.state.violation.is_none() {
-            self.state.violation = Some(Violation { kind, step, detail });
+            if let Some((kind, detail)) = self.first_violation(step) {
+                let step = step.ledger.t;
+                self.state.violation = Some(Violation { kind, step, detail });
+            }
         }
+        let l = &step.ledger;
+        let divergence = self.config.divergence;
+        let s = &mut self.state;
+        s.online.push(Snapshot {
+            t: l.t + 1,
+            pt: l.pt,
+            total_packets: l.total,
+            max_queue: l.max_queue,
+        });
+        if divergence && s.violation.is_none() && s.online.seen() % 128 == 0 {
+            let report = s.online.assess();
+            if report.verdict == StabilityVerdict::Diverging {
+                let (slope, sup) = (report.slope, report.sup_total);
+                s.violation = Some(Violation {
+                    kind: ViolationKind::Divergence,
+                    step: l.t,
+                    detail: format!(
+                        "online detector: backlog diverging (slope {slope:.4}/step, sup {sup})"
+                    ),
+                });
+            }
+        }
+        s.prev_total = l.total;
+        s.samples_seen += 1;
     }
 
-    fn check(&mut self, ev: TraceEvent) {
-        let s = &mut self.state;
-        match ev {
-            TraceEvent::LinkUp { edge, .. } => {
-                if let Some(a) = s.active_edges.get_mut(edge as usize) {
-                    *a = true;
+    /// The step's first hard-check failure, in phase order.
+    fn first_violation(&mut self, step: &StepRecord<'_>) -> Option<(ViolationKind, String)> {
+        let cfg = &self.config;
+        let l = &step.ledger;
+        let t = l.t;
+        if cfg.declaration_legality {
+            // Legality (Definition 6(ii)) of a lie: the liar is special,
+            // its queue is at most R, and so is the lie.
+            let r = self.retention;
+            for d in step.declarations.iter().filter(|d| d.declared != d.queue) {
+                let (node, q, declared) = (d.node.index(), d.queue, d.declared);
+                let detail = if !self.special.get(node).copied().unwrap_or(false) {
+                    format!("non-special node {node} declared {declared} with queue {q}")
+                } else if q > r {
+                    format!("node {node} lied ({declared}) with queue {q} above retention {r}")
+                } else if declared > r {
+                    format!("node {node} declared {declared} above retention {r} (queue {q})")
+                } else {
+                    continue;
+                };
+                return Some((ViolationKind::DeclarationLegality, detail));
+            }
+        }
+        if cfg.link_capacity {
+            for tx in step.plan {
+                let edge = tx.edge.index();
+                let (Some(&up), Some(stamp)) =
+                    (step.active_edges.get(edge), self.edge_seen.get_mut(edge))
+                else {
+                    continue;
+                };
+                let reused = *stamp == t + 1;
+                *stamp = t + 1;
+                if !up {
+                    let from = tx.from.index();
+                    return Some((
+                        ViolationKind::LinkCapacity,
+                        format!("edge {edge} carried a packet from node {from} while inactive"),
+                    ));
+                }
+                if reused {
+                    return Some((
+                        ViolationKind::LinkCapacity,
+                        format!("edge {edge} carried more than one packet in step {t}"),
+                    ));
                 }
             }
-            TraceEvent::LinkDown { edge, .. } => {
-                if let Some(a) = s.active_edges.get_mut(edge as usize) {
-                    *a = false;
-                }
+        }
+        if cfg.conservation {
+            let (p, i, d, lost) = (self.state.prev_total, l.injected, l.delivered, l.lost);
+            let expected = p.wrapping_add(i).wrapping_sub(d).wrapping_sub(lost);
+            if l.total != expected {
+                return Some((
+                    ViolationKind::Conservation,
+                    format!(
+                        "total {} != {p} + {i} injected - {d} delivered - {lost} lost = {expected}",
+                        l.total
+                    ),
+                ));
             }
-            TraceEvent::Injection { amount, .. } => s.step_injected += amount,
-            TraceEvent::Extraction { amount, .. } => s.step_delivered += amount,
-            TraceEvent::Loss { .. } => s.step_lost += 1,
-            TraceEvent::Transmission { t, edge, from, .. } => {
-                if s.config.link_capacity {
-                    let e = edge as usize;
-                    if s.active_edges.get(e) == Some(&false) {
-                        self.latch(
-                            ViolationKind::LinkCapacity,
-                            t,
-                            format!("edge {edge} carried a packet from node {from} while inactive"),
-                        );
-                        return;
-                    }
-                    if s.edge_seen.get(e) == Some(&(t + 1)) {
-                        self.latch(
-                            ViolationKind::LinkCapacity,
-                            t,
-                            format!("edge {edge} carried more than one packet in step {t}"),
-                        );
-                        return;
-                    }
-                    if let Some(stamp) = s.edge_seen.get_mut(e) {
-                        *stamp = t + 1;
-                    }
-                }
-            }
-            TraceEvent::DeclarationLie {
-                t,
-                node,
-                true_q,
-                declared,
-            } => {
-                if s.config.declaration_legality {
-                    // The event only fires when declared != true queue, so
-                    // legality (Definition 6(ii)) reduces to: the liar is
-                    // special, its queue is at most R, and so is the lie.
-                    let r = s.retention;
-                    if !s.special.get(node as usize).copied().unwrap_or(false) {
-                        self.latch(
-                            ViolationKind::DeclarationLegality,
-                            t,
-                            format!("non-special node {node} declared {declared} with queue {true_q}"),
-                        );
-                    } else if true_q > r {
-                        self.latch(
-                            ViolationKind::DeclarationLegality,
-                            t,
-                            format!(
-                                "node {node} lied ({declared}) with queue {true_q} above retention {r}"
-                            ),
-                        );
-                    } else if declared > r {
-                        self.latch(
-                            ViolationKind::DeclarationLegality,
-                            t,
-                            format!(
-                                "node {node} declared {declared} above retention {r} (queue {true_q})"
-                            ),
-                        );
-                    }
-                }
-            }
-            TraceEvent::Sample {
-                t,
-                pt,
-                total,
-                max_queue,
-                ..
-            } => {
-                if s.config.conservation {
-                    let expected = s
-                        .prev_total
-                        .wrapping_add(s.step_injected)
-                        .wrapping_sub(s.step_delivered)
-                        .wrapping_sub(s.step_lost);
-                    if total != expected {
-                        let (p, i, d, l) =
-                            (s.prev_total, s.step_injected, s.step_delivered, s.step_lost);
-                        self.latch(
-                            ViolationKind::Conservation,
-                            t,
-                            format!(
-                                "total {total} != {p} + {i} injected - {d} delivered - {l} lost \
-                                 = {expected}"
-                            ),
-                        );
-                    }
-                }
-                let s = &mut self.state;
-                if let Some(bound) = s.config.pt_bound {
-                    if pt as f64 > bound {
-                        self.latch(
-                            ViolationKind::StateBound,
-                            t,
-                            format!("P_t = {pt} exceeds the certified bound {bound:.3e}"),
-                        );
-                    }
-                }
-                let s = &mut self.state;
-                s.online.push(Snapshot {
-                    t: t + 1,
-                    pt,
-                    total_packets: total,
-                    max_queue,
-                });
-                if s.config.divergence && s.online.seen() % 128 == 0 {
-                    let report = s.online.assess();
-                    if report.verdict == crate::stability::StabilityVerdict::Diverging {
-                        let (slope, sup) = (report.slope, report.sup_total);
-                        self.latch(
-                            ViolationKind::Divergence,
-                            t,
-                            format!(
-                                "online detector: backlog diverging (slope {slope:.4}/step, \
-                                 sup {sup})"
-                            ),
-                        );
-                    }
-                }
-                let s = &mut self.state;
-                s.prev_total = total;
-                s.samples_seen += 1;
-                s.step_injected = 0;
-                s.step_delivered = 0;
-                s.step_lost = 0;
-            }
-            _ => {}
+        }
+        match cfg.pt_bound {
+            Some(bound) if l.pt as f64 > bound => Some((
+                ViolationKind::StateBound,
+                format!("P_t = {} exceeds the certified bound {bound:.3e}", l.pt),
+            )),
+            _ => None,
         }
     }
 }
 
 impl<I: SimObserver> SimObserver for InvariantGuard<I> {
     fn enabled(&self) -> bool {
-        self.state.config.any_check() || self.inner.enabled()
+        self.inner.enabled()
     }
 
     fn observe(&mut self, ev: TraceEvent) {
-        if self.state.config.any_check() {
-            self.check(ev);
-        }
         self.inner.observe(ev);
+    }
+
+    fn on_step(&mut self, step: &StepRecord<'_>) {
+        if self.config.any_check() {
+            self.check(step);
+        }
+        self.inner.on_step(step);
     }
 
     fn finish(&mut self) {
@@ -475,19 +479,22 @@ impl<I: SimObserver> SimObserver for InvariantGuard<I> {
     }
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
-        let json = crate::checkpoint::json_to_bytes(&self.state);
-        crate::checkpoint::wire::put_bytes(out, &json);
+        let mut state = Vec::new();
+        self.state.save(&mut state);
+        wire::put_bytes(out, &state);
         let mut inner = Vec::new();
         self.inner.save_state(&mut inner);
-        crate::checkpoint::wire::put_bytes(out, &inner);
+        wire::put_bytes(out, &inner);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
-        let mut r = crate::checkpoint::wire::Reader::new(bytes);
-        self.state = crate::checkpoint::json_from_bytes(r.bytes()?)?;
-        let inner = r.bytes()?.to_vec();
+        let mut r = wire::Reader::new(bytes);
+        let mut state = wire::Reader::new(r.bytes()?);
+        self.state = GuardState::load(&mut state)?;
+        state.done()?;
+        let inner = r.bytes()?;
         r.done()?;
-        self.inner.load_state(&inner)
+        self.inner.load_state(inner)
     }
 }
 
@@ -630,8 +637,10 @@ impl<I: SimObserver> Simulation<InvariantGuard<I>> {
 mod tests {
     use super::*;
     use crate::engine::SimulationBuilder;
+    use crate::metrics::StepLedger;
     use crate::protocol::{NetView, RoutingProtocol, Transmission};
-    use mgraph::generators;
+    use crate::trace::Declaration;
+    use mgraph::{generators, EdgeId, NodeId};
     use netmodel::TrafficSpecBuilder;
 
     /// Minimal greedy forwarder: every node sends to any smaller-declared
@@ -778,114 +787,251 @@ mod tests {
         assert_eq!(report.steps, 60);
     }
 
+    /// The owned parts of a hand-built step record on the `spec()` path
+    /// (3 edges, all active, no plan, no declarations, nothing moving).
+    struct Crafted {
+        ledger: StepLedger,
+        plan: Vec<Transmission>,
+        lost: Vec<bool>,
+        active_edges: Vec<bool>,
+        declarations: Vec<Declaration>,
+    }
+
+    impl Crafted {
+        fn at(t: u64) -> Self {
+            Crafted {
+                ledger: StepLedger {
+                    t,
+                    ..StepLedger::default()
+                },
+                plan: Vec::new(),
+                lost: Vec::new(),
+                active_edges: vec![true; 3],
+                declarations: Vec::new(),
+            }
+        }
+
+        fn send(mut self, edge: usize, from: usize) -> Self {
+            self.plan.push(Transmission {
+                edge: EdgeId::new(edge as u32),
+                from: NodeId::new(from as u32),
+            });
+            self.lost.push(false);
+            self.ledger.sent += 1;
+            self
+        }
+
+        fn declare(mut self, node: u32, queue: u64, declared: u64) -> Self {
+            self.declarations.push(Declaration {
+                node: NodeId::new(node),
+                queue,
+                declared,
+            });
+            self
+        }
+
+        fn feed<I: SimObserver>(&self, guard: &mut InvariantGuard<I>) {
+            guard.on_step(&StepRecord {
+                ledger: self.ledger,
+                plan: &self.plan,
+                lost: &self.lost,
+                active_edges: &self.active_edges,
+                declarations: &self.declarations,
+            });
+        }
+    }
+
+    fn spec_with_retention(r: u64) -> TrafficSpec {
+        TrafficSpecBuilder::new(generators::path(4))
+            .source(0, 1)
+            .sink(3, 2)
+            .retention(r)
+            .build()
+            .unwrap()
+    }
+
+    fn latched<I: SimObserver>(guard: &InvariantGuard<I>) -> (ViolationKind, u64, String) {
+        let v = guard.violation().expect("violation latched");
+        (v.kind, v.step, v.detail.clone())
+    }
+
     #[test]
     fn guard_state_round_trips_through_save_load() {
         let spec = spec();
         let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
-        guard.observe(TraceEvent::Injection {
-            t: 0,
-            node: 0,
-            amount: 1,
-        });
-        guard.observe(TraceEvent::Sample {
-            t: 0,
-            pt: 1,
-            total: 1,
-            max_queue: 1,
-            active: 1,
-        });
+        let mut step = Crafted::at(0);
+        (step.ledger.injected, step.ledger.total, step.ledger.pt) = (1, 1, 1);
+        step.feed(&mut guard);
+        let mut step = Crafted::at(1);
+        (step.ledger.total, step.ledger.pt) = (2, 4);
+        step.feed(&mut guard);
+        assert_eq!(
+            guard.violation().map(|v| v.kind),
+            Some(ViolationKind::Conservation)
+        );
         let mut bytes = Vec::new();
         guard.save_state(&mut bytes);
-        let mut restored = InvariantGuard::new(&spec, GuardConfig::disabled());
+        let mut restored = InvariantGuard::new(&spec, GuardConfig::checks());
         restored.load_state(&bytes).unwrap();
-        assert_eq!(restored.state.prev_total, 1);
-        assert_eq!(restored.state.samples_seen, 1);
-        assert!(restored.state.config.conservation);
+        assert_eq!(restored.state, guard.state);
+        assert_eq!(restored.state.prev_total, 2);
+        assert_eq!(restored.state.samples_seen, 2);
+        assert_eq!(restored.online_report(), guard.online_report());
+    }
+
+    #[test]
+    fn guard_snapshot_rejects_truncation_and_oversized_counts() {
+        let spec = spec();
+        let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
+        for t in 0..100 {
+            Crafted::at(t).declare(1, 2, 0).feed(&mut guard);
+        }
+        let mut bytes = Vec::new();
+        guard.save_state(&mut bytes);
+        for cut in 0..bytes.len() {
+            let mut fresh = InvariantGuard::new(&spec, GuardConfig::checks());
+            let err = fresh.load_state(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, LggError::CheckpointCorrupt { .. }),
+                "cut {cut}: {err}"
+            );
+        }
+        // The online detector's snapshot count sits 8 bytes before its
+        // 100 records; claim far more than the blob holds.
+        let records = 100 * 40;
+        let at = bytes.len() - 8 - records - 8;
+        let mut state = bytes.clone();
+        state[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let mut fresh = InvariantGuard::new(&spec, GuardConfig::checks());
+        let err = fresh.load_state(&state).unwrap_err();
+        assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
     }
 
     #[test]
     fn illegal_declarations_are_latched() {
-        let spec = spec();
-        // Node 0 is a source (special), node 1 is a plain relay.
-        let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
-        // Legal: special node lying below R. retention is 0 here, so any
-        // lie is above R — craft a spec with retention instead.
-        let spec_r = TrafficSpecBuilder::new(generators::path(4))
-            .source(0, 1)
-            .sink(3, 2)
-            .retention(5)
-            .build()
-            .unwrap();
-        let mut guard_r = InvariantGuard::new(&spec_r, GuardConfig::checks());
-        guard_r.observe(TraceEvent::DeclarationLie {
-            t: 3,
-            node: 0,
-            true_q: 4,
-            declared: 0,
-        });
-        assert!(guard_r.violation().is_none(), "legal lie flagged");
+        // Node 0 is a source (special), node 1 a plain relay; R = 5.
+        let spec = spec_with_retention(5);
+        let guard = || InvariantGuard::new(&spec, GuardConfig::checks());
+        // Legal: a special node lying at or below R, and truthful relays.
+        let mut g = guard();
+        Crafted::at(3)
+            .declare(0, 4, 0)
+            .declare(1, 9, 9)
+            .feed(&mut g);
+        Crafted::at(4).declare(0, 5, 5).feed(&mut g);
+        assert!(g.violation().is_none(), "legal declaration flagged");
         // Illegal: a non-special node lying.
-        guard.observe(TraceEvent::DeclarationLie {
-            t: 7,
-            node: 1,
-            true_q: 2,
-            declared: 0,
-        });
-        let v = guard.violation().expect("non-special lie latched");
-        assert_eq!(v.kind, ViolationKind::DeclarationLegality);
-        assert_eq!(v.step, 7);
+        let mut g = guard();
+        Crafted::at(7).declare(1, 2, 0).feed(&mut g);
+        let (kind, step, detail) = latched(&g);
+        assert_eq!((kind, step), (ViolationKind::DeclarationLegality, 7));
+        assert!(detail.contains("non-special node 1"), "{detail}");
         // Illegal: lying with a queue above R.
-        guard_r.observe(TraceEvent::DeclarationLie {
-            t: 9,
-            node: 0,
-            true_q: 9,
-            declared: 5,
-        });
-        let v = guard_r.violation().expect("above-R lie latched");
-        assert_eq!(v.kind, ViolationKind::DeclarationLegality);
+        let mut g = guard();
+        Crafted::at(9).declare(0, 9, 5).feed(&mut g);
+        let (kind, _, detail) = latched(&g);
+        assert_eq!(kind, ViolationKind::DeclarationLegality);
+        assert!(
+            detail.contains("with queue 9 above retention 5"),
+            "{detail}"
+        );
+        // Illegal: a lie above R.
+        let mut g = guard();
+        Crafted::at(9).declare(0, 2, 6).feed(&mut g);
+        let (kind, _, detail) = latched(&g);
+        assert_eq!(kind, ViolationKind::DeclarationLegality);
+        assert!(detail.contains("declared 6 above retention 5"), "{detail}");
     }
 
     #[test]
     fn double_link_use_is_latched() {
         let spec = spec();
         let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
-        let tx = TraceEvent::Transmission {
-            t: 4,
-            edge: 1,
-            from: 1,
-            to: 2,
-        };
-        guard.observe(tx);
-        assert!(guard.violation().is_none());
-        guard.observe(tx);
-        let v = guard.violation().expect("double use latched");
-        assert_eq!(v.kind, ViolationKind::LinkCapacity);
+        Crafted::at(4).send(1, 1).send(1, 1).feed(&mut guard);
+        let (kind, step, detail) = latched(&guard);
+        assert_eq!((kind, step), (ViolationKind::LinkCapacity, 4));
+        assert!(detail.contains("more than one packet"), "{detail}");
         // A fresh step may reuse the link.
-        let mut guard2 = InvariantGuard::new(&spec, GuardConfig::checks());
-        guard2.observe(tx);
-        guard2.observe(TraceEvent::Transmission {
-            t: 5,
-            edge: 1,
-            from: 1,
-            to: 2,
-        });
-        assert!(guard2.violation().is_none());
+        let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
+        Crafted::at(4).send(1, 1).feed(&mut guard);
+        Crafted::at(5).send(1, 1).feed(&mut guard);
+        assert!(guard.violation().is_none());
     }
 
     #[test]
     fn inactive_link_use_is_latched() {
         let spec = spec();
         let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
-        guard.observe(TraceEvent::LinkDown { t: 2, edge: 0 });
-        guard.observe(TraceEvent::Transmission {
-            t: 2,
-            edge: 0,
-            from: 0,
-            to: 1,
-        });
-        let v = guard.violation().expect("inactive-link use latched");
-        assert_eq!(v.kind, ViolationKind::LinkCapacity);
-        assert!(v.detail.contains("inactive"), "{}", v.detail);
+        let mut step = Crafted::at(2).send(0, 0);
+        step.active_edges[0] = false;
+        step.feed(&mut guard);
+        let (kind, step, detail) = latched(&guard);
+        assert_eq!((kind, step), (ViolationKind::LinkCapacity, 2));
+        assert!(detail.contains("inactive"), "{detail}");
+    }
+
+    #[test]
+    fn conservation_breach_is_latched() {
+        let spec = spec();
+        let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
+        guard.prime_backlog(4);
+        // 4 + 2 injected - 1 delivered - 1 lost = 4.
+        let mut step = Crafted::at(0).send(0, 0);
+        step.lost[0] = true;
+        step.ledger.injected = 2;
+        step.ledger.delivered = 1;
+        step.ledger.lost = 1;
+        step.ledger.total = 4;
+        step.feed(&mut guard);
+        assert!(guard.violation().is_none());
+        let mut step = Crafted::at(1);
+        step.ledger.total = 5;
+        step.feed(&mut guard);
+        let (kind, step, detail) = latched(&guard);
+        assert_eq!((kind, step), (ViolationKind::Conservation, 1));
+        assert_eq!(
+            detail,
+            "total 5 != 4 + 0 injected - 0 delivered - 0 lost = 4"
+        );
+    }
+
+    #[test]
+    fn checks_run_in_phase_order() {
+        // One step breaking a declaration, a link and conservation: the
+        // guard names the declaration; without it, the link; without
+        // both, conservation; the P_t bound only when all else holds.
+        let spec = spec();
+        let mut config = GuardConfig::checks();
+        config.pt_bound = Some(1.0);
+        let first = |decl: bool, link: bool, total: u64| {
+            let mut step = Crafted::at(6);
+            if decl {
+                step = step.declare(2, 3, 1);
+            }
+            if link {
+                step = step.send(2, 2).send(2, 2);
+            }
+            (step.ledger.total, step.ledger.pt) = (total, 9);
+            let mut guard = InvariantGuard::new(&spec, config.clone());
+            step.feed(&mut guard);
+            guard.violation().map(|v| v.kind)
+        };
+        assert_eq!(
+            first(true, true, 3),
+            Some(ViolationKind::DeclarationLegality)
+        );
+        assert_eq!(first(false, true, 3), Some(ViolationKind::LinkCapacity));
+        assert_eq!(first(false, false, 3), Some(ViolationKind::Conservation));
+        assert_eq!(first(false, false, 0), Some(ViolationKind::StateBound));
+        // The first violation stays latched across later ones.
+        let mut guard = InvariantGuard::new(&spec, GuardConfig::checks());
+        Crafted::at(0).send(0, 0).send(0, 0).feed(&mut guard);
+        Crafted::at(1).declare(1, 1, 0).feed(&mut guard);
+        assert_eq!(latched(&guard).0, ViolationKind::LinkCapacity);
+        assert_eq!(
+            guard.state.samples_seen, 2,
+            "samples follow the run after a latch"
+        );
     }
 
     #[test]
@@ -895,24 +1041,15 @@ mod tests {
         config.conservation = false;
         config.pt_bound = Some(100.0);
         let mut guard = InvariantGuard::new(&spec, config);
-        guard.observe(TraceEvent::Sample {
-            t: 12,
-            pt: 99,
-            total: 9,
-            max_queue: 9,
-            active: 1,
-        });
+        let mut step = Crafted::at(12);
+        step.ledger.pt = 99;
+        step.feed(&mut guard);
         assert!(guard.violation().is_none());
-        guard.observe(TraceEvent::Sample {
-            t: 13,
-            pt: 101,
-            total: 10,
-            max_queue: 10,
-            active: 1,
-        });
-        let v = guard.violation().expect("bound breach latched");
-        assert_eq!(v.kind, ViolationKind::StateBound);
-        assert_eq!(v.step, 13);
+        let mut step = Crafted::at(13);
+        step.ledger.pt = 101;
+        step.feed(&mut guard);
+        let (kind, step, _) = latched(&guard);
+        assert_eq!((kind, step), (ViolationKind::StateBound, 13));
     }
 
     #[test]
@@ -923,24 +1060,35 @@ mod tests {
         config.divergence = true;
         let mut guard = InvariantGuard::new(&spec, config);
         for t in 0..2048u64 {
-            guard.observe(TraceEvent::Sample {
-                t,
-                pt: ((5 + 3 * t) as u128).pow(2),
-                total: 5 + 3 * t,
-                max_queue: 5 + 3 * t,
-                active: 1,
-            });
+            let mut step = Crafted::at(t);
+            let total = 5 + 3 * t;
+            (step.ledger.total, step.ledger.max_queue) = (total, total);
+            step.ledger.pt = (total as u128).pow(2);
+            step.feed(&mut guard);
         }
-        let v = guard.violation().expect("divergence latched");
-        assert_eq!(v.kind, ViolationKind::Divergence);
+        let (kind, step, _) = latched(&guard);
+        assert_eq!(kind, ViolationKind::Divergence);
+        // Assessed every 128 steps: the latch names such a step.
+        assert_eq!((step + 1) % 128, 0);
     }
 
     #[test]
     fn disabled_guard_with_noop_inner_reports_disabled() {
+        // The guard reads step records only: it asks for events exactly
+        // when its inner observer does.
         let spec = spec();
         let guard = InvariantGuard::new(&spec, GuardConfig::disabled());
         assert!(!guard.enabled());
         let guard = InvariantGuard::new(&spec, GuardConfig::checks());
+        assert!(!guard.enabled());
+        let window = crate::trace::WindowAggregator::new(16);
+        let guard = InvariantGuard::with_inner(&spec, GuardConfig::checks(), window);
+        assert!(
+            !guard.enabled(),
+            "guard + window telemetry builds no events"
+        );
+        let ring = crate::trace::RingRecorder::new(4);
+        let guard = InvariantGuard::with_inner(&spec, GuardConfig::checks(), ring);
         assert!(guard.enabled());
     }
 }

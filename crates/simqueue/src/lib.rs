@@ -28,7 +28,8 @@
 //!    at most `min(out, q)`, and at least `min(out, q − R)` when `q > R`;
 //! 7. **metrics** — the engine records the network state
 //!    `P_t = Σ_v q_t(v)²` (Definition 1), queue totals, and throughput
-//!    counters.
+//!    counters: the step's [`StepLedger`] is folded into [`Metrics`] and
+//!    lent to the observer inside a [`trace::StepRecord`].
 //!
 //! Determinism: all randomness derives from a single `u64` seed split into
 //! independent streams (injection, loss, topology) via SplitMix64, so any
@@ -66,11 +67,12 @@ pub use guard::{
     BudgetKind, FaultSpec, GuardConfig, GuardOutcome, GuardReport, InvariantGuard, Violation,
     ViolationKind,
 };
-pub use metrics::{HistoryMode, Metrics, Snapshot};
+pub use metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
 pub use protocol::{NetView, RoutingProtocol, Transmission};
 pub use rng::split_seed;
 pub use trace::{
-    JsonlSink, NoopObserver, RingRecorder, SimObserver, TraceEvent, WindowAggregator, WindowStats,
+    Declaration, JsonlSink, NoopObserver, RingRecorder, SimObserver, StepRecord, TraceEvent,
+    WindowAggregator, WindowStats,
 };
 pub use stability::{assess_stability, OnlineStability, StabilityReport, StabilityVerdict};
 

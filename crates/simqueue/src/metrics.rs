@@ -26,6 +26,34 @@ pub struct Snapshot {
     pub max_queue: u64,
 }
 
+/// What one step did, filled by the engine as the step runs and folded
+/// into [`Metrics`] when it closes. The same value reaches every observer
+/// inside a [`StepRecord`](crate::trace::StepRecord), so the run totals,
+/// the invariant guard and window telemetry all count from one ledger.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepLedger {
+    /// The step executed (the engine's pre-increment clock).
+    pub t: u64,
+    /// Packets injected (phase 2, after the `in(v)` clamp).
+    pub injected: u64,
+    /// Transmissions executed, lost ones included (phase 5).
+    pub sent: u64,
+    /// Packets destroyed in flight (phase 5).
+    pub lost: u64,
+    /// Packets extracted (phase 6, after the Definition 7(i) clamp).
+    pub delivered: u64,
+    /// Planned transmissions the engine rejected (phase 4).
+    pub rejected: u64,
+    /// `P_t = Σ q²` after the step.
+    pub pt: u128,
+    /// `Σ q` after the step.
+    pub total: u64,
+    /// The largest queue after the step.
+    pub max_queue: u64,
+    /// Nodes holding packets after the step.
+    pub active: u64,
+}
+
 /// Aggregated metrics of a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
@@ -76,6 +104,21 @@ impl Metrics {
             link_sends: Vec::new(),
             history: Vec::new(),
         }
+    }
+
+    /// Adds one closed step's ledger to the run totals (everything but
+    /// `link_sends` and `history`, which the engine keeps itself).
+    pub(crate) fn fold(&mut self, l: &StepLedger) {
+        self.steps += 1;
+        self.injected += l.injected;
+        self.delivered += l.delivered;
+        self.lost += l.lost;
+        self.sent += l.sent;
+        self.rejected_plans += l.rejected;
+        self.sup_pt = self.sup_pt.max(l.pt);
+        self.sup_total = self.sup_total.max(l.total);
+        self.max_queue_ever = self.max_queue_ever.max(l.max_queue);
+        self.packet_steps += l.total as u128;
     }
 
     /// Utilization of link `e`: transmissions per step over the run.

@@ -14,6 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::wire;
+use crate::error::LggError;
 use crate::metrics::Snapshot;
 
 /// Verdict of [`assess_stability`].
@@ -141,7 +143,10 @@ impl OnlineStability {
 
     /// Feeds the next snapshot (call once per recorded step, in order).
     pub fn push(&mut self, s: Snapshot) {
-        if self.seen % self.stride == 0 {
+        // The stride is a power of two, so `seen % stride` is a mask: the
+        // guard pushes every step, and a 64-bit division there is not free.
+        let kept = |seen: u64, stride: u64| seen & (stride - 1) == 0;
+        if kept(self.seen, self.stride) {
             if self.buf.len() >= self.cap {
                 // Halve: keep every other retained point, double the
                 // stride. Kept points sat at multiples of the old stride,
@@ -157,7 +162,7 @@ impl OnlineStability {
             }
             // Re-test against the (possibly doubled) stride so the point
             // pushed right after a halving does not break the spacing.
-            if self.seen % self.stride == 0 {
+            if kept(self.seen, self.stride) {
                 self.buf.push(s);
             }
         }
@@ -187,6 +192,48 @@ impl OnlineStability {
     /// Shorthand for `self.assess().verdict`.
     pub fn verdict(&self) -> StabilityVerdict {
         self.assess().verdict
+    }
+
+    /// Appends the detector to a checkpoint blob: capacity, stride, count
+    /// seen, then the retained snapshots as fixed 40-byte records.
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.cap as u64);
+        wire::put_u64(out, self.stride);
+        wire::put_u64(out, self.seen);
+        wire::put_u64(out, self.buf.len() as u64);
+        for s in &self.buf {
+            wire::put_u64(out, s.t);
+            wire::put_u128(out, s.pt);
+            wire::put_u64(out, s.total_packets);
+            wire::put_u64(out, s.max_queue);
+        }
+    }
+
+    /// Reads what [`OnlineStability::save`] wrote.
+    pub(crate) fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        let (cap, stride, seen) = (r.u64()?, r.u64()?, r.u64()?);
+        let n = r.count(8 + 16 + 8 + 8)?;
+        if cap < 64 || n as u64 > cap || !stride.is_power_of_two() {
+            return Err(LggError::corrupt(format!(
+                "online detector: {n} of {cap} snapshots at stride {stride}"
+            )));
+        }
+        let buf = (0..n)
+            .map(|_| {
+                Ok(Snapshot {
+                    t: r.u64()?,
+                    pt: r.u128()?,
+                    total_packets: r.u64()?,
+                    max_queue: r.u64()?,
+                })
+            })
+            .collect::<Result<_, LggError>>()?;
+        Ok(OnlineStability {
+            cap: cap as usize,
+            stride,
+            seen,
+            buf,
+        })
     }
 }
 

@@ -1,11 +1,21 @@
-//! Structured telemetry: typed per-step events observed from the engine.
+//! Structured telemetry: what the engine did, step by step.
 //!
 //! The engine's end-of-run [`Metrics`](crate::Metrics) answer *whether* a
 //! run was stable; this module answers *when* and *where* — when a queue
-//! blows past `nY²`, which link loses the packet. Each simulation
-//! owns one [`SimObserver`] (default: [`NoopObserver`]) and emits a
-//! [`TraceEvent`] at every state change of the seven step phases
-//! documented on the crate root, in a fixed deterministic order:
+//! blows past `nY²`, which link loses the packet. Each simulation owns one
+//! [`SimObserver`] (default: [`NoopObserver`]), which sees a run through
+//! two hooks:
+//!
+//! * [`SimObserver::on_step`] receives one borrowed [`StepRecord`] when a
+//!   step closes: the step's [`StepLedger`] (flow counts and post-step
+//!   totals), the validated plan with its loss mask, the link-activity
+//!   mask, and the declarations at `S ∪ D`. It is
+//!   always called and costs one call when unused. [`WindowAggregator`]
+//!   and the [`InvariantGuard`](crate::InvariantGuard) read only this.
+//! * [`SimObserver::observe`] receives a [`TraceEvent`] at every state
+//!   change of the seven step phases documented on the crate root, in a
+//!   fixed deterministic order. [`JsonlSink`] and [`RingRecorder`] read
+//!   these:
 //!
 //! | phase | events |
 //! |-------|--------|
@@ -21,17 +31,24 @@
 //! pins it byte for byte, and it is independent of `LGG_THREADS` like
 //! every other output.
 //!
-//! The disabled path is free: the engine asks `observer.enabled()` once
-//! per step and skips all event construction when it returns `false`.
-//! [`NoopObserver::enabled`] is a constant `false` the optimizer erases,
-//! so a default-built simulation runs at full speed (measured, not
-//! assumed: `lgg-sim bench` has an observer-overhead section persisted in
-//! `BENCH_throughput.json`, and CI fails if the disabled path regresses).
+//! The event path is free when nobody listens: the engine asks
+//! `observer.enabled()` once per step and skips all event construction
+//! when it returns `false`. [`NoopObserver`], [`WindowAggregator`] and a
+//! guard around either return `false`, so a default-built simulation runs
+//! at full speed (measured, not assumed: `lgg-sim bench` has an
+//! observer-overhead section persisted in `BENCH_throughput.json`, and CI
+//! fails if the disabled path regresses).
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
+
+use crate::checkpoint::wire;
+use crate::error::LggError;
+use crate::metrics::StepLedger;
+use crate::protocol::Transmission;
+use mgraph::NodeId;
 
 /// One typed engine event. `t` is the step being executed (the engine's
 /// pre-increment clock): all events of step `t` share it, and the closing
@@ -159,9 +176,38 @@ impl TraceEvent {
     }
 }
 
-/// Receives engine events. Implementations must be deterministic
-/// functions of the event stream if they feed persisted artifacts —
-/// everything else about the engine is.
+/// One special node's declaration in phase 3: its queue when it declared
+/// and the value published after the Definition 6(ii) clamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Declaration {
+    /// The declaring node (a member of `S ∪ D`).
+    pub node: NodeId,
+    /// Its true queue length at phase 3.
+    pub queue: u64,
+    /// The clamped declared value.
+    pub declared: u64,
+}
+
+/// One executed step, lent to [`SimObserver::on_step`] when the step
+/// closes. Everything in it is what the engine itself used: nothing is
+/// rebuilt for the observer.
+#[derive(Debug, Clone, Copy)]
+pub struct StepRecord<'a> {
+    /// Flow counts and post-step totals.
+    pub ledger: StepLedger,
+    /// The validated plan, in execution order.
+    pub plan: &'a [Transmission],
+    /// `lost[i]`: the packet of `plan[i]` died in flight.
+    pub lost: &'a [bool],
+    /// The link-activity mask the step ran with, indexed by edge id.
+    pub active_edges: &'a [bool],
+    /// This step's declarations at `S ∪ D`, ascending node id.
+    pub declarations: &'a [Declaration],
+}
+
+/// Receives engine steps and events. Implementations must be
+/// deterministic functions of what they receive if they feed persisted
+/// artifacts — everything else about the engine is.
 ///
 /// The trait is dyn-safe: scenario files install observers as
 /// `Box<dyn SimObserver>` through the CLI's `telemetry` section.
@@ -173,9 +219,14 @@ pub trait SimObserver {
         true
     }
 
-    /// Receives one event. Events arrive in deterministic engine order
-    /// (see the module docs for the per-phase ordering).
-    fn observe(&mut self, ev: TraceEvent);
+    /// Receives one event, only while [`SimObserver::enabled`] is `true`.
+    /// Events arrive in deterministic engine order (see the module docs
+    /// for the per-phase ordering). The default ignores them.
+    fn observe(&mut self, _ev: TraceEvent) {}
+
+    /// Receives every step once it closes, after the step's events,
+    /// whatever [`SimObserver::enabled`] says. The default does nothing.
+    fn on_step(&mut self, _step: &StepRecord<'_>) {}
 
     /// Called when the run owner is done stepping — flush buffers, close
     /// windows. The engine never calls this itself (it cannot know when
@@ -191,7 +242,7 @@ pub trait SimObserver {
     fn save_state(&mut self, _out: &mut Vec<u8>) {}
 
     /// Restores state captured by [`SimObserver::save_state`].
-    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), crate::error::LggError> {
+    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), LggError> {
         Ok(())
     }
 }
@@ -208,9 +259,6 @@ impl SimObserver for NoopObserver {
     fn enabled(&self) -> bool {
         false
     }
-
-    #[inline(always)]
-    fn observe(&mut self, _ev: TraceEvent) {}
 }
 
 impl SimObserver for Box<dyn SimObserver> {
@@ -222,6 +270,10 @@ impl SimObserver for Box<dyn SimObserver> {
         (**self).observe(ev)
     }
 
+    fn on_step(&mut self, step: &StepRecord<'_>) {
+        (**self).on_step(step)
+    }
+
     fn finish(&mut self) {
         (**self).finish()
     }
@@ -230,7 +282,7 @@ impl SimObserver for Box<dyn SimObserver> {
         (**self).save_state(out)
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), crate::error::LggError> {
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
         (**self).load_state(bytes)
     }
 }
@@ -294,11 +346,11 @@ impl SimObserver for RingRecorder {
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
         let json = crate::checkpoint::json_to_bytes(self);
-        crate::checkpoint::wire::put_bytes(out, &json);
+        wire::put_bytes(out, &json);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), crate::error::LggError> {
-        let mut r = crate::checkpoint::wire::Reader::new(bytes);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
+        let mut r = wire::Reader::new(bytes);
         *self = crate::checkpoint::json_from_bytes(r.bytes()?)?;
         r.done()
     }
@@ -411,12 +463,12 @@ impl<W: Write> SimObserver for JsonlSink<W> {
                 self.error = Some(e);
             }
         }
-        crate::checkpoint::wire::put_u64(out, self.lines);
-        crate::checkpoint::wire::put_u64(out, self.bytes);
+        wire::put_u64(out, self.lines);
+        wire::put_u64(out, self.bytes);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), crate::error::LggError> {
-        let mut r = crate::checkpoint::wire::Reader::new(bytes);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
+        let mut r = wire::Reader::new(bytes);
         self.lines = r.u64()?;
         self.bytes = r.u64()?;
         r.done()
@@ -468,11 +520,14 @@ pub struct WindowStats {
     pub queue_histogram: Vec<u64>,
 }
 
-/// Rolls the event stream into fixed-size windows of [`WindowStats`] —
+/// Rolls the step records into fixed-size windows of [`WindowStats`] —
 /// the stability time-series the experiments driver publishes next to
 /// its end-of-run verdicts (saturation plateaus and drift slopes are
 /// window phenomena, invisible in run totals).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It reads only [`SimObserver::on_step`], so it leaves the engine's
+/// event path off.
+#[derive(Debug, Clone)]
 pub struct WindowAggregator {
     size: u64,
     closed: Vec<WindowStats>,
@@ -480,7 +535,7 @@ pub struct WindowAggregator {
 }
 
 /// Open-window accumulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Accum {
     index: u64,
     t_end: u64,
@@ -546,6 +601,104 @@ impl Accum {
             queue_histogram: self.queue_histogram,
         }
     }
+
+    fn save(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.index);
+        wire::put_u64(out, self.t_end);
+        wire::put_u64(out, self.samples);
+        wire::put_u128(out, self.pt_min);
+        wire::put_u128(out, self.pt_max);
+        wire::put_u128(out, self.pt_sum);
+        for x in [
+            self.max_queue,
+            self.active_sum,
+            self.injected,
+            self.delivered,
+            self.losses,
+            self.rejected,
+        ] {
+            wire::put_u64(out, x);
+        }
+        put_link_losses(out, self.link_losses.iter().copied());
+        wire::put_u64_slice(out, &self.queue_histogram);
+    }
+
+    fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        Ok(Accum {
+            index: r.u64()?,
+            t_end: r.u64()?,
+            samples: r.u64()?,
+            pt_min: r.u128()?,
+            pt_max: r.u128()?,
+            pt_sum: r.u128()?,
+            max_queue: r.u64()?,
+            active_sum: r.u64()?,
+            injected: r.u64()?,
+            delivered: r.u64()?,
+            losses: r.u64()?,
+            rejected: r.u64()?,
+            link_losses: read_link_losses(r)?,
+            queue_histogram: r.u64_vec()?,
+        })
+    }
+}
+
+/// Bytes per `(edge, count)` pair on the wire.
+const LINK_LOSS_BYTES: usize = 4 + 8;
+
+fn put_link_losses(out: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (u32, u64)>) {
+    wire::put_u64(out, pairs.len() as u64);
+    for (edge, lost) in pairs {
+        wire::put_u32(out, edge);
+        wire::put_u64(out, lost);
+    }
+}
+
+fn read_link_losses(r: &mut wire::Reader<'_>) -> Result<Vec<(u32, u64)>, LggError> {
+    let n = r.count(LINK_LOSS_BYTES)?;
+    (0..n).map(|_| Ok((r.u32()?, r.u64()?))).collect()
+}
+
+/// Fixed bytes of one closed window on the wire (two `u128`s, ten
+/// eight-byte scalars and the two length prefixes).
+const WINDOW_BYTES: usize = 2 * 16 + 10 * 8 + 2 * 8;
+
+fn put_window(out: &mut Vec<u8>, w: &WindowStats) {
+    wire::put_u64(out, w.t_start);
+    wire::put_u64(out, w.t_end);
+    wire::put_u64(out, w.samples);
+    wire::put_u128(out, w.pt_min);
+    wire::put_u128(out, w.pt_max);
+    wire::put_f64(out, w.pt_mean);
+    wire::put_u64(out, w.max_queue);
+    wire::put_f64(out, w.mean_active);
+    for x in [w.injected, w.delivered, w.losses, w.rejected] {
+        wire::put_u64(out, x);
+    }
+    put_link_losses(out, w.link_losses.iter().map(|l| (l.edge, l.lost)));
+    wire::put_u64_slice(out, &w.queue_histogram);
+}
+
+fn read_window(r: &mut wire::Reader<'_>) -> Result<WindowStats, LggError> {
+    Ok(WindowStats {
+        t_start: r.u64()?,
+        t_end: r.u64()?,
+        samples: r.u64()?,
+        pt_min: r.u128()?,
+        pt_max: r.u128()?,
+        pt_mean: r.f64()?,
+        max_queue: r.u64()?,
+        mean_active: r.f64()?,
+        injected: r.u64()?,
+        delivered: r.u64()?,
+        losses: r.u64()?,
+        rejected: r.u64()?,
+        link_losses: read_link_losses(r)?
+            .into_iter()
+            .map(|(edge, lost)| LinkLoss { edge, lost })
+            .collect(),
+        queue_histogram: r.u64_vec()?,
+    })
 }
 
 /// Histogram bucket for a sample whose largest queue is `q`.
@@ -587,56 +740,55 @@ impl WindowAggregator {
     }
 
     fn accum_for(&mut self, t: u64) -> &mut Accum {
-        let index = t / self.size;
+        // Divide only when `t` leaves the open window (once per window).
+        let size = self.size;
         let stale = match &self.cur {
-            Some(a) => a.index != index,
+            Some(a) => t.checked_sub(a.index * size).is_none_or(|d| d >= size),
             None => true,
         };
         if stale {
             if let Some(a) = self.cur.take() {
-                self.closed.push(a.close(self.size));
+                self.closed.push(a.close(size));
             }
-            self.cur = Some(Accum::new(index));
+            self.cur = Some(Accum::new(t / size));
         }
         self.cur.as_mut().expect("just installed")
     }
 }
 
 impl SimObserver for WindowAggregator {
-    fn observe(&mut self, ev: TraceEvent) {
-        let a = self.accum_for(ev.t());
-        a.t_end = a.t_end.max(ev.t());
-        match ev {
-            TraceEvent::Injection { amount, .. } => a.injected += amount,
-            TraceEvent::Extraction { amount, .. } => a.delivered += amount,
-            TraceEvent::PlanRejected { .. } => a.rejected += 1,
-            TraceEvent::Loss { edge, .. } => {
-                a.losses += 1;
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn on_step(&mut self, step: &StepRecord<'_>) {
+        let l = &step.ledger;
+        let a = self.accum_for(l.t);
+        a.t_end = l.t;
+        a.injected += l.injected;
+        a.delivered += l.delivered;
+        a.rejected += l.rejected;
+        a.losses += l.lost;
+        if l.lost > 0 {
+            for (tx, _) in step.plan.iter().zip(step.lost).filter(|(_, &lost)| lost) {
+                let edge = tx.edge.index() as u32;
                 match a.link_losses.last_mut() {
                     Some((e, n)) if *e == edge => *n += 1,
                     _ => a.link_losses.push((edge, 1)),
                 }
             }
-            TraceEvent::Sample {
-                pt,
-                max_queue,
-                active,
-                ..
-            } => {
-                a.samples += 1;
-                a.pt_min = a.pt_min.min(pt);
-                a.pt_max = a.pt_max.max(pt);
-                a.pt_sum += pt;
-                a.max_queue = a.max_queue.max(max_queue);
-                a.active_sum += active;
-                let b = qh_bucket(max_queue);
-                if a.queue_histogram.len() <= b {
-                    a.queue_histogram.resize(b + 1, 0);
-                }
-                a.queue_histogram[b] += 1;
-            }
-            _ => {}
         }
+        a.samples += 1;
+        a.pt_min = a.pt_min.min(l.pt);
+        a.pt_max = a.pt_max.max(l.pt);
+        a.pt_sum += l.pt;
+        a.max_queue = a.max_queue.max(l.max_queue);
+        a.active_sum += l.active;
+        let b = qh_bucket(l.max_queue);
+        if a.queue_histogram.len() <= b {
+            a.queue_histogram.resize(b + 1, 0);
+        }
+        a.queue_histogram[b] += 1;
     }
 
     fn finish(&mut self) {
@@ -646,14 +798,41 @@ impl SimObserver for WindowAggregator {
     }
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
-        let json = crate::checkpoint::json_to_bytes(self);
-        crate::checkpoint::wire::put_bytes(out, &json);
+        wire::put_u64(out, self.size);
+        wire::put_u64(out, self.closed.len() as u64);
+        for w in &self.closed {
+            put_window(out, w);
+        }
+        wire::put_bool(out, self.cur.is_some());
+        if let Some(a) = &self.cur {
+            a.save(out);
+        }
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), crate::error::LggError> {
-        let mut r = crate::checkpoint::wire::Reader::new(bytes);
-        *self = crate::checkpoint::json_from_bytes(r.bytes()?)?;
-        r.done()
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
+        let mut r = wire::Reader::new(bytes);
+        let size = r.u64()?;
+        if size == 0 {
+            return Err(LggError::corrupt("window size 0"));
+        }
+        let n = r.count(WINDOW_BYTES)?;
+        let closed = (0..n)
+            .map(|_| read_window(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let cur = if r.bool_()? {
+            Some(Accum::load(&mut r)?)
+        } else {
+            None
+        };
+        r.done()?;
+        if cur
+            .as_ref()
+            .is_some_and(|a| a.index.checked_mul(size).is_none())
+        {
+            return Err(LggError::corrupt("open window starts past u64::MAX"));
+        }
+        *self = WindowAggregator { size, closed, cur };
+        Ok(())
     }
 }
 
@@ -743,28 +922,48 @@ mod tests {
         assert_eq!(sink.lines_written(), 10);
     }
 
+    /// Feeds `w` one step: `injected` packets in, losses on `lost_edges`
+    /// (in plan order), and a closing sample.
+    fn window_step(
+        w: &mut WindowAggregator,
+        t: u64,
+        injected: u64,
+        lost_edges: &[u32],
+        pt: u128,
+        max_queue: u64,
+    ) {
+        let plan: Vec<Transmission> = lost_edges
+            .iter()
+            .map(|&e| Transmission {
+                edge: mgraph::EdgeId::new(e),
+                from: NodeId::new(0),
+            })
+            .collect();
+        let lost = vec![true; plan.len()];
+        w.on_step(&StepRecord {
+            ledger: StepLedger {
+                t,
+                injected,
+                sent: plan.len() as u64,
+                lost: plan.len() as u64,
+                pt,
+                max_queue,
+                active: 1,
+                ..StepLedger::default()
+            },
+            plan: &plan,
+            lost: &lost,
+            active_edges: &[true; 2],
+            declarations: &[],
+        });
+    }
+
     #[test]
     fn window_aggregation_math() {
         let mut w = WindowAggregator::new(4);
         for t in 0..6 {
-            w.observe(TraceEvent::Injection {
-                t,
-                node: 0,
-                amount: 2,
-            });
-            if t % 2 == 0 {
-                w.observe(TraceEvent::Loss {
-                    t,
-                    edge: 1,
-                    from: 0,
-                });
-                w.observe(TraceEvent::Loss {
-                    t,
-                    edge: 0,
-                    from: 0,
-                });
-            }
-            w.observe(sample(t, (t as u128 + 1) * 10, t + 1));
+            let lost: &[u32] = if t % 2 == 0 { &[1, 0] } else { &[] };
+            window_step(&mut w, t, 2, lost, (t as u128 + 1) * 10, t + 1);
         }
         let windows = w.into_windows();
         assert_eq!(windows.len(), 2);
@@ -787,10 +986,69 @@ mod tests {
         assert_eq!(b.injected, 4);
     }
 
+    /// An aggregator with two closed windows and an open one.
+    fn busy_aggregator() -> WindowAggregator {
+        let mut w = WindowAggregator::new(4);
+        for t in 0..10 {
+            window_step(&mut w, t, t, &[(t % 3) as u32, 7], 3 * t as u128, t);
+        }
+        w
+    }
+
+    #[test]
+    fn window_state_round_trips_mid_window() {
+        let mut w = busy_aggregator();
+        let mut bytes = Vec::new();
+        w.save_state(&mut bytes);
+        let mut back = WindowAggregator::new(99);
+        back.load_state(&bytes).unwrap();
+        assert_eq!(back.window_size(), 4);
+        assert_eq!(back.windows(), w.windows());
+        assert_eq!(back.cur, w.cur);
+        window_step(&mut w, 10, 1, &[2], 5, 1);
+        window_step(&mut back, 10, 1, &[2], 5, 1);
+        assert_eq!(back.into_windows(), w.into_windows());
+    }
+
+    #[test]
+    fn window_snapshot_rejects_truncation_and_oversized_counts() {
+        let mut w = busy_aggregator();
+        let mut bytes = Vec::new();
+        w.save_state(&mut bytes);
+        for cut in 0..bytes.len() {
+            let err = WindowAggregator::new(4)
+                .load_state(&bytes[..cut])
+                .unwrap_err();
+            assert!(
+                matches!(err, LggError::CheckpointCorrupt { .. }),
+                "cut {cut}: {err}"
+            );
+        }
+        // The closed-window count follows the window size; then the first
+        // window's link-loss count follows its 112 fixed bytes.
+        for at in [8, 16 + 112] {
+            let mut lying = bytes.clone();
+            lying[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = WindowAggregator::new(4).load_state(&lying).unwrap_err();
+            assert!(
+                matches!(err, LggError::CheckpointCorrupt { .. }),
+                "at {at}: {err}"
+            );
+        }
+        let mut zero = bytes.clone();
+        zero[..8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(WindowAggregator::new(4).load_state(&zero).is_err());
+    }
+
     #[test]
     fn empty_window_close_is_safe() {
         let w = WindowAggregator::new(8);
         assert!(w.into_windows().is_empty());
+    }
+
+    #[test]
+    fn window_aggregator_needs_no_events() {
+        assert!(!WindowAggregator::new(8).enabled());
     }
 
     #[test]

@@ -64,21 +64,25 @@ cargo run --release -p lgg-cli -- chaos \
 
 # Guard abort path end to end: a guarded run hitting an injected
 # conservation bug must abort with exit code 9 and dump a replayable
-# reproducer + checkpoint.
-GUARD_DUMP="$(mktemp -d)"
-cargo run --release -p lgg-cli -- run scenarios/saturated_dumbbell.json \
-    --guard --guard-dump "$GUARD_DUMP" --inject-fault 120 --steps 500 && {
-    echo "ci: guard: expected exit 9 on the injected fault" >&2
-    exit 1
-} || [ $? -eq 9 ] || {
-    echo "ci: guard: expected exit 9, got $?" >&2
-    exit 1
-}
-[ -f "$GUARD_DUMP/repro_conservation_t0.json" ] || {
-    echo "ci: guard: missing dumped reproducer" >&2
-    exit 1
-}
-rm -rf "$GUARD_DUMP"
+# reproducer + checkpoint. Run once without telemetry (saturated_dumbbell)
+# and once with window telemetry inside the guard (flapping_fabric); both
+# read step records only, so neither run builds a trace event.
+for scenario in scenarios/saturated_dumbbell.json scenarios/flapping_fabric.json; do
+    GUARD_DUMP="$(mktemp -d)"
+    cargo run --release -p lgg-cli -- run "$scenario" \
+        --guard --guard-dump "$GUARD_DUMP" --inject-fault 120 --steps 500 && {
+        echo "ci: guard: $scenario: expected exit 9 on the injected fault" >&2
+        exit 1
+    } || [ $? -eq 9 ] || {
+        echo "ci: guard: $scenario: expected exit 9, got $?" >&2
+        exit 1
+    }
+    [ -f "$GUARD_DUMP/repro_conservation_t0.json" ] || {
+        echo "ci: guard: $scenario: missing dumped reproducer" >&2
+        exit 1
+    }
+    rm -rf "$GUARD_DUMP"
+done
 
 # Kill-and-resume smoke: run the smoke scenario uninterrupted, then run it
 # again but abort() the process hard mid-run (--kill-after skips all

@@ -10,8 +10,13 @@
 //! drives the same component traits with the same seeded RNG streams, so
 //! for one configuration it must reproduce the pipeline's queues, metrics
 //! and latency statistics bit for bit.
+//!
+//! Next to it, [`EventFold`] and [`EventWindows`] rebuild from the
+//! `TraceEvent` stream what the observers now read from the engine's step
+//! records: the record of each step ([`OwnedStep`]) and the windows a
+//! `WindowAggregator` keeps. The ledger tests hold the two views equal.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use mgraph::NodeId;
 use netmodel::TrafficSpec;
@@ -21,9 +26,11 @@ use simqueue::declare::{DeclarationPolicy, TruthfulDeclaration};
 use simqueue::dynamic::{StaticTopology, TopologyProcess};
 use simqueue::injection::{ExactInjection, InjectionProcess};
 use simqueue::loss::{LossModel, NoLoss};
+use simqueue::trace::LinkLoss;
 use simqueue::{
-    split_seed, ExtractionPolicy, HistoryMode, LatencyStats, MaxExtraction, Metrics, NetView,
-    RoutingProtocol, Simulation, SimulationBuilder, Snapshot, Transmission,
+    split_seed, Declaration, ExtractionPolicy, HistoryMode, LatencyStats, MaxExtraction, Metrics,
+    NetView, RoutingProtocol, Simulation, SimulationBuilder, Snapshot, StepLedger, StepRecord,
+    TraceEvent, Transmission, WindowStats,
 };
 
 /// One run's configuration. The pipeline and the oracle each consume a
@@ -60,6 +67,11 @@ impl Parts {
 
     /// The step pipeline, recording every step's snapshot.
     pub fn pipeline(self) -> Simulation {
+        self.builder().build()
+    }
+
+    /// A builder for [`Parts::pipeline`], to install an observer first.
+    pub fn builder(self) -> SimulationBuilder {
         let mut b = SimulationBuilder::new(self.spec, self.protocol)
             .injection(self.injection)
             .loss(self.loss)
@@ -72,7 +84,7 @@ impl Parts {
         if let Some(q) = self.initial_queues {
             b = b.initial_queues(q);
         }
-        b.build()
+        b
     }
 }
 
@@ -302,4 +314,262 @@ pub fn assert_matches_oracle(make: impl Fn() -> Parts, steps: u64) {
         oracle.latency_stats(),
         "latency stats diverged"
     );
+}
+
+/// A [`StepRecord`] with owned parts, so records and folds compare.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OwnedStep {
+    pub ledger: StepLedger,
+    pub plan: Vec<Transmission>,
+    pub lost: Vec<bool>,
+    pub active_edges: Vec<bool>,
+    pub declarations: Vec<Declaration>,
+}
+
+impl OwnedStep {
+    pub fn of(r: &StepRecord<'_>) -> Self {
+        OwnedStep {
+            ledger: r.ledger,
+            plan: r.plan.to_vec(),
+            lost: r.lost.to_vec(),
+            active_edges: r.active_edges.to_vec(),
+            declarations: r.declarations.to_vec(),
+        }
+    }
+}
+
+/// Folds one step's `TraceEvent`s into the step record the engine lends
+/// for that step. Events carry deltas only, so the fold keeps what they
+/// change: the link mask (all links start active) and the queues (to know
+/// each special node's queue at phase 3, which a truthful declaration
+/// does not report).
+pub struct EventFold {
+    specials: Vec<NodeId>,
+    queues: Vec<u64>,
+    active_edges: Vec<bool>,
+}
+
+impl EventFold {
+    /// A fold for a run of `spec` starting from `queues`.
+    pub fn new(spec: &TrafficSpec, queues: Vec<u64>) -> Self {
+        EventFold {
+            specials: spec.special_nodes().collect(),
+            queues,
+            active_edges: vec![true; spec.graph.edge_count()],
+        }
+    }
+
+    /// The record of the step whose events are `events` (one step's,
+    /// closing with its `Sample`).
+    pub fn fold(&mut self, events: &[TraceEvent]) -> OwnedStep {
+        let mut step = OwnedStep {
+            ledger: StepLedger::default(),
+            plan: Vec::new(),
+            lost: Vec::new(),
+            active_edges: Vec::new(),
+            declarations: Vec::new(),
+        };
+        let (mut declared, mut last_to) = (false, 0);
+        for &ev in events {
+            // Phase 3 follows the last injection: the specials declare
+            // the queues as they stand then, truthfully unless a lie
+            // event says otherwise.
+            let after_injection = !matches!(
+                ev,
+                TraceEvent::LinkUp { .. }
+                    | TraceEvent::LinkDown { .. }
+                    | TraceEvent::Injection { .. }
+            );
+            if after_injection && !declared {
+                declared = true;
+                step.declarations = self
+                    .specials
+                    .iter()
+                    .map(|&node| {
+                        let q = self.queues[node.index()];
+                        Declaration {
+                            node,
+                            queue: q,
+                            declared: q,
+                        }
+                    })
+                    .collect();
+            }
+            let l = &mut step.ledger;
+            match ev {
+                TraceEvent::LinkUp { edge, .. } => self.active_edges[edge as usize] = true,
+                TraceEvent::LinkDown { edge, .. } => self.active_edges[edge as usize] = false,
+                TraceEvent::Injection { node, amount, .. } => {
+                    self.queues[node as usize] += amount;
+                    l.injected += amount;
+                }
+                TraceEvent::DeclarationLie {
+                    node,
+                    true_q,
+                    declared,
+                    ..
+                } => {
+                    let d = step
+                        .declarations
+                        .iter_mut()
+                        .find(|d| d.node.index() == node as usize)
+                        .expect("lie events name special nodes");
+                    assert_eq!(d.queue, true_q, "lie event disagrees with the folded queue");
+                    d.declared = declared;
+                }
+                TraceEvent::PlanRejected { .. } => l.rejected += 1,
+                TraceEvent::Transmission { edge, from, to, .. } => {
+                    step.plan.push(Transmission {
+                        edge: mgraph::EdgeId::new(edge),
+                        from: NodeId::new(from),
+                    });
+                    step.lost.push(false);
+                    l.sent += 1;
+                    self.queues[from as usize] -= 1;
+                    self.queues[to as usize] += 1;
+                    last_to = to as usize;
+                }
+                TraceEvent::Loss { .. } => {
+                    *step
+                        .lost
+                        .last_mut()
+                        .expect("a loss follows its transmission") = true;
+                    l.lost += 1;
+                    self.queues[last_to] -= 1;
+                }
+                TraceEvent::Extraction { node, amount, .. } => {
+                    self.queues[node as usize] -= amount;
+                    l.delivered += amount;
+                }
+                TraceEvent::Sample {
+                    t,
+                    pt,
+                    total,
+                    max_queue,
+                    active,
+                } => {
+                    (l.t, l.pt, l.total, l.max_queue, l.active) = (t, pt, total, max_queue, active);
+                }
+                _ => {}
+            }
+        }
+        step.active_edges = self.active_edges.clone();
+        step
+    }
+}
+
+/// Windows folded from a captured event stream, the way the event-fed
+/// window aggregator used to fold them: feed events in order with
+/// [`EventWindows::push`], then close with [`EventWindows::finish`].
+pub struct EventWindows {
+    size: u64,
+    open: Vec<OpenWindow>,
+}
+
+struct OpenWindow {
+    index: u64,
+    t_end: u64,
+    samples: u64,
+    pt_min: u128,
+    pt_max: u128,
+    pt_sum: u128,
+    max_queue: u64,
+    active_sum: u64,
+    injected: u64,
+    delivered: u64,
+    losses: u64,
+    rejected: u64,
+    link_losses: BTreeMap<u32, u64>,
+    queue_histogram: Vec<u64>,
+}
+
+impl EventWindows {
+    pub fn new(size: u64) -> Self {
+        EventWindows {
+            size,
+            open: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, ev: &TraceEvent) {
+        let index = ev.t() / self.size;
+        if self.open.last().is_none_or(|w| w.index != index) {
+            self.open.push(OpenWindow {
+                index,
+                t_end: 0,
+                samples: 0,
+                pt_min: u128::MAX,
+                pt_max: 0,
+                pt_sum: 0,
+                max_queue: 0,
+                active_sum: 0,
+                injected: 0,
+                delivered: 0,
+                losses: 0,
+                rejected: 0,
+                link_losses: BTreeMap::new(),
+                queue_histogram: Vec::new(),
+            });
+        }
+        let w = self.open.last_mut().expect("just opened");
+        w.t_end = w.t_end.max(ev.t());
+        match *ev {
+            TraceEvent::Injection { amount, .. } => w.injected += amount,
+            TraceEvent::Extraction { amount, .. } => w.delivered += amount,
+            TraceEvent::PlanRejected { .. } => w.rejected += 1,
+            TraceEvent::Loss { edge, .. } => {
+                w.losses += 1;
+                *w.link_losses.entry(edge).or_default() += 1;
+            }
+            TraceEvent::Sample {
+                pt,
+                max_queue,
+                active,
+                ..
+            } => {
+                w.samples += 1;
+                w.pt_min = w.pt_min.min(pt);
+                w.pt_max = w.pt_max.max(pt);
+                w.pt_sum += pt;
+                w.max_queue = w.max_queue.max(max_queue);
+                w.active_sum += active;
+                let bucket = (64 - max_queue.leading_zeros()) as usize;
+                if w.queue_histogram.len() <= bucket {
+                    w.queue_histogram.resize(bucket + 1, 0);
+                }
+                w.queue_histogram[bucket] += 1;
+            }
+            _ => {}
+        }
+    }
+
+    pub fn finish(self) -> Vec<WindowStats> {
+        let size = self.size;
+        self.open
+            .into_iter()
+            .map(|w| {
+                let samples = w.samples.max(1) as f64;
+                WindowStats {
+                    t_start: w.index * size,
+                    t_end: w.t_end,
+                    samples: w.samples,
+                    pt_min: if w.samples == 0 { 0 } else { w.pt_min },
+                    pt_max: w.pt_max,
+                    pt_mean: w.pt_sum as f64 / samples,
+                    max_queue: w.max_queue,
+                    mean_active: w.active_sum as f64 / samples,
+                    injected: w.injected,
+                    delivered: w.delivered,
+                    losses: w.losses,
+                    rejected: w.rejected,
+                    link_losses: w
+                        .link_losses
+                        .into_iter()
+                        .map(|(edge, lost)| LinkLoss { edge, lost })
+                        .collect(),
+                    queue_histogram: w.queue_histogram,
+                }
+            })
+            .collect()
+    }
 }

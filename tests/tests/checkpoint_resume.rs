@@ -193,3 +193,62 @@ fn resume_crosses_thread_counts() {
     let b = fs::read(ws.path("part.jsonl")).expect("resumed trace");
     assert_eq!(a, b, "trace bytes diverged across thread counts");
 }
+
+/// A guarded run with window telemetry — `flapping_fabric` as `lgg-sim
+/// run --guard` builds it, divergence check on — snapshotted mid-window
+/// and resumed from the file continues exactly: the final payload (the
+/// guard's and the aggregator's binary state included), the windows and
+/// the online verdict equal the uninterrupted run's.
+#[test]
+fn guarded_window_run_resumes_bit_for_bit() {
+    use lgg_cli::{Scenario, SimOverrides};
+    use simqueue::{GuardConfig, GuardOutcome, InvariantGuard};
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/flapping_fabric.json"
+    );
+    let sc = Scenario::from_json(&fs::read_to_string(path).unwrap()).unwrap();
+    let spec = sc.traffic_spec().unwrap();
+    let build = || {
+        let mut gc = GuardConfig::checks();
+        gc.divergence = true;
+        let guard = InvariantGuard::with_inner(&spec, gc, sc.telemetry.build().unwrap());
+        sc.build_with_observer(SimOverrides::default(), guard)
+            .unwrap()
+    };
+    let (mid, end) = (7_777, sc.steps);
+    let run = |sim: &mut simqueue::Simulation<_>, target| {
+        let report = sim.run_guarded(target, None, None).unwrap();
+        assert_eq!(report.outcome, GuardOutcome::Completed);
+    };
+
+    let mut straight = build();
+    run(&mut straight, end);
+
+    let dir = std::env::temp_dir().join(format!("lgg_guarded_window_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut first = build();
+    run(&mut first, mid);
+    first.write_checkpoint_to(&dir).unwrap();
+    drop(first);
+    let mut resumed = build();
+    assert_eq!(resumed.resume_from_dir(&dir).unwrap(), Some(mid));
+    run(&mut resumed, end);
+    let _ = fs::remove_dir_all(&dir);
+
+    assert_eq!(resumed.checkpoint_payload(), straight.checkpoint_payload());
+    assert_eq!(
+        resumed.observer().online_report(),
+        straight.observer().online_report()
+    );
+    let windows = |sim: simqueue::Simulation<InvariantGuard<lgg_cli::ScenarioObserver>>| {
+        sim.into_observer()
+            .into_inner()
+            .into_windows()
+            .expect("window telemetry")
+    };
+    let want = windows(straight);
+    assert_eq!(want.len() as u64, end.div_ceil(256));
+    assert_eq!(windows(resumed), want);
+}
