@@ -109,6 +109,11 @@ pub struct GuardBench {
     /// `guarded.steps_per_sec / off.steps_per_sec`. The guard can be on
     /// by default once this is at least 0.9 (ROADMAP item 5).
     pub guarded_vs_off: f64,
+    /// The configuration `lgg-sim run --guard` installs: the hard checks
+    /// plus the online divergence detector, assessed every 128 steps.
+    pub guarded_divergence: EngineThroughput,
+    /// `guarded_divergence.steps_per_sec / off.steps_per_sec`.
+    pub guarded_divergence_vs_off: f64,
 }
 
 /// Observer overhead on one case: the production disabled path against
@@ -329,7 +334,8 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
 /// hard check live. The guard reads one step record per step (the ledger,
 /// the validated plan, the link mask and the declarations at `S ∪ D`) and
 /// needs no trace events, so with its `NoopObserver` inner the engine
-/// builds none; ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`.
+/// builds none; ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`. A third
+/// leg adds the online divergence detector, as `lgg-sim run --guard` does.
 pub fn guard_bench() -> Result<GuardBench, LggError> {
     let (name, sc, steps) = synthetic_cases(false)
         .into_iter()
@@ -344,25 +350,33 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
         ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
     };
 
-    eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x2 legs)...");
-    let [off, guarded] = time_interleaved(
+    let guarded_with = |divergence: bool| {
+        let config = GuardConfig {
+            divergence,
+            ..GuardConfig::checks()
+        };
+        sc.build_with_observer(bench_overrides(), InvariantGuard::new(&spec, config))
+    };
+    eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x3 legs)...");
+    let [off, guarded, guarded_divergence] = time_interleaved(
         [
             &mut leg(|| sc.build(bench_overrides())),
-            &mut leg(|| {
-                let guard = InvariantGuard::new(&spec, GuardConfig::checks());
-                sc.build_with_observer(bench_overrides(), guard)
-            }),
+            &mut leg(|| guarded_with(false)),
+            &mut leg(|| guarded_with(true)),
         ],
         steps,
     )?
     .map(throughput);
+    let vs_off = |t: EngineThroughput| round(t.steps_per_sec / off.steps_per_sec, 3);
 
     Ok(GuardBench {
         case: name,
         steps,
         off,
         guarded,
-        guarded_vs_off: round(guarded.steps_per_sec / off.steps_per_sec, 3),
+        guarded_vs_off: vs_off(guarded),
+        guarded_divergence,
+        guarded_divergence_vs_off: vs_off(guarded_divergence),
     })
 }
 
@@ -473,6 +487,9 @@ mod tests {
         assert!(g.guarded.steps_per_sec > 0.0);
         let guarded_vs_off = g.guarded.steps_per_sec / g.off.steps_per_sec;
         assert!((g.guarded_vs_off - guarded_vs_off).abs() <= 0.0005 + 1e-9);
+        assert!(g.guarded_divergence.steps_per_sec > 0.0);
+        let divergence_vs_off = g.guarded_divergence.steps_per_sec / g.off.steps_per_sec;
+        assert!((g.guarded_divergence_vs_off - divergence_vs_off).abs() <= 0.0005 + 1e-9);
 
         // The report must survive a JSON round trip unchanged — this is
         // the schema contract `lgg-sim sweep` relies on when it edits the

@@ -457,8 +457,13 @@ fn run_bench(args: &[String]) -> ExitCode {
             if let Some(g) = &report.guard {
                 println!(
                     "guard overhead on {}: off {:.1} steps/s  guarded {:.1} ({:.3} of off, \
-                     target >= 0.9)",
-                    g.case, g.off.steps_per_sec, g.guarded.steps_per_sec, g.guarded_vs_off
+                     target >= 0.9)  + divergence {:.1} ({:.3} of off)",
+                    g.case,
+                    g.off.steps_per_sec,
+                    g.guarded.steps_per_sec,
+                    g.guarded_vs_off,
+                    g.guarded_divergence.steps_per_sec,
+                    g.guarded_divergence_vs_off
                 );
             }
             println!("wrote {out}");

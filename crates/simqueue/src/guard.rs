@@ -31,6 +31,13 @@
 //! the same violation at the same step — that pair *is* the reproducer,
 //! and `lgg-sim chaos` shrinks it further.
 //!
+//! The divergence check asks the [`OnlineStability`] detector every 128
+//! steps through [`OnlineStability::diverging`]: an integer pass over the
+//! retained backlog's window maxima (a small or flat backlog stops after
+//! one or two windows), with the float slope fit only when the maxima allow
+//! divergence. The full report is built only to word a violation, and
+//! [`InvariantGuard::online_report`] still runs the full assessor.
+//!
 //! Budgets ([`GuardConfig::max_steps`] / `max_backlog` / `max_wall_ms`)
 //! bound runs whose interesting failure mode is "grows until OOM": the
 //! driver stops gracefully with a partial verdict from the
@@ -45,7 +52,7 @@ use crate::checkpoint::wire;
 use crate::engine::Simulation;
 use crate::error::LggError;
 use crate::metrics::Snapshot;
-use crate::stability::{OnlineStability, StabilityReport, StabilityVerdict};
+use crate::stability::{OnlineStability, StabilityReport};
 use crate::trace::{NoopObserver, SimObserver, StepRecord, TraceEvent};
 use netmodel::TrafficSpec;
 
@@ -370,18 +377,19 @@ impl<I: SimObserver> InvariantGuard<I> {
             total_packets: l.total,
             max_queue: l.max_queue,
         });
-        if divergence && s.violation.is_none() && s.online.seen() % 128 == 0 {
+        // Every 128 steps; the integer-first predicate almost always says
+        // no without a slope fit, and the full report only words a yes.
+        let assess_now = s.online.seen().is_multiple_of(128);
+        if divergence && s.violation.is_none() && assess_now && s.online.diverging() {
             let report = s.online.assess();
-            if report.verdict == StabilityVerdict::Diverging {
-                let (slope, sup) = (report.slope, report.sup_total);
-                s.violation = Some(Violation {
-                    kind: ViolationKind::Divergence,
-                    step: l.t,
-                    detail: format!(
-                        "online detector: backlog diverging (slope {slope:.4}/step, sup {sup})"
-                    ),
-                });
-            }
+            let (slope, sup) = (report.slope, report.sup_total);
+            s.violation = Some(Violation {
+                kind: ViolationKind::Divergence,
+                step: l.t,
+                detail: format!(
+                    "online detector: backlog diverging (slope {slope:.4}/step, sup {sup})"
+                ),
+            });
         }
         s.prev_total = l.total;
         s.samples_seen += 1;
@@ -639,6 +647,7 @@ mod tests {
     use crate::engine::SimulationBuilder;
     use crate::metrics::StepLedger;
     use crate::protocol::{NetView, RoutingProtocol, Transmission};
+    use crate::stability::{assess_stability, StabilityVerdict};
     use crate::trace::Declaration;
     use mgraph::{generators, EdgeId, NodeId};
     use netmodel::TrafficSpecBuilder;
@@ -1059,17 +1068,37 @@ mod tests {
         config.conservation = false;
         config.divergence = true;
         let mut guard = InvariantGuard::new(&spec, config);
+        let mut pushed = Vec::new();
         for t in 0..2048u64 {
             let mut step = Crafted::at(t);
             let total = 5 + 3 * t;
             (step.ledger.total, step.ledger.max_queue) = (total, total);
             step.ledger.pt = (total as u128).pow(2);
             step.feed(&mut guard);
+            pushed.push(Snapshot {
+                t: t + 1,
+                pt: step.ledger.pt,
+                total_packets: total,
+                max_queue: total,
+            });
         }
-        let (kind, step, _) = latched(&guard);
-        assert_eq!(kind, ViolationKind::Divergence);
-        // Assessed every 128 steps: the latch names such a step.
-        assert_eq!((step + 1) % 128, 0);
+        // The offline oracle over the same snapshots, assessed at every
+        // 128-step point: the first `Diverging` names the latch step and
+        // words its detail.
+        let (seen, report) = (128..=pushed.len())
+            .step_by(128)
+            .map(|k| (k, assess_stability(&pushed[..k])))
+            .find(|(_, r)| r.verdict == StabilityVerdict::Diverging)
+            .expect("the oracle sees the growth");
+        let (slope, sup) = (report.slope, report.sup_total);
+        assert_eq!(
+            latched(&guard),
+            (
+                ViolationKind::Divergence,
+                seen as u64 - 1,
+                format!("online detector: backlog diverging (slope {slope:.4}/step, sup {sup})")
+            )
+        );
     }
 
     #[test]

@@ -42,72 +42,105 @@ pub struct StabilityReport {
     pub window_maxima: Vec<u64>,
 }
 
+/// Windows the assessed suffix is split into for the plateau test.
+const WINDOWS: usize = 4;
+
+/// A handful of packets sloshing around is never divergence: relative
+/// growth tests are meaningless below this absolute floor.
+const TINY: f64 = 24.0;
+
+/// The assessed suffix of `history`: everything after the warm-up third,
+/// or `None` when there are too few points to leave `Undecided`.
+fn assessed_tail(history: &[Snapshot]) -> Option<&[Snapshot]> {
+    (history.len() >= 8 * WINDOWS).then(|| &history[history.len() / 3..])
+}
+
+/// Backlog maximum of window `i` of `tail` (each window `tail.len() /
+/// WINDOWS` points; a remainder past the last window is not in any).
+fn window_max(tail: &[Snapshot], i: usize) -> u64 {
+    let w = tail.len() / WINDOWS;
+    tail[i * w..(i + 1) * w]
+        .iter()
+        .map(|s| s.total_packets)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Growth of the last window maximum over the first (floored at 1).
+fn growth(first: u64, last: u64) -> f64 {
+    last as f64 / first.max(1) as f64
+}
+
+/// The integer half of the `Diverging` rule: the last window maximum
+/// clears the `2·TINY` floor, the maxima never decrease, and the last is
+/// at least 1.5× the first. `Diverging` is exactly this and a positive
+/// slope — growth ≥ 1.5 already rules out both `Stable` branches of
+/// [`verdict`]. `max_of(i)` yields window `i`'s maximum on demand, asked
+/// for the last window first, then the first, then the middle ones, so
+/// a small or flat backlog is dismissed after one or two windows.
+fn maxima_allow_divergence(mut max_of: impl FnMut(usize) -> u64) -> bool {
+    let last = max_of(WINDOWS - 1);
+    if last as f64 <= 2.0 * TINY {
+        return false;
+    }
+    let first = max_of(0);
+    if growth(first, last) < 1.5 {
+        return false;
+    }
+    let mut prev = first;
+    for i in 1..WINDOWS - 1 {
+        let m = max_of(i);
+        if m < prev {
+            return false;
+        }
+        prev = m;
+    }
+    last >= prev
+}
+
+/// The verdict rule over a tail's window maxima, its least-squares
+/// `slope` and the time span `dt` it covers.
+fn verdict(maxima: &[u64; WINDOWS], slope: f64, dt: f64) -> StabilityVerdict {
+    let last = maxima[WINDOWS - 1] as f64;
+    // The tail's time span converts relative growth into a slope
+    // significance test.
+    let predicted_growth = slope * dt;
+    let plateau = growth(maxima[0], maxima[WINDOWS - 1]) <= 1.10
+        && predicted_growth <= 0.05 * last.max(16.0);
+    if last <= TINY || plateau {
+        StabilityVerdict::Stable
+    } else if maxima_allow_divergence(|i| maxima[i]) && slope > 0.0 {
+        StabilityVerdict::Diverging
+    } else {
+        StabilityVerdict::Undecided
+    }
+}
+
 /// Assesses a recorded trajectory.
 ///
 /// `history` must be (roughly) evenly spaced snapshots. The first third is
-/// discarded as warm-up; the rest is split into `windows` windows whose
-/// maxima must be non-increasing-ish (within `tolerance`, relative) for a
-/// `Stable` verdict, or steadily increasing for `Diverging`.
+/// discarded as warm-up; the rest is split into `WINDOWS` windows whose
+/// maxima must stop growing (within a relative tolerance) for a `Stable`
+/// verdict, or grow steadily for `Diverging`.
 pub fn assess_stability(history: &[Snapshot]) -> StabilityReport {
-    const WINDOWS: usize = 4;
-    if history.len() < 8 * WINDOWS {
+    let Some(tail) = assessed_tail(history) else {
         return StabilityReport {
             verdict: StabilityVerdict::Undecided,
             sup_total: history.iter().map(|s| s.total_packets).max().unwrap_or(0),
             slope: 0.0,
             window_maxima: Vec::new(),
         };
-    }
-    let start = history.len() / 3;
-    let tail = &history[start..];
+    };
     let sup_total = tail.iter().map(|s| s.total_packets).max().unwrap_or(0);
-
     // Least-squares slope of total_packets against t over the tail.
     let slope = least_squares_slope(tail);
-
-    // Windowed maxima.
-    let w = tail.len() / WINDOWS;
-    let window_maxima: Vec<u64> = (0..WINDOWS)
-        .map(|i| {
-            tail[i * w..(i + 1) * w]
-                .iter()
-                .map(|s| s.total_packets)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-
-    let first = window_maxima[0].max(1) as f64;
-    let last = *window_maxima.last().unwrap() as f64;
-    let growth = last / first;
-
-    // Span of time covered by the tail, to convert relative growth into a
-    // slope significance test.
+    let maxima: [u64; WINDOWS] = std::array::from_fn(|i| window_max(tail, i));
     let dt = (tail.last().unwrap().t - tail.first().unwrap().t).max(1) as f64;
-    let predicted_growth = slope * dt;
-
-    // A handful of packets sloshing around is never divergence: relative
-    // growth tests are meaningless below this absolute floor.
-    const TINY: f64 = 24.0;
-    let verdict = if last <= TINY {
-        StabilityVerdict::Stable
-    } else if growth <= 1.10 && predicted_growth <= 0.05 * last.max(16.0) {
-        StabilityVerdict::Stable
-    } else if window_maxima.windows(2).all(|p| p[1] >= p[0])
-        && growth >= 1.5
-        && slope > 0.0
-        && last > 2.0 * TINY
-    {
-        StabilityVerdict::Diverging
-    } else {
-        StabilityVerdict::Undecided
-    };
-
     StabilityReport {
-        verdict,
+        verdict: verdict(&maxima, slope, dt),
         sup_total,
         slope,
-        window_maxima,
+        window_maxima: maxima.to_vec(),
     }
 }
 
@@ -187,6 +220,17 @@ impl OnlineStability {
     /// Runs [`assess_stability`] over the retained points.
     pub fn assess(&self) -> StabilityReport {
         assess_stability(&self.buf)
+    }
+
+    /// Exactly `self.assess().verdict == StabilityVerdict::Diverging`,
+    /// decided on integers first: the window maxima, the last window's
+    /// first, and the float slope fit only when they allow divergence. A
+    /// backlog at most `2·TINY` exits after a quarter of the tail, a
+    /// plateau above it after half, and nothing is allocated.
+    pub fn diverging(&self) -> bool {
+        assessed_tail(&self.buf).is_some_and(|tail| {
+            maxima_allow_divergence(|i| window_max(tail, i)) && least_squares_slope(tail) > 0.0
+        })
     }
 
     /// Shorthand for `self.assess().verdict`.

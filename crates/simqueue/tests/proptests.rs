@@ -271,3 +271,108 @@ mod active_set_engine {
         }
     }
 }
+
+/// The guard's integer-first divergence predicate against the full
+/// assessor: `OnlineStability::diverging()` must equal
+/// `assess().verdict == Diverging` after every push, through buffer
+/// halvings and across the corners of the rule.
+mod online_divergence {
+    use super::*;
+    use simqueue::{OnlineStability, Snapshot, StabilityVerdict};
+
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Backlog `i` of a `len`-step history of shape `shape`.
+    fn backlog(shape: u64, a: u64, b: u64, seed: u64, i: u64, len: u64) -> u64 {
+        match shape {
+            // Flat, zero included.
+            0 => a,
+            // A ramp clipped at 47, 48 or 49: the last maximum sits at
+            // the `2·TINY` floor.
+            1 => (a + i * b / 16).min(47 + seed % 3),
+            // A step from 2c to 3c: growth exactly 1.5 whenever the first
+            // and last windows straddle it (c = 16 also puts the last
+            // maximum at 48).
+            2 => {
+                let c = a / 2;
+                if i * 10 < len * (b + 1) {
+                    2 * c
+                } else {
+                    3 * c
+                }
+            }
+            // Noise around a level, with an optional slow drift.
+            3 => a + i * (seed % 4) / 64 + mix(seed ^ i) % (b * 8 + 1),
+            // Draining.
+            4 => (a * 20).saturating_sub(i * b / 8),
+            // Superlinear growth.
+            _ => a + i * i * b / (len * 8),
+        }
+    }
+
+    fn push_all(online: &mut OnlineStability, values: impl Iterator<Item = u64>) -> Vec<bool> {
+        values
+            .enumerate()
+            .map(|(i, v)| {
+                online.push(Snapshot {
+                    t: i as u64 + 1,
+                    pt: (v as u128) * (v as u128),
+                    total_packets: v,
+                    max_queue: v,
+                });
+                let full = online.assess().verdict == StabilityVerdict::Diverging;
+                assert_eq!(online.diverging(), full, "after {} pushes", i + 1);
+                full
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Capacities from below the 64-point floor up, histories from
+        /// empty to several halvings long.
+        #[test]
+        fn integer_first_predicate_matches_full_assessment(
+            cap in 0usize..320,
+            len in 0u64..1400,
+            shape in 0u64..6,
+            a in 0u64..80,
+            b in 0u64..8,
+            seed in any::<u64>(),
+        ) {
+            let mut online = OnlineStability::new(cap);
+            push_all(&mut online, (0..len).map(|i| backlog(shape, a, b, seed, i, len)));
+        }
+    }
+
+    #[test]
+    fn rule_corners_agree() {
+        // 240 unhalved points: the tail is [80, 240), windows of 40, so a
+        // step at 180 gives window maxima [2c, 2c, 3c, 3c].
+        let step = |c: u64| (0..240).map(move |i| if i < 180 { 2 * c } else { 3 * c });
+        let last_verdict = |values: Vec<u64>| {
+            let mut online = OnlineStability::new(4096);
+            *push_all(&mut online, values.into_iter()).last().unwrap()
+        };
+        // Growth exactly 1.5 above the floor diverges; at the floor
+        // (last maximum 48) it does not.
+        assert!(last_verdict(step(17).collect()));
+        assert!(!last_verdict(step(16).collect()));
+        // Growth just under 1.5 does not.
+        let under = (0..240).map(|i| if i < 180 { 35 } else { 52 });
+        assert!(!last_verdict(under.collect()));
+        // Flat and zero backlogs never diverge.
+        assert!(!last_verdict(vec![0; 240]));
+        assert!(!last_verdict(vec![60; 240]));
+        // The 32-point floor: 31 points of a steep ramp are undecided,
+        // the 32nd decides.
+        let ramp = |n: u64| (0..n).map(|t| 5 + 3 * t).collect::<Vec<_>>();
+        assert!(!last_verdict(ramp(31)));
+        assert!(last_verdict(ramp(32)));
+    }
+}

@@ -84,6 +84,27 @@ for scenario in scenarios/saturated_dumbbell.json scenarios/flapping_fabric.json
     rm -rf "$GUARD_DUMP"
 done
 
+# Guard divergence path end to end: flapping_fabric overloaded (both
+# sources at rate 9 against sinks draining 2 each, telemetry off) really
+# diverges, so the online detector must latch, exit 9 and dump a
+# divergence reproducer.
+OVERLOAD="$(mktemp -d)"
+sed -e 's/"rate": 1$/"rate": 9/' -e 's/"kind": "window"/"kind": "off"/' \
+    scenarios/flapping_fabric.json > "$OVERLOAD/overloaded.json"
+cargo run --release -p lgg-cli -- run "$OVERLOAD/overloaded.json" \
+    --guard --guard-dump "$OVERLOAD/dump" --steps 20000 && {
+    echo "ci: guard: overloaded fabric: expected exit 9 on divergence" >&2
+    exit 1
+} || [ $? -eq 9 ] || {
+    echo "ci: guard: overloaded fabric: expected exit 9, got $?" >&2
+    exit 1
+}
+[ -f "$OVERLOAD/dump/repro_divergence_t0.json" ] || {
+    echo "ci: guard: overloaded fabric: missing divergence reproducer" >&2
+    exit 1
+}
+rm -rf "$OVERLOAD"
+
 # Kill-and-resume smoke: run the smoke scenario uninterrupted, then run it
 # again but abort() the process hard mid-run (--kill-after skips all
 # flushes and destructors), resume from the surviving snapshot, and

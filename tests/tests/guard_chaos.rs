@@ -1,13 +1,14 @@
 //! Guard + chaos integration: the online divergence detector against the
-//! offline assessor on the checked-in scenarios, the liar-declaration
-//! regression scenario, and the checked-in chaos reproducer.
+//! offline assessor on the checked-in scenarios, a really diverging run
+//! under the `run --guard` configuration, the liar-declaration regression
+//! scenario, and the checked-in chaos reproducer.
 
 use std::path::{Path, PathBuf};
 
-use lgg_cli::{replay_reproducer, Scenario};
+use lgg_cli::{replay_reproducer, ObserverSpec, Scenario};
 use simqueue::{
     assess_stability, GuardConfig, GuardOutcome, HistoryMode, InvariantGuard, NoopObserver,
-    OnlineStability, SimOverrides,
+    OnlineStability, SimOverrides, Violation, ViolationKind,
 };
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -100,6 +101,35 @@ fn checked_in_scenarios_pass_the_guard() {
             report.outcome
         );
     }
+}
+
+/// A really diverging run: `flapping_fabric` overloaded (both sources at
+/// rate 9 against sinks draining 2 each), telemetry off, under the
+/// configuration `lgg-sim run --guard` installs. The detector must latch
+/// at its first 128-step assessment with the CLI's exact wording.
+#[test]
+fn overloaded_fabric_latches_divergence_at_first_assessment() {
+    let mut sc = load_scenario("scenarios/flapping_fabric.json");
+    for s in &mut sc.sources {
+        s.rate = 9;
+    }
+    sc.telemetry = ObserverSpec::Off;
+    let spec = sc.traffic_spec().unwrap();
+    let mut cfg = GuardConfig::checks();
+    cfg.divergence = true;
+    let guard = InvariantGuard::with_inner(&spec, cfg, NoopObserver);
+    let mut sim = sc
+        .build_with_observer(SimOverrides::default(), guard)
+        .unwrap();
+    let report = sim.run_guarded(20_000, None, None).unwrap();
+    assert_eq!(
+        report.outcome,
+        GuardOutcome::Violated(Violation {
+            kind: ViolationKind::Divergence,
+            step: 127,
+            detail: "online detector: backlog diverging (slope 14.0000/step, sup 1799)".into(),
+        })
+    );
 }
 
 /// Regression: the shrunk liar-declaration scenario (full-retention
