@@ -127,15 +127,16 @@ pub struct ObserverBench {
     /// baseline, and a 2% bar is meaningless on 1/10-length runs.
     pub steps: u64,
     /// The production path of a default run: `Scenario::build` with the
-    /// `telemetry` section off (dynamically dispatched disabled
-    /// observer). This is the leg the 2% regression gate watches.
+    /// `telemetry` section off (a dynamically dispatched observer that
+    /// ignores the step records). This is the leg the 2% regression gate
+    /// watches.
     pub off: EngineThroughput,
-    /// In-memory [`RingRecorder`], capacity 4096 — every event crosses
-    /// the observer boundary and most are retained.
+    /// In-memory [`RingRecorder`], capacity 4096 — every step record is
+    /// rendered into trace events and most are retained.
     pub ring: EngineThroughput,
     /// [`WindowAggregator`] with window 256 — every step record is folded
     /// into running aggregates (the experiments-driver configuration); it
-    /// needs no events, so the engine builds none.
+    /// renders no events.
     pub window: EngineThroughput,
     /// `ring.steps_per_sec / off.steps_per_sec`.
     pub ring_vs_off: f64,
@@ -333,9 +334,9 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
 /// unguarded production build path against the same scenario with every
 /// hard check live. The guard reads one step record per step (the ledger,
 /// the validated plan, the link mask and the declarations at `S ∪ D`) and
-/// needs no trace events, so with its `NoopObserver` inner the engine
-/// builds none; ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`. A third
-/// leg adds the online divergence detector, as `lgg-sim run --guard` does.
+/// renders no trace events; with its `NoopObserver` inner nothing does.
+/// ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`. A third leg adds the
+/// online divergence detector, as `lgg-sim run --guard` does.
 pub fn guard_bench() -> Result<GuardBench, LggError> {
     let (name, sc, steps) = synthetic_cases(false)
         .into_iter()

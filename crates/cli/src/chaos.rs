@@ -813,6 +813,8 @@ mod tests {
         assert_eq!(a.clean + a.budget + a.build_errors, 12);
         let b = run_chaos(&cfg).unwrap();
         assert_eq!(a.digest, b.digest);
+        // The `lgg-sim chaos --smoke` digest, at any LGG_THREADS.
+        assert_eq!(a.digest, "e1c95e5e4437d1d2");
     }
 
     #[test]

@@ -21,8 +21,7 @@ use simqueue::injection::{
 use simqueue::loss::{AdversarialLoss, GilbertElliottLoss, IidLoss, LossModel, NoLoss};
 use simqueue::{
     ExtractionPolicy, JsonlSink, LazyExtraction, LggError, MaxExtraction, RoutingProtocol,
-    SimObserver, SimOverrides, SimulationBuilder, StepRecord, TraceEvent, WindowAggregator,
-    WindowStats,
+    SimObserver, SimOverrides, SimulationBuilder, StepRecord, WindowAggregator, WindowStats,
 };
 
 use std::fs::File;
@@ -441,11 +440,9 @@ impl ObserverSpec {
 /// type covering every [`ObserverSpec`] choice plus caller-supplied
 /// observers, so `Scenario::build` can return a single simulation type.
 pub enum ScenarioObserver {
-    /// Telemetry disabled — reports `enabled() == false`, so the engine
-    /// skips event construction entirely.
+    /// Telemetry disabled: the step records are ignored.
     Off,
-    /// Windowed aggregation (reads step records only, so the engine
-    /// builds no events for it).
+    /// Windowed aggregation (folds the step records; renders no events).
     Window(WindowAggregator),
     /// JSONL streaming to a file.
     Jsonl(JsonlSink<BufWriter<File>>),
@@ -465,30 +462,12 @@ impl ScenarioObserver {
 }
 
 impl SimObserver for ScenarioObserver {
-    fn enabled(&self) -> bool {
-        match self {
-            ScenarioObserver::Off => false,
-            ScenarioObserver::Window(w) => w.enabled(),
-            ScenarioObserver::Jsonl(s) => s.enabled(),
-            ScenarioObserver::Custom(o) => o.enabled(),
-        }
-    }
-
     fn on_step(&mut self, step: &StepRecord<'_>) {
         match self {
             ScenarioObserver::Off => {}
             ScenarioObserver::Window(w) => w.on_step(step),
             ScenarioObserver::Jsonl(s) => s.on_step(step),
             ScenarioObserver::Custom(o) => o.on_step(step),
-        }
-    }
-
-    fn observe(&mut self, ev: TraceEvent) {
-        match self {
-            ScenarioObserver::Off => {}
-            ScenarioObserver::Window(w) => w.observe(ev),
-            ScenarioObserver::Jsonl(s) => s.observe(ev),
-            ScenarioObserver::Custom(o) => o.observe(ev),
         }
     }
 

@@ -31,7 +31,7 @@ mod spec;
 pub use classify::{capacity_scaling, classify, is_feasible_at, is_feasible_scaled, CutCase, Feasibility, NetworkClass};
 pub use cutdecomp::{cut_membership, decompose_at_cut, find_interior_min_cut, CutDecomposition, CutMembership};
 pub use extended::ExtendedNetwork;
-pub use spec::{NodeKind, TrafficIndex, TrafficSpec, TrafficSpecBuilder};
+pub use spec::{NodeKind, TrafficSpec, TrafficSpecBuilder};
 
 /// Errors raised while constructing or validating network specifications.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -160,35 +160,6 @@ impl TrafficSpec {
     }
 }
 
-/// Precomputed node lists of a [`TrafficSpec`], for hot loops that would
-/// otherwise filter all of `V` every step.
-///
-/// The simulation engine touches sources at injection and sinks at
-/// extraction on *every* step; scanning `n` nodes to find the handful with
-/// nonzero rates dominates on large sparse-traffic networks. The lists are
-/// in increasing node order, matching the iteration order of the naive
-/// `graph.nodes().filter(...)` scans they replace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrafficIndex {
-    /// Nodes with `in(v) > 0`, ascending.
-    pub sources: Vec<NodeId>,
-    /// Nodes with `out(v) > 0`, ascending.
-    pub sinks: Vec<NodeId>,
-    /// The special set `S ∪ D` (any nonzero rate), ascending.
-    pub specials: Vec<NodeId>,
-}
-
-impl TrafficIndex {
-    /// Builds the index for `spec`.
-    pub fn new(spec: &TrafficSpec) -> Self {
-        TrafficIndex {
-            sources: spec.sources().collect(),
-            sinks: spec.sinks().collect(),
-            specials: spec.special_nodes().collect(),
-        }
-    }
-}
-
 /// Ergonomic builder for [`TrafficSpec`].
 ///
 /// ```

@@ -11,12 +11,12 @@
 //! `save_state`/`load_state` hooks (see e.g.
 //! [`InjectionProcess`](crate::injection::InjectionProcess)).
 //!
-//! # Container format (version 4)
+//! # Container format (version 5)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"LGGCKPT1"
-//! 8       4     format version (u32 LE) = 4
+//! 8       4     format version (u32 LE) = 5
 //! 12      8     step count t (u64 LE)
 //! 20      8     payload length (u64 LE)
 //! 28      n     payload (opaque engine bytes, see DESIGN.md §11)
@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::error::LggError;
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"LGGCKPT1";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -469,12 +469,12 @@ mod tests {
             Err(LggError::CheckpointCorrupt { .. })
         ));
         // Future version.
-        let mut v5 = img.clone();
-        v5[8] = 5;
+        let mut v6 = img.clone();
+        v6[8] = 6;
         assert!(matches!(
-            decode(&v5),
+            decode(&v6),
             Err(LggError::CheckpointVersion {
-                found: 5,
+                found: 6,
                 expected: FORMAT_VERSION
             })
         ));

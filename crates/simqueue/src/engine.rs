@@ -10,8 +10,9 @@
 //!   The set therefore needs no merge, sort or separate sweep. Once per
 //!   step, after injection, it is expanded into the ascending node list
 //!   that [`NetView::active_nodes`] reads.
-//! * Injection, declaration and extraction iterate the precomputed
-//!   source, special-node and sink lists. Only special nodes may lie
+//! * Injection, declaration and extraction iterate one slot per source,
+//!   special node and sink, built once in ascending node order; each
+//!   phase writes its result into the slot. Only special nodes may lie
 //!   (Definition 6(ii)), so declarations are an overlay: an n-length
 //!   vector holding `u64::MAX` ("truthful, read the queue") everywhere
 //!   except at the special nodes, which phase 3 rewrites every step.
@@ -25,10 +26,12 @@
 //!   transmission loop, with no staging.
 //! * Each phase adds its flow counts to the step's [`StepLedger`] and the
 //!   closing pass adds the post-step totals. [`Metrics`] fold the ledger,
-//!   and the observer receives it in a [`StepRecord`] together with the
-//!   validated plan, its loss mask, the link mask and the declarations at
-//!   `S ∪ D`. Trace events are built only when the observer asks for
-//!   them.
+//!   and the observer receives it in a [`StepRecord`] together with what
+//!   the phases wrote into their scratch: the per-source injections, the
+//!   declarations at `S ∪ D`, the rejected and the validated plan with its
+//!   loss mask, the per-sink extractions and the link mask. That record is
+//!   all the engine tells an observer; trace events are rendered from it
+//!   (see [`crate::trace`]).
 //!
 //! Cost per step is O(active + plan + n/64). The full-scan executable
 //! specification of the same semantics lives in the integration-test
@@ -40,7 +43,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use mgraph::NodeId;
-use netmodel::{TrafficIndex, TrafficSpec};
+use netmodel::TrafficSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,7 +57,7 @@ use crate::loss::{LossModel, NoLoss};
 use crate::metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
 use crate::protocol::{NetView, RoutingProtocol, Transmission};
 use crate::rng::{split_seed, streams};
-use crate::trace::{Declaration, NoopObserver, SimObserver, StepRecord, TraceEvent};
+use crate::trace::{Declaration, NodeAmount, NoopObserver, SimObserver, StepRecord};
 
 /// Decides how many packets an extractor removes at the end of a step.
 ///
@@ -275,8 +278,8 @@ impl QueueState {
 /// ```
 ///
 /// Telemetry: [`SimulationBuilder::observer`] swaps in any
-/// [`SimObserver`]; the default [`NoopObserver`] keeps the step loop
-/// trace-free at zero cost.
+/// [`SimObserver`]; the default [`NoopObserver`] ignores the step records
+/// at zero cost.
 pub struct SimulationBuilder<O: SimObserver = NoopObserver> {
     spec: TrafficSpec,
     protocol: Box<dyn RoutingProtocol>,
@@ -410,11 +413,13 @@ impl<O: SimObserver> SimulationBuilder<O> {
         });
         // A legal lie equals the overlay's "truthful" sentinel only if R does.
         assert!(self.spec.retention < u64::MAX, "retention u64::MAX is reserved");
-        let traffic = TrafficIndex::new(&self.spec);
-        let declarations = traffic
-            .specials
-            .iter()
-            .map(|&node| Declaration {
+        let empty = |node| NodeAmount { node, amount: 0 };
+        let injected = self.spec.sources().map(empty).collect();
+        let extracted = self.spec.sinks().map(empty).collect();
+        let declarations = self
+            .spec
+            .special_nodes()
+            .map(|node| Declaration {
                 node,
                 queue: 0,
                 declared: 0,
@@ -425,14 +430,15 @@ impl<O: SimObserver> SimulationBuilder<O> {
             queues: QueueState::new(queues),
             declared: vec![u64::MAX; n],
             active_edges: vec![true; m],
-            prev_active_edges: Vec::new(),
             plan: Vec::new(),
             lost_mask: Vec::new(),
+            rejected: Vec::new(),
+            injected,
+            extracted,
             active: Vec::new(),
             edge_used: vec![false; m],
             sent: vec![0; n],
             declarations,
-            traffic,
             t: 0,
             metrics: {
                 let mut m = Metrics::new();
@@ -478,12 +484,10 @@ pub struct SimOverrides {
 /// A running simulation of one protocol on one network.
 ///
 /// The `O` parameter is the installed [`SimObserver`]; the default
-/// [`NoopObserver`] keeps existing `Simulation` signatures valid and the
-/// step loop telemetry-free.
+/// [`NoopObserver`] keeps existing `Simulation` signatures valid and
+/// ignores the step records.
 pub struct Simulation<O: SimObserver = NoopObserver> {
     spec: TrafficSpec,
-    /// Precomputed source/sink/special-node lists (ascending node order).
-    traffic: TrafficIndex,
     protocol: Box<dyn RoutingProtocol>,
     injection: Box<dyn InjectionProcess>,
     loss: Box<dyn LossModel>,
@@ -498,9 +502,6 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     /// declaration at special nodes. Derived state, so not checkpointed.
     declared: Vec<u64>,
     active_edges: Vec<bool>,
-    /// Last step's link states, kept only while an observer is enabled —
-    /// phase 1 diffs it against `active_edges` to emit link flip events.
-    prev_active_edges: Vec<bool>,
     /// The ascending active set `{v : q > 0}` as it stands after
     /// injection, refilled from the occupancy bitset every step.
     active: Vec<NodeId>,
@@ -510,12 +511,16 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     edge_used: Vec<bool>,
     sent: Vec<u32>,
 
-    // Reused per-step scratch (allocation-free hot loop). The validated
-    // plan, its loss mask and the declarations at `S ∪ D` (one slot per
-    // special node) are what observers see in the step record.
+    // Reused per-step scratch (allocation-free hot loop), lent to the
+    // observer in the step record: the validated plan, its loss mask and
+    // the rejected entries, and one slot per source, special node and
+    // sink, each list ascending.
     plan: Vec<Transmission>,
     lost_mask: Vec<bool>,
+    rejected: Vec<Transmission>,
+    injected: Vec<NodeAmount>,
     declarations: Vec<Declaration>,
+    extracted: Vec<NodeAmount>,
 
     t: u64,
     metrics: Metrics,
@@ -626,52 +631,28 @@ impl<O: SimObserver> Simulation<O> {
         let t = self.t;
         let spec = &self.spec;
         let g = &spec.graph;
-        // One flag check per step: when the observer is disabled (the
-        // NoopObserver default makes this a compile-time constant) every
-        // emit site below folds away.
-        let observing = self.observer.enabled();
         let mut ledger = StepLedger {
             t,
             ..StepLedger::default()
         };
 
         // 1. Topology.
-        if observing {
-            self.prev_active_edges.clear();
-            self.prev_active_edges.extend_from_slice(&self.active_edges);
-        }
         self.topology
             .update(g, t, &mut self.rng_topology, &mut self.active_edges);
-        if observing {
-            for e in 0..self.active_edges.len() {
-                if self.active_edges[e] != self.prev_active_edges[e] {
-                    self.observer.observe(if self.active_edges[e] {
-                        TraceEvent::LinkUp { t, edge: e as u32 }
-                    } else {
-                        TraceEvent::LinkDown { t, edge: e as u32 }
-                    });
-                }
-            }
-        }
 
-        // 2. Injection (clamped to in(v); Definition 5). Only the
-        // precomputed source list is visited: a node with in(v) = 0 can
-        // receive nothing and draws no randomness.
-        for &v in &self.traffic.sources {
+        // 2. Injection (clamped to in(v); Definition 5). Only the sources'
+        // slots are visited: a node with in(v) = 0 can receive nothing and
+        // draws no randomness.
+        for slot in &mut self.injected {
+            let v = slot.node;
             let cap = spec.in_rate(v);
             let amt = self
                 .injection
                 .amount(v, t, cap, &mut self.rng_injection)
                 .min(cap);
             self.queues.credit(v.index(), amt);
+            slot.amount = amt;
             ledger.injected += amt;
-            if observing && amt > 0 {
-                self.observer.observe(TraceEvent::Injection {
-                    t,
-                    node: v.index() as u32,
-                    amount: amt,
-                });
-            }
             if let Some(ages) = &mut self.ages {
                 ages.fifos[v.index()].extend(std::iter::repeat(t).take(amt as usize));
             }
@@ -682,20 +663,13 @@ impl<O: SimObserver> Simulation<O> {
         // nodes, in ascending order, consult the policy. `active` is the
         // sorted set {v : q > 0} from here through planning.
         self.queues.fill_active(&mut self.active);
-        for (&v, slot) in self.traffic.specials.iter().zip(&mut self.declarations) {
+        for slot in &mut self.declarations {
+            let v = slot.node;
             let q = self.queues.q[v.index()];
             let raw = self.declaration.declare(spec, v, q, t, &mut self.rng_policy);
             let d = clamp_declaration(spec, q, raw);
             self.declared[v.index()] = d;
             (slot.queue, slot.declared) = (q, d);
-            if observing && d != q {
-                self.observer.observe(TraceEvent::DeclarationLie {
-                    t,
-                    node: v.index() as u32,
-                    true_q: q,
-                    declared: d,
-                });
-            }
         }
 
         // 4. Planning.
@@ -715,7 +689,8 @@ impl<O: SimObserver> Simulation<O> {
 
         // Validate the plan in order: one packet per link, active links
         // only, senders cannot overdraw. Invalid entries are dropped and
-        // counted.
+        // kept aside.
+        self.rejected.clear();
         let mut write = 0usize;
         for read in 0..self.plan.len() {
             let tx = self.plan[read];
@@ -735,17 +710,11 @@ impl<O: SimObserver> Simulation<O> {
                 self.plan[write] = tx;
                 write += 1;
             } else {
-                ledger.rejected += 1;
-                if observing {
-                    self.observer.observe(TraceEvent::PlanRejected {
-                        t,
-                        edge: tx.edge.index() as u32,
-                        from: tx.from.index() as u32,
-                    });
-                }
+                self.rejected.push(tx);
             }
         }
         self.plan.truncate(write);
+        ledger.rejected = self.rejected.len() as u64;
 
         // 5. Transmission & loss. Senders always delete; receivers gain
         // only surviving packets (Section II). Survivors are credited on
@@ -769,21 +738,6 @@ impl<O: SimObserver> Simulation<O> {
             let to = g.other_endpoint(tx.edge, tx.from);
             self.edge_used[tx.edge.index()] = false;
             self.sent[tx.from.index()] = 0;
-            if observing {
-                self.observer.observe(TraceEvent::Transmission {
-                    t,
-                    edge: tx.edge.index() as u32,
-                    from: tx.from.index() as u32,
-                    to: to.index() as u32,
-                });
-                if lost {
-                    self.observer.observe(TraceEvent::Loss {
-                        t,
-                        edge: tx.edge.index() as u32,
-                        from: tx.from.index() as u32,
-                    });
-                }
-            }
             self.queues.debit(tx.from.index(), 1);
             self.metrics.link_sends[tx.edge.index()] += 1;
             if lost {
@@ -805,19 +759,14 @@ impl<O: SimObserver> Simulation<O> {
         // visited whether or not it holds packets, so policies that
         // consume randomness (sharing rng_policy with declaration) see
         // the same stream every step.
-        for &v in &self.traffic.sinks {
+        for slot in &mut self.extracted {
+            let v = slot.node;
             let q = self.queues.q[v.index()];
             let raw = self.extraction.extract(spec, v, q, t, &mut self.rng_policy);
             let amt = clamp_extraction(spec, v, q, raw);
             self.queues.debit(v.index(), amt);
+            slot.amount = amt;
             ledger.delivered += amt;
-            if observing && amt > 0 {
-                self.observer.observe(TraceEvent::Extraction {
-                    t,
-                    node: v.index() as u32,
-                    amount: amt,
-                });
-            }
             if let Some(ages) = &mut self.ages {
                 for _ in 0..amt {
                     let born = ages.fifos[v.index()].pop_front().expect("age/queue sync");
@@ -828,7 +777,7 @@ impl<O: SimObserver> Simulation<O> {
 
         // 7. Metrics, summed over the active set: idle nodes add nothing
         // to Σ q², Σ q or the max. The closed ledger is folded into the
-        // run totals and lent to the observer with the step's plan.
+        // run totals and lent to the observer with the phases' scratch.
         self.t += 1;
         let Totals {
             pt,
@@ -841,22 +790,17 @@ impl<O: SimObserver> Simulation<O> {
         debug_assert_eq!(active, self.queues.q.iter().filter(|&&q| q > 0).count());
         (ledger.pt, ledger.total, ledger.max_queue) = (pt, total, max_q);
         ledger.active = active as u64;
-        if observing {
-            self.observer.observe(TraceEvent::Sample {
-                t,
-                pt,
-                total,
-                max_queue: max_q,
-                active: ledger.active,
-            });
-        }
         self.metrics.fold(&ledger);
         self.observer.on_step(&StepRecord {
             ledger,
+            graph: g,
+            injected: &self.injected,
+            declarations: &self.declarations,
+            rejected: &self.rejected,
             plan: &self.plan,
             lost: &self.lost_mask,
+            extracted: &self.extracted,
             active_edges: &self.active_edges,
-            declarations: &self.declarations,
         });
         let record = match self.history {
             HistoryMode::None => false,
@@ -1025,6 +969,9 @@ impl<O: SimObserver> Simulation<O> {
         self.queues = QueueState::new(queues);
         self.active_edges = active_edges;
         self.metrics = checkpoint::json_from_bytes(r.bytes()?)?;
+        if self.metrics.link_sends.len() != m {
+            return Err(LggError::corrupt("per-link send counts length mismatch"));
+        }
         if let Some(ages) = &mut self.ages {
             ages.stats = checkpoint::json_from_bytes(r.bytes()?)?;
             for (v, fifo) in ages.fifos.iter_mut().enumerate() {
@@ -1058,7 +1005,7 @@ impl<O: SimObserver> Simulation<O> {
         // Reset per-step scratch to the exact state `build()` produces.
         self.plan.clear();
         self.lost_mask.clear();
-        self.prev_active_edges.clear();
+        self.rejected.clear();
         Ok(())
     }
 
@@ -1126,6 +1073,7 @@ mod tests {
     use crate::injection::{BernoulliInjection, ScaledInjection};
     use crate::loss::IidLoss;
     use crate::protocol::NullProtocol;
+    use crate::trace::TraceEvent;
     use mgraph::generators;
     use netmodel::TrafficSpecBuilder;
 
@@ -1316,7 +1264,7 @@ mod tests {
     #[test]
     fn observer_does_not_perturb_trajectory() {
         // Observed and unobserved runs of the same seed must agree on
-        // every metric — emitting events consumes no randomness.
+        // every metric — rendering events consumes no randomness.
         use crate::trace::RingRecorder;
         let base = || {
             SimulationBuilder::new(path_spec(), Box::new(TestGreedy))
@@ -1682,6 +1630,48 @@ mod tests {
             .restore_checkpoint_payload(&payload[..payload.len() / 2])
             .unwrap_err();
         assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_link_sends() {
+        // A well-formed payload whose metrics carry no per-link counts: a
+        // step that sends would index past them, so restore must refuse.
+        let mut sim = checkpoint_sim();
+        sim.run(20);
+        let payload = sim.checkpoint_payload();
+        let mut r = wire::Reader::new(&payload);
+        for _ in 0..3 {
+            r.u64().unwrap();
+        }
+        r.bool_().unwrap();
+        for _ in 0..6 {
+            r.str_().unwrap();
+        }
+        r.u64().unwrap();
+        r.u64_vec().unwrap();
+        r.bool_vec().unwrap();
+        let at = payload.len() - r.remaining();
+        let json = std::str::from_utf8(r.bytes().unwrap()).unwrap();
+        let rest = &payload[payload.len() - r.remaining()..];
+        let start = json
+            .find("\"link_sends\":[")
+            .expect("metrics carry link_sends");
+        let end = start + json[start..].find(']').unwrap() + 1;
+        let emptied = format!("{}\"link_sends\":[]{}", &json[..start], &json[end..]);
+        let mut forged = payload[..at].to_vec();
+        wire::put_bytes(&mut forged, emptied.as_bytes());
+        forged.extend_from_slice(rest);
+
+        let mut resumed = checkpoint_sim();
+        let err = resumed.restore_checkpoint_payload(&forged).unwrap_err();
+        assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
+        // The same splice with the counts intact restores.
+        let mut intact = payload[..at].to_vec();
+        wire::put_bytes(&mut intact, json.as_bytes());
+        intact.extend_from_slice(rest);
+        checkpoint_sim()
+            .restore_checkpoint_payload(&intact)
+            .unwrap();
     }
 
     #[test]

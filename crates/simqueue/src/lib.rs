@@ -71,8 +71,8 @@ pub use metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
 pub use protocol::{NetView, RoutingProtocol, Transmission};
 pub use rng::split_seed;
 pub use trace::{
-    Declaration, JsonlSink, NoopObserver, RingRecorder, SimObserver, StepRecord, TraceEvent,
-    WindowAggregator, WindowStats,
+    Declaration, JsonlSink, NodeAmount, NoopObserver, RingRecorder, SimObserver, StepRecord,
+    TraceEvent, TraceRenderer, WindowAggregator, WindowStats,
 };
 pub use stability::{assess_stability, OnlineStability, StabilityReport, StabilityVerdict};
 
@@ -80,7 +80,7 @@ pub use stability::{assess_stability, OnlineStability, StabilityReport, Stabilit
 ///
 /// Everything here is what downstream code (CLI, experiments, external
 /// users) needs for the common path — building a simulation, stepping it,
-/// observing it, checkpointing it, and handling its errors. Items outside
+/// watching it, checkpointing it, and handling its errors. Items outside
 /// the prelude are still public but are considered advanced surface.
 pub mod prelude {
     pub use crate::checkpoint::CheckpointConfig;

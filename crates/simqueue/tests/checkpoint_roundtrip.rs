@@ -201,12 +201,12 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
 
 /// Snapshots in the previous container formats (version 1, which also
 /// carried an engine-mode tag, version 2, which also carried the declared
-/// queues, and version 3, whose guard and window states were JSON) are
-/// refused with the typed version error, never parsed as if they were
-/// current.
+/// queues, version 3, whose guard and window states were JSON, and
+/// version 4, whose trace sinks saved no link mask) are refused with the
+/// typed version error, never parsed as if they were current.
 #[test]
 fn version_1_snapshots_are_rejected() {
-    for old in [1u32, 2, 3] {
+    for old in [1u32, 2, 3, 4] {
         let dir = std::env::temp_dir().join(format!("lgg_ckpt_v{old}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -226,7 +226,7 @@ fn version_1_snapshots_are_rejected() {
         assert!(
             matches!(
                 err,
-                LggError::CheckpointVersion { found, expected: 4 } if found == old
+                LggError::CheckpointVersion { found, expected: 5 } if found == old
             ),
             "{err}"
         );

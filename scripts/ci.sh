@@ -66,7 +66,7 @@ cargo run --release -p lgg-cli -- chaos \
 # conservation bug must abort with exit code 9 and dump a replayable
 # reproducer + checkpoint. Run once without telemetry (saturated_dumbbell)
 # and once with window telemetry inside the guard (flapping_fabric); both
-# read step records only, so neither run builds a trace event.
+# fold step records, and neither renders a trace.
 for scenario in scenarios/saturated_dumbbell.json scenarios/flapping_fabric.json; do
     GUARD_DUMP="$(mktemp -d)"
     cargo run --release -p lgg-cli -- run "$scenario" \
@@ -111,11 +111,14 @@ rm -rf "$OVERLOAD"
 # require the two trace artifacts to be byte-identical. Repeated at both
 # pool widths: a snapshot written under one LGG_THREADS must replay the
 # same bytes under any other. The gauntlet's full-retention liars put
-# declaration lies in the traces on both sides of the resume point.
+# declaration lies in the traces on both sides of the resume point, and
+# flapping_fabric flips links every step, so its resumed trace depends on
+# the link mask the trace sink saves in its snapshot.
 SMOKE_SCENARIO="$(mktemp -d)/smoke.json"
 cargo run --release -p lgg-cli -- --template | sed 's/"steps": 50000/"steps": 2000/' \
     > "$SMOKE_SCENARIO"
-for scenario in "$SMOKE_SCENARIO" scenarios/bursty_rgen_gauntlet.json; do
+for scenario in "$SMOKE_SCENARIO" scenarios/bursty_rgen_gauntlet.json \
+    scenarios/flapping_fabric.json; do
     for threads in 1 4; do
         WORK="$(mktemp -d)"
         LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$scenario" \

@@ -9,10 +9,12 @@
 //! queue vector every step: no accumulators, stamps or active lists. It
 //! drives the same component traits with the same seeded RNG streams, so
 //! for one configuration it must reproduce the pipeline's queues, metrics
-//! and latency statistics bit for bit.
+//! and latency statistics bit for bit. It also writes its own trace, in
+//! the documented phase order from its own scans, which must equal the
+//! events the pipeline's observers render from its step records.
 //!
-//! Next to it, [`EventFold`] and [`EventWindows`] rebuild from the
-//! `TraceEvent` stream what the observers now read from the engine's step
+//! Next to it, [`EventFold`] and [`EventWindows`] rebuild from a rendered
+//! `TraceEvent` stream what the observers read from the engine's step
 //! records: the record of each step ([`OwnedStep`]) and the windows a
 //! `WindowAggregator` keeps. The ledger tests hold the two views equal.
 
@@ -29,8 +31,8 @@ use simqueue::loss::{LossModel, NoLoss};
 use simqueue::trace::LinkLoss;
 use simqueue::{
     split_seed, Declaration, ExtractionPolicy, HistoryMode, LatencyStats, MaxExtraction, Metrics,
-    NetView, RoutingProtocol, Simulation, SimulationBuilder, Snapshot, StepLedger, StepRecord,
-    TraceEvent, Transmission, WindowStats,
+    NetView, NodeAmount, RingRecorder, RoutingProtocol, Simulation, SimulationBuilder, Snapshot,
+    StepLedger, StepRecord, TraceEvent, Transmission, WindowStats,
 };
 
 /// One run's configuration. The pipeline and the oracle each consume a
@@ -102,6 +104,8 @@ pub struct Oracle {
     /// Injection, loss, topology and policy streams: `simqueue` splits
     /// the master seed with stream tags 1, 2, 3 and 4.
     rngs: [StdRng; 4],
+    /// The trace of the steps since the last [`Oracle::take_events`].
+    events: Vec<TraceEvent>,
 }
 
 impl Oracle {
@@ -129,6 +133,7 @@ impl Oracle {
             },
             t: 0,
             rngs,
+            events: Vec::new(),
         }
     }
 
@@ -150,6 +155,11 @@ impl Oracle {
         self.fifos.as_ref().map(|_| &self.latency)
     }
 
+    /// Drains the trace written so far, oldest first.
+    pub fn take_events(&mut self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.events)
+    }
+
     /// One synchronous step, phase by phase.
     pub fn step(&mut self) {
         let t = self.t;
@@ -158,9 +168,19 @@ impl Oracle {
         let g = &spec.graph;
         let [rng_inj, rng_loss, rng_topo, rng_policy] = &mut self.rngs;
         let special = |v: NodeId| spec.in_rate(v) > 0 || spec.out_rate(v) > 0;
+        let ev = &mut self.events;
 
-        // 1. Topology.
+        // 1. Topology; a flip is any link whose state changed.
+        let before = self.active_edges.clone();
         p.topology.update(g, t, rng_topo, &mut self.active_edges);
+        for (e, (&was, &up)) in before.iter().zip(&self.active_edges).enumerate() {
+            let edge = e as u32;
+            match (was, up) {
+                (false, true) => ev.push(TraceEvent::LinkUp { t, edge }),
+                (true, false) => ev.push(TraceEvent::LinkDown { t, edge }),
+                _ => {}
+            }
+        }
 
         // 2. Injection: every node with in(v) > 0 gains at most in(v).
         for v in g.nodes().filter(|&v| spec.in_rate(v) > 0) {
@@ -168,6 +188,14 @@ impl Oracle {
             let amt = p.injection.amount(v, t, cap, rng_inj).min(cap);
             self.queues[v.index()] += amt;
             self.metrics.injected += amt;
+            if amt > 0 {
+                let node = v.index() as u32;
+                ev.push(TraceEvent::Injection {
+                    t,
+                    node,
+                    amount: amt,
+                });
+            }
             if let Some(f) = &mut self.fifos {
                 f[v.index()].extend(std::iter::repeat_n(t, amt as usize));
             }
@@ -180,7 +208,17 @@ impl Oracle {
             let q = self.queues[v.index()];
             let raw = p.declaration.declare(spec, v, q, t, rng_policy);
             let r = spec.retention;
-            self.declared[v.index()] = if special(v) && q <= r { raw.min(r) } else { q };
+            let declared = if special(v) && q <= r { raw.min(r) } else { q };
+            self.declared[v.index()] = declared;
+            if declared != q {
+                let node = v.index() as u32;
+                ev.push(TraceEvent::DeclarationLie {
+                    t,
+                    node,
+                    true_q: q,
+                    declared,
+                });
+            }
         }
 
         // 4. Planning over all of V, then validation in plan order: a
@@ -219,6 +257,8 @@ impl Oracle {
                 valid.push(tx);
             } else {
                 self.metrics.rejected_plans += 1;
+                let (edge, from) = (tx.edge.index() as u32, tx.from.index() as u32);
+                ev.push(TraceEvent::PlanRejected { t, edge, from });
             }
         }
 
@@ -231,6 +271,16 @@ impl Oracle {
         let mut staged: Vec<Vec<u64>> = vec![Vec::new(); self.queues.len()];
         for (tx, &gone) in valid.iter().zip(&lost) {
             let to = g.other_endpoint(tx.edge, tx.from);
+            let (edge, from) = (tx.edge.index() as u32, tx.from.index() as u32);
+            ev.push(TraceEvent::Transmission {
+                t,
+                edge,
+                from,
+                to: to.index() as u32,
+            });
+            if gone {
+                ev.push(TraceEvent::Loss { t, edge, from });
+            }
             self.queues[tx.from.index()] -= 1;
             self.metrics.sent += 1;
             self.metrics.link_sends[tx.edge.index()] += 1;
@@ -261,6 +311,14 @@ impl Oracle {
             let amt = raw.clamp(lower, q.min(out));
             self.queues[v.index()] -= amt;
             self.metrics.delivered += amt;
+            if amt > 0 {
+                let node = v.index() as u32;
+                ev.push(TraceEvent::Extraction {
+                    t,
+                    node,
+                    amount: amt,
+                });
+            }
             if let Some(f) = &mut self.fifos {
                 for _ in 0..amt {
                     record(&mut self.latency, t - f[v.index()].pop_front().unwrap());
@@ -279,6 +337,14 @@ impl Oracle {
         m.sup_total = m.sup_total.max(total);
         m.max_queue_ever = m.max_queue_ever.max(max_q);
         m.packet_steps += total as u128;
+        let active = self.queues.iter().filter(|&&q| q > 0).count() as u64;
+        ev.push(TraceEvent::Sample {
+            t,
+            pt,
+            total,
+            max_queue: max_q,
+            active,
+        });
         m.history.push(Snapshot {
             t: self.t,
             pt,
@@ -301,12 +367,31 @@ fn record(s: &mut LatencyStats, sojourn: u64) {
 
 /// Runs `steps` of the configuration `make` builds on both the pipeline
 /// and the oracle, and requires equal queues, metrics (every step's
-/// snapshot included) and latency statistics.
+/// snapshot included) and latency statistics, and the trace a
+/// `RingRecorder` renders from the pipeline's step records to equal the
+/// oracle's own.
 pub fn assert_matches_oracle(make: impl Fn() -> Parts, steps: u64) {
-    let mut sim = make().pipeline();
+    let mut sim = make()
+        .builder()
+        .observer(RingRecorder::new(usize::MAX))
+        .build();
     let mut oracle = Oracle::new(make());
-    sim.run(steps);
-    oracle.run(steps);
+    // In chunks, so a long run's traces never pile up.
+    while sim.time() < steps {
+        let (from, chunk) = (sim.time(), (steps - sim.time()).min(256));
+        sim.run(chunk);
+        oracle.run(chunk);
+        let (rendered, written) = (sim.observer_mut().take(), oracle.take_events());
+        let len = rendered.len().max(written.len());
+        if let Some(i) = (0..len).find(|&i| rendered.get(i) != written.get(i)) {
+            panic!(
+                "trace diverged in steps {from}..{}: event {i} rendered {:?}, oracle {:?}",
+                sim.time(),
+                rendered.get(i),
+                written.get(i)
+            );
+        }
+    }
     assert_eq!(sim.queues(), oracle.queues(), "queue vectors diverged");
     assert_eq!(sim.metrics(), oracle.metrics(), "metrics diverged");
     assert_eq!(
@@ -316,24 +401,31 @@ pub fn assert_matches_oracle(make: impl Fn() -> Parts, steps: u64) {
     );
 }
 
-/// A [`StepRecord`] with owned parts, so records and folds compare.
+/// A [`StepRecord`] with owned parts (all but the graph, which is the
+/// spec's), so records and folds compare.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OwnedStep {
     pub ledger: StepLedger,
+    pub injected: Vec<NodeAmount>,
+    pub declarations: Vec<Declaration>,
+    pub rejected: Vec<Transmission>,
     pub plan: Vec<Transmission>,
     pub lost: Vec<bool>,
+    pub extracted: Vec<NodeAmount>,
     pub active_edges: Vec<bool>,
-    pub declarations: Vec<Declaration>,
 }
 
 impl OwnedStep {
     pub fn of(r: &StepRecord<'_>) -> Self {
         OwnedStep {
             ledger: r.ledger,
+            injected: r.injected.to_vec(),
+            declarations: r.declarations.to_vec(),
+            rejected: r.rejected.to_vec(),
             plan: r.plan.to_vec(),
             lost: r.lost.to_vec(),
+            extracted: r.extracted.to_vec(),
             active_edges: r.active_edges.to_vec(),
-            declarations: r.declarations.to_vec(),
         }
     }
 }
@@ -342,18 +434,40 @@ impl OwnedStep {
 /// for that step. Events carry deltas only, so the fold keeps what they
 /// change: the link mask (all links start active) and the queues (to know
 /// each special node's queue at phase 3, which a truthful declaration
-/// does not report).
+/// does not report). Sources and sinks that moved nothing get a zero
+/// slot, as in the record.
 pub struct EventFold {
+    sources: Vec<NodeId>,
     specials: Vec<NodeId>,
+    sinks: Vec<NodeId>,
     queues: Vec<u64>,
     active_edges: Vec<bool>,
+}
+
+/// Zero-amount slots for `nodes`.
+fn zero_slots(nodes: &[NodeId]) -> Vec<NodeAmount> {
+    nodes
+        .iter()
+        .map(|&node| NodeAmount { node, amount: 0 })
+        .collect()
+}
+
+/// Sets `node`'s slot in `slots` to `amount`.
+fn fill_slot(slots: &mut [NodeAmount], node: u32, amount: u64) {
+    slots
+        .iter_mut()
+        .find(|s| s.node.index() == node as usize)
+        .expect("injections and extractions name sources and sinks")
+        .amount = amount;
 }
 
 impl EventFold {
     /// A fold for a run of `spec` starting from `queues`.
     pub fn new(spec: &TrafficSpec, queues: Vec<u64>) -> Self {
         EventFold {
+            sources: spec.sources().collect(),
             specials: spec.special_nodes().collect(),
+            sinks: spec.sinks().collect(),
             queues,
             active_edges: vec![true; spec.graph.edge_count()],
         }
@@ -364,10 +478,13 @@ impl EventFold {
     pub fn fold(&mut self, events: &[TraceEvent]) -> OwnedStep {
         let mut step = OwnedStep {
             ledger: StepLedger::default(),
+            injected: zero_slots(&self.sources),
+            declarations: Vec::new(),
+            rejected: Vec::new(),
             plan: Vec::new(),
             lost: Vec::new(),
+            extracted: zero_slots(&self.sinks),
             active_edges: Vec::new(),
-            declarations: Vec::new(),
         };
         let (mut declared, mut last_to) = (false, 0);
         for &ev in events {
@@ -402,6 +519,7 @@ impl EventFold {
                 TraceEvent::Injection { node, amount, .. } => {
                     self.queues[node as usize] += amount;
                     l.injected += amount;
+                    fill_slot(&mut step.injected, node, amount);
                 }
                 TraceEvent::DeclarationLie {
                     node,
@@ -417,7 +535,13 @@ impl EventFold {
                     assert_eq!(d.queue, true_q, "lie event disagrees with the folded queue");
                     d.declared = declared;
                 }
-                TraceEvent::PlanRejected { .. } => l.rejected += 1,
+                TraceEvent::PlanRejected { edge, from, .. } => {
+                    step.rejected.push(Transmission {
+                        edge: mgraph::EdgeId::new(edge),
+                        from: NodeId::new(from),
+                    });
+                    l.rejected += 1;
+                }
                 TraceEvent::Transmission { edge, from, to, .. } => {
                     step.plan.push(Transmission {
                         edge: mgraph::EdgeId::new(edge),
@@ -440,6 +564,7 @@ impl EventFold {
                 TraceEvent::Extraction { node, amount, .. } => {
                     self.queues[node as usize] -= amount;
                     l.delivered += amount;
+                    fill_slot(&mut step.extracted, node, amount);
                 }
                 TraceEvent::Sample {
                     t,

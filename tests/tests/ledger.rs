@@ -1,11 +1,12 @@
-//! Integration: the step record the engine lends `SimObserver::on_step`
-//! is exactly what the step's `TraceEvent`s say happened, and the window
-//! telemetry built from step records equals the windows folded from a
-//! captured event stream of the same run.
+//! Integration: the trace rendered from a step record says exactly what
+//! the record says. Each record the engine lends `SimObserver::on_step`
+//! is rendered into `TraceEvent`s, and folding those events back must
+//! give the record again; the window telemetry built from step records
+//! must equal the windows folded from a rendered capture of the same run.
 //!
-//! The guard and `WindowAggregator` read only step records; JSONL traces
-//! and ring captures read only events. These tests keep the two views of
-//! a run from drifting apart, on every scenario file and on random
+//! The guard and `WindowAggregator` read step records; JSONL traces and
+//! ring captures are rendered from them. These tests keep the two views
+//! of a run from drifting apart, on every scenario file and on random
 //! configurations.
 
 use integration_tests::{EventFold, EventWindows, OwnedStep, Parts};
@@ -22,25 +23,24 @@ use simqueue::injection::BernoulliInjection;
 use simqueue::loss::IidLoss;
 use simqueue::{
     LazyExtraction, NetView, RingRecorder, RoutingProtocol, SimObserver, Simulation, StepRecord,
-    TraceEvent, Transmission, WindowAggregator, WindowStats,
+    TraceEvent, TraceRenderer, Transmission, WindowAggregator, WindowStats,
 };
 
-/// Checks every step record against the fold of that step's events.
+/// Renders every step record and requires the fold of its events to give
+/// the record back.
 struct StepCheck {
+    renderer: TraceRenderer,
     fold: EventFold,
-    pending: Vec<TraceEvent>,
+    events: Vec<TraceEvent>,
     steps: u64,
 }
 
 impl SimObserver for StepCheck {
-    fn observe(&mut self, ev: TraceEvent) {
-        self.pending.push(ev);
-    }
-
     fn on_step(&mut self, step: &StepRecord<'_>) {
-        let want = self.fold.fold(&self.pending);
-        assert_eq!(OwnedStep::of(step), want, "step {}", step.ledger.t);
-        self.pending.clear();
+        self.events.clear();
+        self.renderer.render(step, |ev| self.events.push(ev));
+        let back = self.fold.fold(&self.events);
+        assert_eq!(back, OwnedStep::of(step), "step {}", step.ledger.t);
         self.steps += 1;
     }
 }
@@ -54,11 +54,6 @@ struct Probe {
 }
 
 impl SimObserver for Probe {
-    fn observe(&mut self, ev: TraceEvent) {
-        self.check.observe(ev);
-        self.ring.observe(ev);
-    }
-
     fn on_step(&mut self, step: &StepRecord<'_>) {
         self.check.on_step(step);
         self.windows.on_step(step);
@@ -69,8 +64,9 @@ impl SimObserver for Probe {
 fn probe(spec: &TrafficSpec, window: u64) -> Probe {
     Probe {
         check: StepCheck {
+            renderer: TraceRenderer::new(),
             fold: EventFold::new(spec, vec![0; spec.node_count()]),
-            pending: Vec::new(),
+            events: Vec::new(),
             steps: 0,
         },
         windows: WindowAggregator::new(window),

@@ -3,10 +3,12 @@
 //!
 //! Each case builds one configuration twice — once for the pipeline, once
 //! for the oracle — and demands equal queues, metrics (every step's
-//! snapshot included) and latency statistics. The cases cover lying
-//! declarations, randomized policies, loss, ages, warm starts, invalid
-//! plans, both density extremes, and network sizes whose occupancy
-//! bitset spans several words and ends in a partial one.
+//! snapshot included) and latency statistics, and equal traces: the
+//! events a `RingRecorder` renders from the pipeline's step records
+//! against the log the oracle writes from its own scans. The cases cover
+//! lying declarations, randomized policies, loss, link flips, ages, warm
+//! starts, invalid plans, both density extremes, and network sizes whose
+//! occupancy bitset spans several words and ends in a partial one.
 
 use integration_tests::{assert_matches_oracle, Parts};
 use lgg_core::baselines::ShortestPathRouting;
@@ -19,6 +21,7 @@ use rand::SeedableRng;
 use simqueue::declare::{
     DeclarationPolicy, FullRetention, RandomBelowRetention, ZeroBelowRetention,
 };
+use simqueue::dynamic::MarkovTopology;
 use simqueue::injection::{BernoulliInjection, ScaledInjection, UniformInjection};
 use simqueue::loss::IidLoss;
 use simqueue::{LazyExtraction, NetView, RoutingProtocol, Transmission};
@@ -225,10 +228,10 @@ fn busy_spec(seed: u64, n: usize) -> TrafficSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random networks, injection processes, loss and extraction policies:
-    /// the pipeline is bit-for-bit the oracle. Sizes include 64, 65 and
-    /// 129 (one full bitset word, and several words ending in a partial
-    /// one) besides any size up to 200.
+    /// Random networks, injection processes, loss, link dynamics, lying
+    /// and extraction policies: the pipeline is bit-for-bit the oracle. Sizes
+    /// include 64, 65 and 129 (one full bitset word, and several words
+    /// ending in a partial one) besides any size up to 200.
     #[test]
     fn pipeline_matches_oracle(
         seed in 0u64..300,
@@ -237,6 +240,8 @@ proptest! {
         steps in 20u64..150,
         inj in 0usize..4,
         lossy in any::<bool>(),
+        flapping in any::<bool>(),
+        lying in any::<bool>(),
     ) {
         let n = [64, 65, 129].get(pick).copied().unwrap_or(any_n);
         assert_matches_oracle(
@@ -250,6 +255,12 @@ proptest! {
                 };
                 if lossy {
                     parts.loss = Box::new(IidLoss::new(0.2));
+                }
+                if flapping {
+                    parts.topology = Box::new(MarkovTopology::new(0.05, 0.4, vec![]));
+                }
+                if lying {
+                    parts.declaration = Box::new(RandomBelowRetention);
                 }
                 if seed % 2 == 1 {
                     parts.extraction = Box::new(LazyExtraction);
