@@ -515,7 +515,7 @@ fn shrink_topology(t: &TopologySpec) -> Option<TopologySpec> {
     })
 }
 
-/// Remaps every endpooint of `sc` into a smaller topology's node range,
+/// Remaps every endpoint of `sc` into a smaller topology's node range,
 /// rejecting the candidate when the remap collides (a collision would
 /// silently merge two endpoints and change the failure, not shrink it).
 fn remap_endpoints(sc: &Scenario, shrunk: TopologySpec) -> Option<Scenario> {

@@ -94,7 +94,7 @@ impl RoutingProtocol for RandomForward {
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
         for w in self.rng.state() {
-            wire::put_u64(out, w);
+            wire::put_word(out, w);
         }
     }
 
@@ -102,7 +102,7 @@ impl RoutingProtocol for RandomForward {
         let mut r = wire::Reader::new(bytes);
         let mut s = [0u64; 4];
         for w in &mut s {
-            *w = r.u64()?;
+            *w = r.word()?;
         }
         self.rng = StdRng::from_state(s);
         r.done()

@@ -44,32 +44,27 @@ impl RoutingProtocol for MatchingLgg {
         if self.node_used.len() < g.node_count() {
             self.node_used.resize(g.node_count(), false);
         }
-        self.node_used.iter_mut().for_each(|u| *u = false);
 
-        // Collect every directed downhill candidate once (from the higher
-        // endpoint), requiring the sender to actually hold a packet.
-        for e in g.edges() {
-            if !view.is_active(e) {
+        // Collect every directed downhill candidate once, from its higher
+        // endpoint. Only a node holding a packet can send, so the links of
+        // the active set carry every candidate.
+        for &u in view.active_nodes {
+            if view.queue_of(u) == 0 {
                 continue;
             }
-            let (a, b) = g.endpoints(e);
-            let (ha, hb) = (view.declared_of(a), view.declared_of(b));
-            let (from, weight) = if ha > hb {
-                (a, ha - hb)
-            } else if hb > ha {
-                (b, hb - ha)
-            } else {
-                continue;
-            };
-            if view.queue_of(from) == 0 {
-                continue;
+            let hu = view.declared_of(u);
+            for link in g.incident_links(u) {
+                let hv = view.declared_of(link.neighbor);
+                if hu > hv && view.is_active(link.edge) {
+                    self.scratch.push((hu - hv, link.edge.raw(), u.raw()));
+                }
             }
-            self.scratch.push((weight, e.raw(), from.raw()));
         }
         // Greedy max-weight matching: heaviest differential first; ties by
         // edge id for determinism.
         self.scratch
             .sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        let planned = out.len();
         for &(_, e, from) in &self.scratch {
             let edge = EdgeId::new(e);
             let from = NodeId::new(from);
@@ -80,6 +75,12 @@ impl RoutingProtocol for MatchingLgg {
             self.node_used[from.index()] = true;
             self.node_used[to.index()] = true;
             out.push(Transmission { edge, from });
+        }
+        // Unmark only the matched endpoints, so the next plan starts clean
+        // without touching idle nodes.
+        for tx in &out[planned..] {
+            self.node_used[tx.from.index()] = false;
+            self.node_used[g.other_endpoint(tx.edge, tx.from).index()] = false;
         }
     }
 }

@@ -208,20 +208,22 @@ impl RoutingProtocol for Lgg {
         // The RNG position and round-robin offsets both shape future
         // plans; `scratch` is per-call and excluded.
         for w in self.rng.state() {
-            wire::put_u64(out, w);
+            wire::put_word(out, w);
         }
-        let rr: Vec<u64> = self.rr.iter().map(|&x| x as u64).collect();
-        wire::put_u64_slice(out, &rr);
+        wire::put_u64(out, self.rr.len() as u64);
+        for &x in &self.rr {
+            wire::put_u32(out, x);
+        }
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
         let mut r = wire::Reader::new(bytes);
         let mut s = [0u64; 4];
         for w in &mut s {
-            *w = r.u64()?;
+            *w = r.word()?;
         }
         self.rng = StdRng::from_state(s);
-        self.rr = r.u64_vec()?.into_iter().map(|x| x as u32).collect();
+        self.rr = r.seq(1, wire::Reader::u32)?;
         r.done()
     }
 }

@@ -46,8 +46,41 @@ fn plan(
     out
 }
 
-fn queue_strategy(n: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..20, n)
+/// The all-edge matching plan `MatchingLgg` made before it planned from
+/// the active set: every active edge whose higher endpoint holds a packet
+/// is a candidate, heaviest differential first, ties by edge id.
+fn all_edge_matching(view: &NetView<'_>) -> Vec<Transmission> {
+    let g = view.graph;
+    let mut candidates = Vec::new();
+    for e in g.edges() {
+        if !view.is_active(e) {
+            continue;
+        }
+        let (a, b) = g.endpoints(e);
+        let (ha, hb) = (view.declared_of(a), view.declared_of(b));
+        let (from, weight) = if ha > hb {
+            (a, ha - hb)
+        } else if hb > ha {
+            (b, hb - ha)
+        } else {
+            continue;
+        };
+        if view.queue_of(from) > 0 {
+            candidates.push((weight, e, from));
+        }
+    }
+    candidates.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+    let mut used = vec![false; g.node_count()];
+    let mut out = Vec::new();
+    for (_, edge, from) in candidates {
+        let to = g.other_endpoint(edge, from);
+        if !used[from.index()] && !used[to.index()] {
+            used[from.index()] = true;
+            used[to.index()] = true;
+            out.push(Transmission { edge, from });
+        }
+    }
+    out
 }
 
 proptest! {
@@ -171,6 +204,48 @@ proptest! {
             let to = g.other_endpoint(tx.edge, tx.from);
             prop_assert!(queues[to.index()] < queues[tx.from.index()]);
             prop_assert!(queues[tx.from.index()] > 0);
+        }
+    }
+
+    /// Planning from the active set gives exactly the all-edge plan, on
+    /// multigraphs with lying declarations, inactive links and idle nodes
+    /// in the active list; one scheduler plans every state in turn, so
+    /// its marks must come back clean after each plan.
+    #[test]
+    fn matching_lgg_plans_like_the_all_edge_scan(
+        seed in 0u64..200,
+        n in 2usize..24,
+        extra in 0usize..40,
+        state_seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = generators::connected_random(n, extra, &mut rng);
+        let spec = spec_over(g.clone());
+        let mut srng = StdRng::seed_from_u64(state_seed);
+        let mut draw = |hi: u64| rand::Rng::random_range(&mut srng, 0..hi);
+        let mut m = MatchingLgg::new();
+        for _ in 0..3 {
+            let queues: Vec<u64> = (0..n).map(|_| draw(3) * draw(6)).collect();
+            let declared: Vec<u64> = (0..n)
+                .map(|_| if draw(3) == 0 { draw(8) } else { u64::MAX })
+                .collect();
+            let active: Vec<bool> = (0..g.edge_count()).map(|_| draw(4) != 0).collect();
+            let nodes: Vec<NodeId> = g
+                .nodes()
+                .filter(|v| queues[v.index()] > 0 || draw(4) == 0)
+                .collect();
+            let view = NetView {
+                graph: &g,
+                spec: &spec,
+                declared: &declared,
+                true_queues: &queues,
+                active_edges: &active,
+                active_nodes: &nodes,
+                t: 0,
+            };
+            let mut out = Vec::new();
+            m.plan(&view, &mut out);
+            prop_assert_eq!(out, all_edge_matching(&view));
         }
     }
 

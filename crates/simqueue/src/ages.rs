@@ -21,6 +21,12 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::wire;
+use crate::error::LggError;
+
+/// Buckets of the sojourn histogram: one per power of two up to 2⁴⁷.
+const BUCKETS: usize = 48;
+
 /// Latency statistics of extracted packets, with a base-2 logarithmic
 /// histogram (`buckets[i]` counts sojourns in `[2^i, 2^{i+1})`, except
 /// `buckets[0]` which counts 0- and 1-step sojourns).
@@ -42,7 +48,7 @@ impl LatencyStats {
             count: 0,
             total: 0,
             max: 0,
-            buckets: vec![0; 48],
+            buckets: vec![0; BUCKETS],
         }
     }
 
@@ -53,6 +59,31 @@ impl LatencyStats {
         let idx = (64 - sojourn.max(1).leading_zeros() - 1) as usize;
         let last = self.buckets.len() - 1;
         self.buckets[idx.min(last)] += 1;
+    }
+
+    /// Appends the statistics to a checkpoint blob, fields in order.
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.count);
+        wire::put_u128(out, self.total);
+        wire::put_u64(out, self.max);
+        wire::put_u64_slice(out, &self.buckets);
+    }
+
+    /// Reads what [`LatencyStats::save`] wrote.
+    pub(crate) fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        let stats = LatencyStats {
+            count: r.u64()?,
+            total: r.u128()?,
+            max: r.u64()?,
+            buckets: r.u64_vec()?,
+        };
+        if stats.buckets.len() != BUCKETS {
+            return Err(LggError::corrupt(format!(
+                "latency histogram has {} buckets, not {BUCKETS}",
+                stats.buckets.len()
+            )));
+        }
+        Ok(stats)
     }
 
     /// Mean sojourn time of retired packets.
@@ -156,6 +187,24 @@ mod tests {
         assert!(s.quantile_upper_bound(0.5) <= 4);
         assert!(s.quantile_upper_bound(0.99) >= 100);
         assert_eq!(LatencyStats::new().quantile_upper_bound(0.9), 0);
+    }
+
+    #[test]
+    fn wire_round_trip_checks_the_histogram() {
+        let mut s = LatencyStats::new();
+        s.record(5);
+        s.record(1 << 40);
+        let mut out = Vec::new();
+        s.save(&mut out);
+        let mut r = wire::Reader::new(&out);
+        assert_eq!(LatencyStats::load(&mut r).unwrap(), s);
+        r.done().unwrap();
+
+        s.buckets.pop();
+        let mut out = Vec::new();
+        s.save(&mut out);
+        let err = LatencyStats::load(&mut wire::Reader::new(&out)).unwrap_err();
+        assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
     }
 
     #[test]

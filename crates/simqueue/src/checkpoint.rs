@@ -11,17 +11,21 @@
 //! `save_state`/`load_state` hooks (see e.g.
 //! [`InjectionProcess`](crate::injection::InjectionProcess)).
 //!
-//! # Container format (version 5)
+//! # Container format (version 6)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"LGGCKPT1"
-//! 8       4     format version (u32 LE) = 5
+//! 8       4     format version (u32 LE) = 6
 //! 12      8     step count t (u64 LE)
 //! 20      8     payload length (u64 LE)
 //! 28      n     payload (opaque engine bytes, see DESIGN.md §11)
 //! 28+n    8     FNV-1a digest (u64 LE) over bytes [0, 28+n)
 //! ```
+//!
+//! The payload is a sequence of [`wire`] records: unsigned integers as
+//! LEB128 varints, `f64` values and RNG state words as fixed eight-byte
+//! bit patterns. No part of it is JSON.
 //!
 //! # Crash-safety protocol
 //!
@@ -42,7 +46,7 @@ use std::path::{Path, PathBuf};
 use crate::error::LggError;
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"LGGCKPT1";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -231,53 +235,66 @@ pub fn prune(dir: &Path, keep: usize) -> Result<(), LggError> {
     Ok(())
 }
 
-/// Serializes an already-serde-capable value to JSON bytes for embedding
-/// in a state blob via [`wire::put_bytes`] — the escape hatch for state
-/// with existing serde derives (metrics, latency stats, recorders).
-pub fn json_to_bytes<T: serde::Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_string(value)
-        .expect("checkpointed state serializes infallibly")
-        .into_bytes()
-}
-
-/// Inverse of [`json_to_bytes`]; malformed input surfaces as
-/// [`LggError::CheckpointCorrupt`].
-pub fn json_from_bytes<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, LggError> {
-    let s = std::str::from_utf8(bytes)
-        .map_err(|e| LggError::corrupt(format!("state blob is not UTF-8 JSON: {e}")))?;
-    serde_json::from_str(s).map_err(|e| LggError::corrupt(format!("state blob JSON: {e}")))
-}
-
-/// Little-endian wire helpers shared by every component's
-/// `save_state`/`load_state` pair (public so out-of-crate
+/// The wire encoding shared by every component's `save_state`/`load_state`
+/// pair (public so out-of-crate
 /// [`RoutingProtocol`](crate::RoutingProtocol) and
 /// [`SimObserver`](crate::SimObserver) implementations — `lgg-core`, the
 /// CLI — speak the same encoding).
+///
+/// One rule: every unsigned integer — count, length, counter, queue,
+/// `u128` sum — is an LEB128 varint (seven value bits per byte, low group
+/// first, the high bit set on every byte but the last), so small values
+/// cost one byte. Only bit patterns stay fixed-width: `f64` values and
+/// RNG state words are eight little-endian bytes ([`put_word`]).
 pub mod wire {
     use crate::error::LggError;
+
+    /// Longest varint a `u64` may use: ⌈64 / 7⌉ bytes.
+    const U64_MAX_BYTES: usize = 10;
+    /// Longest varint a `u128` may use: ⌈128 / 7⌉ bytes.
+    const U128_MAX_BYTES: usize = 19;
 
     fn truncated(what: &str) -> LggError {
         LggError::corrupt(format!("state blob truncated reading {what}"))
     }
 
-    /// Appends a `u32`.
+    fn too_large(what: &str) -> LggError {
+        LggError::corrupt(format!("varint too large for a {what}"))
+    }
+
+    /// Appends a `u32` varint.
     pub fn put_u32(out: &mut Vec<u8>, x: u32) {
-        out.extend_from_slice(&x.to_le_bytes());
+        put_u64(out, x as u64);
     }
 
-    /// Appends a `u64`.
-    pub fn put_u64(out: &mut Vec<u8>, x: u64) {
-        out.extend_from_slice(&x.to_le_bytes());
+    /// Appends a `u64` varint.
+    pub fn put_u64(out: &mut Vec<u8>, mut x: u64) {
+        while x >= 0x80 {
+            out.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        out.push(x as u8);
     }
 
-    /// Appends a `u128`.
-    pub fn put_u128(out: &mut Vec<u8>, x: u128) {
+    /// Appends a `u128` varint.
+    pub fn put_u128(out: &mut Vec<u8>, mut x: u128) {
+        while x >= 0x80 {
+            out.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        out.push(x as u8);
+    }
+
+    /// Appends a 64-bit bit pattern (an RNG state word) as eight fixed
+    /// little-endian bytes: such words are uniform, so a varint would
+    /// only grow them.
+    pub fn put_word(out: &mut Vec<u8>, x: u64) {
         out.extend_from_slice(&x.to_le_bytes());
     }
 
     /// Appends an `f64` by its bit pattern (exact round trip).
     pub fn put_f64(out: &mut Vec<u8>, x: f64) {
-        put_u64(out, x.to_bits());
+        put_word(out, x.to_bits());
     }
 
     /// Appends a `bool` as one byte.
@@ -333,40 +350,62 @@ pub mod wire {
             Ok(s)
         }
 
-        /// Reads a `u32`.
+        /// Reads a varint of at most `max_bytes` bytes whose value fits
+        /// in a `u128`.
+        fn varint(&mut self, max_bytes: usize, what: &str) -> Result<u128, LggError> {
+            let mut x = 0u128;
+            for i in 0..max_bytes {
+                let b = *self.buf.get(self.pos).ok_or_else(|| truncated(what))?;
+                self.pos += 1;
+                let (group, shift) = ((b & 0x7f) as u128, 7 * i as u32);
+                if (group << shift) >> shift != group {
+                    return Err(too_large(what));
+                }
+                x |= group << shift;
+                if b & 0x80 == 0 {
+                    return Ok(x);
+                }
+            }
+            Err(LggError::corrupt(format!(
+                "{what} varint longer than {max_bytes} bytes"
+            )))
+        }
+
+        /// Reads a `u32` varint.
         pub fn u32(&mut self) -> Result<u32, LggError> {
-            Ok(u32::from_le_bytes(
-                self.take(4, "u32")?.try_into().expect("4 bytes"),
-            ))
+            u32::try_from(self.u64()?).map_err(|_| too_large("u32"))
         }
 
-        /// Reads a `u64`.
+        /// Reads a `u64` varint.
         pub fn u64(&mut self) -> Result<u64, LggError> {
-            Ok(u64::from_le_bytes(
-                self.take(8, "u64")?.try_into().expect("8 bytes"),
-            ))
+            u64::try_from(self.varint(U64_MAX_BYTES, "u64")?).map_err(|_| too_large("u64"))
         }
 
-        /// Reads a `u128`.
+        /// Reads a `u128` varint.
         pub fn u128(&mut self) -> Result<u128, LggError> {
-            Ok(u128::from_le_bytes(
-                self.take(16, "u128")?.try_into().expect("16 bytes"),
+            self.varint(U128_MAX_BYTES, "u128")
+        }
+
+        /// Reads a bit pattern written by [`put_word`].
+        pub fn word(&mut self) -> Result<u64, LggError> {
+            Ok(u64::from_le_bytes(
+                self.take(8, "word")?.try_into().expect("8 bytes"),
             ))
         }
 
         /// Reads an `f64` written by [`put_f64`].
         pub fn f64(&mut self) -> Result<f64, LggError> {
-            Ok(f64::from_bits(self.u64()?))
+            Ok(f64::from_bits(self.word()?))
         }
 
-        /// Reads an element count and checks that that many elements of
-        /// at least `elem_bytes` bytes each fit in what is left, so a
+        /// Reads an element count and checks that that many records of at
+        /// least `min_bytes` encoded bytes each fit in what is left, so a
         /// corrupt (but digest-colliding) count fails here instead of
         /// triggering a huge allocation.
-        pub fn count(&mut self, elem_bytes: usize) -> Result<usize, LggError> {
+        pub fn count(&mut self, min_bytes: usize) -> Result<usize, LggError> {
             let n = self.u64()?;
             let fits = usize::try_from(n).ok().filter(|&n| {
-                n.checked_mul(elem_bytes.max(1))
+                n.checked_mul(min_bytes.max(1))
                     .is_some_and(|b| b <= self.remaining())
             });
             fits.ok_or_else(|| {
@@ -383,9 +422,20 @@ pub mod wire {
             }
         }
 
+        /// Reads a count, then that many records with `read`; each record
+        /// takes at least `min_bytes` on the wire (see [`Reader::count`]).
+        pub fn seq<T>(
+            &mut self,
+            min_bytes: usize,
+            mut read: impl FnMut(&mut Self) -> Result<T, LggError>,
+        ) -> Result<Vec<T>, LggError> {
+            let n = self.count(min_bytes)?;
+            (0..n).map(|_| read(self)).collect()
+        }
+
         /// Reads a length-prefixed byte string.
         pub fn bytes(&mut self) -> Result<&'a [u8], LggError> {
-            let n = self.u64()? as usize;
+            let n = self.count(1)?;
             self.take(n, "bytes")
         }
 
@@ -397,15 +447,13 @@ pub mod wire {
 
         /// Reads a length-prefixed `u64` vector.
         pub fn u64_vec(&mut self) -> Result<Vec<u64>, LggError> {
-            let n = self.count(8)?;
-            (0..n).map(|_| self.u64()).collect()
+            self.seq(1, Self::u64)
         }
 
         /// Reads a length-prefixed `bool` vector.
         pub fn bool_vec(&mut self) -> Result<Vec<bool>, LggError> {
-            let n = self.u64()? as usize;
-            let raw = self.take(n, "bool vector")?;
-            raw.iter()
+            self.bytes()?
+                .iter()
                 .map(|&b| match b {
                     0 => Ok(false),
                     1 => Ok(true),
@@ -469,12 +517,12 @@ mod tests {
             Err(LggError::CheckpointCorrupt { .. })
         ));
         // Future version.
-        let mut v6 = img.clone();
-        v6[8] = 6;
+        let mut v7 = img.clone();
+        v7[8] = 7;
         assert!(matches!(
-            decode(&v6),
+            decode(&v7),
             Err(LggError::CheckpointVersion {
-                found: 6,
+                found: 7,
                 expected: FORMAT_VERSION
             })
         ));
@@ -532,7 +580,9 @@ mod tests {
         let mut out = Vec::new();
         wire::put_u32(&mut out, 7);
         wire::put_u64(&mut out, u64::MAX);
-        wire::put_u128(&mut out, 1 << 100);
+        wire::put_u128(&mut out, u128::MAX);
+        wire::put_word(&mut out, 0x0123_4567_89ab_cdef);
+        wire::put_f64(&mut out, -0.5);
         wire::put_bool(&mut out, true);
         wire::put_str(&mut out, "lgg");
         wire::put_u64_slice(&mut out, &[1, 2, 3]);
@@ -541,26 +591,85 @@ mod tests {
         let mut r = wire::Reader::new(&out);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.u128().unwrap(), 1 << 100);
+        assert_eq!(r.u128().unwrap(), u128::MAX);
+        assert_eq!(r.word().unwrap(), 0x0123_4567_89ab_cdef);
+        assert_eq!(r.f64().unwrap(), -0.5);
         assert!(r.bool_().unwrap());
         assert_eq!(r.str_().unwrap(), "lgg");
         assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.bool_vec().unwrap(), vec![true, false]);
         r.done().unwrap();
 
-        // Truncated input errors instead of panicking.
-        let mut r = wire::Reader::new(&out[..5]);
-        assert!(r.u64().is_ok() || r.u64().is_err()); // first u32 read ok
-        let mut r = wire::Reader::new(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        // Every truncation errors instead of panicking.
+        for cut in 0..out.len() {
+            let mut r = wire::Reader::new(&out[..cut]);
+            let read = (|| -> Result<(), LggError> {
+                r.u32()?;
+                r.u64()?;
+                r.u128()?;
+                r.word()?;
+                r.f64()?;
+                r.bool_()?;
+                r.str_()?;
+                r.u64_vec()?;
+                r.bool_vec()?;
+                Ok(())
+            })();
+            assert!(matches!(read, Err(LggError::CheckpointCorrupt { .. })));
+        }
         // Claims 1 element but has no body.
-        assert!(r.u64_vec().is_err());
+        assert!(wire::Reader::new(&[1]).u64_vec().is_err());
         // Oversized length cannot cause a huge allocation.
         let mut huge = Vec::new();
         wire::put_u64(&mut huge, u64::MAX / 2);
-        let mut r = wire::Reader::new(&huge);
-        assert!(r.u64_vec().is_err());
+        assert!(wire::Reader::new(&huge).u64_vec().is_err());
         // Invalid bool byte.
-        let mut r = wire::Reader::new(&[9]);
-        assert!(r.bool_().is_err());
+        assert!(wire::Reader::new(&[9]).bool_().is_err());
+    }
+
+    #[test]
+    fn varints_are_short_and_bounded() {
+        for (x, len) in [(0u64, 1), (127, 1), (128, 2), (1 << 20, 3), (u64::MAX, 10)] {
+            let mut out = Vec::new();
+            wire::put_u64(&mut out, x);
+            assert_eq!(out.len(), len, "{x}");
+            assert_eq!(wire::Reader::new(&out).u64().unwrap(), x);
+        }
+        let mut out = Vec::new();
+        wire::put_u128(&mut out, u128::MAX);
+        assert_eq!(out.len(), 19);
+
+        let corrupt = |bytes: &[u8], read: fn(&mut wire::Reader<'_>) -> Result<(), LggError>| {
+            let err = read(&mut wire::Reader::new(bytes)).unwrap_err();
+            assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
+            err.to_string()
+        };
+        let as_u32 = |r: &mut wire::Reader<'_>| r.u32().map(drop);
+        let as_u64 = |r: &mut wire::Reader<'_>| r.u64().map(drop);
+        let as_u128 = |r: &mut wire::Reader<'_>| r.u128().map(drop);
+        // An 11-byte u64 and a 20-byte u128 are too long.
+        let mut long = vec![0x80; 10];
+        long.push(0);
+        assert!(corrupt(&long, as_u64).contains("longer than 10"));
+        let mut long = vec![0x80; 19];
+        long.push(0);
+        assert!(corrupt(&long, as_u128).contains("longer than 19"));
+        // 2^64 in a u64 field, 2^128 in a u128 field, 2^32 in a u32.
+        let mut two_64 = vec![0x80; 9];
+        two_64.push(0x02);
+        assert!(corrupt(&two_64, as_u64).contains("too large"));
+        assert_eq!(
+            wire::Reader::new(&two_64).u128().unwrap(),
+            1u128 << 64,
+            "the same bytes are a valid u128"
+        );
+        let mut two_128 = vec![0x80; 18];
+        two_128.push(0x04);
+        assert!(corrupt(&two_128, as_u128).contains("too large"));
+        let mut two_32 = Vec::new();
+        wire::put_u64(&mut two_32, 1 << 32);
+        assert!(corrupt(&two_32, as_u32).contains("too large"));
+        // A varint cut short.
+        assert!(corrupt(&[0xff, 0xff], as_u64).contains("truncated"));
     }
 }

@@ -47,7 +47,7 @@ use netmodel::TrafficSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ages::AgeState;
+use crate::ages::{AgeState, LatencyStats};
 use crate::checkpoint::{self, wire, CheckpointConfig};
 use crate::declare::{clamp_declaration, DeclarationPolicy, TruthfulDeclaration};
 use crate::dynamic::{StaticTopology, TopologyProcess};
@@ -592,7 +592,7 @@ impl<O: SimObserver> Simulation<O> {
 
     /// Latency distribution of retired packets, when age tracking is on
     /// (see [`SimulationBuilder::track_ages`]).
-    pub fn latency_stats(&self) -> Option<&crate::LatencyStats> {
+    pub fn latency_stats(&self) -> Option<&LatencyStats> {
         self.ages.as_ref().map(|a| &a.stats)
     }
 
@@ -859,12 +859,14 @@ impl<O: SimObserver> Simulation<O> {
         wire::put_u64(&mut out, self.t);
         wire::put_u64_slice(&mut out, &self.queues.q);
         wire::put_bool_slice(&mut out, &self.active_edges);
-        wire::put_bytes(&mut out, &checkpoint::json_to_bytes(&self.metrics));
+        self.metrics.save(&mut out);
         if let Some(ages) = &self.ages {
-            wire::put_bytes(&mut out, &checkpoint::json_to_bytes(&ages.stats));
+            ages.stats.save(&mut out);
             for fifo in &ages.fifos {
-                let flat: Vec<u64> = fifo.iter().copied().collect();
-                wire::put_u64_slice(&mut out, &flat);
+                wire::put_u64(&mut out, fifo.len() as u64);
+                for &born in fifo {
+                    wire::put_u64(&mut out, born);
+                }
             }
         }
         for rng in [
@@ -874,7 +876,7 @@ impl<O: SimObserver> Simulation<O> {
             &self.rng_policy,
         ] {
             for w in rng.state() {
-                wire::put_u64(&mut out, w);
+                wire::put_word(&mut out, w);
             }
         }
 
@@ -968,16 +970,19 @@ impl<O: SimObserver> Simulation<O> {
         }
         self.queues = QueueState::new(queues);
         self.active_edges = active_edges;
-        self.metrics = checkpoint::json_from_bytes(r.bytes()?)?;
+        self.metrics = Metrics::load(&mut r)?;
         if self.metrics.link_sends.len() != m {
             return Err(LggError::corrupt("per-link send counts length mismatch"));
         }
         if let Some(ages) = &mut self.ages {
-            ages.stats = checkpoint::json_from_bytes(r.bytes()?)?;
+            ages.stats = LatencyStats::load(&mut r)?;
             for (v, fifo) in ages.fifos.iter_mut().enumerate() {
                 *fifo = VecDeque::from(r.u64_vec()?);
                 if fifo.len() as u64 != self.queues.q[v] {
                     return Err(LggError::corrupt("age FIFO length disagrees with queue"));
+                }
+                if fifo.iter().any(|&born| born > self.t) {
+                    return Err(LggError::corrupt("packet born after the snapshot step"));
                 }
             }
         }
@@ -989,7 +994,7 @@ impl<O: SimObserver> Simulation<O> {
         ] {
             let mut s = [0u64; 4];
             for w in &mut s {
-                *w = r.u64()?;
+                *w = r.word()?;
             }
             *rng = StdRng::from_state(s);
         }
@@ -1573,10 +1578,7 @@ mod tests {
         resumed.run(200);
 
         assert_eq!(resumed.queues(), reference.queues());
-        assert_eq!(
-            serde_json::to_string(resumed.metrics()).unwrap(),
-            serde_json::to_string(reference.metrics()).unwrap()
-        );
+        assert_eq!(resumed.metrics(), reference.metrics());
         // The strongest form: the complete serialized states agree.
         assert_eq!(resumed.checkpoint_payload(), reference.checkpoint_payload());
     }
@@ -1651,24 +1653,27 @@ mod tests {
         r.u64_vec().unwrap();
         r.bool_vec().unwrap();
         let at = payload.len() - r.remaining();
-        let json = std::str::from_utf8(r.bytes().unwrap()).unwrap();
+        let metrics = Metrics::load(&mut r).unwrap();
+        assert_eq!(metrics, *sim.metrics());
+        assert!(!metrics.link_sends.is_empty());
         let rest = &payload[payload.len() - r.remaining()..];
-        let start = json
-            .find("\"link_sends\":[")
-            .expect("metrics carry link_sends");
-        let end = start + json[start..].find(']').unwrap() + 1;
-        let emptied = format!("{}\"link_sends\":[]{}", &json[..start], &json[end..]);
-        let mut forged = payload[..at].to_vec();
-        wire::put_bytes(&mut forged, emptied.as_bytes());
-        forged.extend_from_slice(rest);
+        let splice = |m: &Metrics| {
+            let mut out = payload[..at].to_vec();
+            m.save(&mut out);
+            out.extend_from_slice(rest);
+            out
+        };
+        let forged = splice(&Metrics {
+            link_sends: Vec::new(),
+            ..metrics.clone()
+        });
 
         let mut resumed = checkpoint_sim();
         let err = resumed.restore_checkpoint_payload(&forged).unwrap_err();
         assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
         // The same splice with the counts intact restores.
-        let mut intact = payload[..at].to_vec();
-        wire::put_bytes(&mut intact, json.as_bytes());
-        intact.extend_from_slice(rest);
+        let intact = splice(&metrics);
+        assert_eq!(intact, payload);
         checkpoint_sim()
             .restore_checkpoint_payload(&intact)
             .unwrap();

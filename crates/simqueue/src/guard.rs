@@ -390,7 +390,6 @@ impl<I: SimObserver> InvariantGuard<I> {
                 ),
             });
         }
-        s.prev_total = l.total;
         s.samples_seen += 1;
     }
 
@@ -470,6 +469,7 @@ impl<I: SimObserver> SimObserver for InvariantGuard<I> {
         if self.config.any_check() {
             self.check(step);
         }
+        self.state.prev_total = step.ledger.total;
         self.inner.on_step(step);
     }
 
@@ -600,11 +600,13 @@ impl<I: SimObserver> Simulation<InvariantGuard<I>> {
                 outcome = GuardOutcome::Violated(v.clone());
                 break;
             }
-            if let Some(b) = cfg.max_backlog {
-                if self.total_packets() > b {
-                    outcome = GuardOutcome::BudgetExceeded(BudgetKind::Backlog);
-                    break;
-                }
+            // The guard keeps the total the step's ledger summed.
+            if cfg
+                .max_backlog
+                .is_some_and(|b| self.observer().state.prev_total > b)
+            {
+                outcome = GuardOutcome::BudgetExceeded(BudgetKind::Backlog);
+                break;
             }
             if let Some(ms) = cfg.max_wall_ms {
                 if self.time() % WALL_CHECK_EVERY == 0
@@ -638,7 +640,7 @@ mod tests {
     use crate::engine::SimulationBuilder;
     use crate::protocol::{NetView, RoutingProtocol, Transmission};
     use crate::stability::{assess_stability, StabilityVerdict};
-    use crate::trace::tests::Crafted;
+    use crate::trace::tests::{with_varint, Crafted};
     use mgraph::generators;
     use netmodel::TrafficSpecBuilder;
 
@@ -755,25 +757,32 @@ mod tests {
     #[test]
     fn backlog_budget_stops_gracefully_with_partial_verdict() {
         // Source rate 3 against a sink draining 1: backlog grows by
-        // ~2/step, so a budget of 40 stops within a few dozen steps.
+        // ~2/step, so a budget of 40 stops within a few dozen steps, at
+        // the first step past it, with the checks on or off.
         let spec = TrafficSpecBuilder::new(generators::path(3))
             .source(0, 3)
             .sink(2, 1)
             .build()
             .unwrap();
-        let mut config = GuardConfig::checks();
-        config.max_backlog = Some(40);
-        let guard = InvariantGuard::new(&spec, config);
-        let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
-            .seed(5)
-            .observer(guard)
-            .build();
-        let report = sim.run_guarded(100_000, None, None).unwrap();
-        assert_eq!(
-            report.outcome,
-            GuardOutcome::BudgetExceeded(BudgetKind::Backlog)
-        );
-        assert!(report.steps < 100_000);
+        for mut config in [GuardConfig::checks(), GuardConfig::disabled()] {
+            config.max_backlog = Some(40);
+            let guard = InvariantGuard::new(&spec, config);
+            let mut sim = SimulationBuilder::new(spec.clone(), Box::new(TestGreedy))
+                .seed(5)
+                .history(crate::HistoryMode::EveryStep)
+                .observer(guard)
+                .build();
+            let report = sim.run_guarded(100_000, None, None).unwrap();
+            assert_eq!(
+                report.outcome,
+                GuardOutcome::BudgetExceeded(BudgetKind::Backlog)
+            );
+            assert!(report.steps < 100_000);
+            assert_eq!(sim.observer().state.prev_total, sim.total_packets());
+            let (last, before) = sim.metrics().history.split_last().unwrap();
+            assert!(last.total_packets > 40);
+            assert!(before.iter().all(|s| s.total_packets <= 40));
+        }
     }
 
     #[test]
@@ -841,14 +850,28 @@ mod tests {
                 "cut {cut}: {err}"
             );
         }
-        // The online detector's snapshot count sits 8 bytes before its
-        // 100 records; claim far more than the blob holds.
-        let records = 100 * 40;
-        let at = bytes.len() - 8 - records - 8;
-        let mut state = bytes.clone();
-        state[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        // The online detector's snapshot count follows the baseline, the
+        // step count, the latched violation, and the detector's capacity,
+        // stride and count seen; claim far more records than the blob holds.
+        let mut outer = wire::Reader::new(&bytes);
+        let (state, inner) = (outer.bytes().unwrap(), outer.bytes().unwrap());
+        let mut r = wire::Reader::new(state);
+        r.u64().unwrap();
+        r.u64().unwrap();
+        assert!(r.bool_().unwrap(), "the relay's lie is latched");
+        r.u32().unwrap();
+        r.u64().unwrap();
+        r.str_().unwrap();
+        for _ in 0..3 {
+            r.u64().unwrap();
+        }
+        let at = state.len() - r.remaining();
+        assert_eq!(r.u64().unwrap(), 100);
+        let mut forged = Vec::new();
+        wire::put_bytes(&mut forged, &with_varint(state, at, u64::MAX / 2));
+        wire::put_bytes(&mut forged, inner);
         let mut fresh = InvariantGuard::new(&spec, GuardConfig::checks());
-        let err = fresh.load_state(&state).unwrap_err();
+        let err = fresh.load_state(&forged).unwrap_err();
         assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
     }
 

@@ -2,6 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::wire;
+use crate::error::LggError;
+
 /// How much history to keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HistoryMode {
@@ -24,6 +27,29 @@ pub struct Snapshot {
     pub total_packets: u64,
     /// Largest single queue.
     pub max_queue: u64,
+}
+
+impl Snapshot {
+    /// Fewest bytes a snapshot takes on the wire: four one-byte varints.
+    pub(crate) const MIN_WIRE_BYTES: usize = 4;
+
+    /// Appends the snapshot to a checkpoint blob, fields in order.
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.t);
+        wire::put_u128(out, self.pt);
+        wire::put_u64(out, self.total_packets);
+        wire::put_u64(out, self.max_queue);
+    }
+
+    /// Reads what [`Snapshot::save`] wrote.
+    pub(crate) fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        Ok(Snapshot {
+            t: r.u64()?,
+            pt: r.u128()?,
+            total_packets: r.u64()?,
+            max_queue: r.u64()?,
+        })
+    }
 }
 
 /// What one step did, filled by the engine as the step runs and folded
@@ -121,6 +147,48 @@ impl Metrics {
         self.packet_steps += l.total as u128;
     }
 
+    /// Appends the metrics to a checkpoint blob: the counters in field
+    /// order, the per-link sends, then the counted history.
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        for x in [
+            self.steps,
+            self.injected,
+            self.delivered,
+            self.lost,
+            self.sent,
+            self.rejected_plans,
+        ] {
+            wire::put_u64(out, x);
+        }
+        wire::put_u128(out, self.sup_pt);
+        wire::put_u64(out, self.sup_total);
+        wire::put_u64(out, self.max_queue_ever);
+        wire::put_u128(out, self.packet_steps);
+        wire::put_u64_slice(out, &self.link_sends);
+        wire::put_u64(out, self.history.len() as u64);
+        for s in &self.history {
+            s.save(out);
+        }
+    }
+
+    /// Reads what [`Metrics::save`] wrote.
+    pub(crate) fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
+        Ok(Metrics {
+            steps: r.u64()?,
+            injected: r.u64()?,
+            delivered: r.u64()?,
+            lost: r.u64()?,
+            sent: r.u64()?,
+            rejected_plans: r.u64()?,
+            sup_pt: r.u128()?,
+            sup_total: r.u64()?,
+            max_queue_ever: r.u64()?,
+            packet_steps: r.u128()?,
+            link_sends: r.u64_vec()?,
+            history: r.seq(Snapshot::MIN_WIRE_BYTES, Snapshot::load)?,
+        })
+    }
+
     /// Utilization of link `e`: transmissions per step over the run.
     pub fn link_utilization(&self, e: usize) -> f64 {
         if self.steps == 0 {
@@ -193,6 +261,26 @@ mod tests {
         assert_eq!(m.delivery_ratio(), 0.5);
         assert_eq!(m.mean_latency(), 5.0);
         assert_eq!(m.mean_backlog(), 5.0);
+    }
+
+    #[test]
+    fn wire_round_trip() {
+        let mut m = Metrics::new();
+        m.steps = 9;
+        m.sup_pt = u128::MAX;
+        m.packet_steps = 1 << 70;
+        m.link_sends = vec![0, 300, u64::MAX];
+        m.history.push(Snapshot {
+            t: 3,
+            pt: 12,
+            total_packets: 4,
+            max_queue: 2,
+        });
+        let mut out = Vec::new();
+        m.save(&mut out);
+        let mut r = wire::Reader::new(&out);
+        assert_eq!(Metrics::load(&mut r).unwrap(), m);
+        r.done().unwrap();
     }
 
     #[test]

@@ -239,39 +239,27 @@ impl OnlineStability {
     }
 
     /// Appends the detector to a checkpoint blob: capacity, stride, count
-    /// seen, then the retained snapshots as fixed 40-byte records.
+    /// seen, then the counted snapshot records, all varints.
     pub(crate) fn save(&self, out: &mut Vec<u8>) {
         wire::put_u64(out, self.cap as u64);
         wire::put_u64(out, self.stride);
         wire::put_u64(out, self.seen);
         wire::put_u64(out, self.buf.len() as u64);
         for s in &self.buf {
-            wire::put_u64(out, s.t);
-            wire::put_u128(out, s.pt);
-            wire::put_u64(out, s.total_packets);
-            wire::put_u64(out, s.max_queue);
+            s.save(out);
         }
     }
 
     /// Reads what [`OnlineStability::save`] wrote.
     pub(crate) fn load(r: &mut wire::Reader<'_>) -> Result<Self, LggError> {
         let (cap, stride, seen) = (r.u64()?, r.u64()?, r.u64()?);
-        let n = r.count(8 + 16 + 8 + 8)?;
+        let buf = r.seq(Snapshot::MIN_WIRE_BYTES, Snapshot::load)?;
+        let n = buf.len();
         if cap < 64 || n as u64 > cap || !stride.is_power_of_two() {
             return Err(LggError::corrupt(format!(
                 "online detector: {n} of {cap} snapshots at stride {stride}"
             )));
         }
-        let buf = (0..n)
-            .map(|_| {
-                Ok(Snapshot {
-                    t: r.u64()?,
-                    pt: r.u128()?,
-                    total_packets: r.u64()?,
-                    max_queue: r.u64()?,
-                })
-            })
-            .collect::<Result<_, LggError>>()?;
         Ok(OnlineStability {
             cap: cap as usize,
             stride,

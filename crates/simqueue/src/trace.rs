@@ -287,7 +287,7 @@ impl SimObserver for Box<dyn SimObserver> {
 /// freshly built simulation. An observer that renders must checkpoint
 /// that mask with its own state, or a resumed trace misses or repeats
 /// flips.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceRenderer {
     links: Vec<bool>,
 }
@@ -367,7 +367,7 @@ impl TraceRenderer {
 /// In-memory recorder keeping the most recent `capacity` events — the
 /// "flight recorder" for tests and post-mortem debugging of instability
 /// onsets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingRecorder {
     capacity: usize,
     buf: VecDeque<TraceEvent>,
@@ -426,15 +426,139 @@ impl SimObserver for RingRecorder {
     }
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
-        let json = crate::checkpoint::json_to_bytes(self);
-        wire::put_bytes(out, &json);
+        wire::put_u64(out, self.capacity as u64);
+        wire::put_u64(out, self.seen);
+        wire::put_bool_slice(out, &self.renderer.links);
+        wire::put_u64(out, self.buf.len() as u64);
+        for ev in &self.buf {
+            put_event(out, ev);
+        }
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
         let mut r = wire::Reader::new(bytes);
-        *self = crate::checkpoint::json_from_bytes(r.bytes()?)?;
-        r.done()
+        let capacity = usize::try_from(r.u64()?).unwrap_or(0);
+        let seen = r.u64()?;
+        let links = r.bool_vec()?;
+        let buf = VecDeque::from(r.seq(EVENT_MIN_BYTES, read_event)?);
+        r.done()?;
+        if capacity == 0 || buf.len() > capacity || buf.len() as u64 > seen {
+            return Err(LggError::corrupt(format!(
+                "ring recorder: {} of {capacity} events, {seen} seen",
+                buf.len()
+            )));
+        }
+        *self = RingRecorder {
+            capacity,
+            buf,
+            seen,
+            renderer: TraceRenderer { links },
+        };
+        Ok(())
     }
+}
+
+/// Fewest bytes an event takes on the wire: its kind, its step and one
+/// more field, one varint byte each.
+const EVENT_MIN_BYTES: usize = 3;
+
+/// Appends an event as its kind code (the variant's position), then its
+/// fields in declaration order, all varints.
+fn put_event(out: &mut Vec<u8>, ev: &TraceEvent) {
+    let mut put = |fields: &[u128]| {
+        for &x in fields {
+            wire::put_u128(out, x);
+        }
+    };
+    match *ev {
+        TraceEvent::LinkUp { t, edge } => put(&[0, t.into(), edge.into()]),
+        TraceEvent::LinkDown { t, edge } => put(&[1, t.into(), edge.into()]),
+        TraceEvent::Injection { t, node, amount } => {
+            put(&[2, t.into(), node.into(), amount.into()])
+        }
+        TraceEvent::DeclarationLie {
+            t,
+            node,
+            true_q,
+            declared,
+        } => put(&[3, t.into(), node.into(), true_q.into(), declared.into()]),
+        TraceEvent::PlanRejected { t, edge, from } => put(&[4, t.into(), edge.into(), from.into()]),
+        TraceEvent::Transmission { t, edge, from, to } => {
+            put(&[5, t.into(), edge.into(), from.into(), to.into()])
+        }
+        TraceEvent::Loss { t, edge, from } => put(&[6, t.into(), edge.into(), from.into()]),
+        TraceEvent::Extraction { t, node, amount } => {
+            put(&[7, t.into(), node.into(), amount.into()])
+        }
+        TraceEvent::Sample {
+            t,
+            pt,
+            total,
+            max_queue,
+            active,
+        } => put(&[
+            8,
+            t.into(),
+            pt,
+            total.into(),
+            max_queue.into(),
+            active.into(),
+        ]),
+    }
+}
+
+/// Reads what [`put_event`] wrote.
+fn read_event(r: &mut wire::Reader<'_>) -> Result<TraceEvent, LggError> {
+    let code = r.u32()?;
+    let t = r.u64()?;
+    Ok(match code {
+        0 => TraceEvent::LinkUp { t, edge: r.u32()? },
+        1 => TraceEvent::LinkDown { t, edge: r.u32()? },
+        2 => TraceEvent::Injection {
+            t,
+            node: r.u32()?,
+            amount: r.u64()?,
+        },
+        3 => TraceEvent::DeclarationLie {
+            t,
+            node: r.u32()?,
+            true_q: r.u64()?,
+            declared: r.u64()?,
+        },
+        4 => TraceEvent::PlanRejected {
+            t,
+            edge: r.u32()?,
+            from: r.u32()?,
+        },
+        5 => TraceEvent::Transmission {
+            t,
+            edge: r.u32()?,
+            from: r.u32()?,
+            to: r.u32()?,
+        },
+        6 => TraceEvent::Loss {
+            t,
+            edge: r.u32()?,
+            from: r.u32()?,
+        },
+        7 => TraceEvent::Extraction {
+            t,
+            node: r.u32()?,
+            amount: r.u64()?,
+        },
+        8 => TraceEvent::Sample {
+            t,
+            pt: r.u128()?,
+            total: r.u64()?,
+            max_queue: r.u64()?,
+            active: r.u64()?,
+        },
+        code => {
+            return Err(LggError::corrupt(format!(
+                "unknown trace event kind {code}"
+            )))
+        }
+    })
 }
 
 /// Streams the rendered events as JSON Lines — one object per event,
@@ -730,8 +854,8 @@ impl Accum {
     }
 }
 
-/// Bytes per `(edge, count)` pair on the wire.
-const LINK_LOSS_BYTES: usize = 4 + 8;
+/// Fewest bytes an `(edge, count)` pair takes on the wire.
+const LINK_LOSS_MIN_BYTES: usize = 2;
 
 fn put_link_losses(out: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (u32, u64)>) {
     wire::put_u64(out, pairs.len() as u64);
@@ -742,13 +866,12 @@ fn put_link_losses(out: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (u32,
 }
 
 fn read_link_losses(r: &mut wire::Reader<'_>) -> Result<Vec<(u32, u64)>, LggError> {
-    let n = r.count(LINK_LOSS_BYTES)?;
-    (0..n).map(|_| Ok((r.u32()?, r.u64()?))).collect()
+    r.seq(LINK_LOSS_MIN_BYTES, |r| Ok((r.u32()?, r.u64()?)))
 }
 
-/// Fixed bytes of one closed window on the wire (two `u128`s, ten
-/// eight-byte scalars and the two length prefixes).
-const WINDOW_BYTES: usize = 2 * 16 + 10 * 8 + 2 * 8;
+/// Fewest bytes of one closed window on the wire: two eight-byte means,
+/// then ten scalars and the two length prefixes at one varint byte each.
+const WINDOW_MIN_BYTES: usize = 2 * 8 + 10 + 2;
 
 fn put_window(out: &mut Vec<u8>, w: &WindowStats) {
     wire::put_u64(out, w.t_start);
@@ -898,10 +1021,7 @@ impl SimObserver for WindowAggregator {
         if size == 0 {
             return Err(LggError::corrupt("window size 0"));
         }
-        let n = r.count(WINDOW_BYTES)?;
-        let closed = (0..n)
-            .map(|_| read_window(&mut r))
-            .collect::<Result<Vec<_>, _>>()?;
+        let closed = r.seq(WINDOW_MIN_BYTES, read_window)?;
         let cur = if r.bool_()? {
             Some(Accum::load(&mut r)?)
         } else {
@@ -1008,14 +1128,24 @@ pub(crate) mod tests {
         }
     }
 
+    /// `bytes` with the varint at offset `at` replaced by `x`.
+    pub(crate) fn with_varint(bytes: &[u8], at: usize, x: u64) -> Vec<u8> {
+        let mut r = wire::Reader::new(&bytes[at..]);
+        r.u64().expect("a varint at the offset");
+        let mut out = bytes[..at].to_vec();
+        wire::put_u64(&mut out, x);
+        out.extend_from_slice(&bytes[bytes.len() - r.remaining()..]);
+        out
+    }
+
     fn render(r: &mut TraceRenderer, step: &Crafted) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         r.render(&step.record(), |ev| events.push(ev));
         events
     }
 
-    #[test]
-    fn renderer_emits_phase_order() {
+    /// Step 5 with one event of every kind but a link coming up.
+    fn busy_step() -> Crafted {
         let mut step = Crafted::at(5);
         step.active_edges = vec![true, false, true];
         step.injected = vec![amount(0, 0), amount(2, 3)];
@@ -1037,9 +1167,14 @@ pub(crate) mod tests {
         step.extracted = vec![amount(3, 1), amount(1, 0)];
         step.ledger.pt = 17;
         (step.ledger.total, step.ledger.max_queue, step.ledger.active) = (5, 4, 2);
+        step
+    }
+
+    #[test]
+    fn renderer_emits_phase_order() {
         let t = 5;
         assert_eq!(
-            render(&mut TraceRenderer::new(), &step),
+            render(&mut TraceRenderer::new(), &busy_step()),
             vec![
                 TraceEvent::LinkDown { t, edge: 1 },
                 TraceEvent::Injection {
@@ -1140,6 +1275,51 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn ring_snapshot_round_trips_every_event_kind() {
+        let mut ring = RingRecorder::new(64);
+        busy_step().feed(&mut ring);
+        Crafted::at(6).feed(&mut ring); // link 1 comes back up
+        let mut bytes = Vec::new();
+        ring.save_state(&mut bytes);
+        let mut back = RingRecorder::new(1);
+        back.load_state(&bytes).unwrap();
+        assert!(back.events().eq(ring.events()));
+        assert!(back
+            .events()
+            .any(|e| matches!(e, TraceEvent::LinkUp { .. })));
+        assert_eq!(
+            (back.capacity, back.total_seen(), &back.renderer),
+            (64, ring.total_seen(), &ring.renderer)
+        );
+
+        for cut in 0..bytes.len() {
+            let err = RingRecorder::new(1).load_state(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, LggError::CheckpointCorrupt { .. }),
+                "cut {cut}: {err}"
+            );
+        }
+        // Capacity, then the count seen, the link mask and the event
+        // count; the first event's kind follows.
+        let mut r = wire::Reader::new(&bytes);
+        let (capacity, seen) = (r.u64().unwrap(), r.u64().unwrap());
+        assert_eq!((capacity, seen), (64, ring.total_seen()));
+        r.bool_vec().unwrap();
+        let count_at = bytes.len() - r.remaining();
+        r.u64().unwrap();
+        let kind_at = bytes.len() - r.remaining();
+        for forged in [
+            with_varint(&bytes, 0, 0),
+            with_varint(&bytes, 0, 2),
+            with_varint(&bytes, count_at, u64::MAX),
+            with_varint(&bytes, kind_at, 9),
+        ] {
+            let err = RingRecorder::new(1).load_state(&forged).unwrap_err();
+            assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn jsonl_lines_parse_back() {
         let mut sink = JsonlSink::new(Vec::new());
         let mut step = Crafted::at(0);
@@ -1199,7 +1379,11 @@ pub(crate) mod tests {
         let tail = String::from_utf8(resumed.into_inner()).unwrap();
         assert!(full.ends_with(&tail), "{tail}");
         assert_eq!(tail.lines().filter(|l| l.contains("link-")).count(), 1);
-        assert!(JsonlSink::new(Vec::new()).load_state(&state[..16]).is_err());
+        for cut in 0..state.len() {
+            assert!(JsonlSink::new(Vec::new())
+                .load_state(&state[..cut])
+                .is_err());
+        }
     }
 
     /// Feeds `w` one step: `injected` packets in, losses on `lost_edges`
@@ -1295,19 +1479,37 @@ pub(crate) mod tests {
             );
         }
         // The closed-window count follows the window size; then the first
-        // window's link-loss count follows its 112 fixed bytes.
-        for at in [8, 16 + 112] {
-            let mut lying = bytes.clone();
-            lying[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // window's link-loss count follows its scalars.
+        let mut r = wire::Reader::new(&bytes);
+        r.u64().unwrap();
+        let windows_at = bytes.len() - r.remaining();
+        r.u64().unwrap();
+        // Window 0: t_start, t_end and samples, the P_t minimum, maximum
+        // and mean, max_queue, mean_active, then the four flow counters.
+        for _ in 0..3 {
+            r.u64().unwrap();
+        }
+        r.u128().unwrap();
+        r.u128().unwrap();
+        r.f64().unwrap();
+        r.u64().unwrap();
+        r.f64().unwrap();
+        for _ in 0..4 {
+            r.u64().unwrap();
+        }
+        let losses_at = bytes.len() - r.remaining();
+        assert_eq!(r.u64().unwrap(), w.windows()[0].link_losses.len() as u64);
+        for at in [windows_at, losses_at] {
+            let lying = with_varint(&bytes, at, u64::MAX);
             let err = WindowAggregator::new(4).load_state(&lying).unwrap_err();
             assert!(
                 matches!(err, LggError::CheckpointCorrupt { .. }),
                 "at {at}: {err}"
             );
         }
-        let mut zero = bytes.clone();
-        zero[..8].copy_from_slice(&0u64.to_le_bytes());
-        assert!(WindowAggregator::new(4).load_state(&zero).is_err());
+        assert!(WindowAggregator::new(4)
+            .load_state(&with_varint(&bytes, 0, 0))
+            .is_err());
     }
 
     #[test]

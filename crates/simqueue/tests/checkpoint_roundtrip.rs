@@ -70,13 +70,13 @@ impl RoutingProtocol for CoinGreedy {
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
         for w in self.rng.state() {
-            wire::put_u64(out, w);
+            wire::put_word(out, w);
         }
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
         let mut r = wire::Reader::new(bytes);
-        let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let state = [r.word()?, r.word()?, r.word()?, r.word()?];
         self.rng = StdRng::from_state(state);
         r.done()
     }
@@ -201,12 +201,13 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
 
 /// Snapshots in the previous container formats (version 1, which also
 /// carried an engine-mode tag, version 2, which also carried the declared
-/// queues, version 3, whose guard and window states were JSON, and
-/// version 4, whose trace sinks saved no link mask) are refused with the
+/// queues, version 3, whose guard and window states were JSON, version 4,
+/// whose trace sinks saved no link mask, and version 5, whose integers
+/// were fixed-width and whose metrics were JSON) are refused with the
 /// typed version error, never parsed as if they were current.
 #[test]
 fn version_1_snapshots_are_rejected() {
-    for old in [1u32, 2, 3, 4] {
+    for old in 1u32..=5 {
         let dir = std::env::temp_dir().join(format!("lgg_ckpt_v{old}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -226,7 +227,7 @@ fn version_1_snapshots_are_rejected() {
         assert!(
             matches!(
                 err,
-                LggError::CheckpointVersion { found, expected: 5 } if found == old
+                LggError::CheckpointVersion { found, expected: 6 } if found == old
             ),
             "{err}"
         );

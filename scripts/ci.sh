@@ -113,12 +113,15 @@ rm -rf "$OVERLOAD"
 # same bytes under any other. The gauntlet's full-retention liars put
 # declaration lies in the traces on both sides of the resume point, and
 # flapping_fabric flips links every step, so its resumed trace depends on
-# the link mask the trace sink saves in its snapshot.
+# the link mask the trace sink saves in its snapshot. lossy_sensor_field
+# is the one scenario with track_ages on: its snapshots carry the age
+# FIFOs and latency statistics, under matching-lgg and Gilbert-Elliott
+# loss.
 SMOKE_SCENARIO="$(mktemp -d)/smoke.json"
 cargo run --release -p lgg-cli -- --template | sed 's/"steps": 50000/"steps": 2000/' \
     > "$SMOKE_SCENARIO"
 for scenario in "$SMOKE_SCENARIO" scenarios/bursty_rgen_gauntlet.json \
-    scenarios/flapping_fabric.json; do
+    scenarios/flapping_fabric.json scenarios/lossy_sensor_field.json; do
     for threads in 1 4; do
         WORK="$(mktemp -d)"
         LGG_THREADS=$threads cargo run --release -p lgg-cli -- run "$scenario" \
