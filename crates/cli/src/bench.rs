@@ -26,13 +26,32 @@
 //! Each case is run once untimed as warm-up, then `REPS` times; the
 //! fastest repetition is reported (minimum-of-N is the usual noise filter
 //! for throughput benches).
+//!
+//! Below the step pipeline, the same timing covers one table of layer
+//! kernels ([`LayerTiming`]): the max-flow solvers, the feasibility
+//! classifier, the Fig. 2/3 constructions, one LGG step, and the E11
+//! protocol and E14 ablation runs.
 
 use std::time::Instant;
 
+use lgg_core::baselines::{Flood, MaxFlowRouting, RandomForward, ShortestPathRouting};
+use lgg_core::interference::MatchingLgg;
+use lgg_core::{Lgg, TieBreak};
+use maxflow::{Algorithm, FlowNetwork};
+use mgraph::generators;
+use netmodel::{
+    classify, decompose_at_cut, find_interior_min_cut, ExtendedNetwork, TrafficSpec,
+    TrafficSpecBuilder,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use simqueue::declare::{FullRetention, TruthfulDeclaration, ZeroBelowRetention};
+use simqueue::injection::UniformInjection;
+use simqueue::loss::IidLoss;
 use simqueue::{
-    GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder, SimObserver,
-    WindowAggregator,
+    DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder,
+    RoutingProtocol, SimObserver, SimulationBuilder, WindowAggregator,
 };
 
 use crate::sweep::SweepReport;
@@ -87,6 +106,11 @@ pub struct BenchReport {
     /// the guard existed.
     #[serde(default)]
     pub guard: Option<GuardBench>,
+    /// Per-kernel timings of the layers below the step pipeline (max-flow,
+    /// classification, figure constructions, protocol and ablation runs);
+    /// absent in files written before the suite timed them.
+    #[serde(default)]
+    pub layers: Option<Vec<LayerTiming>>,
 }
 
 /// Invariant-guard overhead on one case: the unguarded production path
@@ -107,7 +131,7 @@ pub struct GuardBench {
     /// declaration legality) on a [`simqueue::NoopObserver`] inner.
     pub guarded: EngineThroughput,
     /// `guarded.steps_per_sec / off.steps_per_sec`. The guard can be on
-    /// by default once this is at least 0.9 (ROADMAP item 5).
+    /// by default once this is at least 0.9 (ROADMAP item 4).
     pub guarded_vs_off: f64,
     /// The configuration `lgg-sim run --guard` installs: the hard checks
     /// plus the online divergence detector, assessed every 128 steps.
@@ -268,7 +292,6 @@ fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError
     let spec = sc.traffic_spec()?;
     let nodes = spec.graph.node_count();
     let edges = spec.graph.edge_count();
-    let size = (nodes + edges) as f64;
 
     let [ns] = time_interleaved(
         [&mut leg(|| {
@@ -281,11 +304,30 @@ fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError
         nodes,
         edges,
         steps,
-        throughput: EngineThroughput {
-            steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-            ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-        },
+        throughput: throughput(steps, &spec)(ns),
     })
+}
+
+/// Converts a leg's nanoseconds for `steps` steps on `spec`'s topology
+/// into its throughput.
+fn throughput(steps: u64, spec: &TrafficSpec) -> impl Fn(f64) -> EngineThroughput {
+    let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
+    move |ns| EngineThroughput {
+        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
+        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
+    }
+}
+
+/// The case both overhead sections measure: the first synthetic case
+/// (`grid-16x16-steady`) at full length, with its traffic spec.
+fn overhead_case() -> Result<(String, Scenario, u64, TrafficSpec), LggError> {
+    let (name, sc, steps) = synthetic_cases(false)
+        .into_iter()
+        .next()
+        .expect("fixed suite is non-empty");
+    debug_assert_eq!(name, "grid-16x16-steady");
+    let spec = sc.traffic_spec()?;
+    Ok((name, sc, steps, spec))
 }
 
 /// Measures observer overhead on the `grid-16x16-steady` case.
@@ -295,19 +337,7 @@ fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError
 /// having the telemetry subsystem compiled in — not an assumption about
 /// dead-code elimination.
 pub fn observer_bench() -> Result<ObserverBench, LggError> {
-    let (name, sc, steps) = synthetic_cases(false)
-        .into_iter()
-        .next()
-        .expect("fixed suite is non-empty");
-    debug_assert_eq!(name, "grid-16x16-steady");
-
-    let spec = sc.traffic_spec()?;
-    let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
-    let throughput = |ns: f64| EngineThroughput {
-        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-    };
-
+    let (name, sc, steps, spec) = overhead_case()?;
     eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x3 observers)...");
     let [off, ring, window] = time_interleaved(
         [
@@ -317,7 +347,7 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
         ],
         steps,
     )?
-    .map(throughput);
+    .map(throughput(steps, &spec));
 
     Ok(ObserverBench {
         case: name,
@@ -335,22 +365,10 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
 /// hard check live. The guard reads one step record per step (the ledger,
 /// the validated plan, the link mask and the declarations at `S ∪ D`) and
 /// renders no trace events; with its `NoopObserver` inner nothing does.
-/// ROADMAP item 5 targets `guarded_vs_off ≥ 0.9`. A third leg adds the
+/// ROADMAP item 4 targets `guarded_vs_off ≥ 0.9`. A third leg adds the
 /// online divergence detector, as `lgg-sim run --guard` does.
 pub fn guard_bench() -> Result<GuardBench, LggError> {
-    let (name, sc, steps) = synthetic_cases(false)
-        .into_iter()
-        .next()
-        .expect("fixed suite is non-empty");
-    debug_assert_eq!(name, "grid-16x16-steady");
-
-    let spec = sc.traffic_spec()?;
-    let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
-    let throughput = |ns: f64| EngineThroughput {
-        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-    };
-
+    let (name, sc, steps, spec) = overhead_case()?;
     let guarded_with = |divergence: bool| {
         let config = GuardConfig {
             divergence,
@@ -367,7 +385,7 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
         ],
         steps,
     )?
-    .map(throughput);
+    .map(throughput(steps, &spec));
     let vs_off = |t: EngineThroughput| round(t.steps_per_sec / off.steps_per_sec, 3);
 
     Ok(GuardBench {
@@ -379,6 +397,304 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
         guarded_divergence,
         guarded_divergence_vs_off: vs_off(guarded_divergence),
     })
+}
+
+/// One layer kernel's timing: the fastest of [`REPS`] repetitions of
+/// `iters` back-to-back calls, divided by `iters`.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+pub struct LayerTiming {
+    /// Suite-stable kernel id, e.g. `maxflow/grid/dinic/16x16`.
+    pub name: String,
+    /// Kernel calls per timed repetition (1 under `--quick`).
+    pub iters: u64,
+    /// Nanoseconds per kernel call.
+    pub ns_per_iter: f64,
+}
+
+/// A layer-kernel row: its id, its calls per timed repetition in the full
+/// suite, and the kernel, which runs once per call.
+type LayerRow = (String, u64, Box<dyn FnMut()>);
+
+fn row<T>(
+    name: impl Into<String>,
+    iters: u64,
+    mut kernel: impl FnMut() -> T + 'static,
+) -> LayerRow {
+    let run = move || {
+        std::hint::black_box(kernel());
+    };
+    (name.into(), iters, Box::new(run))
+}
+
+/// A source at `g`'s first node and a sink at its last.
+fn corner_spec(g: mgraph::MultiGraph, source: u64, sink: u64) -> TrafficSpec {
+    let last = (g.node_count() - 1) as u32;
+    TrafficSpecBuilder::new(g)
+        .source(0, source)
+        .sink(last, sink)
+        .build()
+        .unwrap()
+}
+
+/// The E1/E4/E8 stability cases: unsaturated, saturated and infeasible.
+fn stability_specs() -> [(&'static str, TrafficSpec); 3] {
+    [
+        (
+            "unsaturated-grid",
+            corner_spec(generators::grid2d(5, 5), 1, 4),
+        ),
+        (
+            "saturated-dumbbell",
+            corner_spec(generators::dumbbell(4, 2), 1, 4),
+        ),
+        ("infeasible-path", corner_spec(generators::path(5), 3, 3)),
+    ]
+}
+
+/// The layer kernels below the step pipeline: the E14 ablations, the
+/// Fig. 2/3 constructions, the per-step cost of LGG, the max-flow solvers
+/// on `G*`-like networks, the E11 protocol comparison, and the
+/// E1/E4/E8 stability runs with the classifier that gates them. Rows are
+/// built eagerly (a step row owns a simulation already run 200 steps into
+/// its steady state); sizes and seeds are fixed so ids stay comparable.
+fn layer_table() -> Vec<LayerRow> {
+    let mut rows = Vec::new();
+
+    // E14 ablations, 1000 steps each; the backlog is the kernel's result,
+    // so a policy that destabilized would show as divergent time too. `K12`
+    // is a dense hub where tie-breaking has choices to make.
+    let k12 = TrafficSpecBuilder::new(generators::complete(12))
+        .source(0, 4)
+        .source(1, 3)
+        .sink(10, 4)
+        .sink(11, 4)
+        .build()
+        .unwrap();
+    for tb in TieBreak::ALL {
+        let spec = k12.clone();
+        let name = format!("ablation_tiebreak/K12_1000steps/{}", tb.name());
+        rows.push(row(name, 10, move || {
+            SimulationBuilder::new(spec.clone(), Box::new(Lgg::with_tie_break(tb, 1)))
+                .history(HistoryMode::None)
+                .build()
+                .run(1000)
+                .sup_total
+        }));
+    }
+    let liars = TrafficSpecBuilder::new(generators::grid2d(4, 4))
+        .generalized(0, 2, 1)
+        .generalized(15, 1, 3)
+        .retention(8)
+        .build()
+        .unwrap();
+    type Declare = fn() -> Box<dyn DeclarationPolicy>;
+    let policies: [(&str, Declare); 3] = [
+        ("truthful", || Box::new(TruthfulDeclaration)),
+        ("zero-below-r", || Box::new(ZeroBelowRetention)),
+        ("full-retention", || Box::new(FullRetention)),
+    ];
+    for (name, declare) in policies {
+        let spec = liars.clone();
+        let name = format!("ablation_lying/grid4x4_R8_1000steps/{name}");
+        rows.push(row(name, 10, move || {
+            SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+                .declaration(declare())
+                .history(HistoryMode::None)
+                .build()
+                .run(1000)
+                .sup_total
+        }));
+    }
+    for pct in [0u32, 10, 30, 60, 90] {
+        let spec = k12.clone();
+        let name = format!("ablation_loss/K12_1000steps/p{pct}");
+        rows.push(row(name, 10, move || {
+            SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+                .loss(Box::new(IidLoss::new(pct as f64 / 100.0)))
+                .history(HistoryMode::None)
+                .build()
+                .run(1000)
+                .sup_total
+        }));
+    }
+
+    // Fig. 2: building and solving `G*`; Fig. 3: locating an interior
+    // minimum cut and decomposing the network at it. The dumbbell is two
+    // `clique`-cliques joined by a 2-path.
+    let dumbbell_spec =
+        |clique: usize| corner_spec(generators::dumbbell(clique, 2), 1, clique as u64);
+    for clique in [8usize, 16, 32] {
+        let spec = dumbbell_spec(clique);
+        let name = format!("fig2_extended_gstar/dumbbell{clique}");
+        rows.push(row(name, 500, move || {
+            ExtendedNetwork::feasibility(&spec).solve(Algorithm::Dinic)
+        }));
+    }
+    for clique in [4usize, 8, 16] {
+        let spec = dumbbell_spec(clique);
+        let name = format!("fig3_interior_min_cut/dumbbell{clique}");
+        rows.push(row(name, 500, move || find_interior_min_cut(&spec)));
+    }
+    for clique in [8usize, 16, 32] {
+        let spec = dumbbell_spec(clique);
+        let side = find_interior_min_cut(&spec).expect("interior cut");
+        let name = format!("fig3_decompose/dumbbell{clique}");
+        rows.push(row(name, 1000, move || decompose_at_cut(&spec, &side, 5)));
+    }
+
+    // One LGG step on a steady-state simulation, as the grid grows and as
+    // a 512-node random graph densifies.
+    let mut stepper = |name: String, spec: TrafficSpec, iters: u64| {
+        let mut sim = SimulationBuilder::new(spec, Box::new(Lgg::new()))
+            .history(HistoryMode::None)
+            .build();
+        sim.run(200);
+        rows.push(row(name, iters, move || {
+            sim.step();
+            sim.total_packets()
+        }));
+    };
+    for side in [8usize, 16, 32, 64] {
+        let n = side * side;
+        stepper(
+            format!("lgg_step/grid/{n}"),
+            corner_spec(generators::grid2d(side, side), 2, 4),
+            2000,
+        );
+    }
+    for factor in [1usize, 4, 16] {
+        let g = generators::connected_random(512, 512 * factor, &mut StdRng::seed_from_u64(7));
+        let m = g.edge_count();
+        stepper(
+            format!("lgg_step/random_density/m{m}"),
+            corner_spec(g, 2, 4),
+            200,
+        );
+    }
+
+    // The max-flow solvers on unit-capacity networks. Each call clones the
+    // prepared network and solves the clone, so the clone is timed too.
+    let grids = [(8usize, 1000), (16, 200), (24, 50)]
+        .map(|(s, iters)| ("grid", format!("{s}x{s}"), generators::grid2d(s, s), iters));
+    let randoms = [(100usize, 200usize, 500), (400, 800, 10)].map(|(n, m, iters)| {
+        let g = generators::connected_random(n, m, &mut StdRng::seed_from_u64(42));
+        ("random", format!("n{n}m{m}"), g, iters)
+    });
+    let cubes = [(6u32, 1000), (8, 200)].map(|(d, iters)| {
+        (
+            "hypercube",
+            format!("d{d}"),
+            generators::hypercube(d),
+            iters,
+        )
+    });
+    for (family, label, g, iters) in grids.into_iter().chain(randoms).chain(cubes) {
+        let net = FlowNetwork::from_multigraph_unit(&g);
+        let t = g.node_count() - 1;
+        for algo in Algorithm::ALL {
+            let net = net.clone();
+            let name = format!("maxflow/{family}/{}/{label}", algo.name());
+            rows.push(row(name, iters, move || net.clone().max_flow(0, t, algo)));
+        }
+    }
+
+    // E11: 500 steps of each protocol on one workload, then the route
+    // planning the two clairvoyant comparators pay up front.
+    let e11 = TrafficSpecBuilder::new(generators::grid2d(12, 12))
+        .source(0, 2)
+        .source(11, 1)
+        .sink(143, 4)
+        .sink(132, 2)
+        .build()
+        .unwrap();
+    type Make = fn(&TrafficSpec) -> Box<dyn RoutingProtocol>;
+    let protocols: [(&str, Make); 6] = [
+        ("lgg", |_| Box::new(Lgg::new())),
+        ("maxflow-routing", |s| Box::new(MaxFlowRouting::new(s))),
+        ("shortest-path", |s| Box::new(ShortestPathRouting::new(s))),
+        ("flood", |_| Box::new(Flood)),
+        ("random-forward", |_| Box::new(RandomForward::new(1))),
+        ("matching-lgg", |_| Box::new(MatchingLgg::new())),
+    ];
+    for (name, make) in protocols {
+        let spec = e11.clone();
+        let name = format!("protocol_run/grid12x12_500steps/{name}");
+        rows.push(row(name, 5, move || {
+            SimulationBuilder::new(spec.clone(), make(&spec))
+                .history(HistoryMode::None)
+                .build()
+                .run(500)
+                .delivered
+        }));
+    }
+    let spec = e11.clone();
+    rows.push(row("protocol_setup/maxflow-routing", 500, move || {
+        MaxFlowRouting::new(&spec).hop_count()
+    }));
+    rows.push(row("protocol_setup/shortest-path", 5000, move || {
+        ShortestPathRouting::new(&e11).distances().len()
+    }));
+
+    // E1/E4: 2000 sampled steps on each stability regime; E8: uniform
+    // arrivals near the critical ratio; then the classifier itself.
+    for (name, spec) in stability_specs() {
+        let name = format!("stability_run/2000steps/{name}");
+        rows.push(row(name, 10, move || {
+            SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+                .history(HistoryMode::Sampled(16))
+                .build()
+                .run(2000)
+                .sup_pt
+        }));
+    }
+    let diamond = TrafficSpecBuilder::new(generators::layered_diamond(2, 4))
+        .source(0, 16)
+        .sink(10, 8)
+        .build()
+        .unwrap();
+    for mu in [2u64, 4, 6] {
+        let spec = diamond.clone();
+        let name = format!("uniform_arrivals/2000steps/mu{mu}");
+        rows.push(row(name, 10, move || {
+            SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+                .injection(Box::new(UniformInjection { mean: mu }))
+                .history(HistoryMode::None)
+                .build()
+                .run(2000)
+                .sup_total
+        }));
+    }
+    for (name, spec) in stability_specs() {
+        rows.push(row(format!("classify/{name}"), 200, move || {
+            classify(&spec)
+        }));
+    }
+    rows
+}
+
+/// Times every layer kernel: [`time_interleaved`] over `iters` calls per
+/// repetition, one call under `quick`.
+fn layer_timings(quick: bool) -> Result<Vec<LayerTiming>, LggError> {
+    let rows = layer_table();
+    eprintln!("bench: {} layer kernels (x{REPS} reps)...", rows.len());
+    rows.into_iter()
+        .map(|(name, iters, mut kernel)| {
+            let iters = if quick { 1 } else { iters };
+            let mut calls = |n: u64| {
+                let t = Instant::now();
+                for _ in 0..n {
+                    kernel();
+                }
+                Ok(t.elapsed().as_nanos() as f64)
+            };
+            let [ns] = time_interleaved([&mut calls], iters)?;
+            Ok(LayerTiming {
+                name,
+                iters,
+                ns_per_iter: round(ns / iters as f64, 1),
+            })
+        })
+        .collect()
 }
 
 /// CI gate: errors when the disabled-observer throughput in `report`
@@ -436,12 +752,14 @@ pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, L
     }
     let observer = Some(observer_bench()?);
     let guard = Some(guard_bench()?);
+    let layers = Some(layer_timings(quick)?);
     Ok(BenchReport {
         generated_by: "lgg-sim bench (fixed suite; schema documented in DESIGN.md)".into(),
         cases,
         sweep: None,
         observer,
         guard,
+        layers,
     })
 }
 
@@ -492,6 +810,18 @@ mod tests {
         let divergence_vs_off = g.guarded_divergence.steps_per_sec / g.off.steps_per_sec;
         assert!((g.guarded_divergence_vs_off - divergence_vs_off).abs() <= 0.0005 + 1e-9);
 
+        // Every layer kernel runs once per call under --quick, and the ids
+        // are exactly the fixed set below, each reported once.
+        let layers = report.layers.as_ref().expect("layers section");
+        for l in layers {
+            assert_eq!(l.iters, 1, "{}", l.name);
+            assert!(l.ns_per_iter > 0.0, "{}", l.name);
+        }
+        let want = expected_layer_ids();
+        assert_eq!(want.len(), 80);
+        assert!(want.windows(2).all(|w| w[0] < w[1]), "ids are distinct");
+        assert_eq!(layer_names(layers), want);
+
         // The report must survive a JSON round trip unchanged — this is
         // the schema contract `lgg-sim sweep` relies on when it edits the
         // file in place.
@@ -499,6 +829,67 @@ mod tests {
         let back: BenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert!(back.sweep.is_none());
+    }
+
+    /// Every layer id, one group per line: the id prefix, then the
+    /// parameters that complete it.
+    const LAYER_IDS: &str = "
+        ablation_tiebreak/K12_1000steps smallest-first link-order round-robin random
+        ablation_lying/grid4x4_R8_1000steps truthful zero-below-r full-retention
+        ablation_loss/K12_1000steps p0 p10 p30 p60 p90
+        fig2_extended_gstar dumbbell8 dumbbell16 dumbbell32
+        fig3_interior_min_cut dumbbell4 dumbbell8 dumbbell16
+        fig3_decompose dumbbell8 dumbbell16 dumbbell32
+        lgg_step/grid 64 256 1024 4096
+        lgg_step/random_density m1023 m2559 m8703
+        maxflow/grid/edmonds-karp 8x8 16x16 24x24
+        maxflow/grid/dinic 8x8 16x16 24x24
+        maxflow/grid/push-relabel 8x8 16x16 24x24
+        maxflow/grid/push-relabel-highest 8x8 16x16 24x24
+        maxflow/grid/push-relabel-nogap 8x8 16x16 24x24
+        maxflow/random/edmonds-karp n100m200 n400m800
+        maxflow/random/dinic n100m200 n400m800
+        maxflow/random/push-relabel n100m200 n400m800
+        maxflow/random/push-relabel-highest n100m200 n400m800
+        maxflow/random/push-relabel-nogap n100m200 n400m800
+        maxflow/hypercube/edmonds-karp d6 d8
+        maxflow/hypercube/dinic d6 d8
+        maxflow/hypercube/push-relabel d6 d8
+        maxflow/hypercube/push-relabel-highest d6 d8
+        maxflow/hypercube/push-relabel-nogap d6 d8
+        protocol_run/grid12x12_500steps lgg maxflow-routing shortest-path flood random-forward matching-lgg
+        protocol_setup maxflow-routing shortest-path
+        stability_run/2000steps unsaturated-grid saturated-dumbbell infeasible-path
+        uniform_arrivals/2000steps mu2 mu4 mu6
+        classify unsaturated-grid saturated-dumbbell infeasible-path
+    ";
+
+    /// [`LAYER_IDS`] expanded and sorted.
+    fn expected_layer_ids() -> Vec<String> {
+        let mut ids: Vec<String> = LAYER_IDS
+            .lines()
+            .filter_map(|line| line.trim().split_once(' '))
+            .flat_map(|(prefix, params)| params.split(' ').map(move |p| format!("{prefix}/{p}")))
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Sorted names of a report's layer timings.
+    fn layer_names(layers: &[LayerTiming]) -> Vec<String> {
+        let mut names: Vec<String> = layers.iter().map(|l| l.name.clone()).collect();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn checked_in_bench_file_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let report: BenchReport = serde_json::from_str(&text).unwrap();
+        assert!(report.observer.is_some(), "the CI gate reads observer.off");
+        let layers = report.layers.expect("layers section");
+        assert_eq!(layer_names(&layers), expected_layer_ids());
     }
 
     fn fake_report(off_sps: f64, with_observer: bool) -> BenchReport {
@@ -521,6 +912,7 @@ mod tests {
             sweep: None,
             observer,
             guard: None,
+            layers: None,
         }
     }
 

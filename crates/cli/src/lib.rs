@@ -39,7 +39,7 @@ mod trace_cmd;
 
 pub use bench::{
     check_observer_baseline, guard_bench, observer_bench, run_bench_suite, BenchCase, BenchReport,
-    EngineThroughput, GuardBench, ObserverBench,
+    EngineThroughput, GuardBench, LayerTiming, ObserverBench,
 };
 pub use chaos::{
     compose_trial, replay_reproducer, run_chaos, shrink, write_reproducer, ChaosConfig,

@@ -443,6 +443,12 @@ fn run_bench(args: &[String]) -> ExitCode {
                     c.throughput.ns_per_node_edge_step
                 );
             }
+            for l in report.layers.iter().flatten() {
+                println!(
+                    "{:<52} {:>14.1} ns/iter  ({} iters)",
+                    l.name, l.ns_per_iter, l.iters
+                );
+            }
             if let Some(obs) = &report.observer {
                 println!(
                     "observer overhead on {}: off {:.1} steps/s  ring {:.1} ({:.3} of off)  window {:.1} ({:.3} of off)",
@@ -650,7 +656,8 @@ fn print_help() {
          USAGE: lgg-sim SCENARIO.json [--json]\n\
          \u{20}      lgg-sim --template   # print a starter scenario\n\
          \u{20}      lgg-sim bench [--quick] [--out FILE] [--scenarios DIR] [--baseline FILE]\n\
-         \u{20}                           # throughput suite -> BENCH_throughput.json;\n\
+         \u{20}                           # throughput suite and layer kernels ->\n\
+         \u{20}                           # BENCH_throughput.json;\n\
          \u{20}                           # --baseline gates observer overhead at 2%\n\
          \u{20}      lgg-sim sweep [--smoke] [--out FILE] [--scenarios DIR] [--threads N]\n\
          \u{20}                           # parallel parameter grid, serial-vs-parallel\n\

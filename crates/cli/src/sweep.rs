@@ -283,6 +283,7 @@ pub fn write_sweep_into_bench(path: &str, report: SweepReport) -> Result<(), Lgg
         sweep: None,
         observer: None,
         guard: None,
+        layers: None,
     };
     let mut bench: BenchReport = match std::fs::read_to_string(path) {
         Ok(text) if text.trim().is_empty() => fresh(),
@@ -368,11 +369,23 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(back.sweep, Some(report.clone()));
         assert!(back.cases.is_empty());
-        // A second write preserves the file's cases and replaces sweep.
+        // A second write preserves the file's other sections (here a
+        // recorded layer timing) and replaces sweep.
+        let layers = Some(vec![crate::LayerTiming {
+            name: "classify/infeasible-path".into(),
+            iters: 200,
+            ns_per_iter: 3857.5,
+        }]);
+        let with_layers = BenchReport {
+            layers: layers.clone(),
+            ..back
+        };
+        std::fs::write(path, serde_json::to_string_pretty(&with_layers).unwrap()).unwrap();
         write_sweep_into_bench(path, report.clone()).unwrap();
         let back2: BenchReport =
             serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(back2.sweep, Some(report.clone()));
+        assert_eq!(back2.layers, layers);
         // An existing empty file (mktemp) counts as absent, not corrupt...
         std::fs::write(path, "").unwrap();
         write_sweep_into_bench(path, report.clone()).unwrap();

@@ -1,5 +1,5 @@
 //! E14 — ablations of the design choices DESIGN.md §6 calls out, on the
-//! *stability* axis (the compute axis lives in the Criterion benches):
+//! *stability* axis (the compute axis is timed by `lgg-sim bench`):
 //!
 //! * tie-break policy (the paper: "this choice has no impact on the
 //!   system stability");

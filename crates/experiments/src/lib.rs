@@ -112,7 +112,7 @@ pub struct ExperimentReport {
     pub tables: Vec<Table>,
     /// Free-form observations.
     pub findings: Vec<String>,
-    /// Did the shape criterion hold?
+    /// Did the shape check hold?
     pub pass: bool,
 }
 

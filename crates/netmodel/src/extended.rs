@@ -119,7 +119,7 @@ impl ExtendedNetwork {
     }
 
     /// After [`ExtendedNetwork::solve`]: is every source arc saturated
-    /// (`Φ(s*, s) = cap`)? This is Definition 3's feasibility criterion
+    /// (`Φ(s*, s) = cap`)? This is Definition 3's feasibility condition
     /// (and Definition 4's when built with an ε inflation).
     pub fn sources_saturated(&self) -> bool {
         self.source_arcs

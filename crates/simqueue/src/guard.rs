@@ -142,20 +142,14 @@ pub struct FaultSpec {
     pub amount: u64,
 }
 
-fn default_online_cap() -> usize {
-    4096
-}
+/// Snapshots the online divergence detector retains (halving buffer).
+const ONLINE_CAP: usize = 4096;
 
-/// What the guard checks and when it gives up. Everything is serializable
-/// so a guarded run's configuration lands in reproducer files verbatim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What the guard checks beyond the hard invariants, and when it gives
+/// up. Packet conservation, link capacity and declaration legality
+/// (Definition 6(ii)) are always checked.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
-    /// Check per-step packet conservation.
-    pub conservation: bool,
-    /// Check per-link capacity ≤ 1 and active-link usage.
-    pub link_capacity: bool,
-    /// Check Definition 6(ii) declaration legality.
-    pub declaration_legality: bool,
     /// Abort when `P_t` exceeds this certified bound (Lemma 1's
     /// `nY² + 5nΔ²`; `None` when the network is not certified
     /// unsaturated — the bound only exists in that regime).
@@ -165,9 +159,6 @@ pub struct GuardConfig {
     /// overload; that is the boundary being searched, not an engine bug),
     /// on for `lgg-sim run --guard`.
     pub divergence: bool,
-    /// Snapshots the online detector retains (halving buffer).
-    #[serde(default = "default_online_cap")]
-    pub online_cap: usize,
     /// Step budget (absolute step count, like `run_until` targets).
     pub max_steps: Option<u64>,
     /// Backlog budget: stop once total stored packets exceed this.
@@ -177,50 +168,15 @@ pub struct GuardConfig {
 }
 
 impl GuardConfig {
-    /// The hard invariant checks on, divergence and budgets off.
+    /// The hard invariant checks only: divergence and budgets off.
     pub fn checks() -> Self {
         GuardConfig {
-            conservation: true,
-            link_capacity: true,
-            declaration_legality: true,
             pt_bound: None,
             divergence: false,
-            online_cap: default_online_cap(),
             max_steps: None,
             max_backlog: None,
             max_wall_ms: None,
         }
-    }
-
-    /// Everything off — the guard forwards events and costs (almost)
-    /// nothing; useful as the `--guard`-less arm of overhead benches.
-    pub fn disabled() -> Self {
-        GuardConfig {
-            conservation: false,
-            link_capacity: false,
-            declaration_legality: false,
-            pt_bound: None,
-            divergence: false,
-            online_cap: default_online_cap(),
-            max_steps: None,
-            max_backlog: None,
-            max_wall_ms: None,
-        }
-    }
-
-    /// Whether any check is on (with none, the guard only forwards).
-    fn any_check(&self) -> bool {
-        self.conservation
-            || self.link_capacity
-            || self.declaration_legality
-            || self.pt_bound.is_some()
-            || self.divergence
-    }
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig::checks()
     }
 }
 
@@ -307,7 +263,7 @@ impl<I: SimObserver> InvariantGuard<I> {
                 prev_total: 0,
                 samples_seen: 0,
                 violation: None,
-                online: OnlineStability::new(config.online_cap),
+                online: OnlineStability::new(ONLINE_CAP),
             },
             config,
             retention: spec.retention,
@@ -395,66 +351,59 @@ impl<I: SimObserver> InvariantGuard<I> {
 
     /// The step's first hard-check failure, in phase order.
     fn first_violation(&mut self, step: &StepRecord<'_>) -> Option<(ViolationKind, String)> {
-        let cfg = &self.config;
         let l = &step.ledger;
         let t = l.t;
-        if cfg.declaration_legality {
-            // Legality (Definition 6(ii)) of a lie: the liar is special,
-            // its queue is at most R, and so is the lie.
-            let r = self.retention;
-            for d in step.declarations.iter().filter(|d| d.declared != d.queue) {
-                let (node, q, declared) = (d.node.index(), d.queue, d.declared);
-                let detail = if !self.special.get(node).copied().unwrap_or(false) {
-                    format!("non-special node {node} declared {declared} with queue {q}")
-                } else if q > r {
-                    format!("node {node} lied ({declared}) with queue {q} above retention {r}")
-                } else if declared > r {
-                    format!("node {node} declared {declared} above retention {r} (queue {q})")
-                } else {
-                    continue;
-                };
-                return Some((ViolationKind::DeclarationLegality, detail));
-            }
+        // Legality (Definition 6(ii)) of a lie: the liar is special,
+        // its queue is at most R, and so is the lie.
+        let r = self.retention;
+        for d in step.declarations.iter().filter(|d| d.declared != d.queue) {
+            let (node, q, declared) = (d.node.index(), d.queue, d.declared);
+            let detail = if !self.special.get(node).copied().unwrap_or(false) {
+                format!("non-special node {node} declared {declared} with queue {q}")
+            } else if q > r {
+                format!("node {node} lied ({declared}) with queue {q} above retention {r}")
+            } else if declared > r {
+                format!("node {node} declared {declared} above retention {r} (queue {q})")
+            } else {
+                continue;
+            };
+            return Some((ViolationKind::DeclarationLegality, detail));
         }
-        if cfg.link_capacity {
-            for tx in step.plan {
-                let edge = tx.edge.index();
-                let (Some(&up), Some(stamp)) =
-                    (step.active_edges.get(edge), self.edge_seen.get_mut(edge))
-                else {
-                    continue;
-                };
-                let reused = *stamp == t + 1;
-                *stamp = t + 1;
-                if !up {
-                    let from = tx.from.index();
-                    return Some((
-                        ViolationKind::LinkCapacity,
-                        format!("edge {edge} carried a packet from node {from} while inactive"),
-                    ));
-                }
-                if reused {
-                    return Some((
-                        ViolationKind::LinkCapacity,
-                        format!("edge {edge} carried more than one packet in step {t}"),
-                    ));
-                }
-            }
-        }
-        if cfg.conservation {
-            let (p, i, d, lost) = (self.state.prev_total, l.injected, l.delivered, l.lost);
-            let expected = p.wrapping_add(i).wrapping_sub(d).wrapping_sub(lost);
-            if l.total != expected {
+        for tx in step.plan {
+            let edge = tx.edge.index();
+            let (Some(&up), Some(stamp)) =
+                (step.active_edges.get(edge), self.edge_seen.get_mut(edge))
+            else {
+                continue;
+            };
+            let reused = *stamp == t + 1;
+            *stamp = t + 1;
+            if !up {
+                let from = tx.from.index();
                 return Some((
-                    ViolationKind::Conservation,
-                    format!(
-                        "total {} != {p} + {i} injected - {d} delivered - {lost} lost = {expected}",
-                        l.total
-                    ),
+                    ViolationKind::LinkCapacity,
+                    format!("edge {edge} carried a packet from node {from} while inactive"),
+                ));
+            }
+            if reused {
+                return Some((
+                    ViolationKind::LinkCapacity,
+                    format!("edge {edge} carried more than one packet in step {t}"),
                 ));
             }
         }
-        match cfg.pt_bound {
+        let (p, i, d, lost) = (self.state.prev_total, l.injected, l.delivered, l.lost);
+        let expected = p.wrapping_add(i).wrapping_sub(d).wrapping_sub(lost);
+        if l.total != expected {
+            return Some((
+                ViolationKind::Conservation,
+                format!(
+                    "total {} != {p} + {i} injected - {d} delivered - {lost} lost = {expected}",
+                    l.total
+                ),
+            ));
+        }
+        match self.config.pt_bound {
             Some(bound) if l.pt as f64 > bound => Some((
                 ViolationKind::StateBound,
                 format!("P_t = {} exceeds the certified bound {bound:.3e}", l.pt),
@@ -466,9 +415,7 @@ impl<I: SimObserver> InvariantGuard<I> {
 
 impl<I: SimObserver> SimObserver for InvariantGuard<I> {
     fn on_step(&mut self, step: &StepRecord<'_>) {
-        if self.config.any_check() {
-            self.check(step);
-        }
+        self.check(step);
         self.state.prev_total = step.ledger.total;
         self.inner.on_step(step);
     }
@@ -758,31 +705,30 @@ mod tests {
     fn backlog_budget_stops_gracefully_with_partial_verdict() {
         // Source rate 3 against a sink draining 1: backlog grows by
         // ~2/step, so a budget of 40 stops within a few dozen steps, at
-        // the first step past it, with the checks on or off.
+        // the first step past it.
         let spec = TrafficSpecBuilder::new(generators::path(3))
             .source(0, 3)
             .sink(2, 1)
             .build()
             .unwrap();
-        for mut config in [GuardConfig::checks(), GuardConfig::disabled()] {
-            config.max_backlog = Some(40);
-            let guard = InvariantGuard::new(&spec, config);
-            let mut sim = SimulationBuilder::new(spec.clone(), Box::new(TestGreedy))
-                .seed(5)
-                .history(crate::HistoryMode::EveryStep)
-                .observer(guard)
-                .build();
-            let report = sim.run_guarded(100_000, None, None).unwrap();
-            assert_eq!(
-                report.outcome,
-                GuardOutcome::BudgetExceeded(BudgetKind::Backlog)
-            );
-            assert!(report.steps < 100_000);
-            assert_eq!(sim.observer().state.prev_total, sim.total_packets());
-            let (last, before) = sim.metrics().history.split_last().unwrap();
-            assert!(last.total_packets > 40);
-            assert!(before.iter().all(|s| s.total_packets <= 40));
-        }
+        let mut config = GuardConfig::checks();
+        config.max_backlog = Some(40);
+        let guard = InvariantGuard::new(&spec, config);
+        let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
+            .seed(5)
+            .history(crate::HistoryMode::EveryStep)
+            .observer(guard)
+            .build();
+        let report = sim.run_guarded(100_000, None, None).unwrap();
+        assert_eq!(
+            report.outcome,
+            GuardOutcome::BudgetExceeded(BudgetKind::Backlog)
+        );
+        assert!(report.steps < 100_000);
+        assert_eq!(sim.observer().state.prev_total, sim.total_packets());
+        let (last, before) = sim.metrics().history.split_last().unwrap();
+        assert!(last.total_packets > 40);
+        assert!(before.iter().all(|s| s.total_packets <= 40));
     }
 
     #[test]
@@ -1006,7 +952,6 @@ mod tests {
     fn pt_bound_breach_is_latched() {
         let spec = spec();
         let mut config = GuardConfig::checks();
-        config.conservation = false;
         config.pt_bound = Some(100.0);
         let mut guard = InvariantGuard::new(&spec, config);
         let mut step = Crafted::at(12);
@@ -1024,13 +969,14 @@ mod tests {
     fn divergence_check_latches_on_growing_backlog() {
         let spec = spec();
         let mut config = GuardConfig::checks();
-        config.conservation = false;
         config.divergence = true;
         let mut guard = InvariantGuard::new(&spec, config);
         let mut pushed = Vec::new();
         for t in 0..2048u64 {
             let mut step = Crafted::at(t);
             let total = 5 + 3 * t;
+            // Injections account for the growth, so conservation holds.
+            step.ledger.injected = if t == 0 { 5 } else { 3 };
             (step.ledger.total, step.ledger.max_queue) = (total, total);
             step.ledger.pt = (total as u128).pow(2);
             step.feed(&mut guard);

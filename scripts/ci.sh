@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, a criterion smoke pass so the benches
-# cannot bit-rot, a quick engine-throughput run exercising the
-# `lgg-sim bench` path end-to-end, the cross-thread-count determinism
+# CI gate: tier-1 build + tests, a quick `lgg-sim bench` run exercising
+# the throughput suite and every layer kernel end-to-end (so no kernel
+# can bit-rot), the cross-thread-count determinism
 # suite under both pool configurations, and a `lgg-sim sweep --smoke`
 # whose internal serial-vs-parallel digest check fails on any divergence.
 # (Bench/sweep results go to temp files and are discarded; the checked-in
@@ -19,10 +19,10 @@ cargo test -q
 LGG_THREADS=1 cargo test -q --test determinism
 LGG_THREADS=4 cargo test -q --test determinism
 
-cargo bench -p lgg-bench -- --test
-# Quick bench end-to-end, gated against the checked-in baseline: the
-# observer section always runs full-length, and the run fails if the
-# disabled-observer engine drops >2% below the recorded numbers.
+# Quick bench end-to-end, gated against the checked-in baseline: every
+# layer kernel runs once, the observer section always runs full-length,
+# and the run fails if the disabled-observer engine drops >2% below the
+# recorded numbers.
 cargo run --release -p lgg-cli -- bench --quick --out "$(mktemp)" \
     --baseline BENCH_throughput.json
 

@@ -1,5 +1,5 @@
 //! The whole paper, end to end: every registered experiment must run in
-//! quick mode, pass its shape criterion, and serialize.
+//! quick mode, pass its shape check, and serialize.
 //!
 //! This is the aggregate CI gate behind `EXPERIMENTS.md` — if any claim of
 //! the paper stops reproducing, this test names it.
