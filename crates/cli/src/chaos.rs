@@ -26,15 +26,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use simqueue::checkpoint::fnv1a;
 use simqueue::{
     BudgetKind, FaultSpec, GuardConfig, GuardOutcome, GuardReport, HistoryMode, InvariantGuard,
     LggError, NoopObserver, SimOverrides, Violation,
 };
 
 use crate::{
-    DeclarationSpec, DynamicsSpec, Endpoint, GeneralizedNode, InjectionSpec, LossSpec,
-    ObserverSpec, ProtocolSpec, Scenario, TopologySpec,
+    fnv1a_digest, DeclarationSpec, DynamicsSpec, Endpoint, GeneralizedNode, InjectionSpec,
+    LossSpec, ObserverSpec, ProtocolSpec, Scenario, TopologySpec,
 };
 
 /// Per-trial backlog budget: a runaway (legitimately diverging) random
@@ -157,7 +156,7 @@ fn digest_outcomes(outcomes: &[TrialOutcome]) -> String {
             TrialOutcome::Violated(b) => put(&[3, b.1.step], b.1.kind.as_str()),
         }
     }
-    format!("{:016x}", fnv1a(&bytes))
+    fnv1a_digest(&bytes)
 }
 
 /// The guard configuration chaos trials run under: the hard invariants

@@ -116,8 +116,8 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
     let ckpt_dir: Option<PathBuf> = cfg.checkpoint_dir.as_ref().map(PathBuf::from);
     if ckpt_dir.is_none() && (cfg.checkpoint_every.is_some() || cfg.resume || cfg.kill_after.is_some())
     {
-        return Err(LggError::scenario(
-            "--checkpoint-every/--resume/--kill-after require --checkpoint-dir",
+        return Err(LggError::Usage(
+            "lgg-sim run: --checkpoint-every/--resume/--kill-after require --checkpoint-dir".into(),
         ));
     }
 
@@ -127,13 +127,14 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
             || cfg.max_backlog.is_some()
             || cfg.max_wall_ms.is_some())
     {
-        return Err(LggError::scenario(
-            "--guard-dump/--inject-fault/--max-backlog/--max-wall-ms require --guard",
+        return Err(LggError::Usage(
+            "lgg-sim run: --guard-dump/--inject-fault/--max-backlog/--max-wall-ms require --guard"
+                .into(),
         ));
     }
     if cfg.guard && (cfg.resume || cfg.kill_after.is_some()) {
-        return Err(LggError::scenario(
-            "--guard is incompatible with --resume and --kill-after",
+        return Err(LggError::Usage(
+            "lgg-sim run: --guard is incompatible with --resume and --kill-after".into(),
         ));
     }
 
@@ -510,7 +511,7 @@ mod tests {
             ..RunConfig::default()
         })
         .unwrap_err();
-        assert!(matches!(err, LggError::Scenario(_)), "{err}");
+        assert!(matches!(err, LggError::Usage(_)), "{err}");
         let err = run_with_checkpoints(&RunConfig {
             scenario_path: "x.json".into(),
             guard: true,
@@ -519,7 +520,7 @@ mod tests {
             ..RunConfig::default()
         })
         .unwrap_err();
-        assert!(matches!(err, LggError::Scenario(_)), "{err}");
+        assert!(matches!(err, LggError::Usage(_)), "{err}");
     }
 
     #[test]
@@ -530,6 +531,6 @@ mod tests {
             ..RunConfig::default()
         })
         .unwrap_err();
-        assert!(matches!(err, LggError::Scenario(_)), "{err}");
+        assert!(matches!(err, LggError::Usage(_)), "{err}");
     }
 }

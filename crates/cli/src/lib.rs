@@ -12,7 +12,15 @@
 //! lgg-sim scenario.json            # run, print a human report
 //! lgg-sim scenario.json --json     # machine-readable report on stdout
 //! lgg-sim --template > my.json     # start from a commented template
+//! lgg-sim --help                   # every subcommand and flag
 //! ```
+//!
+//! Both binaries, `lgg-sim` and `experiments`, read their flags against
+//! one table in [`args`]. Every failure ends in an [`LggError`] and exits
+//! with its [`LggError::exit_code`]: scenario 2, parse 3, I/O 4,
+//! graph/model 5, corrupt checkpoint 6, checkpoint version 7, checkpoint
+//! mismatch 8, invariant violation 9, usage 64. Exit 1 means the run
+//! finished with a negative verdict.
 //!
 //! Example scenario:
 //!
@@ -29,6 +37,7 @@
 //! }
 //! ```
 
+pub mod args;
 mod bench;
 mod chaos;
 mod checkpoint_cmd;

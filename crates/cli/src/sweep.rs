@@ -21,7 +21,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::bench::{round, synthetic_cases, BenchReport};
-use crate::{InjectionSpec, LggError, Scenario, SimOverrides};
+use crate::{fnv1a_digest, InjectionSpec, LggError, Scenario, SimOverrides};
 use simqueue::checkpoint::fnv1a;
 use simqueue::{HistoryMode, NoopObserver};
 
@@ -204,7 +204,7 @@ pub fn digest_outcomes(outcomes: &[SweepOutcome]) -> String {
             .iter()
             .flat_map(|o| [o.delivered, o.sent, o.lost, o.sup_total, o.queue_fnv]),
     );
-    format!("{:016x}", fnv1a(&bytes))
+    fnv1a_digest(&bytes)
 }
 
 /// Runs the sweep grid once under the *current* pool configuration and
@@ -287,16 +287,15 @@ pub fn write_sweep_into_bench(path: &str, report: SweepReport) -> Result<(), Lgg
     };
     let mut bench: BenchReport = match std::fs::read_to_string(path) {
         Ok(text) if text.trim().is_empty() => fresh(),
-        Ok(text) => serde_json::from_str(&text).map_err(|e| {
-            LggError::scenario(format!("{path} exists but does not parse: {e}"))
-        })?,
+        Ok(text) => serde_json::from_str(&text)
+            .map_err(|e| LggError::Parse(format!("{path} exists but does not parse: {e}")))?,
         Err(_) => fresh(),
     };
     bench.sweep = Some(report);
     let json = serde_json::to_string_pretty(&bench)
         .map_err(|e| LggError::scenario(format!("serialize: {e}")))?;
     std::fs::write(path, format!("{json}\n"))
-        .map_err(|e| LggError::scenario(format!("cannot write {path}: {e}")))?;
+        .map_err(|e| LggError::io(format!("cannot write {path}"), e))?;
     Ok(())
 }
 

@@ -1,0 +1,50 @@
+//! `lgg-sim`'s process exit codes, checked on the built binary: a bad
+//! command line exits with the usage code, an unreadable input or a
+//! closed stdout with the I/O code, whichever subcommand met it.
+
+use std::process::{Command, Stdio};
+
+const USAGE: i32 = 64;
+const IO: i32 = 4;
+
+fn lgg_sim(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_lgg-sim"));
+    cmd.args(args).stdout(Stdio::null()).stderr(Stdio::null());
+    cmd
+}
+
+fn exit_code(args: &[&str]) -> i32 {
+    let status = lgg_sim(args).status().expect("spawn lgg-sim");
+    status.code().expect("exited normally")
+}
+
+#[test]
+fn bad_command_lines_exit_with_the_usage_code() {
+    assert_eq!(exit_code(&["--no-such-flag"]), USAGE);
+    assert_eq!(exit_code(&["run", "x.json", "--no-such-flag"]), USAGE);
+    assert_eq!(exit_code(&["chaos", "--trials", "0"]), USAGE);
+    assert_eq!(exit_code(&["trace", "--smoke", "x.json"]), USAGE);
+    assert_eq!(exit_code(&[]), USAGE);
+    // Flag combinations are checked before the scenario is read.
+    assert_eq!(exit_code(&["run", "missing.json", "--resume"]), USAGE);
+}
+
+#[test]
+fn an_unreadable_scenario_is_an_io_error_bare_and_under_run() {
+    let missing = std::env::temp_dir().join("lgg-sim-exit-codes-no-such-scenario.json");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    assert_eq!(exit_code(&[missing]), IO);
+    assert_eq!(exit_code(&["run", missing]), IO);
+    assert_eq!(exit_code(&["trace", missing]), IO);
+}
+
+#[test]
+fn a_closed_stdout_is_an_io_error_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = lgg_sim(&["--template"])
+        .stdout(writer)
+        .status()
+        .expect("spawn lgg-sim");
+    assert_eq!(status.code(), Some(IO));
+}

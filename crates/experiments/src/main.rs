@@ -6,65 +6,43 @@
 //! one JSON + one Markdown file per experiment plus a combined
 //! `EXPERIMENTS.generated.md`. Every experiment derives its randomness
 //! from its own fixed seeds, so output is byte-identical at any
-//! `LGG_THREADS` setting.
+//! `LGG_THREADS` setting. Flags are read against
+//! [`lgg_cli::args::EXPERIMENTS`]; a failure exits with its
+//! [`LggError::exit_code`], and 1 means NOT REPRODUCED.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 use experiments::reporter::OrderedReporter;
 use experiments::{run_experiment, ExperimentReport, ALL_IDS};
+use lgg_cli::args::{self, write_stdout, Args};
+use lgg_cli::LggError;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut ids: Vec<String> = Vec::new();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    args::exit(args::parse(args::EXPERIMENTS, &argv).and_then(|a| run(&a)))
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" | "-q" => quick = true,
-            "--out" | "-o" => {
-                i += 1;
-                if i >= args.len() {
-                    eprintln!("--out needs a directory argument");
-                    return ExitCode::FAILURE;
-                }
-                out_dir = Some(PathBuf::from(&args[i]));
-            }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            other => ids.push(other.to_string()),
-        }
-        i += 1;
+fn run(a: &Args) -> Result<ExitCode, LggError> {
+    if a.switch("--help") {
+        let title = "experiments — regenerate the figures/claims of the IPPS 2010 LGG paper";
+        let help = args::help(title, args::EXPERIMENTS);
+        write_stdout(format!("{help}\nIDS: {}\n", ALL_IDS.join(", ")))?;
+        return Ok(ExitCode::SUCCESS);
     }
-    if ids.is_empty() {
-        ids.extend(ALL_IDS.iter().map(|s| s.to_string()));
-    }
-    ids.dedup();
-
+    let ids = resolve_ids(a)?;
+    let out_dir = a.text("--out");
     if let Some(dir) = &out_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Validate ids before spending any compute.
-    if let Some(bad) = ids.iter().find(|id| !ALL_IDS.contains(&id.as_str())) {
-        eprintln!("unknown experiment id: {bad} (known: {})", ALL_IDS.join(", "));
-        return ExitCode::FAILURE;
+        fs::create_dir_all(dir).map_err(|e| LggError::io(format!("cannot create {dir}"), e))?;
     }
 
     // Fan the experiments across the pool. Reports stream to stdout in
     // suite order through the buffered reporter no matter which worker
     // finishes first; the collected vector is ordered by construction.
+    let quick = a.switch("--quick");
     let reporter = OrderedReporter::new(std::io::stdout());
-    let indexed: Vec<(usize, String)> = ids.iter().cloned().enumerate().collect();
+    let indexed: Vec<(usize, &str)> = ids.iter().copied().enumerate().collect();
     let reports: Vec<(ExperimentReport, String)> =
         parpool::run_ordered(indexed.iter().collect(), |(i, id)| {
             let report = run_experiment(id, quick).expect("id validated above");
@@ -74,45 +52,94 @@ fn main() -> ExitCode {
         });
     reporter.into_inner();
 
-    let mut all_pass = true;
-    let mut combined = String::from("# Generated experiment reports\n\n");
-    for (report, md) in &reports {
-        combined.push_str(md);
-        all_pass &= report.pass;
-        if let Some(dir) = &out_dir {
-            write_report(dir, report, md);
-        }
-    }
-
+    let all_pass = reports.iter().all(|(report, _)| report.pass);
     if let Some(dir) = &out_dir {
-        let _ = fs::write(dir.join("EXPERIMENTS.generated.md"), &combined);
+        let dir = Path::new(dir);
+        let mut combined = String::from("# Generated experiment reports\n\n");
+        for (report, md) in &reports {
+            combined.push_str(md);
+            let json = serde_json::to_string_pretty(report).expect("report serializes");
+            write(&dir.join(format!("{}.json", report.id)), &json)?;
+            write(&dir.join(format!("{}.md", report.id)), md)?;
+        }
+        write(&dir.join("EXPERIMENTS.generated.md"), &combined)?;
     }
 
-    println!(
-        "== {} experiment(s), overall: {} ==",
-        ids.len(),
-        if all_pass { "REPRODUCED" } else { "NOT REPRODUCED" }
-    );
-    if all_pass {
+    let verdict = if all_pass {
+        "REPRODUCED"
+    } else {
+        "NOT REPRODUCED"
+    };
+    write_stdout(format!(
+        "== {} experiment(s), overall: {verdict} ==\n",
+        ids.len()
+    ))?;
+    Ok(if all_pass {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+/// The experiment ids to run, in the order first named: `all` (or no id)
+/// stands for every id, and an id named twice runs once.
+fn resolve_ids(a: &Args) -> Result<Vec<&'static str>, LggError> {
+    let mut ids = Vec::new();
+    for op in a.operands() {
+        let named: &[&'static str] = if op == "all" {
+            &ALL_IDS
+        } else {
+            let i = ALL_IDS.iter().position(|id| id == op).ok_or_else(|| {
+                a.usage_error(format!(
+                    "unknown experiment id {op} (known: {})",
+                    ALL_IDS.join(", ")
+                ))
+            })?;
+            &ALL_IDS[i..=i]
+        };
+        for id in named {
+            if !ids.contains(id) {
+                ids.push(*id);
+            }
+        }
     }
+    if ids.is_empty() {
+        ids.extend(ALL_IDS);
+    }
+    Ok(ids)
 }
 
-fn write_report(dir: &std::path::Path, report: &ExperimentReport, md: &str) {
-    let json = serde_json::to_string_pretty(report).expect("report serializes");
-    let _ = fs::write(dir.join(format!("{}.json", report.id)), json);
-    let _ = fs::write(dir.join(format!("{}.md", report.id)), md);
+fn write(path: &Path, text: &str) -> Result<(), LggError> {
+    fs::write(path, text).map_err(|e| LggError::io(format!("cannot write {}", path.display()), e))
 }
 
-fn print_help() {
-    println!(
-        "experiments — regenerate the figures/claims of the IPPS 2010 LGG paper\n\n\
-         USAGE: experiments [IDS...|all] [--quick] [--out DIR]\n\n\
-         IDS: {}\n\n\
-         --quick   shrink step counts (CI mode)\n\
-         --out DIR write per-experiment .md/.json and a combined report",
-        ALL_IDS.join(", ")
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(argv: &[&str]) -> Result<Vec<&'static str>, LggError> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        resolve_ids(&args::parse(args::EXPERIMENTS, &argv)?)
+    }
+
+    #[test]
+    fn ids_run_once_in_first_named_order() {
+        assert_eq!(
+            ids(&["fig1", "e1", "fig1", "--quick"]).unwrap(),
+            ["fig1", "e1"]
+        );
+        let all = ids(&["all", "e1"]).unwrap();
+        assert_eq!(all, ALL_IDS);
+        let e1_first = ids(&["e1", "all"]).unwrap();
+        assert_eq!(e1_first.len(), ALL_IDS.len());
+        assert_eq!(e1_first[..2], ["e1", "fig1"]);
+        assert_eq!(ids(&[]).unwrap(), ALL_IDS);
+    }
+
+    #[test]
+    fn unknown_id_is_a_usage_error() {
+        let err = ids(&["fig1", "e99"]).unwrap_err();
+        assert!(matches!(err, LggError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("e99"), "{err}");
+    }
 }

@@ -1,0 +1,30 @@
+//! `experiments`' process exit codes, checked on the built binary.
+
+use std::process::{Command, Stdio};
+
+#[test]
+fn a_failed_report_write_is_an_io_error() {
+    // A directory where `fig1.json` should go makes that write fail.
+    let out = std::env::temp_dir().join(format!("experiments-exit-codes-{}", std::process::id()));
+    std::fs::create_dir_all(out.join("fig1.json")).expect("create blocking directory");
+    let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--quick", "--out"])
+        .arg(&out)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn experiments");
+    std::fs::remove_dir_all(&out).expect("remove scratch output");
+    assert_eq!(status.code(), Some(4));
+}
+
+#[test]
+fn a_bad_command_line_exits_with_the_usage_code() {
+    let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--no-such-flag"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn experiments");
+    assert_eq!(status.code(), Some(64));
+}

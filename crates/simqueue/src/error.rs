@@ -9,9 +9,12 @@
 //! nothing is flattened to a string until display time.
 //!
 //! [`LggError::exit_code`] gives each failure class a distinct, stable
-//! process exit code for the `lgg-sim` binary; scripts (including
-//! `scripts/ci.sh`) can tell a corrupt checkpoint from a bad scenario
-//! file without parsing stderr.
+//! process exit code for the `lgg-sim` and `experiments` binaries:
+//! scenario 2, parse 3, I/O 4, graph/model 5, corrupt checkpoint 6,
+//! checkpoint version 7, checkpoint mismatch 8, invariant violation 9,
+//! usage 64. Scripts (including `scripts/ci.sh`) can tell a corrupt
+//! checkpoint from a bad scenario file or a mistyped flag without
+//! parsing stderr.
 
 use mgraph::GraphError;
 use netmodel::ModelError;
@@ -66,12 +69,20 @@ pub enum LggError {
         /// Expected-vs-observed specifics.
         detail: String,
     },
+    /// A command line the binaries cannot run: an unknown flag, a missing
+    /// or malformed flag value, a stray operand, or flags that contradict
+    /// each other. The message names the command and the flag; when the
+    /// flag parser rejects a single flag or operand, it ends with the
+    /// command's usage line.
+    Usage(String),
 }
 
-/// Exit codes for the classes above (0 is success, 1 is the generic
-/// failure other tools may produce).
+/// Exit codes for the classes above. 0 is success and 1 is a run that
+/// finished with a negative verdict (`experiments` NOT REPRODUCED, a
+/// `chaos --replay` that did not re-trigger); neither is an error.
 impl LggError {
-    /// The stable `lgg-sim` process exit code for this error class.
+    /// The stable process exit code of `lgg-sim` and `experiments` for
+    /// this error class; a usage error is 64, sysexits' `EX_USAGE`.
     pub fn exit_code(&self) -> u8 {
         match self {
             LggError::Scenario(_) => 2,
@@ -82,6 +93,7 @@ impl LggError {
             LggError::CheckpointVersion { .. } => 7,
             LggError::CheckpointMismatch { .. } => 8,
             LggError::InvariantViolation { .. } => 9,
+            LggError::Usage(_) => 64,
         }
     }
 
@@ -130,6 +142,7 @@ impl std::fmt::Display for LggError {
                 f,
                 "invariant violation at step {step}: {kind}: {detail}"
             ),
+            LggError::Usage(m) => f.write_str(m),
         }
     }
 }
@@ -204,6 +217,7 @@ mod tests {
                 detail: "x".into(),
             }
             .exit_code(),
+            LggError::Usage("x".into()).exit_code(),
         ];
         let set: std::collections::BTreeSet<_> = codes.iter().collect();
         assert_eq!(set.len(), codes.len(), "exit codes must be distinct");
