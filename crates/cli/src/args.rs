@@ -63,7 +63,8 @@ pub const LGG_SIM: &[Command] = &[
         Flag("--inject-fault STEP", Uint(0))],
         about: "long run with crash-safe snapshots; --resume continues bit-for-bit from the newest \
             snapshot; --guard checks invariants every step and exits 9 on a violation with a \
-            replayable reproducer" },
+            replayable reproducer, and resumes like any run; --max-wall-ms counts from the start \
+            of this invocation" },
     Command { program: "lgg-sim", name: "chaos", operand: "", max_operands: 0, flags: &[
         Flag("--smoke", Switch), Flag("--trials N", Uint(1)), Flag("--steps N", Uint(1)), Flag("--seed N", Uint(0)),
         Flag("--out DIR", Text), Flag("--inject-fault STEP", Uint(0)), Flag("--replay FILE", Text)],

@@ -17,13 +17,19 @@
 //! `--kill-after K` exists for the crash-recovery smoke test: it runs to
 //! step `K` and dies via `abort()` — no destructors, no buffer flushes —
 //! the most faithful stand-in for a power cut that a process can produce.
+//!
+//! `--guard` composes with all of it: the guard's counters and online
+//! detector are part of the snapshot, so a guarded run resumes (and is
+//! killed) like any other, and a snapshot resumes only under the same
+//! `--guard` setting it was written with.
 
 use std::fs::{self, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom};
 use std::path::PathBuf;
 
 use simqueue::{
-    CheckpointConfig, FaultSpec, GuardConfig, GuardOutcome, InvariantGuard, JsonlSink, LggError,
+    CheckpointConfig, FaultSpec, GuardConfig, GuardOutcome, GuardReport, InvariantGuard,
+    JsonlSink, LggError, SimObserver, Simulation,
 };
 
 use crate::chaos::{write_reproducer, Reproducer};
@@ -67,7 +73,8 @@ pub struct RunConfig {
     /// Guard backlog budget: abort gracefully with a partial verdict when
     /// total stored packets exceed this (`--max-backlog`).
     pub max_backlog: Option<u64>,
-    /// Guard wall-clock budget in milliseconds (`--max-wall-ms`).
+    /// Guard wall-clock budget in milliseconds (`--max-wall-ms`), counted
+    /// from the start of this invocation (a resumed run starts afresh).
     pub max_wall_ms: Option<u64>,
 }
 
@@ -112,15 +119,16 @@ impl RunSummary {
 
 /// Executes `cfg`: build (or resume) the scenario simulation, run it to
 /// the target step with periodic crash-safe snapshots, and summarize.
+/// Under `--guard` the scenario observer runs inside an
+/// [`InvariantGuard`]; everything else is the same path.
 pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
-    let ckpt_dir: Option<PathBuf> = cfg.checkpoint_dir.as_ref().map(PathBuf::from);
-    if ckpt_dir.is_none() && (cfg.checkpoint_every.is_some() || cfg.resume || cfg.kill_after.is_some())
+    if cfg.checkpoint_dir.is_none()
+        && (cfg.checkpoint_every.is_some() || cfg.resume || cfg.kill_after.is_some())
     {
         return Err(LggError::Usage(
             "lgg-sim run: --checkpoint-every/--resume/--kill-after require --checkpoint-dir".into(),
         ));
     }
-
     if !cfg.guard
         && (cfg.guard_dump.is_some()
             || cfg.inject_fault.is_some()
@@ -132,30 +140,20 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
                 .into(),
         ));
     }
-    if cfg.guard && (cfg.resume || cfg.kill_after.is_some()) {
-        return Err(LggError::Usage(
-            "lgg-sim run: --guard is incompatible with --resume and --kill-after".into(),
-        ));
-    }
 
     let text = fs::read_to_string(&cfg.scenario_path)
         .map_err(|e| LggError::io(format!("cannot read {}", cfg.scenario_path), e))?;
     let sc = Scenario::from_json(&text)?;
     let target = cfg.steps.unwrap_or(sc.steps);
-    // With a dir but no period, only the final-step snapshot is written
-    // (useful to seed a later --resume without paying periodic I/O).
-    let every = cfg.checkpoint_every.unwrap_or(target.max(1));
 
-    // The trace observer opens its file without truncating: on resume the
-    // already-written prefix must survive (it is cut back to the exact
-    // checkpointed byte count below, never rewritten).
+    // A resumed run keeps the trace written so far; it is cut back to
+    // the snapshot's byte count once the state is restored.
     let observer = match &cfg.trace {
         Some(path) => {
             let f = OpenOptions::new()
-                .read(true)
                 .write(true)
                 .create(true)
-                .truncate(false)
+                .truncate(!cfg.resume)
                 .open(path)
                 .map_err(|e| LggError::io(format!("cannot open trace file {path}"), e))?;
             let stride = cfg.sample_stride.max(1);
@@ -164,169 +162,31 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
         None => sc.telemetry.build()?,
     };
 
-    if cfg.guard {
-        return run_guarded_cmd(cfg, &sc, target, every, ckpt_dir, observer);
+    if !cfg.guard {
+        let advance = |sim: &mut Simulation<_>, to| sim.run_until(to).map(|_| None);
+        let (summary, _) = drive(cfg, &sc, target, observer, |o| o, advance)?;
+        return Ok(summary);
     }
 
-    let mut sim = sc.build_with_observer(
-        SimOverrides {
-            checkpoint: ckpt_dir
-                .as_ref()
-                .map(|d| CheckpointConfig::new(every, d.clone())),
-            ..SimOverrides::default()
-        },
-        observer,
-    )?;
-
-    let resumed_from = match (&ckpt_dir, cfg.resume) {
-        (Some(dir), true) => sim.resume_from_dir(dir)?,
-        _ => None,
-    };
-
-    // Align the trace artifact with the restored (or fresh) state: cut it
-    // to the flushed byte count the snapshot recorded, or to zero for a
-    // fresh run. Bytes past that point are a crash's unflushed tail.
-    if cfg.trace.is_some() {
-        if let ScenarioObserver::Jsonl(sink) = sim.observer_mut() {
-            let pos = if resumed_from.is_some() {
-                sink.bytes_written()
-            } else {
-                0
-            };
-            let file = sink.writer_mut().get_mut();
-            file.set_len(pos)
-                .and_then(|()| file.seek(SeekFrom::Start(pos)).map(|_| ()))
-                .map_err(|e| LggError::io("cannot align trace file for resume", e))?;
-        }
-    }
-
-    if let Some(k) = cfg.kill_after.filter(|&k| k < target) {
-        // Periodic snapshots only — deliberately NOT the final-step
-        // snapshot run_until would add — then die without unwinding, so
-        // resume has to replay from the last periodic snapshot exactly
-        // like after a real crash.
-        let dir = ckpt_dir.as_ref().expect("checked above");
-        while sim.time() < k {
-            sim.step();
-            if sim.time() % every == 0 {
-                sim.write_checkpoint_to(dir)?;
-            }
-        }
-        std::process::abort();
-    }
-
-    sim.run_until(target)?;
-
-    let summary = RunSummary {
-        steps: sim.time(),
-        resumed_from,
-        injected: sim.metrics().injected,
-        delivered: sim.metrics().delivered,
-        lost: sim.metrics().lost,
-        final_pt: sim.network_state(),
-        sup_pt: sim.metrics().sup_pt,
-    };
-    // Flush the trace and surface any write error the run swallowed
-    // (JsonlSink keeps the first error sticky instead of panicking
-    // mid-step).
-    let mut obs = sim.into_observer();
-    if let ScenarioObserver::Jsonl(sink) = &mut obs {
-        if let Some(e) = sink.take_error() {
-            return Err(LggError::io("trace write failed", e));
-        }
-    }
-    Ok(summary)
-}
-
-/// Lemma 1's `P_t ≤ nY² + 5nΔ²` bound holds for the *core* model only —
-/// pure LGG, exact injection, no loss, static topology, truthful
-/// declarations — and only on unsaturated networks. Returns the bound
-/// when every precondition holds, so the guard can enforce it as a hard
-/// invariant; anything else gets `None` (no `P_t` check).
-fn lemma1_bound(sc: &Scenario, spec: &netmodel::TrafficSpec) -> Option<f64> {
-    let core = matches!(sc.protocol, ProtocolSpec::Lgg)
-        && matches!(sc.injection, InjectionSpec::Exact)
-        && matches!(sc.loss, LossSpec::None)
-        && matches!(sc.dynamics, DynamicsSpec::Static)
-        && matches!(sc.declaration, DeclarationSpec::Truthful);
-    if !core {
-        return None;
-    }
-    lgg_core::bounds::unsaturated_bounds(spec).map(|b| b.state_bound)
-}
-
-/// The `--guard` variant of the run command: same build path, but the
-/// scenario observer is wrapped in an [`InvariantGuard`] and the run goes
-/// through `run_guarded`. A violation dumps a reproducer (replayable via
-/// `lgg-sim chaos --replay`) plus a checkpoint into the dump dir and
-/// surfaces as [`LggError::InvariantViolation`] — exit code 9.
-fn run_guarded_cmd(
-    cfg: &RunConfig,
-    sc: &Scenario,
-    target: u64,
-    every: u64,
-    ckpt_dir: Option<PathBuf>,
-    observer: ScenarioObserver,
-) -> Result<RunSummary, LggError> {
     let spec = sc.traffic_spec()?;
     let mut gc = GuardConfig::checks();
     gc.divergence = true;
     gc.max_backlog = cfg.max_backlog;
     gc.max_wall_ms = cfg.max_wall_ms;
-    gc.pt_bound = lemma1_bound(sc, &spec);
+    gc.pt_bound = lemma1_bound(&sc, &spec);
     if let Some(b) = gc.pt_bound {
         eprintln!("guard: core model on an unsaturated network — enforcing P_t <= {b:.0} (Lemma 1)");
     }
-    let guard = InvariantGuard::with_inner(&spec, gc, observer);
-    let mut sim = sc.build_with_observer(
-        SimOverrides {
-            checkpoint: ckpt_dir
-                .as_ref()
-                .map(|d| CheckpointConfig::new(every, d.clone())),
-            ..SimOverrides::default()
-        },
-        guard,
-    )?;
-
-    // Fresh-run trace alignment (no resume under --guard): drop any stale
-    // bytes a previous run left in the (create + no-truncate) trace file.
-    if cfg.trace.is_some() {
-        if let ScenarioObserver::Jsonl(sink) = sim.observer_mut().inner_mut() {
-            let file = sink.writer_mut().get_mut();
-            file.set_len(0)
-                .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
-                .map_err(|e| LggError::io("cannot align trace file", e))?;
-        }
-    }
-
-    let dump = PathBuf::from(
-        cfg.guard_dump
-            .clone()
-            .unwrap_or_else(|| "results/chaos".into()),
-    );
+    let dump = PathBuf::from(cfg.guard_dump.as_deref().unwrap_or("results/chaos"));
     let fault = cfg.inject_fault.map(|step| FaultSpec {
         step,
         node: 0,
         amount: 1,
     });
-    let report = sim.run_guarded(target, Some(&dump), fault)?;
-
-    let summary = RunSummary {
-        steps: sim.time(),
-        resumed_from: None,
-        injected: sim.metrics().injected,
-        delivered: sim.metrics().delivered,
-        lost: sim.metrics().lost,
-        final_pt: sim.network_state(),
-        sup_pt: sim.metrics().sup_pt,
-    };
-    let mut obs = sim.into_observer().into_inner();
-    if let ScenarioObserver::Jsonl(sink) = &mut obs {
-        if let Some(e) = sink.take_error() {
-            return Err(LggError::io("trace write failed", e));
-        }
-    }
-
+    let guard = InvariantGuard::with_inner(&spec, gc, observer);
+    let advance = |sim: &mut Simulation<_>, to| sim.run_guarded(to, Some(&dump), fault).map(Some);
+    let (summary, report) = drive(cfg, &sc, target, guard, InvariantGuard::inner_mut, advance)?;
+    let report = report.expect("a guarded run reports its outcome");
     match report.outcome {
         GuardOutcome::Completed => {
             eprintln!(
@@ -367,6 +227,95 @@ fn run_guarded_cmd(
             Err(v.into())
         }
     }
+}
+
+/// The one `lgg-sim run` body, for the scenario observer (`trace_of` is
+/// the identity) and for the guard around it (`trace_of` unwraps it):
+/// build, resume, cut the trace back to the snapshot, step with
+/// `advance` (which writes the periodic snapshots and returns the guard's
+/// report, if any), die under `--kill-after`, write the final snapshot,
+/// summarize, and surface a failed trace write.
+fn drive<O: SimObserver>(
+    cfg: &RunConfig,
+    sc: &Scenario,
+    target: u64,
+    observer: O,
+    trace_of: fn(&mut O) -> &mut ScenarioObserver,
+    advance: impl FnOnce(&mut Simulation<O>, u64) -> Result<Option<GuardReport>, LggError>,
+) -> Result<(RunSummary, Option<GuardReport>), LggError> {
+    // With a dir but no period, only the final-step snapshot is written
+    // (useful to seed a later --resume without paying periodic I/O).
+    let every = cfg.checkpoint_every.unwrap_or(target.max(1));
+    let checkpoint = cfg.checkpoint_dir.as_ref().map(|d| CheckpointConfig::new(every, d));
+    let overrides = SimOverrides {
+        checkpoint: checkpoint.clone(),
+        ..SimOverrides::default()
+    };
+    let mut sim = sc.build_with_observer(overrides, observer)?;
+    let resumed_from = match (&checkpoint, cfg.resume) {
+        (Some(c), true) => sim.resume_from_dir(&c.dir)?,
+        _ => None,
+    };
+
+    // Bytes past the count the snapshot recorded (all of them, without
+    // a snapshot) are a crash's unflushed tail: cut them off.
+    if cfg.resume && cfg.trace.is_some() {
+        if let ScenarioObserver::Jsonl(sink) = trace_of(sim.observer_mut()) {
+            let pos = sink.bytes_written();
+            let file = sink.writer_mut().get_mut();
+            file.set_len(pos)
+                .and_then(|()| file.seek(SeekFrom::Start(pos)).map(|_| ()))
+                .map_err(|e| LggError::io("cannot align trace file for resume", e))?;
+        }
+    }
+
+    let start = sim.time();
+    let kill = cfg.kill_after.filter(|&k| k < target);
+    let report = advance(&mut sim, kill.unwrap_or(target))?;
+    let completed = report
+        .as_ref()
+        .is_none_or(|r| r.outcome == GuardOutcome::Completed);
+    if kill.is_some() && completed {
+        // Die between periodic snapshots without unwinding or flushing,
+        // so resume has to replay from the last one, as after a crash.
+        std::process::abort();
+    }
+    if let Some(c) = &checkpoint {
+        if start < target && sim.time() == target && !c.due(target) {
+            sim.write_checkpoint_to(&c.dir)?;
+        }
+    }
+
+    let summary = RunSummary {
+        steps: sim.time(),
+        resumed_from,
+        injected: sim.metrics().injected,
+        delivered: sim.metrics().delivered,
+        lost: sim.metrics().lost,
+        final_pt: sim.network_state(),
+        sup_pt: sim.metrics().sup_pt,
+    };
+    // into_observer() runs finish(), the trace's last flush.
+    let mut observer = sim.into_observer();
+    trace_of(&mut observer).written()?;
+    Ok((summary, report))
+}
+
+/// Lemma 1's `P_t ≤ nY² + 5nΔ²` bound holds for the *core* model only —
+/// pure LGG, exact injection, no loss, static topology, truthful
+/// declarations — and only on unsaturated networks. Returns the bound
+/// when every precondition holds, so the guard can enforce it as a hard
+/// invariant; anything else gets `None` (no `P_t` check).
+fn lemma1_bound(sc: &Scenario, spec: &netmodel::TrafficSpec) -> Option<f64> {
+    let core = matches!(sc.protocol, ProtocolSpec::Lgg)
+        && matches!(sc.injection, InjectionSpec::Exact)
+        && matches!(sc.loss, LossSpec::None)
+        && matches!(sc.dynamics, DynamicsSpec::Static)
+        && matches!(sc.declaration, DeclarationSpec::Truthful);
+    if !core {
+        return None;
+    }
+    lgg_core::bounds::unsaturated_bounds(spec).map(|b| b.state_bound)
 }
 
 #[cfg(test)]
@@ -512,15 +461,67 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, LggError::Usage(_)), "{err}");
-        let err = run_with_checkpoints(&RunConfig {
-            scenario_path: "x.json".into(),
+    }
+
+    #[test]
+    fn a_resumed_guarded_run_meets_its_planted_fault_again() {
+        let base = std::env::temp_dir().join(format!("lgg_guard_resume_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        fs::create_dir_all(&base).unwrap();
+        let dump = base.join("dump");
+        let cfg = RunConfig {
+            scenario_path: write_scenario(&base),
+            checkpoint_every: Some(50),
+            checkpoint_dir: Some(base.join("ckpts").to_string_lossy().into_owned()),
             guard: true,
-            resume: true,
-            checkpoint_dir: Some("d".into()),
+            guard_dump: Some(dump.to_string_lossy().into_owned()),
+            inject_fault: Some(120),
             ..RunConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, LggError::Usage(_)), "{err}");
+        };
+        let violated_at = |cfg: &RunConfig| {
+            let err = run_with_checkpoints(cfg).unwrap_err();
+            assert_eq!(err.exit_code(), 9, "{err}");
+            let repro = dump.join("repro_conservation_t0.json");
+            let parsed: Reproducer =
+                serde_json::from_str(&fs::read_to_string(repro).unwrap()).unwrap();
+            fs::remove_dir_all(&dump).unwrap();
+            parsed.violation.step
+        };
+        assert_eq!(violated_at(&cfg), 120);
+        // The snapshots at 50 and 100 were written before the fault; the
+        // resumed run replays from 100 into the same fault.
+        let resume = RunConfig { resume: true, ..cfg };
+        assert_eq!(violated_at(&resume), 120);
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_failed_telemetry_file_is_an_io_error() {
+        let base = std::env::temp_dir().join(format!("lgg_telemetry_io_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        fs::create_dir_all(&base).unwrap();
+        let mut sc = Scenario::from_json(&fs::read_to_string(write_scenario(&base)).unwrap())
+            .unwrap();
+        // A directory cannot be created as a file; /dev/full takes the
+        // open and fails every write.
+        let mut paths = vec![base.to_string_lossy().into_owned()];
+        if cfg!(target_os = "linux") {
+            paths.push("/dev/full".into());
+        }
+        for path in paths {
+            sc.telemetry = crate::ObserverSpec::Jsonl { path: path.clone() };
+            let sc_path = base.join("jsonl.json");
+            fs::write(&sc_path, serde_json::to_string(&sc).unwrap()).unwrap();
+            let err = crate::run_scenario(&sc).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{path}: bare path: {err}");
+            let err = run_with_checkpoints(&RunConfig {
+                scenario_path: sc_path.to_string_lossy().into_owned(),
+                ..RunConfig::default()
+            })
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{path}: run: {err}");
+        }
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

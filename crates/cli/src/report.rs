@@ -83,7 +83,8 @@ impl RunReport {
 /// Materializes and runs `scenario`, returning the full report. The
 /// scenario's `telemetry` section is honored: a window aggregator's
 /// time-series lands in [`RunReport::telemetry`], a JSONL sink is
-/// flushed to its file.
+/// flushed to its file, and a failed JSONL write is an
+/// [`LggError::Io`].
 pub fn run_scenario(scenario: &Scenario) -> Result<RunReport, LggError> {
     let spec = scenario.traffic_spec()?;
     let classification = classify(&spec);
@@ -94,7 +95,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunReport, LggError> {
     let latency = sim.latency_stats().cloned();
     // into_observer() runs the observer's finish() — closing the JSONL
     // file / the trailing partial window.
-    let telemetry = sim.into_observer().into_windows();
+    let mut observer = sim.into_observer();
+    observer.written()?;
+    let telemetry = observer.into_windows();
     Ok(RunReport {
         nodes: spec.node_count(),
         edges: spec.graph.edge_count(),

@@ -427,9 +427,8 @@ impl ObserverSpec {
                 ScenarioObserver::Window(WindowAggregator::new(*size))
             }
             ObserverSpec::Jsonl { path } => {
-                let f = File::create(path).map_err(|e| {
-                    LggError::scenario(format!("cannot create telemetry file {path}: {e}"))
-                })?;
+                let f = File::create(path)
+                    .map_err(|e| LggError::io(format!("cannot create telemetry file {path}"), e))?;
                 ScenarioObserver::Jsonl(JsonlSink::new(BufWriter::new(f)))
             }
         })
@@ -437,8 +436,8 @@ impl ObserverSpec {
 }
 
 /// The observer slot a scenario-built simulation carries: one concrete
-/// type covering every [`ObserverSpec`] choice plus caller-supplied
-/// observers, so `Scenario::build` can return a single simulation type.
+/// type covering every [`ObserverSpec`] choice, so `Scenario::build` can
+/// return a single simulation type.
 pub enum ScenarioObserver {
     /// Telemetry disabled: the step records are ignored.
     Off,
@@ -446,8 +445,6 @@ pub enum ScenarioObserver {
     Window(WindowAggregator),
     /// JSONL streaming to a file.
     Jsonl(JsonlSink<BufWriter<File>>),
-    /// A caller-supplied observer (from [`SimOverrides::observer`]).
-    Custom(Box<dyn SimObserver>),
 }
 
 impl ScenarioObserver {
@@ -459,6 +456,15 @@ impl ScenarioObserver {
             _ => None,
         }
     }
+
+    /// Surfaces a JSONL sink's sticky write error ([`JsonlSink::written`]);
+    /// the other kinds write nothing that can fail.
+    pub fn written(&mut self) -> Result<(), LggError> {
+        match self {
+            ScenarioObserver::Jsonl(sink) => sink.written(),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl SimObserver for ScenarioObserver {
@@ -467,7 +473,6 @@ impl SimObserver for ScenarioObserver {
             ScenarioObserver::Off => {}
             ScenarioObserver::Window(w) => w.on_step(step),
             ScenarioObserver::Jsonl(s) => s.on_step(step),
-            ScenarioObserver::Custom(o) => o.on_step(step),
         }
     }
 
@@ -476,7 +481,6 @@ impl SimObserver for ScenarioObserver {
             ScenarioObserver::Off => {}
             ScenarioObserver::Window(w) => w.finish(),
             ScenarioObserver::Jsonl(s) => s.finish(),
-            ScenarioObserver::Custom(o) => o.finish(),
         }
     }
 
@@ -485,7 +489,6 @@ impl SimObserver for ScenarioObserver {
             ScenarioObserver::Off => {}
             ScenarioObserver::Window(w) => w.save_state(out),
             ScenarioObserver::Jsonl(s) => s.save_state(out),
-            ScenarioObserver::Custom(o) => o.save_state(out),
         }
     }
 
@@ -494,7 +497,6 @@ impl SimObserver for ScenarioObserver {
             ScenarioObserver::Off => Ok(()),
             ScenarioObserver::Window(w) => w.load_state(bytes),
             ScenarioObserver::Jsonl(s) => s.load_state(bytes),
-            ScenarioObserver::Custom(o) => o.load_state(bytes),
         }
     }
 }
@@ -591,33 +593,13 @@ impl Scenario {
         &self,
         overrides: SimOverrides,
     ) -> Result<simqueue::Simulation<ScenarioObserver>, LggError> {
-        let SimOverrides {
-            seed,
-            history,
-            observer,
-            checkpoint,
-        } = overrides;
-        let observer = match observer {
-            Some(o) => ScenarioObserver::Custom(o),
-            None => self.telemetry.build()?,
-        };
-        self.build_with_observer(
-            SimOverrides {
-                seed,
-                history,
-                observer: None,
-                checkpoint,
-            },
-            observer,
-        )
+        self.build_with_observer(overrides, self.telemetry.build()?)
     }
 
     /// [`Scenario::build`] with a statically-typed observer: callers that
     /// know their observer type concretely (bench legs, trace capture,
     /// the experiments driver) avoid the [`ScenarioObserver`] dispatch
-    /// enum. `overrides.observer` is ignored here — the typed `observer`
-    /// argument *is* the override — and the scenario's own `telemetry`
-    /// section is not consulted.
+    /// enum. The scenario's own `telemetry` section is not consulted.
     pub fn build_with_observer<O: SimObserver>(
         &self,
         overrides: SimOverrides,
@@ -760,21 +742,6 @@ mod tests {
         let mut sc = Scenario::from_json(MINIMAL).unwrap();
         sc.telemetry = ObserverSpec::Window { size: 0 };
         assert!(sc.build(SimOverrides::default()).is_err());
-    }
-
-    #[test]
-    fn custom_observer_override_wins_over_telemetry_spec() {
-        let mut sc = Scenario::from_json(MINIMAL).unwrap();
-        sc.telemetry = ObserverSpec::Window { size: 100 };
-        let mut sim = sc
-            .build(SimOverrides {
-                observer: Some(Box::new(simqueue::RingRecorder::new(8))),
-                ..SimOverrides::default()
-            })
-            .unwrap();
-        sim.run(50);
-        // The slot holds the custom observer, not the window aggregator.
-        assert!(sim.into_observer().into_windows().is_none());
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub fn capture_trace(
     sim.run(steps);
     // into_observer() runs finish() (a flush; infallible on Vec<u8>).
     let mut sink = sim.into_observer();
-    if let Some(e) = sink.take_error() {
-        return Err(LggError::scenario(format!("trace write failed: {e}")));
-    }
+    sink.written()?;
     Ok(sink.into_inner())
 }
 

@@ -4,7 +4,7 @@ use lgg_core::Lgg;
 use netmodel::TrafficSpec;
 use serde::{Deserialize, Serialize};
 use simqueue::{
-    assess_stability, HistoryMode, Metrics, RoutingProtocol, SimObserver, Simulation,
+    assess_stability, HistoryMode, RoutingProtocol, SimObserver, Simulation,
     SimulationBuilder, StabilityVerdict, WindowAggregator, WindowStats,
 };
 
@@ -130,49 +130,6 @@ pub fn run_windowed(
     sim.run(steps);
     let outcome = RunOutcome::from_sim(&sim);
     (outcome, sim.into_observer().into_windows())
-}
-
-/// Like [`run_customized`] but resumable: snapshots land in `ckpt_dir`
-/// every `every` steps (crash-safely), and if the directory already holds
-/// a snapshot from an earlier — possibly killed — invocation, the run
-/// continues from it instead of starting over. Reruns of long experiment
-/// sweeps therefore only pay for the tail that was lost. The outcome is
-/// bit-for-bit the one an uninterrupted run produces.
-pub fn run_resumable(
-    spec: &TrafficSpec,
-    protocol: Box<dyn RoutingProtocol>,
-    steps: u64,
-    seed: u64,
-    ckpt_dir: &std::path::Path,
-    every: u64,
-    customize: impl FnOnce(SimulationBuilder) -> SimulationBuilder,
-) -> Result<RunOutcome, simqueue::LggError> {
-    let builder = SimulationBuilder::new(spec.clone(), protocol)
-        .seed(seed)
-        .history(HistoryMode::Sampled(stride_for(steps)));
-    let mut sim = customize(builder).build();
-    sim.set_checkpoint(Some(simqueue::checkpoint::CheckpointConfig::new(
-        every, ckpt_dir,
-    )));
-    sim.resume_from_dir(ckpt_dir)?;
-    sim.run_until(steps)?;
-    Ok(RunOutcome::from_sim(&sim))
-}
-
-/// Like [`run_customized`] but hands back the full metrics too.
-pub fn run_with_metrics(
-    spec: &TrafficSpec,
-    protocol: Box<dyn RoutingProtocol>,
-    steps: u64,
-    seed: u64,
-    customize: impl FnOnce(SimulationBuilder) -> SimulationBuilder,
-) -> (RunOutcome, Metrics) {
-    let builder = SimulationBuilder::new(spec.clone(), protocol)
-        .seed(seed)
-        .history(HistoryMode::Sampled(stride_for(steps)));
-    let mut sim = customize(builder).build();
-    sim.run(steps);
-    (RunOutcome::from_sim(&sim), sim.metrics().clone())
 }
 
 /// The named unsaturated specifications used across E1/E2/E11.
@@ -380,27 +337,6 @@ mod tests {
         assert_eq!(windows.len(), 4);
         assert!(windows.iter().all(|w| w.samples == 1000));
         assert!(windows[0].injected > 0);
-    }
-
-    #[test]
-    fn run_resumable_matches_uninterrupted_and_survives_a_restart() {
-        let spec = TrafficSpecBuilder::new(mgraph::generators::path(3))
-            .source(0, 1)
-            .sink(2, 2)
-            .build()
-            .unwrap();
-        let plain = run_lgg(&spec, 900, 1);
-        let dir = std::env::temp_dir().join(format!("lgg_resumable_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // First invocation stops at step 500 (run_until snapshots the
-        // final step); the second resumes from it and finishes. Both
-        // targets stay under 1024 steps so stride_for picks the same
-        // history stride as the uninterrupted reference run.
-        let o1 = run_resumable(&spec, Box::new(Lgg::new()), 500, 1, &dir, 1000, |b| b).unwrap();
-        assert_eq!(o1.steps, 500);
-        let o2 = run_resumable(&spec, Box::new(Lgg::new()), 900, 1, &dir, 1000, |b| b).unwrap();
-        assert_eq!(o2, plain);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,14 +43,19 @@ fn run(a: &Args) -> Result<ExitCode, LggError> {
     let quick = a.switch("--quick");
     let reporter = OrderedReporter::new(std::io::stdout());
     let indexed: Vec<(usize, &str)> = ids.iter().copied().enumerate().collect();
-    let reports: Vec<(ExperimentReport, String)> =
+    let done: Vec<(ExperimentReport, String, std::io::Result<()>)> =
         parpool::run_ordered(indexed.iter().collect(), |(i, id)| {
             let report = run_experiment(id, quick).expect("id validated above");
             let md = report.markdown();
-            reporter.complete(*i, format!("{md}\n"));
-            (report, md)
+            let written = reporter.complete(*i, format!("{md}\n"));
+            (report, md, written)
         });
     reporter.into_inner();
+    let mut reports = Vec::with_capacity(done.len());
+    for (report, md, written) in done {
+        written.map_err(|e| LggError::io("cannot write to stdout", e))?;
+        reports.push((report, md));
+    }
 
     let all_pass = reports.iter().all(|(report, _)| report.pass);
     if let Some(dir) = &out_dir {

@@ -28,3 +28,18 @@ fn a_bad_command_line_exits_with_the_usage_code() {
         .expect("spawn experiments");
     assert_eq!(status.code(), Some(64));
 }
+
+#[test]
+fn a_closed_stdout_is_an_io_error_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "fig2", "--quick"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

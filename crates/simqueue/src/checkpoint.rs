@@ -53,7 +53,11 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 const DIGEST_LEN: usize = 8;
 const TMP_NAME: &str = "ckpt_inflight.tmp";
 
-/// When and where the engine writes checkpoints
+/// Completed snapshots [`Simulation::write_checkpoint_to`](crate::Simulation::write_checkpoint_to)
+/// keeps: the previous one survives until its successor is fully durable.
+pub const KEEP: usize = 2;
+
+/// When and where the engine writes periodic checkpoints
 /// (see [`Simulation::set_checkpoint`](crate::Simulation::set_checkpoint)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
@@ -61,21 +65,21 @@ pub struct CheckpointConfig {
     pub every: u64,
     /// Directory holding `ckpt_<t>.lgg` files (created on first write).
     pub dir: PathBuf,
-    /// Completed snapshots to retain; older ones are pruned after each
-    /// successful write. At least 1.
-    pub keep: usize,
 }
 
 impl CheckpointConfig {
-    /// A config writing every `every` steps into `dir`, keeping the last
-    /// two snapshots (the previous one survives until its successor is
-    /// fully durable).
+    /// A config writing every `every` steps into `dir`.
     pub fn new(every: u64, dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             every: every.max(1),
             dir: dir.into(),
-            keep: 2,
         }
+    }
+
+    /// Whether a periodic snapshot is due once the clock reads `t`: the
+    /// one snapshot rule every stepping loop follows.
+    pub fn due(&self, t: u64) -> bool {
+        t.is_multiple_of(self.every)
     }
 }
 

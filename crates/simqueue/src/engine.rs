@@ -52,6 +52,7 @@ use crate::checkpoint::{self, wire, CheckpointConfig};
 use crate::declare::{clamp_declaration, DeclarationPolicy, TruthfulDeclaration};
 use crate::dynamic::{StaticTopology, TopologyProcess};
 use crate::error::LggError;
+use crate::guard::is_guard_record;
 use crate::injection::{ExactInjection, InjectionProcess};
 use crate::loss::{LossModel, NoLoss};
 use crate::metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
@@ -473,9 +474,6 @@ pub struct SimOverrides {
     pub seed: Option<u64>,
     /// Replaces the scenario's history mode.
     pub history: Option<HistoryMode>,
-    /// Installs a custom observer in place of the scenario's telemetry
-    /// section.
-    pub observer: Option<Box<dyn SimObserver>>,
     /// Enables periodic crash-safe checkpointing on the built simulation
     /// (see [`Simulation::set_checkpoint`]).
     pub checkpoint: Option<CheckpointConfig>,
@@ -530,8 +528,9 @@ pub struct Simulation<O: SimObserver = NoopObserver> {
     rng_loss: StdRng,
     rng_topology: StdRng,
     rng_policy: StdRng,
-    /// When set, [`Simulation::run_until`] writes periodic crash-safe
-    /// snapshots (see [`crate::checkpoint`]).
+    /// When set, the stepping loops ([`Simulation::run_until`],
+    /// `run_guarded`) write periodic crash-safe snapshots (see
+    /// [`crate::checkpoint`]).
     checkpoint: Option<CheckpointConfig>,
 }
 
@@ -1004,7 +1003,18 @@ impl<O: SimObserver> Simulation<O> {
         self.topology.load_state(r.bytes()?)?;
         self.declaration.load_state(r.bytes()?)?;
         self.extraction.load_state(r.bytes()?)?;
-        self.observer.load_state(r.bytes()?)?;
+        // The payload names no observer, but a guard's record has a shape
+        // no other observer's has: a snapshot taken under the guard
+        // restores only under it, and one taken without only without.
+        let observer = r.bytes()?;
+        let mut own = Vec::new();
+        self.observer.save_state(&mut own);
+        let guarded = |record| if is_guard_record(record) { "the guard" } else { "no guard" };
+        let (found, expected) = (guarded(observer), guarded(&own));
+        if found != expected {
+            return Err(mismatch("invariant guard", found.into(), expected.into()));
+        }
+        self.observer.load_state(observer)?;
         r.done()?;
 
         // Reset per-step scratch to the exact state `build()` produces.
@@ -1015,12 +1025,11 @@ impl<O: SimObserver> Simulation<O> {
     }
 
     /// Writes one crash-safe snapshot of the current state into `dir` and
-    /// prunes old snapshots, keeping the configured count (default 2).
+    /// prunes old snapshots, keeping the newest [`checkpoint::KEEP`].
     pub fn write_checkpoint_to(&mut self, dir: &Path) -> Result<PathBuf, LggError> {
         let payload = self.checkpoint_payload();
         let path = checkpoint::write_atomic(dir, self.t, &payload)?;
-        let keep = self.checkpoint.as_ref().map_or(2, |c| c.keep);
-        checkpoint::prune(dir, keep)?;
+        checkpoint::prune(dir, checkpoint::KEEP)?;
         Ok(path)
     }
 
@@ -1041,7 +1050,7 @@ impl<O: SimObserver> Simulation<O> {
     }
 
     /// Installs (or removes) the periodic checkpoint policy used by
-    /// [`Simulation::run_until`].
+    /// [`Simulation::run_until`] and `run_guarded`.
     pub fn set_checkpoint(&mut self, cfg: Option<CheckpointConfig>) {
         self.checkpoint = cfg;
     }
@@ -1052,22 +1061,27 @@ impl<O: SimObserver> Simulation<O> {
     }
 
     /// Runs until the step counter reaches `target` (absolute, not
-    /// relative — resume-friendly), writing a snapshot every
-    /// [`CheckpointConfig::every`] steps and once more at `target` when
-    /// checkpointing is configured. Without a checkpoint config this is
-    /// plain stepping and cannot fail.
+    /// relative — resume-friendly), writing the periodic snapshots of the
+    /// installed checkpoint policy. A snapshot at `target` itself is the
+    /// caller's to write: a run that is cut short on purpose (`lgg-sim run
+    /// --kill-after`) must stop between snapshots. Without a checkpoint
+    /// config this is plain stepping and cannot fail.
     pub fn run_until(&mut self, target: u64) -> Result<&Metrics, LggError> {
         while self.t < target {
             self.step();
-            let due = match &self.checkpoint {
-                Some(c) if self.t % c.every == 0 || self.t == target => Some(c.dir.clone()),
-                _ => None,
-            };
-            if let Some(dir) = due {
-                self.write_checkpoint_to(&dir)?;
-            }
+            self.snapshot_if_due()?;
         }
         Ok(&self.metrics)
+    }
+
+    /// Writes a snapshot when the installed policy says one is due
+    /// ([`CheckpointConfig::due`]).
+    pub(crate) fn snapshot_if_due(&mut self) -> Result<(), LggError> {
+        let due = self.checkpoint.as_ref().filter(|c| c.due(self.t));
+        if let Some(dir) = due.map(|c| c.dir.clone()) {
+            self.write_checkpoint_to(&dir)?;
+        }
+        Ok(())
     }
 }
 
@@ -1696,8 +1710,11 @@ mod tests {
         first.set_checkpoint(Some(CheckpointConfig::new(50, &dir)));
         assert_eq!(first.checkpoint_config().unwrap().every, 50);
         first.run_until(140).unwrap();
-        // 140 is not a multiple of 50, but run_until snapshots the final
-        // step too, so resume starts exactly at 140.
+        // run_until writes the periodic snapshots only; the one at 140
+        // is the caller's, and resume then starts exactly there.
+        let steps: Vec<u64> = checkpoint::list(&dir).unwrap().iter().map(|(t, _)| *t).collect();
+        assert_eq!(steps, [100, 50]);
+        first.write_checkpoint_to(&dir).unwrap();
         drop(first);
 
         let mut second = checkpoint_sim();

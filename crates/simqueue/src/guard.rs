@@ -231,6 +231,21 @@ impl GuardState {
     }
 }
 
+/// Whether `bytes` is a whole [`InvariantGuard`] checkpoint record: the
+/// guard's state record, then its inner observer's record. The engine
+/// uses it to keep guarded and unguarded snapshots apart on resume.
+pub(crate) fn is_guard_record(bytes: &[u8]) -> bool {
+    let whole = |bytes| -> Result<(), LggError> {
+        let mut r = wire::Reader::new(bytes);
+        let mut state = wire::Reader::new(r.bytes()?);
+        GuardState::load(&mut state)?;
+        state.done()?;
+        r.bytes()?;
+        r.done()
+    };
+    whole(bytes).is_ok()
+}
+
 /// The invariant monitor. Wraps an inner observer (default
 /// [`NoopObserver`]) and forwards every event and step to it, so guarding
 /// a run does not displace its telemetry.
@@ -498,12 +513,14 @@ const WALL_CHECK_EVERY: u64 = 256;
 
 impl<I: SimObserver> Simulation<InvariantGuard<I>> {
     /// Runs to `target` (absolute, like [`Simulation::run_until`]) under
-    /// the installed guard: periodic checkpoints are honored, the
-    /// violation latch is polled after every step, and budgets stop the
-    /// run gracefully. On any abort — violation or budget — a crash-safe
-    /// checkpoint of the stopped state is dumped into `dump_dir` (when
-    /// given) for post-mortem inspection; the scenario + seed replayed
-    /// through the same guard re-triggers a violation deterministically.
+    /// the installed guard: the installed policy's periodic snapshots are
+    /// written (the one at `target` is the caller's, as for `run_until`),
+    /// the violation latch is polled after every step, and budgets stop
+    /// the run gracefully; the wall-clock budget counts from this call.
+    /// On any abort — violation or budget — a crash-safe checkpoint of the
+    /// stopped state is dumped into `dump_dir` (when given) for post-mortem
+    /// inspection; the scenario + seed replayed through the same guard
+    /// re-triggers a violation deterministically.
     ///
     /// `fault` is the test-only corruption hook: before executing step
     /// `fault.step`, packets are conjured via
@@ -526,9 +543,6 @@ impl<I: SimObserver> Simulation<InvariantGuard<I>> {
         let cfg = self.observer().config().clone();
         let clipped = cfg.max_steps.filter(|&m| m < target);
         let target = clipped.unwrap_or(target);
-        let periodic = self
-            .checkpoint_config()
-            .map(|c| (c.every, c.dir.clone()));
 
         let mut outcome = GuardOutcome::Completed;
         while self.time() < target {
@@ -538,11 +552,7 @@ impl<I: SimObserver> Simulation<InvariantGuard<I>> {
                 }
             }
             self.step();
-            if let Some((every, dir)) = &periodic {
-                if self.time() % every == 0 || self.time() == target {
-                    self.write_checkpoint_to(dir)?;
-                }
-            }
+            self.snapshot_if_due()?;
             if let Some(v) = self.observer().violation() {
                 outcome = GuardOutcome::Violated(v.clone());
                 break;

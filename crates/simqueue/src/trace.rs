@@ -227,8 +227,9 @@ pub struct StepRecord<'a> {
 /// of what they receive if they feed persisted artifacts — everything
 /// else about the engine is.
 ///
-/// The trait is dyn-safe: scenario files install observers as
-/// `Box<dyn SimObserver>` through the CLI's `telemetry` section.
+/// A simulation's observer is a type parameter, so the step loop calls it
+/// statically; scenario files pick theirs from one concrete enum (the
+/// CLI's `ScenarioObserver`), and `InvariantGuard` wraps any other.
 pub trait SimObserver {
     /// Receives every step once it closes. Observers that want
     /// [`TraceEvent`]s render them from the record with a
@@ -260,24 +261,6 @@ pub trait SimObserver {
 pub struct NoopObserver;
 
 impl SimObserver for NoopObserver {}
-
-impl SimObserver for Box<dyn SimObserver> {
-    fn on_step(&mut self, step: &StepRecord<'_>) {
-        (**self).on_step(step)
-    }
-
-    fn finish(&mut self) {
-        (**self).finish()
-    }
-
-    fn save_state(&mut self, out: &mut Vec<u8>) {
-        (**self).save_state(out)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
-        (**self).load_state(bytes)
-    }
-}
 
 /// Renders step records as [`TraceEvent`]s, in the order the module docs
 /// tabulate.
@@ -566,10 +549,9 @@ fn read_event(r: &mut wire::Reader<'_>) -> Result<TraceEvent, LggError> {
 /// [`Write`] sink. Powers `lgg-sim trace <scenario> --out run.jsonl`.
 ///
 /// Write errors are sticky: the first one is stored, later events are
-/// dropped, and [`JsonlSink::take_error`] / [`JsonlSink::finish`] surface
-/// it. Observers cannot return errors from `on_step` (the engine step
-/// loop has no error channel), so this mirrors how `std::io::stdout`
-/// handles broken pipes.
+/// dropped, and [`JsonlSink::written`] surfaces it. Observers cannot
+/// return errors from `on_step` (the engine step loop has no error
+/// channel), so this mirrors how `std::io::stdout` handles broken pipes.
 pub struct JsonlSink<W: Write> {
     writer: W,
     /// Keep one [`TraceEvent::Sample`] every this many steps (1 = all).
@@ -614,9 +596,15 @@ impl<W: Write> JsonlSink<W> {
         self.bytes
     }
 
-    /// Takes the first write error, if any occurred.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
+    /// Takes the first write error, if any occurred, as
+    /// [`LggError::Io`] (exit code 4): the one place a run driver learns
+    /// that its trace did not reach the writer. Call it after the run's
+    /// last flush (`finish`, which `into_observer` runs).
+    pub fn written(&mut self) -> Result<(), LggError> {
+        match self.error.take() {
+            Some(e) => Err(LggError::io("trace write failed", e)),
+            None => Ok(()),
+        }
     }
 
     /// The inner writer (resume drivers truncate/seek the underlying
@@ -1519,19 +1507,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn boxed_observer_forwards() {
-        use std::{cell::Cell, rc::Rc};
-        struct Count(Rc<Cell<u64>>);
-        impl SimObserver for Count {
-            fn on_step(&mut self, step: &StepRecord<'_>) {
-                self.0.set(self.0.get() + step.ledger.t);
+    fn a_failed_write_sticks_and_surfaces_as_an_io_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("no space left"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
             }
         }
-        let seen = Rc::new(Cell::new(0));
-        let mut boxed: Box<dyn SimObserver> = Box::new(Count(Rc::clone(&seen)));
-        boxed.on_step(&Crafted::at(7).record());
-        boxed.finish();
-        assert_eq!(seen.get(), 7);
+        let mut sink = JsonlSink::new(Full);
+        Crafted::at(0).feed(&mut sink);
+        Crafted::at(1).feed(&mut sink);
+        assert_eq!(sink.lines_written(), 0);
+        let err = sink.written().unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(err.to_string().starts_with("trace write failed"), "{err}");
+        // Taken once: the error is reported by one caller, not two.
+        assert!(sink.written().is_ok());
     }
 
     #[test]

@@ -145,4 +145,39 @@ for scenario in "$SMOKE_SCENARIO" scenarios/bursty_rgen_gauntlet.json \
 done
 rm -rf "$(dirname "$SMOKE_SCENARIO")"
 
+# Guarded kill-and-resume: --guard composes with --checkpoint-every,
+# --kill-after and --resume. The killed leg steps under the guard until
+# it aborts between snapshots (exit 134, not 9), and the resumed leg
+# restores the guard's counters with the rest of the state. The guard
+# only reads step records, so the resumed trace must equal both the
+# uninterrupted guarded trace and the unguarded one.
+for threads in 1 4; do
+    WORK="$(mktemp -d)"
+    fabric() {
+        LGG_THREADS=$threads cargo run --release -p lgg-cli -- run \
+            scenarios/flapping_fabric.json --steps 2000 "$@"
+    }
+    guarded() {
+        fabric --guard --guard-dump "$WORK/dump" "$@"
+    }
+    fabric --trace "$WORK/plain.jsonl"
+    guarded --trace "$WORK/guarded.jsonl"
+    status=0
+    guarded --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" \
+        --trace "$WORK/resumed.jsonl" --kill-after 1000 || status=$?
+    [ "$status" -eq 134 ] || {
+        echo "ci: guarded kill-and-resume: expected the killed leg to abort (134), got $status" >&2
+        exit 1
+    }
+    guarded --checkpoint-every 300 --checkpoint-dir "$WORK/ckpts" --resume \
+        --trace "$WORK/resumed.jsonl"
+    for want in guarded plain; do
+        cmp "$WORK/$want.jsonl" "$WORK/resumed.jsonl" || {
+            echo "ci: guarded kill-and-resume: trace differs from the $want run at LGG_THREADS=$threads" >&2
+            exit 1
+        }
+    done
+    rm -rf "$WORK"
+done
+
 echo "ci: OK"

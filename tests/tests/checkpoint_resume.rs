@@ -194,6 +194,85 @@ fn resume_crosses_thread_counts() {
     assert_eq!(a, b, "trace bytes diverged across thread counts");
 }
 
+/// `flapping_fabric`, which a guarded run keeps clean (SCENARIO's backlog
+/// ramp trips the online divergence check), with telemetry `kind`.
+fn fabric(ws: &Workspace, kind: &str) -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios/flapping_fabric.json");
+    let mut sc = lgg_cli::Scenario::from_json(&fs::read_to_string(path).unwrap()).unwrap();
+    if kind == "off" {
+        sc.telemetry = lgg_cli::ObserverSpec::Off;
+    }
+    let copy = ws.path(&format!("fabric_{kind}.json"));
+    fs::write(&copy, serde_json::to_string(&sc).unwrap()).unwrap();
+    copy
+}
+
+/// `--guard` composes with `--resume`: a guarded run cut at a snapshot
+/// and resumed under the guard writes the trace an uninterrupted run
+/// writes, guarded or not, since the guard only reads the step records.
+#[test]
+fn guarded_resume_is_bit_for_bit() {
+    let ws = Workspace::new("guarded");
+    let scenario = fabric(&ws, "window");
+    let run = |steps, resume, trace: &str, guard| {
+        run_with_checkpoints(&RunConfig {
+            scenario_path: scenario.clone(),
+            steps: Some(steps),
+            checkpoint_every: Some(300),
+            checkpoint_dir: Some(ws.path(&format!("{trace}.ckpts"))),
+            resume,
+            trace: Some(ws.path(trace)),
+            sample_stride: 1,
+            guard,
+            guard_dump: guard.then(|| ws.path("dump")),
+            ..RunConfig::default()
+        })
+        .expect("clean run")
+    };
+    let plain = run(2000, false, "plain.jsonl", false);
+    let guarded = run(2000, false, "guarded.jsonl", true);
+    run(1000, false, "part.jsonl", true);
+    let resumed = run(2000, true, "part.jsonl", true);
+    assert_eq!(resumed.resumed_from, Some(1000));
+    assert_eq!(resumed.sup_pt, plain.sup_pt);
+    assert_eq!(guarded.sup_pt, plain.sup_pt);
+
+    let read = |name| fs::read(ws.path(name)).expect("trace");
+    assert_eq!(read("guarded.jsonl"), read("plain.jsonl"));
+    assert_eq!(read("part.jsonl"), read("plain.jsonl"));
+}
+
+/// A snapshot written with `--guard` resumes only with `--guard`, and one
+/// written without it only without: the other way round is a typed
+/// mismatch (exit 8) that names the guard, with telemetry off (an empty
+/// observer record) and with window telemetry alike.
+#[test]
+fn a_snapshot_resumes_only_under_its_own_guard_setting() {
+    let ws = Workspace::new("mixed");
+    for kind in ["off", "window"] {
+        let scenario = fabric(&ws, kind);
+        for guard in [false, true] {
+            let dir = ws.path(&format!("{kind}_{guard}"));
+            let cfg = |resume, guard| RunConfig {
+                scenario_path: scenario.clone(),
+                steps: Some(if resume { 600 } else { 300 }),
+                checkpoint_every: Some(100),
+                checkpoint_dir: Some(dir.clone()),
+                resume,
+                guard,
+                guard_dump: guard.then(|| ws.path("dump")),
+                ..RunConfig::default()
+            };
+            run_with_checkpoints(&cfg(false, guard)).expect("first leg");
+            let err = run_with_checkpoints(&cfg(true, !guard)).unwrap_err();
+            assert_eq!(err.exit_code(), 8, "{kind}, written guarded={guard}: {err}");
+            assert!(err.to_string().contains("guard"), "{err}");
+            let resumed = run_with_checkpoints(&cfg(true, guard)).expect("same setting");
+            assert_eq!(resumed.resumed_from, Some(300));
+        }
+    }
+}
+
 /// A guarded run with window telemetry — `flapping_fabric` as `lgg-sim
 /// run --guard` builds it, divergence check on — snapshotted mid-window
 /// and resumed from the file continues exactly: the final payload (the
