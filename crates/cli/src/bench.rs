@@ -29,16 +29,19 @@
 //!
 //! Below the step pipeline, the same timing covers one table of layer
 //! kernels ([`LayerTiming`]): the max-flow solvers, the feasibility
-//! classifier, the Fig. 2/3 constructions, one LGG step, and the E11
-//! protocol and E14 ablation runs.
+//! classifier, the Fig. 2/3 constructions, one LGG step, the LGG and
+//! matching planners alone on captured views, and the E11 protocol and
+//! E14 ablation runs.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Instant;
 
 use lgg_core::baselines::{Flood, MaxFlowRouting, RandomForward, ShortestPathRouting};
 use lgg_core::interference::MatchingLgg;
 use lgg_core::{Lgg, TieBreak};
 use maxflow::{Algorithm, FlowNetwork};
-use mgraph::generators;
+use mgraph::{generators, NodeId};
 use netmodel::{
     classify, decompose_at_cut, find_interior_min_cut, ExtendedNetwork, TrafficSpec,
     TrafficSpecBuilder,
@@ -47,11 +50,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simqueue::declare::{FullRetention, TruthfulDeclaration, ZeroBelowRetention};
+use simqueue::dynamic::RotatingOutage;
 use simqueue::injection::UniformInjection;
 use simqueue::loss::IidLoss;
 use simqueue::{
-    DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder,
-    RoutingProtocol, SimObserver, SimulationBuilder, WindowAggregator,
+    DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NetView, NoopObserver,
+    RingRecorder, RoutingProtocol, SimObserver, SimulationBuilder, Transmission, WindowAggregator,
 };
 
 use crate::sweep::SweepReport;
@@ -426,6 +430,102 @@ fn row<T>(
     (name.into(), iters, Box::new(run))
 }
 
+/// The arrays behind one [`NetView`], copied out of a running simulation.
+#[derive(Clone)]
+struct CapturedView {
+    declared: Vec<u64>,
+    queues: Vec<u64>,
+    active_edges: Vec<bool>,
+    active_nodes: Vec<NodeId>,
+    t: u64,
+}
+
+impl CapturedView {
+    fn view<'a>(&'a self, spec: &'a TrafficSpec) -> NetView<'a> {
+        NetView {
+            graph: &spec.graph,
+            spec,
+            declared: &self.declared,
+            true_queues: &self.queues,
+            active_edges: &self.active_edges,
+            active_nodes: &self.active_nodes,
+            t: self.t,
+        }
+    }
+}
+
+/// LGG that records the views of steps `from..from + count`.
+struct Capture {
+    lgg: Lgg,
+    from: u64,
+    count: usize,
+    views: Rc<RefCell<Vec<CapturedView>>>,
+}
+
+impl RoutingProtocol for Capture {
+    fn name(&self) -> &'static str {
+        self.lgg.name()
+    }
+
+    fn plan(&mut self, view: &NetView<'_>, out: &mut Vec<Transmission>) {
+        let mut views = self.views.borrow_mut();
+        if view.t >= self.from && views.len() < self.count {
+            views.push(CapturedView {
+                declared: view.declared.to_vec(),
+                queues: view.true_queues.to_vec(),
+                active_edges: view.active_edges.to_vec(),
+                active_nodes: view.active_nodes.to_vec(),
+                t: view.t,
+            });
+        }
+        self.lgg.plan(view, out);
+    }
+}
+
+/// The views LGG plans from at steps `from..from + count` of `spec`,
+/// with one link down per step (rotating) when `rotating`.
+fn captured_views(
+    spec: &TrafficSpec,
+    rotating: bool,
+    from: u64,
+    count: usize,
+) -> Vec<CapturedView> {
+    let views = Rc::new(RefCell::new(Vec::new()));
+    let capture = Capture {
+        lgg: Lgg::new(),
+        from,
+        count,
+        views: Rc::clone(&views),
+    };
+    let mut builder =
+        SimulationBuilder::new(spec.clone(), Box::new(capture)).history(HistoryMode::None);
+    if rotating {
+        builder = builder.topology(Box::new(RotatingOutage { k: 1 }));
+    }
+    builder.build().run(from + count as u64);
+    views.take()
+}
+
+/// A plan-kernel row: one call plans each of `views` once with `protocol`.
+fn plan_row(
+    name: &str,
+    iters: u64,
+    spec: TrafficSpec,
+    views: Vec<CapturedView>,
+    mut protocol: impl RoutingProtocol + 'static,
+) -> LayerRow {
+    let mut out = Vec::new();
+    row(name, iters, move || {
+        let mut entries = 0;
+        for v in &views {
+            out.clear();
+            protocol.plan(&v.view(&spec), &mut out);
+            entries += out.len();
+        }
+        entries
+    })
+}
+
 /// A source at `g`'s first node and a sink at its last.
 fn corner_spec(g: mgraph::MultiGraph, source: u64, sink: u64) -> TrafficSpec {
     let last = (g.node_count() - 1) as u32;
@@ -452,11 +552,12 @@ fn stability_specs() -> [(&'static str, TrafficSpec); 3] {
 }
 
 /// The layer kernels below the step pipeline: the E14 ablations, the
-/// Fig. 2/3 constructions, the per-step cost of LGG, the max-flow solvers
-/// on `G*`-like networks, the E11 protocol comparison, and the
-/// E1/E4/E8 stability runs with the classifier that gates them. Rows are
-/// built eagerly (a step row owns a simulation already run 200 steps into
-/// its steady state); sizes and seeds are fixed so ids stay comparable.
+/// Fig. 2/3 constructions, the per-step cost of LGG and of its planners
+/// alone, the max-flow solvers on `G*`-like networks, the E11 protocol
+/// comparison, and the E1/E4/E8 stability runs with the classifier that
+/// gates them. Rows are built eagerly (a step row owns a simulation
+/// already run 200 steps into its steady state, a plan row the views of
+/// a run 2000 steps in); sizes and seeds are fixed so ids stay comparable.
 fn layer_table() -> Vec<LayerRow> {
     let mut rows = Vec::new();
 
@@ -571,6 +672,42 @@ fn layer_table() -> Vec<LayerRow> {
             200,
         );
     }
+
+    // The planner alone, on views captured from running simulations: the
+    // `flapping_fabric` leaf-spine under rotating outages (three active
+    // nodes per step) and the 16×16 grid of `lgg-gradient` (about 180 of
+    // its 256 nodes active). One call plans every captured step once.
+    let fabric = TrafficSpecBuilder::new(generators::leaf_spine(4, 2, 2, 3))
+        .source(0, 1)
+        .source(1, 1)
+        .sink(2, 2)
+        .sink(3, 2)
+        .build()
+        .unwrap();
+    let fabric_views = captured_views(&fabric, true, 2000, 64);
+    rows.push(plan_row(
+        "lgg_plan/leaf_spine",
+        20_000,
+        fabric,
+        fabric_views,
+        Lgg::new(),
+    ));
+    let grid = corner_spec(generators::grid2d(16, 16), 1, 2);
+    let grid_views = captured_views(&grid, false, 2000, 16);
+    rows.push(plan_row(
+        "lgg_plan/grid/16",
+        2000,
+        grid.clone(),
+        grid_views.clone(),
+        Lgg::new(),
+    ));
+    rows.push(plan_row(
+        "matching_lgg_plan/grid/16",
+        2000,
+        grid,
+        grid_views,
+        MatchingLgg::new(),
+    ));
 
     // The max-flow solvers on unit-capacity networks. Each call clones the
     // prepared network and solves the clone, so the clone is timed too.
@@ -818,7 +955,7 @@ mod tests {
             assert!(l.ns_per_iter > 0.0, "{}", l.name);
         }
         let want = expected_layer_ids();
-        assert_eq!(want.len(), 80);
+        assert_eq!(want.len(), 83);
         assert!(want.windows(2).all(|w| w[0] < w[1]), "ids are distinct");
         assert_eq!(layer_names(layers), want);
 
@@ -842,6 +979,9 @@ mod tests {
         fig3_decompose dumbbell8 dumbbell16 dumbbell32
         lgg_step/grid 64 256 1024 4096
         lgg_step/random_density m1023 m2559 m8703
+        lgg_plan leaf_spine
+        lgg_plan/grid 16
+        matching_lgg_plan/grid 16
         maxflow/grid/edmonds-karp 8x8 16x16 24x24
         maxflow/grid/dinic 8x8 16x16 24x24
         maxflow/grid/push-relabel 8x8 16x16 24x24

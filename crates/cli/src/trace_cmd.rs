@@ -99,7 +99,9 @@ mod tests {
         ] {
             assert!(kinds.contains(kind), "missing {kind} in {kinds:?}");
         }
-        assert_eq!(fnv1a_digest(&bytes).len(), 16);
+        // The `lgg-sim trace --smoke` digest: LGG's emission order feeds
+        // the loss draws, so a planner that reorders a plan moves it.
+        assert_eq!(fnv1a_digest(&bytes), "acaae5ba35c1734e");
     }
 
     #[test]

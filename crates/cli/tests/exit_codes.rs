@@ -69,3 +69,20 @@ fn a_guarded_kill_after_dies_between_snapshots_unless_the_guard_stops_first() {
     assert_eq!(run(&[]).signal(), Some(6));
     std::fs::remove_dir_all(&work).expect("remove scratch output");
 }
+
+#[test]
+fn a_planted_fault_under_age_tracking_is_the_guards_to_report() {
+    // `lossy_sensor_field` tracks packet ages. The fault hook gives the
+    // conjured packets ages too, so the guard reports the conservation
+    // violation (9) instead of the engine panicking on its age FIFOs (101).
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/lossy_sensor_field.json"
+    );
+    let dump = std::env::temp_dir().join(format!("lgg-sim-aged-fault-{}", std::process::id()));
+    let dump_arg = dump.to_str().expect("utf-8 temp path");
+    let mut args = vec!["run", scenario, "--guard", "--inject-fault", "120"];
+    args.extend(["--steps", "500", "--guard-dump", dump_arg]);
+    assert_eq!(exit_code(&args), 9);
+    std::fs::remove_dir_all(&dump).expect("remove the guard's dump");
+}

@@ -12,8 +12,10 @@
 //! which is a 1/2-approximation of the max-weight matching that
 //! Tassiulas–Ephremides \[3\] prove throughput-optimal.
 
-use mgraph::{EdgeId, NodeId};
+use mgraph::EdgeId;
 use simqueue::{NetView, RoutingProtocol, Transmission};
+
+use crate::lgg::{downhill_keys, KeyBuffers, PlanKey};
 
 /// LGG under node-exclusive interference: among the links LGG would use
 /// (strictly downhill in declared height), pick a greedy maximum-weight
@@ -21,8 +23,8 @@ use simqueue::{NetView, RoutingProtocol, Transmission};
 /// each matched link.
 #[derive(Debug, Default)]
 pub struct MatchingLgg {
-    /// Candidate links: (weight, edge, from), reused each step.
-    scratch: Vec<(u64, u32, u32)>,
+    /// Candidate keys from [`downhill_keys`], reused each step.
+    keys: KeyBuffers,
     node_used: Vec<bool>,
 }
 
@@ -39,36 +41,57 @@ impl RoutingProtocol for MatchingLgg {
     }
 
     fn plan(&mut self, view: &NetView<'_>, out: &mut Vec<Transmission>) {
-        let g = view.graph;
-        self.scratch.clear();
-        if self.node_used.len() < g.node_count() {
-            self.node_used.resize(g.node_count(), false);
+        if self.node_used.len() < view.graph.node_count() {
+            self.node_used.resize(view.graph.node_count(), false);
         }
+        // A weight is below its sender's height, so one pass over the
+        // senders decides whether every weight fits the narrow key.
+        if view
+            .active_nodes
+            .iter()
+            .all(|&u| view.declared_of(u) <= u64::HIGH_MAX)
+        {
+            self.plan_with::<u64>(view, out);
+        } else {
+            self.plan_with::<u128>(view, out);
+        }
+    }
+}
+
+impl MatchingLgg {
+    /// The greedy matching over keys `(HIGH_MAX − weight) << 32 | link`:
+    /// ascending key order is descending weight, ties by link id.
+    fn plan_with<K: PlanKey>(&mut self, view: &NetView<'_>, out: &mut Vec<Transmission>) {
+        let g = view.graph;
+        let keys = K::buffer(&mut self.keys);
 
         // Collect every directed downhill candidate once, from its higher
         // endpoint. Only a node holding a packet can send, so the links of
         // the active set carry every candidate.
+        let mut n = 0;
         for &u in view.active_nodes {
             if view.queue_of(u) == 0 {
                 continue;
             }
-            let hu = view.declared_of(u);
-            for link in g.incident_links(u) {
-                let hv = view.declared_of(link.neighbor);
-                if hu > hv && view.is_active(link.edge) {
-                    self.scratch.push((hu - hv, link.edge.raw(), u.raw()));
-                }
-            }
+            let h_u = view.declared_of(u);
+            // A kept link has `h_v < h_u`; the wrapped weight of a
+            // dropped one is overwritten.
+            n = downhill_keys(view, u, h_u, keys, n, |h_v, e| {
+                K::pack(K::HIGH_MAX.wrapping_sub(h_u.wrapping_sub(h_v)), e.raw())
+            });
         }
-        // Greedy max-weight matching: heaviest differential first; ties by
-        // edge id for determinism.
-        self.scratch
-            .sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        let keys = &mut keys[..n];
+        keys.sort_unstable();
         let planned = out.len();
-        for &(_, e, from) in &self.scratch {
-            let edge = EdgeId::new(e);
-            let from = NodeId::new(from);
-            let to = g.other_endpoint(edge, from);
+        for &k in keys.iter() {
+            // The sender is the endpoint that declares strictly higher.
+            let edge = EdgeId::new(k.low());
+            let (a, b) = g.endpoints(edge);
+            let (from, to) = if view.declared_of(a) > view.declared_of(b) {
+                (a, b)
+            } else {
+                (b, a)
+            };
             if self.node_used[from.index()] || self.node_used[to.index()] {
                 continue;
             }
@@ -88,7 +111,7 @@ impl RoutingProtocol for MatchingLgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgraph::generators;
+    use mgraph::{generators, NodeId};
     use netmodel::TrafficSpecBuilder;
     use simqueue::{HistoryMode, SimulationBuilder};
 

@@ -1,6 +1,6 @@
 //! Algorithm 1: the Local Greedy Gradient protocol.
 
-use mgraph::EdgeId;
+use mgraph::{EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -86,8 +86,9 @@ pub struct Lgg {
     /// Seed the random tie-break RNG was created from, kept so
     /// [`RoutingProtocol::reset`] can restore the exact stream.
     seed: u64,
-    /// Reused candidate buffer: (declared height, raw link id).
-    scratch: Vec<(u64, u32)>,
+    /// Reused candidate buffers of [`downhill_keys`]: `h_v << 32 | link`
+    /// per downhill link, so integer order is (height, link id) order.
+    keys: KeyBuffers,
     /// Per-node rotation offsets for round-robin.
     rr: Vec<u32>,
 }
@@ -105,7 +106,7 @@ impl Lgg {
             threshold: 0,
             rng: StdRng::seed_from_u64(seed),
             seed,
-            scratch: Vec::new(),
+            keys: KeyBuffers::default(),
             rr: Vec::new(),
         }
     }
@@ -128,6 +129,44 @@ impl Lgg {
     /// The gradient threshold θ (0 for the paper's Algorithm 1).
     pub fn threshold(&self) -> u64 {
         self.threshold
+    }
+
+    /// Algorithm 1 at node `u` (declared height `h_u > θ`, `budget`
+    /// packets): keys `h_v << 32 | link` of the links with
+    /// `h_v + θ < h_u`, ordered per the tie-break, the first `budget`
+    /// emitted.
+    fn plan_node<K: PlanKey>(
+        &mut self,
+        view: &NetView<'_>,
+        u: NodeId,
+        h_u: u64,
+        budget: u64,
+        out: &mut Vec<Transmission>,
+    ) {
+        let keys = K::buffer(&mut self.keys);
+        // `h_v < h_u − θ` is `h_v + θ < h_u` without overflow.
+        let n = downhill_keys(view, u, h_u - self.threshold, keys, 0, |h_v, e| {
+            K::pack(h_v, e.raw())
+        });
+        let keys = &mut keys[..n];
+        if keys.is_empty() {
+            return;
+        }
+        match self.tie_break {
+            TieBreak::SmallestFirst => keys.sort_unstable(),
+            TieBreak::LinkOrder => {}
+            TieBreak::RoundRobin => {
+                let off = (self.rr[u.index()] as usize) % keys.len();
+                keys.rotate_left(off);
+                self.rr[u.index()] = self.rr[u.index()].wrapping_add(1);
+            }
+            TieBreak::Random => keys.shuffle(&mut self.rng),
+        }
+        let take = (budget as usize).min(keys.len());
+        out.extend(keys[..take].iter().map(|&k| Transmission {
+            edge: EdgeId::new(k.low()),
+            from: u,
+        }));
     }
 }
 
@@ -159,40 +198,12 @@ impl RoutingProtocol for Lgg {
                 // With height <= θ no neighbor can sit more than θ below.
                 continue;
             }
-            self.scratch.clear();
-            for link in g.incident_links(u) {
-                if !view.is_active(link.edge) {
-                    continue;
-                }
-                let h_v = view.declared_of(link.neighbor);
-                if h_v + self.threshold < h_u {
-                    self.scratch.push((h_v, link.edge.raw()));
-                }
-            }
-            if self.scratch.is_empty() {
-                continue;
-            }
-            match self.tie_break {
-                TieBreak::SmallestFirst => {
-                    self.scratch.sort_unstable();
-                }
-                TieBreak::LinkOrder => {}
-                TieBreak::RoundRobin => {
-                    let k = self.scratch.len();
-                    let off = (self.rr[u.index()] as usize) % k;
-                    self.scratch.rotate_left(off);
-                    self.rr[u.index()] = self.rr[u.index()].wrapping_add(1);
-                }
-                TieBreak::Random => {
-                    self.scratch.shuffle(&mut self.rng);
-                }
-            }
-            let take = (budget as usize).min(self.scratch.len());
-            for &(_, e) in self.scratch.iter().take(take) {
-                out.push(Transmission {
-                    edge: EdgeId::new(e),
-                    from: u,
-                });
+            // Every kept `h_v` is below `h_u`, so it fits the narrow key
+            // whenever `h_u` does.
+            if h_u <= u64::HIGH_MAX {
+                self.plan_node::<u64>(view, u, h_u, budget, out);
+            } else {
+                self.plan_node::<u128>(view, u, h_u, budget, out);
             }
         }
     }
@@ -206,7 +217,7 @@ impl RoutingProtocol for Lgg {
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
         // The RNG position and round-robin offsets both shape future
-        // plans; `scratch` is per-call and excluded.
+        // plans; `keys` is per-call and excluded.
         for w in self.rng.state() {
             wire::put_word(out, w);
         }
@@ -228,10 +239,113 @@ impl RoutingProtocol for Lgg {
     }
 }
 
+/// A planner's candidate key: one integer per link, `high << 32 | low`,
+/// packed so that integer order is the order the planner emits in. Keys
+/// are distinct within one sort (`low` is a link id, and each link is a
+/// candidate once), so every correct sort yields the same order. `u64`
+/// holds a `high` part up to [`PlanKey::HIGH_MAX`] = 2³² − 1 and `u128` any
+/// `u64`; a planner takes the narrow key when its heights allow it, and
+/// the wide one otherwise, with the same code.
+pub(crate) trait PlanKey: Copy + Ord + Default {
+    /// The largest `high` part the key holds.
+    const HIGH_MAX: u64;
+    /// `high << 32 | low`; bits of `high` above [`PlanKey::HIGH_MAX`] are
+    /// dropped, which only ever happens to slots the scan does not keep.
+    fn pack(high: u64, low: u32) -> Self;
+    /// The `low` part.
+    fn low(self) -> u32;
+    /// This key's buffer in `keys`.
+    fn buffer(keys: &mut KeyBuffers) -> &mut Vec<Self>;
+}
+
+impl PlanKey for u64 {
+    const HIGH_MAX: u64 = u32::MAX as u64;
+
+    #[inline(always)]
+    fn pack(high: u64, low: u32) -> Self {
+        high << 32 | u64::from(low)
+    }
+
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
+
+    fn buffer(keys: &mut KeyBuffers) -> &mut Vec<Self> {
+        &mut keys.narrow
+    }
+}
+
+impl PlanKey for u128 {
+    const HIGH_MAX: u64 = u64::MAX;
+
+    #[inline(always)]
+    fn pack(high: u64, low: u32) -> Self {
+        u128::from(high) << 32 | u128::from(low)
+    }
+
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
+
+    fn buffer(keys: &mut KeyBuffers) -> &mut Vec<Self> {
+        &mut keys.wide
+    }
+}
+
+/// A planner's reused key buffers, one per [`PlanKey`] width. Scratch:
+/// never part of a protocol's saved state.
+#[derive(Debug, Default)]
+pub(crate) struct KeyBuffers {
+    narrow: Vec<u64>,
+    wide: Vec<u128>,
+}
+
+/// The planner's scan, shared by [`Lgg`] and
+/// [`MatchingLgg`](crate::interference::MatchingLgg): writes `key(h_v,
+/// link)` for every incident link of `u` into `keys` from `start` on, and
+/// keeps it (advances the cursor past it) only when the link is active and
+/// its far end declares below `limit`. Returns the cursor after `u`'s
+/// kept keys. The predicate is added to the cursor rather than branched
+/// on, so the loop has no data-dependent branch.
+#[inline(always)]
+pub(crate) fn downhill_keys<K: PlanKey>(
+    view: &NetView<'_>,
+    u: NodeId,
+    limit: u64,
+    keys: &mut Vec<K>,
+    start: usize,
+    key: impl Fn(u64, EdgeId) -> K,
+) -> usize {
+    let links = view.graph.incident_links(u);
+    let end = start + links.len();
+    if keys.len() < end {
+        keys.resize(end, K::default());
+    }
+    let slots = &mut keys[start..end];
+    let (declared, active) = (view.declared, view.active_edges);
+    // `NetView::declared_of` inlined over equal-length slices, so one
+    // bounds check covers both loads (the engine sizes both by `n`).
+    let queues = &view.true_queues[..declared.len()];
+    let mut n = 0;
+    for link in links {
+        let v = link.neighbor.index();
+        let (d, q) = (declared[v], queues[v]);
+        let h_v = if d == u64::MAX { q } else { d };
+        slots[n] = key(h_v, link.edge);
+        n += usize::from(active[link.edge.index()] & (h_v < limit));
+    }
+    start + n
+}
+
+#[cfg(test)]
+mod plan_reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgraph::{generators, NodeId};
+    use mgraph::generators;
     use netmodel::{TrafficSpec, TrafficSpecBuilder};
 
     fn star_spec() -> TrafficSpec {

@@ -566,10 +566,11 @@ impl<O: SimObserver> Simulation<O> {
     /// Test-only fault hook: conjures `amount` packets into node
     /// `v mod n`'s queue *without* counting them as injected — a
     /// deliberate conservation bug for exercising the invariant guard
-    /// (see [`crate::guard`]). The engine's own bookkeeping (occupancy)
-    /// is kept consistent so the corruption is invisible to
-    /// everything except the conservation ledger, exactly like a real
-    /// state-update bug would be. Call between steps only.
+    /// (see [`crate::guard`]). The engine's own bookkeeping (occupancy,
+    /// and the packets' ages, born now, when ages are tracked) is kept
+    /// consistent so the corruption is invisible to everything except
+    /// the conservation ledger, exactly like a real state-update bug
+    /// would be. Call between steps only.
     #[doc(hidden)]
     pub fn corrupt_queue_for_test(&mut self, v: u32, amount: u64) {
         if self.queues.q.is_empty() {
@@ -577,6 +578,9 @@ impl<O: SimObserver> Simulation<O> {
         }
         let idx = (v as usize) % self.queues.q.len();
         self.queues.credit(idx, amount);
+        if let Some(ages) = &mut self.ages {
+            ages.fifos[idx].extend(std::iter::repeat_n(self.t, amount as usize));
+        }
     }
 
     /// Number of nodes currently holding packets.

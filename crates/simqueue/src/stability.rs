@@ -131,10 +131,17 @@ pub fn assess_stability(history: &[Snapshot]) -> StabilityReport {
             window_maxima: Vec::new(),
         };
     };
-    let sup_total = tail.iter().map(|s| s.total_packets).max().unwrap_or(0);
     // Least-squares slope of total_packets against t over the tail.
     let slope = least_squares_slope(tail);
     let maxima: [u64; WINDOWS] = std::array::from_fn(|i| window_max(tail, i));
+    // The windows cover the tail but for a remainder shorter than one.
+    let rest = &tail[WINDOWS * (tail.len() / WINDOWS)..];
+    let sup_total = rest
+        .iter()
+        .map(|s| s.total_packets)
+        .chain(maxima)
+        .max()
+        .unwrap_or(0);
     let dt = (tail.last().unwrap().t - tail.first().unwrap().t).max(1) as f64;
     StabilityReport {
         verdict: verdict(&maxima, slope, dt),
@@ -270,12 +277,10 @@ impl OnlineStability {
 }
 
 fn least_squares_slope(points: &[Snapshot]) -> f64 {
-    let n = points.len() as f64;
     if points.len() < 2 {
         return 0.0;
     }
-    let mean_t = points.iter().map(|s| s.t as f64).sum::<f64>() / n;
-    let mean_y = points.iter().map(|s| s.total_packets as f64).sum::<f64>() / n;
+    let (mean_t, mean_y) = means(points);
     let mut num = 0.0;
     let mut den = 0.0;
     for s in points {
@@ -288,6 +293,27 @@ fn least_squares_slope(points: &[Snapshot]) -> f64 {
     } else {
         num / den
     }
+}
+
+/// The means of `t` and `total_packets` over `points`, each bit for bit
+/// its in-order `f64` sum divided by the count. While an exact integer
+/// sum stays below 2⁵³, every term and every partial sum of the float sum
+/// is an exactly representable integer, so the float sum equals the
+/// integer one, which is cheaper to take; a larger sum is summed as
+/// floats.
+fn means(points: &[Snapshot]) -> (f64, f64) {
+    let n = points.len() as f64;
+    let (sum_t, sum_y) = points.iter().fold((0u128, 0u128), |(t, y), s| {
+        (t + u128::from(s.t), y + u128::from(s.total_packets))
+    });
+    let mean = |sum: u128, field: fn(&Snapshot) -> u64| {
+        if sum < 1 << f64::MANTISSA_DIGITS {
+            sum as f64 / n
+        } else {
+            points.iter().map(|s| field(s) as f64).sum::<f64>() / n
+        }
+    };
+    (mean(sum_t, |s| s.t), mean(sum_y, |s| s.total_packets))
 }
 
 #[cfg(test)]
@@ -433,5 +459,79 @@ mod tests {
         let json = serde_json::to_string(&online).unwrap();
         let back: OnlineStability = serde_json::from_str(&json).unwrap();
         assert_eq!(back, online);
+    }
+
+    /// [`assess_stability`] as first written, with three float passes over
+    /// the tail: the reference the integer means are checked against.
+    fn reference_assess(history: &[Snapshot]) -> StabilityReport {
+        fn reference_slope(points: &[Snapshot]) -> f64 {
+            let n = points.len() as f64;
+            if points.len() < 2 {
+                return 0.0;
+            }
+            let mean_t = points.iter().map(|s| s.t as f64).sum::<f64>() / n;
+            let mean_y = points.iter().map(|s| s.total_packets as f64).sum::<f64>() / n;
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for s in points {
+                let dt = s.t as f64 - mean_t;
+                num += dt * (s.total_packets as f64 - mean_y);
+                den += dt * dt;
+            }
+            if den == 0.0 {
+                0.0
+            } else {
+                num / den
+            }
+        }
+        let Some(tail) = assessed_tail(history) else {
+            return StabilityReport {
+                verdict: StabilityVerdict::Undecided,
+                sup_total: history.iter().map(|s| s.total_packets).max().unwrap_or(0),
+                slope: 0.0,
+                window_maxima: Vec::new(),
+            };
+        };
+        let sup_total = tail.iter().map(|s| s.total_packets).max().unwrap_or(0);
+        let slope = reference_slope(tail);
+        let maxima: [u64; WINDOWS] = std::array::from_fn(|i| window_max(tail, i));
+        let dt = (tail.last().unwrap().t - tail.first().unwrap().t).max(1) as f64;
+        StabilityReport {
+            verdict: verdict(&maxima, slope, dt),
+            sup_total,
+            slope,
+            window_maxima: maxima.to_vec(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Same bits as the reference: random walks of every length, with
+        /// clocks and backlogs small enough for the integer means and
+        /// large enough (sums past 2⁵³) for the float fallback.
+        #[test]
+        fn assessment_matches_the_float_reference(
+            len in 0usize..400,
+            t0_bits in 0u32..62,
+            y0_bits in 0u32..62,
+            stride in 1u64..1000,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut y = (1u64 << y0_bits) - 1;
+            let h: Vec<Snapshot> = (0..len as u64)
+                .map(|i| {
+                    y = y.saturating_add(rng.random_range(0..64));
+                    y = y.saturating_sub(rng.random_range(0..64));
+                    let t = (1u64 << t0_bits) + i * stride;
+                    Snapshot { t, pt: 0, total_packets: y, max_queue: y }
+                })
+                .collect();
+            let (got, want) = (assess_stability(&h), reference_assess(&h));
+            proptest::prop_assert_eq!(got.slope.to_bits(), want.slope.to_bits());
+            proptest::prop_assert_eq!(got.sup_total, want.sup_total);
+            proptest::prop_assert_eq!(&got.window_maxima, &want.window_maxima);
+            proptest::prop_assert_eq!(got.verdict, want.verdict);
+        }
     }
 }
