@@ -676,13 +676,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, LggError> {
     let scenarios: Vec<Scenario> = (0..cfg.trials)
         .map(|i| compose_trial(cfg.seed, i, cfg.steps))
         .collect();
-    let fault = cfg
-        .inject_fault
-        .map(|step| FaultSpec {
-            step: step.min(cfg.steps.saturating_sub(1)),
-            node: 0,
-            amount: 1,
-        });
+    let fault = cfg.inject_fault.map(|step| FaultSpec {
+        step: step.min(cfg.steps.saturating_sub(1)),
+        node: 0,
+        amount: 1,
+    });
 
     eprintln!(
         "chaos: {} trials x {} steps, seed {}{}...",
@@ -776,7 +774,9 @@ mod tests {
         // build a valid traffic spec (the composer promises this).
         for i in 0..24 {
             let sc = compose_trial(7, i, 50);
-            let spec = sc.traffic_spec().unwrap_or_else(|e| panic!("trial {i}: {e}"));
+            let spec = sc
+                .traffic_spec()
+                .unwrap_or_else(|e| panic!("trial {i}: {e}"));
             assert!(spec.node_count() >= 2, "trial {i}");
             let report = run_trial(&sc, 50, None).unwrap_or_else(|e| panic!("trial {i}: {e}"));
             assert!(

@@ -28,8 +28,8 @@ use std::io::{BufWriter, Seek, SeekFrom};
 use std::path::PathBuf;
 
 use simqueue::{
-    CheckpointConfig, FaultSpec, GuardConfig, GuardOutcome, GuardReport, InvariantGuard,
-    JsonlSink, LggError, SimObserver, Simulation,
+    CheckpointConfig, FaultSpec, GuardConfig, GuardOutcome, GuardReport, InvariantGuard, JsonlSink,
+    LggError, SimObserver, Simulation,
 };
 
 use crate::chaos::{write_reproducer, Reproducer};
@@ -175,7 +175,9 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
     gc.max_wall_ms = cfg.max_wall_ms;
     gc.pt_bound = lemma1_bound(&sc, &spec);
     if let Some(b) = gc.pt_bound {
-        eprintln!("guard: core model on an unsaturated network — enforcing P_t <= {b:.0} (Lemma 1)");
+        eprintln!(
+            "guard: core model on an unsaturated network — enforcing P_t <= {b:.0} (Lemma 1)"
+        );
     }
     let dump = PathBuf::from(cfg.guard_dump.as_deref().unwrap_or("results/chaos"));
     let fault = cfg.inject_fault.map(|step| FaultSpec {
@@ -214,7 +216,10 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
                 violation: v.clone(),
             };
             let path = write_reproducer(&dump, 0, &repro)?;
-            eprintln!("guard: INVARIANT VIOLATION at step {}: {}: {}", v.step, v.kind, v.detail);
+            eprintln!(
+                "guard: INVARIANT VIOLATION at step {}: {}: {}",
+                v.step, v.kind, v.detail
+            );
             eprintln!(
                 "guard: seed {}  reproducer {}  (replay: lgg-sim chaos --replay {})",
                 sc.seed,
@@ -246,7 +251,10 @@ fn drive<O: SimObserver>(
     // With a dir but no period, only the final-step snapshot is written
     // (useful to seed a later --resume without paying periodic I/O).
     let every = cfg.checkpoint_every.unwrap_or(target.max(1));
-    let checkpoint = cfg.checkpoint_dir.as_ref().map(|d| CheckpointConfig::new(every, d));
+    let checkpoint = cfg
+        .checkpoint_dir
+        .as_ref()
+        .map(|d| CheckpointConfig::new(every, d));
     let overrides = SimOverrides {
         checkpoint: checkpoint.clone(),
         ..SimOverrides::default()
@@ -432,7 +440,10 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.exit_code(), 9, "{err}");
-        assert!(matches!(err, LggError::InvariantViolation { step: 77, .. }), "{err}");
+        assert!(
+            matches!(err, LggError::InvariantViolation { step: 77, .. }),
+            "{err}"
+        );
         // The dump dir holds both the reproducer and a state checkpoint.
         let repro = dump.join("repro_conservation_t0.json");
         assert!(repro.exists(), "missing {}", repro.display());
@@ -490,7 +501,10 @@ mod tests {
         assert_eq!(violated_at(&cfg), 120);
         // The snapshots at 50 and 100 were written before the fault; the
         // resumed run replays from 100 into the same fault.
-        let resume = RunConfig { resume: true, ..cfg };
+        let resume = RunConfig {
+            resume: true,
+            ..cfg
+        };
         assert_eq!(violated_at(&resume), 120);
         let _ = fs::remove_dir_all(&base);
     }
@@ -500,8 +514,8 @@ mod tests {
         let base = std::env::temp_dir().join(format!("lgg_telemetry_io_{}", std::process::id()));
         let _ = fs::remove_dir_all(&base);
         fs::create_dir_all(&base).unwrap();
-        let mut sc = Scenario::from_json(&fs::read_to_string(write_scenario(&base)).unwrap())
-            .unwrap();
+        let mut sc =
+            Scenario::from_json(&fs::read_to_string(write_scenario(&base)).unwrap()).unwrap();
         // A directory cannot be created as a file; /dev/full takes the
         // open and fails every write.
         let mut paths = vec![base.to_string_lossy().into_owned()];

@@ -56,13 +56,12 @@ pub use chaos::{
 };
 pub use checkpoint_cmd::{run_with_checkpoints, RunConfig, RunSummary};
 pub use report::{run_scenario, RunReport};
+pub use scenario::{
+    DeclarationSpec, DynamicsSpec, Endpoint, ExtractionSpec, GeneralizedNode, InjectionSpec,
+    LossSpec, ObserverSpec, ProtocolSpec, Scenario, ScenarioObserver, TopologySpec,
+};
 pub use sweep::{
     run_sweep, sweep_digest, write_sweep_into_bench, SweepConfig, SweepItem, SweepReport,
-};
-pub use scenario::{
-    DeclarationSpec, DynamicsSpec, Endpoint, ExtractionSpec, GeneralizedNode,
-    InjectionSpec, LossSpec, ObserverSpec, ProtocolSpec, Scenario, ScenarioObserver,
-    TopologySpec,
 };
 // The workspace error type and override bag live in `simqueue`; re-export
 // them so CLI-facing code keeps one import path.

@@ -4,7 +4,7 @@ use netmodel::{classify, NetworkClass};
 use serde::{Deserialize, Serialize};
 use simqueue::{assess_stability, LatencyStats, Metrics, StabilityReport, WindowStats};
 
-use crate::{Scenario, LggError, SimOverrides};
+use crate::{LggError, Scenario, SimOverrides};
 
 /// The full machine-readable result of one scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,7 +45,10 @@ impl RunReport {
         ));
         out.push_str(&format!(
             "after {} steps: {:?} (backlog sup {}, slope {:.4})\n",
-            self.metrics.steps, self.stability.verdict, self.metrics.sup_total, self.stability.slope
+            self.metrics.steps,
+            self.stability.verdict,
+            self.metrics.sup_total,
+            self.stability.slope
         ));
         out.push_str(&format!(
             "throughput: injected {}, delivered {} ({:.1}%), lost {}\n",

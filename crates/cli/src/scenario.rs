@@ -1,7 +1,9 @@
 //! Declarative scenario files: a JSON description of a network, traffic,
 //! protocol and environment, runnable via `lgg-sim`.
 
-use lgg_core::baselines::{Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting};
+use lgg_core::baselines::{
+    Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting,
+};
 use lgg_core::interference::MatchingLgg;
 use lgg_core::{Lgg, TieBreak};
 use mgraph::{generators, MultiGraph, MultiGraphBuilder, NodeId};
@@ -10,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simqueue::declare::{
-    DeclarationPolicy, FullRetention, RandomBelowRetention, TruthfulDeclaration,
-    ZeroBelowRetention,
+    DeclarationPolicy, FullRetention, RandomBelowRetention, TruthfulDeclaration, ZeroBelowRetention,
 };
-use simqueue::dynamic::{MarkovTopology, PeriodicOutage, RotatingOutage, StaticTopology, TopologyProcess};
+use simqueue::dynamic::{
+    MarkovTopology, PeriodicOutage, RotatingOutage, StaticTopology, TopologyProcess,
+};
 use simqueue::injection::{
     BernoulliInjection, BurstInjection, ExactInjection, InjectionProcess, ScaledInjection,
     TraceInjection, UniformInjection,
@@ -63,7 +66,10 @@ pub enum TopologySpec {
     /// Random geometric graph in the unit square.
     RandomGeometric { n: usize, radius: f64, seed: u64 },
     /// Explicit edge list (multigraph: repeats allowed).
-    Edges { nodes: usize, edges: Vec<(u32, u32)> },
+    Edges {
+        nodes: usize,
+        edges: Vec<(u32, u32)>,
+    },
 }
 
 impl TopologySpec {
@@ -183,7 +189,11 @@ impl InjectionSpec {
                 Box::new(BernoulliInjection::new(*p))
             }
             InjectionSpec::Uniform { mean } => Box::new(UniformInjection { mean: *mean }),
-            InjectionSpec::Burst { burst, quiet, amount } => Box::new(BurstInjection {
+            InjectionSpec::Burst {
+                burst,
+                quiet,
+                amount,
+            } => Box::new(BurstInjection {
                 burst: *burst,
                 quiet: *quiet,
                 burst_amount: *amount,
@@ -655,7 +665,10 @@ mod tests {
     #[test]
     fn full_scenario_round_trips() {
         let sc = Scenario {
-            topology: TopologySpec::Dumbbell { clique: 4, bridge: 2 },
+            topology: TopologySpec::Dumbbell {
+                clique: 4,
+                bridge: 2,
+            },
             sources: vec![Endpoint { node: 0, rate: 1 }],
             sinks: vec![Endpoint { node: 9, rate: 4 }],
             generalized: vec![],
@@ -780,9 +793,15 @@ mod tests {
         // R = u64::MAX would let a lie collide with the engine's
         // "truthful" declaration sentinel; the spec refuses it.
         let json = MINIMAL.replacen('{', "{\"retention\": 18446744073709551615,", 1);
-        let err = Scenario::from_json(&json).unwrap().traffic_spec().unwrap_err();
+        let err = Scenario::from_json(&json)
+            .unwrap()
+            .traffic_spec()
+            .unwrap_err();
         assert!(
-            matches!(err, LggError::Model(netmodel::ModelError::RetentionTooLarge)),
+            matches!(
+                err,
+                LggError::Model(netmodel::ModelError::RetentionTooLarge)
+            ),
             "{err}"
         );
         assert_eq!(err.exit_code(), 5);

@@ -9,7 +9,7 @@
 
 use simqueue::JsonlSink;
 
-use crate::{Scenario, LggError, SimOverrides};
+use crate::{LggError, Scenario, SimOverrides};
 
 /// FNV-1a digest of a byte stream, printed as 16 hex digits — the same
 /// witness format `lgg-sim sweep` uses for outcome digests.
@@ -22,11 +22,7 @@ pub fn fnv1a_digest(bytes: &[u8]) -> String {
 /// (1 keeps all); other event kinds are never thinned. The scenario's
 /// own `telemetry` section is not consulted — the sink *is* the
 /// observer for this run.
-pub fn capture_trace(
-    sc: &Scenario,
-    steps: u64,
-    sample_stride: u64,
-) -> Result<Vec<u8>, LggError> {
+pub fn capture_trace(sc: &Scenario, steps: u64, sample_stride: u64) -> Result<Vec<u8>, LggError> {
     let sink = JsonlSink::new(Vec::new()).with_sample_stride(sample_stride);
     let mut sim = sc.build_with_observer(
         SimOverrides {

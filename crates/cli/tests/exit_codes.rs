@@ -52,13 +52,29 @@ fn a_closed_stdout_is_an_io_error_not_a_panic() {
 #[test]
 fn a_guarded_kill_after_dies_between_snapshots_unless_the_guard_stops_first() {
     use std::os::unix::process::ExitStatusExt;
-    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/flapping_fabric.json");
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/flapping_fabric.json"
+    );
     let work = std::env::temp_dir().join(format!("lgg-sim-guarded-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work);
     let run = |extra: &[&str]| {
         let (ckpts, dump) = (work.join("ckpts"), work.join("dump"));
-        let mut args = vec!["run", scenario, "--steps", "400", "--guard", "--kill-after", "200"];
-        args.extend(["--checkpoint-every", "50", "--checkpoint-dir", ckpts.to_str().unwrap()]);
+        let mut args = vec![
+            "run",
+            scenario,
+            "--steps",
+            "400",
+            "--guard",
+            "--kill-after",
+            "200",
+        ];
+        args.extend([
+            "--checkpoint-every",
+            "50",
+            "--checkpoint-dir",
+            ckpts.to_str().unwrap(),
+        ]);
         args.extend(["--guard-dump", dump.to_str().unwrap()]);
         args.extend(extra);
         lgg_sim(&args).status().expect("spawn lgg-sim")

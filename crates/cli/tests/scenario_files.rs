@@ -20,8 +20,7 @@ fn all_checked_in_scenarios_parse_and_run() {
         }
         found += 1;
         let text = fs::read_to_string(&path).unwrap();
-        let mut scenario =
-            Scenario::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let mut scenario = Scenario::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         // Shrink for the test: the files ship with full-length runs.
         scenario.steps = 3000;
         let report = run_scenario(&scenario).unwrap_or_else(|e| panic!("{path:?}: {e}"));
@@ -32,5 +31,8 @@ fn all_checked_in_scenarios_parse_and_run() {
             "{path:?} diverged: these showcase scenarios are all feasible-loaded"
         );
     }
-    assert!(found >= 4, "expected the shipped scenario files, found {found}");
+    assert!(
+        found >= 4,
+        "expected the shipped scenario files, found {found}"
+    );
 }

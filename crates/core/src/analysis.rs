@@ -88,10 +88,7 @@ pub fn check_drift_bound(samples: &[DriftSample], bound: f64) -> DriftReport {
 /// Property-2-style conditional drift: among samples with `P_t` above
 /// `threshold`, returns `(count, max_delta)` — the paper predicts strictly
 /// negative drift (`< -5nΔ²`) in that regime.
-pub fn conditional_drift_above(
-    samples: &[DriftSample],
-    threshold: f64,
-) -> (usize, Option<i128>) {
+pub fn conditional_drift_above(samples: &[DriftSample], threshold: f64) -> (usize, Option<i128>) {
     let mut count = 0usize;
     let mut max_delta: Option<i128> = None;
     for s in samples {
@@ -333,9 +330,21 @@ mod tests {
     #[test]
     fn check_drift_bound_counts_violations() {
         let samples = vec![
-            DriftSample { t: 0, pt: 0, delta: 5 },
-            DriftSample { t: 1, pt: 5, delta: 15 },
-            DriftSample { t: 2, pt: 20, delta: -3 },
+            DriftSample {
+                t: 0,
+                pt: 0,
+                delta: 5,
+            },
+            DriftSample {
+                t: 1,
+                pt: 5,
+                delta: 15,
+            },
+            DriftSample {
+                t: 2,
+                pt: 20,
+                delta: -3,
+            },
         ];
         let r = check_drift_bound(&samples, 10.0);
         assert_eq!(r.violations, 1);
@@ -356,9 +365,21 @@ mod tests {
     #[test]
     fn conditional_drift_filters_by_threshold() {
         let samples = vec![
-            DriftSample { t: 0, pt: 100, delta: -5 },
-            DriftSample { t: 1, pt: 5, delta: 9 },
-            DriftSample { t: 2, pt: 200, delta: -8 },
+            DriftSample {
+                t: 0,
+                pt: 100,
+                delta: -5,
+            },
+            DriftSample {
+                t: 1,
+                pt: 5,
+                delta: 9,
+            },
+            DriftSample {
+                t: 2,
+                pt: 200,
+                delta: -8,
+            },
         ];
         let (count, max_d) = conditional_drift_above(&samples, 50.0);
         assert_eq!(count, 2);
@@ -473,9 +494,11 @@ mod tests {
     #[test]
     fn queue_profile_handles_disconnected_nodes() {
         let mut b = mgraph::MultiGraphBuilder::with_nodes(4);
-        b.add_edge(mgraph::NodeId::new(0), mgraph::NodeId::new(1)).unwrap();
+        b.add_edge(mgraph::NodeId::new(0), mgraph::NodeId::new(1))
+            .unwrap();
         // nodes 2,3 disconnected
-        b.add_edge(mgraph::NodeId::new(2), mgraph::NodeId::new(3)).unwrap();
+        b.add_edge(mgraph::NodeId::new(2), mgraph::NodeId::new(3))
+            .unwrap();
         let spec = TrafficSpec::new(b.build(), vec![1, 0, 0, 0], vec![0, 1, 0, 0], 0);
         let profile = queue_profile(&spec, &[5, 0, 9, 9]);
         // Only the component containing the sink is binned.

@@ -90,8 +90,9 @@ pub fn generalized_bounds(spec: &TrafficSpec) -> GeneralizedBounds {
     let sd = spec.special_count() as f64;
     let r = spec.retention as f64;
     let out_max = spec.out_max() as f64;
-    let growth_bound =
-        2.0 * sd * (r + out_max) * out_max + delta * delta * (3.0 * n - 2.0 * sd) + 4.0 * sd * delta * r;
+    let growth_bound = 2.0 * sd * (r + out_max) * out_max
+        + delta * delta * (3.0 * n - 2.0 * sd)
+        + 4.0 * sd * delta * r;
     GeneralizedBounds {
         special: spec.special_count() as u64,
         out_max: spec.out_max(),

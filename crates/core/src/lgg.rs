@@ -388,7 +388,7 @@ mod tests {
         let from_center: Vec<_> = txs.iter().filter(|t| t.from == NodeId::new(0)).collect();
         assert_eq!(from_center.len(), 1);
         assert_eq!(from_center[0].edge, EdgeId::new(2)); // star edge to leaf 3
-        // Leaf 1 (declared 7) sends to the center (declared 5).
+                                                         // Leaf 1 (declared 7) sends to the center (declared 5).
         let from_leaf1: Vec<_> = txs.iter().filter(|t| t.from == NodeId::new(1)).collect();
         assert_eq!(from_leaf1.len(), 1);
     }

@@ -4,8 +4,8 @@ use lgg_core::Lgg;
 use netmodel::TrafficSpec;
 use serde::{Deserialize, Serialize};
 use simqueue::{
-    assess_stability, HistoryMode, RoutingProtocol, SimObserver, Simulation,
-    SimulationBuilder, StabilityVerdict, WindowAggregator, WindowStats,
+    assess_stability, HistoryMode, RoutingProtocol, SimObserver, Simulation, SimulationBuilder,
+    StabilityVerdict, WindowAggregator, WindowStats,
 };
 
 /// Condensed outcome of one simulation run.
@@ -118,9 +118,7 @@ pub fn run_windowed(
     steps: u64,
     seed: u64,
     window: u64,
-    customize: impl FnOnce(
-        SimulationBuilder<WindowAggregator>,
-    ) -> SimulationBuilder<WindowAggregator>,
+    customize: impl FnOnce(SimulationBuilder<WindowAggregator>) -> SimulationBuilder<WindowAggregator>,
 ) -> (RunOutcome, Vec<WindowStats>) {
     let builder = SimulationBuilder::new(spec.clone(), protocol)
         .seed(seed)

@@ -20,8 +20,16 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut table = Table::new(
         format!("LGG on unsaturated networks ({steps} steps, exact injection, no loss)"),
         &[
-            "topology", "n", "Δ", "ε", "f*", "verdict", "sup Σq", "sup P_t",
-            "bound nY²+5nΔ²", "slack factor",
+            "topology",
+            "n",
+            "Δ",
+            "ε",
+            "f*",
+            "verdict",
+            "sup Σq",
+            "sup P_t",
+            "bound nY²+5nΔ²",
+            "slack factor",
         ],
     );
     let mut all_stable = true;

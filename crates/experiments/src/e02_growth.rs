@@ -6,9 +6,9 @@ use lgg_core::bounds::generalized_bounds;
 use lgg_core::Lgg;
 use netmodel::TrafficSpecBuilder;
 use simqueue::declare::FullRetention;
-use simqueue::LazyExtraction;
 use simqueue::injection::BernoulliInjection;
 use simqueue::loss::IidLoss;
+use simqueue::LazyExtraction;
 use simqueue::{HistoryMode, SimulationBuilder};
 
 use crate::common::{fnum, steps_for, unsaturated_catalog};
@@ -28,7 +28,13 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("measured sup (P_t+1 − P_t) vs the 5nΔ² bound ({steps} steps)"),
-        &["topology", "regime", "bound 5nΔ²", "max drift", "violations"],
+        &[
+            "topology",
+            "regime",
+            "bound 5nΔ²",
+            "max drift",
+            "violations",
+        ],
     );
 
     // One work item per (topology, regime) pair, topology-major.

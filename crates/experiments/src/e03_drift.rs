@@ -57,8 +57,7 @@ pub fn run(quick: bool) -> ExperimentReport {
         max_above.map_or("n/a".into(), |d| d.to_string()),
     ]);
 
-    let literal_pass =
-        above_count > 0 && max_above.map_or(false, |d| (d as f64) < required);
+    let literal_pass = above_count > 0 && max_above.map_or(false, |d| (d as f64) < required);
 
     // Part (b): directional check across the catalog.
     let steps = steps_for(quick, 5_000);

@@ -42,10 +42,15 @@ fn infeasible_catalog() -> Vec<(String, TrafficSpec)> {
     ]
 }
 
-fn protocols() -> Vec<(&'static str, Box<dyn Fn(&TrafficSpec) -> Box<dyn RoutingProtocol> + Sync>)>
-{
+fn protocols() -> Vec<(
+    &'static str,
+    Box<dyn Fn(&TrafficSpec) -> Box<dyn RoutingProtocol> + Sync>,
+)> {
     vec![
-        ("lgg", Box::new(|_s: &TrafficSpec| Box::new(Lgg::new()) as _)),
+        (
+            "lgg",
+            Box::new(|_s: &TrafficSpec| Box::new(Lgg::new()) as _),
+        ),
         (
             "maxflow-routing",
             Box::new(|s: &TrafficSpec| Box::new(MaxFlowRouting::new(s)) as _),
@@ -67,7 +72,11 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut table = Table::new(
         format!("every protocol diverges on infeasible networks ({steps} steps, no loss)"),
         &[
-            "network", "excess rate − f*", "protocol", "verdict", "slope (pkt/step)",
+            "network",
+            "excess rate − f*",
+            "protocol",
+            "verdict",
+            "slope (pkt/step)",
             "slope/excess",
         ],
     );

@@ -39,7 +39,13 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("LGG on saturated networks ({steps} steps, exact injection, no loss)"),
-        &["network", "cut case (Sec. V)", "verdict", "sup Σq", "delivery"],
+        &[
+            "network",
+            "cut case (Sec. V)",
+            "verdict",
+            "sup Σq",
+            "delivery",
+        ],
     );
     let mut all_stable = true;
     for (name, class, o, _) in &results {

@@ -26,23 +26,37 @@ pub fn run(quick: bool) -> ExperimentReport {
         fn() -> Box<dyn simqueue::loss::LossModel>,
     );
     let regimes: Vec<Regime> = vec![
-        ("scaled 3/4, no loss", || Box::new(ScaledInjection::new(3, 4)), || {
-            Box::new(simqueue::loss::NoLoss)
-        }),
-        ("exact, 10% iid loss", || Box::new(simqueue::injection::ExactInjection), || {
-            Box::new(IidLoss::new(0.1))
-        }),
-        ("bernoulli 0.8, 20% iid loss", || Box::new(BernoulliInjection::new(0.8)), || {
-            Box::new(IidLoss::new(0.2))
-        }),
-        ("exact, adversarial loss (budget 1)", || {
-            Box::new(simqueue::injection::ExactInjection)
-        }, || Box::new(AdversarialLoss::new(1))),
+        (
+            "scaled 3/4, no loss",
+            || Box::new(ScaledInjection::new(3, 4)),
+            || Box::new(simqueue::loss::NoLoss),
+        ),
+        (
+            "exact, 10% iid loss",
+            || Box::new(simqueue::injection::ExactInjection),
+            || Box::new(IidLoss::new(0.1)),
+        ),
+        (
+            "bernoulli 0.8, 20% iid loss",
+            || Box::new(BernoulliInjection::new(0.8)),
+            || Box::new(IidLoss::new(0.2)),
+        ),
+        (
+            "exact, adversarial loss (budget 1)",
+            || Box::new(simqueue::injection::ExactInjection),
+            || Box::new(AdversarialLoss::new(1)),
+        ),
     ];
 
     let mut table = Table::new(
         format!("dominated regimes vs the maximal lossless run ({steps} steps)"),
-        &["network", "regime", "verdict", "sup Σq", "sup ratio vs maximal"],
+        &[
+            "network",
+            "regime",
+            "verdict",
+            "sup Σq",
+            "sup ratio vs maximal",
+        ],
     );
 
     let mut all_stable = true;

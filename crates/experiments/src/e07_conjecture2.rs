@@ -52,8 +52,13 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut table = Table::new(
         format!("bursty arrivals on a unit path, f* = {f_star} ({steps} steps)"),
         &[
-            "burst", "quiet", "window rate", "feasible (deficit test)", "peak deficit",
-            "verdict", "sup Σq",
+            "burst",
+            "quiet",
+            "window rate",
+            "feasible (deficit test)",
+            "peak deficit",
+            "verdict",
+            "sup Σq",
         ],
     );
     let mut frontier_ok = true;

@@ -35,7 +35,15 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("uniform arrivals U{{0..2μ}} vs the min-cut C ({steps} steps, 3 seeds)"),
-        &["network", "C", "μ", "μ/C", "stable seeds", "diverging seeds", "max sup Σq"],
+        &[
+            "network",
+            "C",
+            "μ",
+            "μ/C",
+            "stable seeds",
+            "diverging seeds",
+            "max sup Σq",
+        ],
     );
 
     let seeds = [11u64, 22, 33];

@@ -41,15 +41,17 @@ pub fn run(quick: bool) -> ExperimentReport {
     let protected = flow_edge_mask(&spec);
     let protected_count = protected.iter().filter(|&&p| p).count();
 
-    type Case = (&'static str, Box<dyn Fn() -> Box<dyn simqueue::dynamic::TopologyProcess> + Sync>, bool);
+    type Case = (
+        &'static str,
+        Box<dyn Fn() -> Box<dyn simqueue::dynamic::TopologyProcess> + Sync>,
+        bool,
+    );
     let cases: Vec<Case> = vec![
         (
             "markov churn, flow links protected",
             {
                 let protected = protected.clone();
-                Box::new(move || {
-                    Box::new(MarkovTopology::new(0.05, 0.2, protected.clone())) as _
-                })
+                Box::new(move || Box::new(MarkovTopology::new(0.05, 0.2, protected.clone())) as _)
             },
             true, // feasibility preserved -> expect stable
         ),
@@ -82,7 +84,13 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("LGG under dynamic topologies ({steps} steps)"),
-        &["process", "feasibility preserved", "protocol", "verdict", "sup Σq"],
+        &[
+            "process",
+            "feasibility preserved",
+            "protocol",
+            "verdict",
+            "sup Σq",
+        ],
     );
     let mut pass = true;
     for (name, factory, preserved) in &cases {

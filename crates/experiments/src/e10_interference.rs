@@ -80,7 +80,14 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("node-exclusive interference: matching-LGG vs unconstrained LGG ({steps} steps)"),
-        &["network", "rate factor", "protocol", "verdict", "sup Σq", "delivery"],
+        &[
+            "network",
+            "rate factor",
+            "protocol",
+            "verdict",
+            "sup Σq",
+            "delivery",
+        ],
     );
     let mut pass = true;
     for (name, spec, (num, den), expect_stable) in &cases {

@@ -6,7 +6,9 @@
 //! (iii) shortest-path forwarding diverges where path diversity is needed;
 //! (iv) gradient-free forwarding wastes capacity.
 
-use lgg_core::baselines::{Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting};
+use lgg_core::baselines::{
+    Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting,
+};
 use lgg_core::Lgg;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
 use simqueue::RoutingProtocol;
@@ -34,10 +36,8 @@ fn diversity_trap() -> TrafficSpec {
 pub fn run(quick: bool) -> ExperimentReport {
     let steps = steps_for(quick, 40_000);
 
-    let mut specs: Vec<(String, TrafficSpec)> = unsaturated_catalog(0xE11)
-        .into_iter()
-        .take(3)
-        .collect();
+    let mut specs: Vec<(String, TrafficSpec)> =
+        unsaturated_catalog(0xE11).into_iter().take(3).collect();
     specs.push(("diversity-trap".into(), diversity_trap()));
     specs.push((
         "dumbbell-saturated".into(),
@@ -48,7 +48,14 @@ pub fn run(quick: bool) -> ExperimentReport {
             .unwrap(),
     ));
 
-    let proto_names = ["lgg", "maxflow-routing", "shortest-path", "height-routing", "flood", "random-forward"];
+    let proto_names = [
+        "lgg",
+        "maxflow-routing",
+        "shortest-path",
+        "height-routing",
+        "flood",
+        "random-forward",
+    ];
     let make = |name: &str, spec: &TrafficSpec| -> Box<dyn RoutingProtocol> {
         match name {
             "lgg" => Box::new(Lgg::new()),
@@ -63,7 +70,14 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("protocol comparison ({steps} steps, exact injection, no loss)"),
-        &["network", "protocol", "verdict", "sup Σq", "mean latency", "delivery"],
+        &[
+            "network",
+            "protocol",
+            "verdict",
+            "sup Σq",
+            "mean latency",
+            "delivery",
+        ],
     );
 
     let mut lgg_matches_region = true;
@@ -75,7 +89,12 @@ pub fn run(quick: bool) -> ExperimentReport {
         let outcomes: Vec<_> = parpool::run_ordered(proto_names.iter().collect(), |p| {
             (*p, run_protocol(spec, make(p, spec), steps, 0xE11))
         });
-        let lgg_o = outcomes.iter().find(|(p, _)| *p == "lgg").unwrap().1.clone();
+        let lgg_o = outcomes
+            .iter()
+            .find(|(p, _)| *p == "lgg")
+            .unwrap()
+            .1
+            .clone();
         let mf_o = outcomes
             .iter()
             .find(|(p, _)| *p == "maxflow-routing")

@@ -7,7 +7,9 @@ use lgg_core::bounds::generalized_bounds;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use simqueue::declare::{FullRetention, RandomBelowRetention, TruthfulDeclaration, ZeroBelowRetention};
+use simqueue::declare::{
+    FullRetention, RandomBelowRetention, TruthfulDeclaration, ZeroBelowRetention,
+};
 use simqueue::{DeclarationPolicy, LazyExtraction, MaxExtraction};
 
 use crate::common::{fnum, run_customized, steps_for};
@@ -41,7 +43,12 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut table = Table::new(
         format!("R-generalized grid (3×3, two generalized nodes), {steps} steps"),
         &[
-            "R", "declaration", "extraction", "verdict", "sup Σq", "Property 3 bound",
+            "R",
+            "declaration",
+            "extraction",
+            "verdict",
+            "sup Σq",
+            "Property 3 bound",
         ],
     );
     let mut all_stable = true;

@@ -7,7 +7,9 @@
 
 use lgg_core::Lgg;
 use mgraph::generators;
-use netmodel::{classify, decompose_at_cut, find_interior_min_cut, TrafficSpec, TrafficSpecBuilder};
+use netmodel::{
+    classify, decompose_at_cut, find_interior_min_cut, TrafficSpec, TrafficSpecBuilder,
+};
 use simqueue::declare::FullRetention;
 use simqueue::LazyExtraction;
 
@@ -42,7 +44,13 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut table = Table::new(
         format!("cut-decomposition induction replay ({steps} steps per part)"),
         &[
-            "network", "part", "n", "Σ in / Σ out", "feasible", "verdict", "sup Σq",
+            "network",
+            "part",
+            "n",
+            "Σ in / Σ out",
+            "feasible",
+            "verdict",
+            "sup Σq",
         ],
     );
     let mut pass = true;

@@ -86,7 +86,14 @@ pub fn run(quick: bool) -> ExperimentReport {
     // feasibility of every catalog network.
     let mut solver_table = Table::new(
         "max-flow solver ablation: feasibility verdicts",
-        &["network", "edmonds-karp", "dinic", "push-relabel", "pr-highest", "pr-nogap"],
+        &[
+            "network",
+            "edmonds-karp",
+            "dinic",
+            "push-relabel",
+            "pr-highest",
+            "pr-nogap",
+        ],
     );
     let mut solver_ok = true;
     for (name, spec) in &catalog {

@@ -40,7 +40,11 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     // Large grids need warm-up proportional to their fill time; quick mode
     // keeps sizes whose equilibrium is reachable within its step budget.
-    let sides: &[usize] = if quick { &[4, 6, 8] } else { &[4, 6, 8, 12, 16] };
+    let sides: &[usize] = if quick {
+        &[4, 6, 8]
+    } else {
+        &[4, 6, 8, 12, 16]
+    };
     let layer_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let mut cases: Vec<(String, TrafficSpec)> = Vec::new();
     for &side in sides {
@@ -58,7 +62,15 @@ pub fn run(quick: bool) -> ExperimentReport {
 
     let mut table = Table::new(
         format!("backlog scaling with network size ({steps} steps)"),
-        &["network", "n", "verdict", "sup Σq", "sup Σq / n", "latency", "Lemma 1 bound"],
+        &[
+            "network",
+            "n",
+            "verdict",
+            "sup Σq",
+            "sup Σq / n",
+            "latency",
+            "Lemma 1 bound",
+        ],
     );
     let mut all_stable = true;
     let mut grid_sups: Vec<(usize, u64)> = Vec::new();

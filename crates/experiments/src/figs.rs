@@ -39,10 +39,7 @@ pub fn fig1(_quick: bool) -> ExperimentReport {
     table.push_row(vec!["|V|".into(), spec.node_count().to_string()]);
     table.push_row(vec!["|E|".into(), spec.graph.edge_count().to_string()]);
     table.push_row(vec!["Δ".into(), spec.max_degree().to_string()]);
-    table.push_row(vec![
-        "|S|".into(),
-        spec.sources().count().to_string(),
-    ]);
+    table.push_row(vec!["|S|".into(), spec.sources().count().to_string()]);
     table.push_row(vec!["|D|".into(), spec.sinks().count().to_string()]);
     table.push_row(vec![
         "arrival rate Σ in(s)".into(),
@@ -68,10 +65,7 @@ pub fn fig1(_quick: bool) -> ExperimentReport {
             NodeKind::Relay => String::new(),
         }),
         node_label: Box::new(|v| {
-            let (i, o) = (
-                spec.in_rate[v.index()],
-                spec.out_rate[v.index()],
-            );
+            let (i, o) = (spec.in_rate[v.index()], spec.out_rate[v.index()]);
             if i > 0 {
                 Some(format!("s in={i}"))
             } else if o > 0 {
@@ -107,7 +101,10 @@ pub fn fig1(_quick: bool) -> ExperimentReport {
         findings: vec![
             format!("classic S-D-network (0-generalized): {classic}"),
             format!("connected: {connected}; genuine multigraph: {multigraph}"),
-            format!("DOT rendering: {} bytes (sources doubled blue, sinks red)", dot.len()),
+            format!(
+                "DOT rendering: {} bytes (sources doubled blue, sinks red)",
+                dot.len()
+            ),
         ],
         pass: classic && connected && multigraph,
     }
@@ -137,10 +134,7 @@ pub fn fig2(_quick: bool) -> ExperimentReport {
         ext.sink_arcs.len().to_string(),
     ]);
     table.push_row(vec!["max s*-d* flow".into(), flow.to_string()]);
-    table.push_row(vec![
-        "arrival rate".into(),
-        spec.arrival_rate().to_string(),
-    ]);
+    table.push_row(vec!["arrival rate".into(), spec.arrival_rate().to_string()]);
     table.push_row(vec![
         "all (s*,s) links saturated (Def. 3)".into(),
         saturated.to_string(),
@@ -203,7 +197,10 @@ pub fn fig3(_quick: bool) -> ExperimentReport {
         .map(|(_, v)| v.to_string())
         .collect();
 
-    let mut table = Table::new("minimum S-D-cut of Fig. 3 (dumbbell)", &["quantity", "value"]);
+    let mut table = Table::new(
+        "minimum S-D-cut of Fig. 3 (dumbbell)",
+        &["quantity", "value"],
+    );
     table.push_row(vec!["|A ∩ V(G)|".into(), a_count.to_string()]);
     table.push_row(vec!["|B ∩ V(G)|".into(), b_count.to_string()]);
     table.push_row(vec!["cut capacity |C|".into(), cut_cap.to_string()]);
@@ -231,7 +228,8 @@ pub fn fig3(_quick: bool) -> ExperimentReport {
         a_feasible.to_string(),
     ]);
 
-    let pass = cut_cap == 1 && !s_prime.is_empty() && !d_prime.is_empty() && b_feasible && a_feasible;
+    let pass =
+        cut_cap == 1 && !s_prime.is_empty() && !d_prime.is_empty() && b_feasible && a_feasible;
     ExperimentReport {
         id: "fig3".into(),
         title: "minimum S-D-cut and the border sets S', D'".into(),
@@ -300,9 +298,7 @@ pub fn fig4(_quick: bool) -> ExperimentReport {
                       node to s* and d* with capacities in(v), out(v) (Fig. 4, Defs. 7–8)."
             .into(),
         tables: vec![table, props],
-        findings: vec![
-            "node kinds follow Definition 7's in(v) > out(v) source rule".into(),
-        ],
+        findings: vec!["node kinds follow Definition 7's in(v) > out(v) source rule".into()],
         pass,
     }
 }
@@ -324,7 +320,10 @@ mod tests {
         let r = fig2(true);
         assert!(r.pass);
         // flow value row exists
-        assert!(r.tables[0].rows.iter().any(|row| row[0].contains("max s*-d* flow")));
+        assert!(r.tables[0]
+            .rows
+            .iter()
+            .any(|row| row[0].contains("max s*-d* flow")));
     }
 
     #[test]

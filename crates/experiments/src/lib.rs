@@ -124,7 +124,11 @@ impl ExperimentReport {
         out.push_str(&format!("*Paper claim:* {}\n\n", self.paper_claim));
         out.push_str(&format!(
             "*Verdict:* {}\n\n",
-            if self.pass { "REPRODUCED" } else { "NOT REPRODUCED" }
+            if self.pass {
+                "REPRODUCED"
+            } else {
+                "NOT REPRODUCED"
+            }
         ));
         for t in &self.tables {
             out.push_str(&t.markdown());

@@ -109,7 +109,9 @@ mod tests {
     #[test]
     fn parallel_submission_is_ordered() {
         let r = OrderedReporter::new(Vec::new());
-        parpool::run_ordered((0..50).collect(), |i| r.complete(i, format!("{i};")).unwrap());
+        parpool::run_ordered((0..50).collect(), |i| {
+            r.complete(i, format!("{i};")).unwrap()
+        });
         let got = String::from_utf8(r.into_inner()).unwrap();
         let want: String = (0..50).map(|i| format!("{i};")).collect();
         assert_eq!(got, want);

@@ -108,8 +108,7 @@ mod tests {
 
     #[test]
     fn algorithm_names_are_distinct() {
-        let names: std::collections::HashSet<_> =
-            Algorithm::ALL.iter().map(|a| a.name()).collect();
+        let names: std::collections::HashSet<_> = Algorithm::ALL.iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), Algorithm::ALL.len());
         assert_eq!(Algorithm::Dinic.to_string(), "dinic");
     }

@@ -6,7 +6,10 @@ use proptest::prelude::*;
 use maxflow::{decompose_paths, min_cut_side, Algorithm, FlowNetwork};
 
 /// Random directed network: n nodes, arcs with small capacities.
-fn random_net(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, i64)>)> {
+fn random_net(
+    max_n: usize,
+    max_m: usize,
+) -> impl Strategy<Value = (usize, Vec<(usize, usize, i64)>)> {
     (2..=max_n).prop_flat_map(move |n| {
         let arc = (0..n, 0..n.saturating_sub(1), 0i64..10).prop_map(move |(u, v, c)| {
             let v = if v >= u { v + 1 } else { v };

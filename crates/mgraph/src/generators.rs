@@ -94,8 +94,10 @@ pub fn torus2d(rows: usize, cols: usize) -> MultiGraph {
     let id = |r: usize, c: usize| NodeId::new((r * cols + c) as u32);
     for r in 0..rows {
         for c in 0..cols {
-            b.add_edge(id(r, c), id(r, (c + 1) % cols)).expect("torus edge");
-            b.add_edge(id(r, c), id((r + 1) % rows, c)).expect("torus edge");
+            b.add_edge(id(r, c), id(r, (c + 1) % cols))
+                .expect("torus edge");
+            b.add_edge(id(r, c), id((r + 1) % rows, c))
+                .expect("torus edge");
         }
     }
     b.build()
@@ -166,8 +168,11 @@ pub fn dumbbell(clique: usize, bridge: usize) -> MultiGraph {
             .expect("bridge edge");
         prev = cur;
     }
-    b.add_edge(NodeId::new(prev as u32), NodeId::new((clique + bridge) as u32))
-        .expect("bridge edge");
+    b.add_edge(
+        NodeId::new(prev as u32),
+        NodeId::new((clique + bridge) as u32),
+    )
+    .expect("bridge edge");
     b.build()
 }
 
@@ -578,7 +583,11 @@ mod tests {
         assert_eq!(g.node_count(), 20);
         assert!(g.max_degree() <= 4);
         // Configuration model loses only re-drawn self-loops: nearly 4-regular.
-        assert!(g.edge_count() >= 35, "too many dropped stubs: {}", g.edge_count());
+        assert!(
+            g.edge_count() >= 35,
+            "too many dropped stubs: {}",
+            g.edge_count()
+        );
         for e in g.edges() {
             let (u, v) = g.endpoints(e);
             assert_ne!(u, v);

@@ -376,7 +376,10 @@ mod tests {
             assert_eq!(g.degree(v), 2);
         }
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.endpoints(EdgeId::new(1)), (NodeId::new(1), NodeId::new(2)));
+        assert_eq!(
+            g.endpoints(EdgeId::new(1)),
+            (NodeId::new(1), NodeId::new(2))
+        );
         assert_eq!(
             g.other_endpoint(EdgeId::new(1), NodeId::new(1)),
             NodeId::new(2)

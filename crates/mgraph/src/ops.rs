@@ -340,7 +340,10 @@ mod tests {
                     builder.add_edge(u, v).unwrap();
                 }
             }
-            assert!(!is_connected(&builder.build()), "removing {e} keeps it connected");
+            assert!(
+                !is_connected(&builder.build()),
+                "removing {e} keeps it connected"
+            );
             let _ = keep;
         }
     }

@@ -279,7 +279,11 @@ mod tests {
             .unwrap();
         let class = classify(&spec);
         assert!(matches!(class.feasibility, Feasibility::Unsaturated { .. }));
-        assert!(class.feasibility.margin() >= 1.0, "margin {}", class.feasibility.margin());
+        assert!(
+            class.feasibility.margin() >= 1.0,
+            "margin {}",
+            class.feasibility.margin()
+        );
         assert_eq!(class.cut_case, CutCase::SourceSingletonUnique);
         assert_eq!(class.f_star, 5);
         assert_eq!(class.arrival_rate, 1);

@@ -24,7 +24,6 @@ use maxflow::Algorithm;
 use mgraph::{ops, NodeId};
 use serde::{Deserialize, Serialize};
 
-
 use crate::{ExtendedNetwork, TrafficSpec};
 
 /// Result of splitting a spec along a cut: the two generalized sub-network
@@ -218,14 +217,11 @@ mod tests {
         let dec = decompose_at_cut(&spec, &side, 7);
 
         assert_eq!(dec.crossing_edges, 1);
-        assert_eq!(
-            dec.a_nodes.len() + dec.b_nodes.len(),
-            spec.node_count()
-        );
+        assert_eq!(dec.a_nodes.len() + dec.b_nodes.len(), spec.node_count());
         // B' border nodes inject the crossing degree.
         let b_arrival: u64 = dec.b_spec.in_rate.iter().sum();
         assert_eq!(b_arrival, 1); // one crossing edge, original source is in A
-        // A' border nodes extract crossing degree + out.
+                                  // A' border nodes extract crossing degree + out.
         let a_extract: u64 = dec.a_spec.out_rate.iter().sum();
         assert_eq!(a_extract, 1);
         // Retention of A' is R_B.

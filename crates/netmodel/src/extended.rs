@@ -43,7 +43,10 @@ impl ExtendedNetwork {
     /// arcs `(eps_den + eps_num) · in(v)`, sink arcs `eps_den · out(v)`.
     /// Integer scaling keeps the test exact — no floating point.
     pub fn scaled(spec: &TrafficSpec, eps_den: i64, eps_num: i64) -> Self {
-        assert!(eps_den >= 1 && eps_num >= 0, "ε must be a non-negative rational");
+        assert!(
+            eps_den >= 1 && eps_num >= 0,
+            "ε must be a non-negative rational"
+        );
         let n = spec.node_count();
         let mut net = FlowNetwork::new(n);
         let mut edge_arcs = Vec::with_capacity(spec.graph.edge_count());

@@ -28,8 +28,13 @@ pub mod cutdecomp;
 pub mod extended;
 mod spec;
 
-pub use classify::{capacity_scaling, classify, is_feasible_at, is_feasible_scaled, CutCase, Feasibility, NetworkClass};
-pub use cutdecomp::{cut_membership, decompose_at_cut, find_interior_min_cut, CutDecomposition, CutMembership};
+pub use classify::{
+    capacity_scaling, classify, is_feasible_at, is_feasible_scaled, CutCase, Feasibility,
+    NetworkClass,
+};
+pub use cutdecomp::{
+    cut_membership, decompose_at_cut, find_interior_min_cut, CutDecomposition, CutMembership,
+};
 pub use extended::ExtendedNetwork;
 pub use spec::{NodeKind, TrafficSpec, TrafficSpecBuilder};
 
@@ -87,6 +92,8 @@ mod tests {
         assert!(ModelError::MissingTerminals.to_string().contains("source"));
         assert!(ModelError::OverlappingRoles(1).to_string().contains("both"));
         assert!(ModelError::ZeroRate(2).to_string().contains("zero"));
-        assert!(ModelError::DuplicateTraffic(9).to_string().contains("twice"));
+        assert!(ModelError::DuplicateTraffic(9)
+            .to_string()
+            .contains("twice"));
     }
 }

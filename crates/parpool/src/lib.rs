@@ -93,9 +93,8 @@ impl WorkQueues {
     /// common balanced case never steals and neighbours work on
     /// cache-adjacent items.
     fn new(count: usize, workers: usize) -> Self {
-        let mut deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
+        let mut deques: Vec<Mutex<VecDeque<usize>>> =
+            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         let base = count / workers;
         let extra = count % workers;
         let mut next = 0usize;

@@ -30,8 +30,7 @@ pub trait DeclarationPolicy {
     fn name(&self) -> &'static str;
 
     /// The raw declaration before legality clamping.
-    fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, t: u64, rng: &mut StdRng)
-        -> u64;
+    fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, t: u64, rng: &mut StdRng) -> u64;
 
     /// Appends the policy's evolving state to `out` for a checkpoint (see
     /// [`crate::checkpoint`]). All shipped policies are pure functions of
@@ -77,7 +76,14 @@ impl DeclarationPolicy for ZeroBelowRetention {
         "zero-below-r"
     }
 
-    fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, _t: u64, _rng: &mut StdRng) -> u64 {
+    fn declare(
+        &mut self,
+        spec: &TrafficSpec,
+        v: NodeId,
+        q: u64,
+        _t: u64,
+        _rng: &mut StdRng,
+    ) -> u64 {
         if spec.is_special(v) && q <= spec.retention {
             0
         } else {
@@ -97,7 +103,14 @@ impl DeclarationPolicy for FullRetention {
         "full-retention"
     }
 
-    fn declare(&mut self, spec: &TrafficSpec, v: NodeId, q: u64, _t: u64, _rng: &mut StdRng) -> u64 {
+    fn declare(
+        &mut self,
+        spec: &TrafficSpec,
+        v: NodeId,
+        q: u64,
+        _t: u64,
+        _rng: &mut StdRng,
+    ) -> u64 {
         if spec.is_special(v) && q <= spec.retention {
             spec.retention
         } else {

@@ -313,8 +313,12 @@ mod tests {
     fn scaled_handles_multiple_nodes_independently() {
         let mut p = ScaledInjection::new(1, 2);
         let mut r = rng();
-        let a: u64 = (0..10).map(|t| p.amount(NodeId::new(0), t, 1, &mut r)).sum();
-        let b: u64 = (0..10).map(|t| p.amount(NodeId::new(5), t, 1, &mut r)).sum();
+        let a: u64 = (0..10)
+            .map(|t| p.amount(NodeId::new(0), t, 1, &mut r))
+            .sum();
+        let b: u64 = (0..10)
+            .map(|t| p.amount(NodeId::new(5), t, 1, &mut r))
+            .sum();
         assert_eq!(a, 5);
         assert_eq!(b, 5);
     }
@@ -338,7 +342,9 @@ mod tests {
     fn bernoulli_mean_is_roughly_p_cap() {
         let mut p = BernoulliInjection::new(0.3);
         let mut r = rng();
-        let total: u64 = (0..10_000).map(|t| p.amount(NodeId::new(0), t, 10, &mut r)).sum();
+        let total: u64 = (0..10_000)
+            .map(|t| p.amount(NodeId::new(0), t, 10, &mut r))
+            .sum();
         let mean = total as f64 / 10_000.0;
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
     }
@@ -368,7 +374,9 @@ mod tests {
             burst_amount: 4,
         };
         let mut r = rng();
-        let seq: Vec<u64> = (0..10).map(|t| p.amount(NodeId::new(0), t, 1, &mut r)).collect();
+        let seq: Vec<u64> = (0..10)
+            .map(|t| p.amount(NodeId::new(0), t, 1, &mut r))
+            .collect();
         assert_eq!(seq, vec![4, 4, 0, 0, 0, 4, 4, 0, 0, 0]);
     }
 
@@ -379,7 +387,9 @@ mod tests {
             scale_by_rate: true,
         };
         let mut r = rng();
-        let seq: Vec<u64> = (0..6).map(|t| p.amount(NodeId::new(0), t, 3, &mut r)).collect();
+        let seq: Vec<u64> = (0..6)
+            .map(|t| p.amount(NodeId::new(0), t, 3, &mut r))
+            .collect();
         assert_eq!(seq, vec![3, 0, 6, 3, 0, 6]);
 
         let mut p = TraceInjection {
@@ -443,7 +453,9 @@ mod tests {
     fn onoff_rate_matches_stationary_distribution() {
         let mut p = OnOffInjection::new(0.1, 0.3);
         let mut r = rng();
-        let total: u64 = (0..50_000).map(|t| p.amount(NodeId::new(0), t, 1, &mut r)).sum();
+        let total: u64 = (0..50_000)
+            .map(|t| p.amount(NodeId::new(0), t, 1, &mut r))
+            .sum();
         let rate = total as f64 / 50_000.0;
         // stationary P(on) = p_on / (p_on + p_off) = 0.75
         assert!((rate - 0.75).abs() < 0.02, "rate {rate}");

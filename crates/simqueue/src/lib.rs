@@ -70,11 +70,11 @@ pub use guard::{
 pub use metrics::{HistoryMode, Metrics, Snapshot, StepLedger};
 pub use protocol::{NetView, RoutingProtocol, Transmission};
 pub use rng::split_seed;
+pub use stability::{assess_stability, OnlineStability, StabilityReport, StabilityVerdict};
 pub use trace::{
     Declaration, JsonlSink, NodeAmount, NoopObserver, RingRecorder, SimObserver, StepRecord,
     TraceEvent, TraceRenderer, WindowAggregator, WindowStats,
 };
-pub use stability::{assess_stability, OnlineStability, StabilityReport, StabilityVerdict};
 
 /// The stable import surface in one line: `use simqueue::prelude::*`.
 ///
@@ -86,8 +86,8 @@ pub mod prelude {
     pub use crate::checkpoint::CheckpointConfig;
     pub use crate::error::LggError;
     pub use crate::{
-        assess_stability, FaultSpec, GuardConfig, HistoryMode, InvariantGuard,
-        Metrics, NetView, RoutingProtocol, SimObserver, SimOverrides, Simulation,
-        SimulationBuilder, StabilityVerdict, TraceEvent, Transmission,
+        assess_stability, FaultSpec, GuardConfig, HistoryMode, InvariantGuard, Metrics, NetView,
+        RoutingProtocol, SimObserver, SimOverrides, Simulation, SimulationBuilder,
+        StabilityVerdict, TraceEvent, Transmission,
     };
 }

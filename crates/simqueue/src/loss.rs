@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn adversary_kills_smallest_receivers_first() {
         let g = generators::star(3); // center 0, leaves 1..3
-        // transmissions from center to each leaf
+                                     // transmissions from center to each leaf
         let t: Vec<Transmission> = g
             .edges()
             .map(|e| Transmission {
@@ -398,7 +398,10 @@ mod tests {
         assert_eq!(lost.iter().filter(|&&l| l).count(), 1);
         // The killed transmission is the one towards leaf 2 (edge 1).
         let killed = lost.iter().position(|&l| l).unwrap();
-        assert_eq!(g.other_endpoint(t[killed].edge, t[killed].from), NodeId::new(2));
+        assert_eq!(
+            g.other_endpoint(t[killed].edge, t[killed].from),
+            NodeId::new(2)
+        );
         assert_eq!(t[killed].edge, EdgeId::new(1));
     }
 

@@ -56,7 +56,11 @@ impl NetView<'_> {
     pub fn declared_of(&self, v: NodeId) -> u64 {
         // Both loads are unconditional so the choice compiles to a select.
         let (d, q) = (self.declared[v.index()], self.true_queues[v.index()]);
-        if d == u64::MAX { q } else { d }
+        if d == u64::MAX {
+            q
+        } else {
+            d
+        }
     }
 
     /// True queue of `v`.

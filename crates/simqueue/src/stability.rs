@@ -105,8 +105,8 @@ fn verdict(maxima: &[u64; WINDOWS], slope: f64, dt: f64) -> StabilityVerdict {
     // The tail's time span converts relative growth into a slope
     // significance test.
     let predicted_growth = slope * dt;
-    let plateau = growth(maxima[0], maxima[WINDOWS - 1]) <= 1.10
-        && predicted_growth <= 0.05 * last.max(16.0);
+    let plateau =
+        growth(maxima[0], maxima[WINDOWS - 1]) <= 1.10 && predicted_growth <= 0.05 * last.max(16.0);
     if last <= TINY || plateau {
         StabilityVerdict::Stable
     } else if maxima_allow_divergence(|i| maxima[i]) && slope > 0.0 {

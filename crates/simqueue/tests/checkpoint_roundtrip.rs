@@ -175,7 +175,11 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     let good_bytes = std::fs::read(&good_path).unwrap();
 
     // A crash mid-write leaves a truncated in-flight temp file…
-    std::fs::write(dir.join("ckpt_inflight.tmp"), &good_bytes[..good_bytes.len() / 2]).unwrap();
+    std::fs::write(
+        dir.join("ckpt_inflight.tmp"),
+        &good_bytes[..good_bytes.len() / 2],
+    )
+    .unwrap();
     // …and suppose an apparently *newer* snapshot got bit-flipped on disk.
     sim.run(40);
     let newer_path = sim.write_checkpoint_to(&dir).unwrap();
@@ -185,7 +189,9 @@ fn truncated_or_corrupt_snapshots_fall_back_to_last_good() {
     std::fs::write(&newer_path, &newer_bytes).unwrap();
 
     // The loader must skip both damaged artifacts and land on the good one.
-    let (t, payload) = checkpoint::load_latest(&dir).unwrap().expect("good snapshot");
+    let (t, payload) = checkpoint::load_latest(&dir)
+        .unwrap()
+        .expect("good snapshot");
     assert_eq!(t, good_t);
 
     let mut resumed = build_sim(42, 9);

@@ -85,7 +85,10 @@ fn main() {
     };
 
     let base = run("maximal lossless regime (Conjecture 1 hypothesis)", false);
-    let hard = run("gauntlet: bursts + targeted loss + lying lazy R-destination", true);
+    let hard = run(
+        "gauntlet: bursts + targeted loss + lying lazy R-destination",
+        true,
+    );
 
     println!(
         "Conjecture 1 prediction: stable hypothesis ⇒ stable under any dominated \

@@ -25,8 +25,15 @@ fn main() {
     // 2. Classify it: the paper's whole theory is gated on feasibility
     //    (Definition 3) and slack (Definition 4).
     let class = classify(&spec);
-    println!("network: n = {}, Δ = {}", spec.node_count(), spec.max_degree());
-    println!("arrival rate = {}, f* = {}", class.arrival_rate, class.f_star);
+    println!(
+        "network: n = {}, Δ = {}",
+        spec.node_count(),
+        spec.max_degree()
+    );
+    println!(
+        "arrival rate = {}, f* = {}",
+        class.arrival_rate, class.f_star
+    );
     match &class.feasibility {
         Feasibility::Unsaturated { .. } => {
             let b = unsaturated_bounds(&spec).unwrap();
@@ -58,5 +65,8 @@ fn main() {
     println!("sup_t Σ q_t(v): {}", m.sup_total);
     println!("sup_t P_t:      {}", m.sup_pt);
     println!("delivered:      {} / {} injected", m.delivered, m.injected);
-    println!("mean latency:   {:.1} steps (Little's law)", m.mean_latency());
+    println!(
+        "mean latency:   {:.1} steps (Little's law)",
+        m.mean_latency()
+    );
 }

@@ -42,7 +42,9 @@ fn main() {
         if v == 0 || v == far || field.degree(NodeId::new(v)) < 3 || chosen.len() >= 10 {
             continue;
         }
-        let mut b = TrafficSpecBuilder::new(field.clone()).sink(0, 8).sink(far, 8);
+        let mut b = TrafficSpecBuilder::new(field.clone())
+            .sink(0, 8)
+            .sink(far, 8);
         for &c in chosen.iter().chain(std::iter::once(&v)) {
             b = b.source(c, 1);
         }
@@ -52,7 +54,9 @@ fn main() {
         }
     }
     let sources = chosen.len();
-    let mut builder = TrafficSpecBuilder::new(field.clone()).sink(0, 8).sink(far, 8);
+    let mut builder = TrafficSpecBuilder::new(field.clone())
+        .sink(0, 8)
+        .sink(far, 8);
     for &c in &chosen {
         builder = builder.source(c, 1);
     }
@@ -66,7 +70,10 @@ fn main() {
         spec.max_degree(),
         sources
     );
-    println!("feasibility: {:?} (f* = {})", class.feasibility, class.f_star);
+    println!(
+        "feasibility: {:?} (f* = {})",
+        class.feasibility, class.f_star
+    );
 
     // Wireless conditions: bursty Gilbert–Elliott losses; duty-cycled
     // sensing. Under node-exclusive interference each radio can be active
@@ -74,8 +81,16 @@ fn main() {
     // run duty-cycles harder, exactly as a real deployment would.
     let steps = 30_000;
     for (label, duty, protocol) in [
-        ("LGG (no interference), duty 0.5", 0.5, Box::new(Lgg::new()) as Box<dyn RoutingProtocol>),
-        ("LGG + matching oracle, duty 0.2", 0.2, Box::new(MatchingLgg::new())),
+        (
+            "LGG (no interference), duty 0.5",
+            0.5,
+            Box::new(Lgg::new()) as Box<dyn RoutingProtocol>,
+        ),
+        (
+            "LGG + matching oracle, duty 0.2",
+            0.2,
+            Box::new(MatchingLgg::new()),
+        ),
     ] {
         let mut sim = SimulationBuilder::new(spec.clone(), protocol)
             .injection(Box::new(BernoulliInjection::new(duty)))

@@ -59,10 +59,8 @@ struct Workspace {
 
 impl Workspace {
     fn new(tag: &str) -> Self {
-        let base = std::env::temp_dir().join(format!(
-            "lgg_resume_e2e_{}_{tag}",
-            std::process::id()
-        ));
+        let base =
+            std::env::temp_dir().join(format!("lgg_resume_e2e_{}_{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&base);
         fs::create_dir_all(&base).expect("temp workspace");
         let scenario = base.join("scenario.json");
@@ -197,7 +195,10 @@ fn resume_crosses_thread_counts() {
 /// `flapping_fabric`, which a guarded run keeps clean (SCENARIO's backlog
 /// ramp trips the online divergence check), with telemetry `kind`.
 fn fabric(ws: &Workspace, kind: &str) -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios/flapping_fabric.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/flapping_fabric.json"
+    );
     let mut sc = lgg_cli::Scenario::from_json(&fs::read_to_string(path).unwrap()).unwrap();
     if kind == "off" {
         sc.telemetry = lgg_cli::ObserverSpec::Off;

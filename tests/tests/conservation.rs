@@ -1,7 +1,9 @@
 //! Integration: packet conservation and plan legality across the whole
 //! protocol × injection × loss matrix, property-tested.
 
-use lgg_core::baselines::{Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting};
+use lgg_core::baselines::{
+    Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting,
+};
 use lgg_core::interference::MatchingLgg;
 use lgg_core::{Lgg, TieBreak};
 use mgraph::generators;

@@ -3,7 +3,9 @@
 
 use lgg_core::Lgg;
 use mgraph::{generators, MultiGraphBuilder, NodeId};
-use netmodel::{classify, decompose_at_cut, find_interior_min_cut, TrafficSpec, TrafficSpecBuilder};
+use netmodel::{
+    classify, decompose_at_cut, find_interior_min_cut, TrafficSpec, TrafficSpecBuilder,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simqueue::{assess_stability, HistoryMode, SimulationBuilder, StabilityVerdict};
@@ -67,18 +69,10 @@ fn random_bottlenecks_decompose_into_feasible_stable_parts() {
         );
         // Rate bookkeeping: B' gains exactly the crossing links as inflow,
         // A' gains them as outflow.
-        let b_extra: u64 = dec.b_spec.arrival_rate()
-            - dec
-                .b_nodes
-                .iter()
-                .map(|&v| spec.in_rate(v))
-                .sum::<u64>();
+        let b_extra: u64 =
+            dec.b_spec.arrival_rate() - dec.b_nodes.iter().map(|&v| spec.in_rate(v)).sum::<u64>();
         let a_extra: u64 = dec.a_spec.extraction_rate()
-            - dec
-                .a_nodes
-                .iter()
-                .map(|&v| spec.out_rate(v))
-                .sum::<u64>();
+            - dec.a_nodes.iter().map(|&v| spec.out_rate(v)).sum::<u64>();
         assert_eq!(b_extra, dec.crossing_edges as u64, "seed {seed}");
         assert_eq!(a_extra, dec.crossing_edges as u64, "seed {seed}");
 

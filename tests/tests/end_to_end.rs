@@ -66,11 +66,10 @@ fn all_tie_breaks_share_the_stability_region() {
         .build()
         .unwrap();
     for tb in TieBreak::ALL {
-        let mut sim =
-            SimulationBuilder::new(spec.clone(), Box::new(Lgg::with_tie_break(tb, 17)))
-                .history(HistoryMode::Sampled(8))
-                .seed(17)
-                .build();
+        let mut sim = SimulationBuilder::new(spec.clone(), Box::new(Lgg::with_tie_break(tb, 17)))
+            .history(HistoryMode::Sampled(8))
+            .seed(17)
+            .build();
         sim.run(8000);
         let v = assess_stability(&sim.metrics().history).verdict;
         assert_eq!(

@@ -66,7 +66,8 @@ fn flood_protocol_traces_plan_rejections() {
     let bytes = capture_trace(&sc, sc.steps, 1).unwrap();
     let text = String::from_utf8(bytes).unwrap();
     assert!(
-        text.lines().any(|l| l.contains("\"event\":\"plan-rejected\"")),
+        text.lines()
+            .any(|l| l.contains("\"event\":\"plan-rejected\"")),
         "flood overdraw produced no plan-rejected events"
     );
 }

@@ -60,7 +60,10 @@ fn feasible_random_networks_are_stable() {
             "seed {seed}: feasible network diverged (slope {slope}, class {class:?})"
         );
     }
-    assert!(feasible_checked >= 10, "only {feasible_checked} feasible draws");
+    assert!(
+        feasible_checked >= 10,
+        "only {feasible_checked} feasible draws"
+    );
 }
 
 #[test]
@@ -94,7 +97,10 @@ fn infeasible_random_networks_diverge_at_excess_rate() {
             "seed {seed}: slope {slope} below excess {excess}"
         );
     }
-    assert!(infeasible_checked >= 20, "only {infeasible_checked} infeasible draws");
+    assert!(
+        infeasible_checked >= 20,
+        "only {infeasible_checked} infeasible draws"
+    );
 }
 
 #[test]
