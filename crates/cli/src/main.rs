@@ -251,8 +251,8 @@ fn trace_cmd(a: &Args) -> Result<ExitCode, LggError> {
         // Self-checking: a second capture must be byte-identical — this
         // is the determinism witness CI records.
         if capture_trace(&scenario, steps, sample_every)? != bytes {
-            return Err(LggError::scenario(
-                "trace smoke FAILED: two captures differ; determinism is broken",
+            return Err(LggError::SelfCheck(
+                "trace smoke: two captures differ; determinism is broken".into(),
             ));
         }
         let lines = bytes.iter().filter(|&&b| b == b'\n').count();

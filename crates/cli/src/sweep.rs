@@ -250,7 +250,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, LggError> {
             .zip(&parallel)
             .position(|(a, b)| a != b)
             .unwrap_or(0);
-        return Err(LggError::scenario(format!(
+        return Err(LggError::SelfCheck(format!(
             "sweep results diverged between 1 and {threads} threads \
              (first at item {first}: {:?}); determinism is broken",
             grid[first].0

@@ -725,12 +725,20 @@ pub struct WindowStats {
 /// window phenomena, invisible in run totals).
 ///
 /// It reads the step records' ledgers and loss masks and renders no
-/// events.
+/// events. A window is encoded once, when it closes, into the record a
+/// checkpoint carries for it (about 42 bytes); [`windows`](Self::windows)
+/// decodes the records on demand, and a snapshot copies them as they are.
 #[derive(Debug, Clone)]
 pub struct WindowAggregator {
     size: u64,
-    closed: Vec<WindowStats>,
-    cur: Option<Accum>,
+    /// The closed windows' checkpoint records, oldest first.
+    closed: Vec<u8>,
+    /// Records in `closed`.
+    closed_count: u64,
+    /// Whether `cur` is a window still open. A closed one keeps its
+    /// buffers for the next window.
+    open: bool,
+    cur: Accum,
 }
 
 /// Open-window accumulator.
@@ -773,32 +781,74 @@ impl Accum {
         }
     }
 
-    fn close(mut self, size: u64) -> WindowStats {
-        self.link_losses.sort_unstable();
-        let mut link_losses: Vec<LinkLoss> = Vec::new();
-        for (edge, lost) in self.link_losses {
-            match link_losses.last_mut() {
-                Some(last) if last.edge == edge => last.lost += lost,
-                _ => link_losses.push(LinkLoss { edge, lost }),
+    /// Starts window `index` afresh, keeping the buffers' capacity.
+    fn reopen(&mut self, index: u64) {
+        let mut link_losses = std::mem::take(&mut self.link_losses);
+        let mut queue_histogram = std::mem::take(&mut self.queue_histogram);
+        link_losses.clear();
+        queue_histogram.clear();
+        *self = Accum {
+            link_losses,
+            queue_histogram,
+            ..Accum::new(index)
+        };
+    }
+
+    /// Folds one step record into the window.
+    fn add(&mut self, step: &StepRecord<'_>) {
+        let l = &step.ledger;
+        self.t_end = l.t;
+        self.injected += l.injected;
+        self.delivered += l.delivered;
+        self.rejected += l.rejected;
+        self.losses += l.lost;
+        if l.lost > 0 {
+            for (tx, _) in step.plan.iter().zip(step.lost).filter(|(_, &lost)| lost) {
+                let edge = tx.edge.index() as u32;
+                match self.link_losses.last_mut() {
+                    Some((e, n)) if *e == edge => *n += 1,
+                    _ => self.link_losses.push((edge, 1)),
+                }
             }
         }
-        let samples = self.samples.max(1) as f64;
-        WindowStats {
-            t_start: self.index * size,
-            t_end: self.t_end,
-            samples: self.samples,
-            pt_min: if self.samples == 0 { 0 } else { self.pt_min },
-            pt_max: self.pt_max,
-            pt_mean: self.pt_sum as f64 / samples,
-            max_queue: self.max_queue,
-            mean_active: self.active_sum as f64 / samples,
-            injected: self.injected,
-            delivered: self.delivered,
-            losses: self.losses,
-            rejected: self.rejected,
-            link_losses,
-            queue_histogram: self.queue_histogram,
+        self.samples += 1;
+        self.pt_min = self.pt_min.min(l.pt);
+        self.pt_max = self.pt_max.max(l.pt);
+        self.pt_sum += l.pt;
+        self.max_queue = self.max_queue.max(l.max_queue);
+        self.active_sum += l.active;
+        let b = qh_bucket(l.max_queue);
+        if self.queue_histogram.len() <= b {
+            self.queue_histogram.resize(b + 1, 0);
         }
+        self.queue_histogram[b] += 1;
+    }
+
+    /// Appends the record of the [`WindowStats`] this window closes into
+    /// (the fields in declaration order, see [`read_window`]), merging
+    /// the link-loss pairs in place.
+    fn close_into(&mut self, size: u64, out: &mut Vec<u8>) {
+        self.link_losses.sort_unstable();
+        self.link_losses.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.1 += next.1;
+                true
+            }
+        });
+        let samples = self.samples.max(1) as f64;
+        wire::put_u64(out, self.index * size);
+        wire::put_u64(out, self.t_end);
+        wire::put_u64(out, self.samples);
+        wire::put_u128(out, if self.samples == 0 { 0 } else { self.pt_min });
+        wire::put_u128(out, self.pt_max);
+        wire::put_f64(out, self.pt_sum as f64 / samples);
+        wire::put_u64(out, self.max_queue);
+        wire::put_f64(out, self.active_sum as f64 / samples);
+        for x in [self.injected, self.delivered, self.losses, self.rejected] {
+            wire::put_u64(out, x);
+        }
+        put_link_losses(out, self.link_losses.iter().copied());
+        wire::put_u64_slice(out, &self.queue_histogram);
     }
 
     fn save(&self, out: &mut Vec<u8>) {
@@ -861,22 +911,6 @@ fn read_link_losses(r: &mut wire::Reader<'_>) -> Result<Vec<(u32, u64)>, LggErro
 /// then ten scalars and the two length prefixes at one varint byte each.
 const WINDOW_MIN_BYTES: usize = 2 * 8 + 10 + 2;
 
-fn put_window(out: &mut Vec<u8>, w: &WindowStats) {
-    wire::put_u64(out, w.t_start);
-    wire::put_u64(out, w.t_end);
-    wire::put_u64(out, w.samples);
-    wire::put_u128(out, w.pt_min);
-    wire::put_u128(out, w.pt_max);
-    wire::put_f64(out, w.pt_mean);
-    wire::put_u64(out, w.max_queue);
-    wire::put_f64(out, w.mean_active);
-    for x in [w.injected, w.delivered, w.losses, w.rejected] {
-        wire::put_u64(out, x);
-    }
-    put_link_losses(out, w.link_losses.iter().map(|l| (l.edge, l.lost)));
-    wire::put_u64_slice(out, &w.queue_histogram);
-}
-
 fn read_window(r: &mut wire::Reader<'_>) -> Result<WindowStats, LggError> {
     Ok(WindowStats {
         t_start: r.u64()?,
@@ -899,6 +933,50 @@ fn read_window(r: &mut wire::Reader<'_>) -> Result<WindowStats, LggError> {
     })
 }
 
+/// Checks one closed-window record and steps past it, storing nothing.
+/// Beyond what [`read_window`] checks, the window must start on the
+/// `size` grid after `after` (the previous window's start), its link-loss
+/// edges must ascend, and its histogram must count each sample once: a
+/// lying count that shifts the fields behind it does not keep all three.
+/// Returns the window's start.
+fn check_window(r: &mut wire::Reader<'_>, size: u64, after: Option<u64>) -> Result<u64, LggError> {
+    let t_start = r.u64()?;
+    if !t_start.is_multiple_of(size) || after.is_some_and(|a| t_start <= a) {
+        return Err(LggError::corrupt(format!(
+            "window start {t_start} is off the {size}-step grid or out of order"
+        )));
+    }
+    r.u64()?;
+    let samples = r.u64()?;
+    r.u128()?;
+    r.u128()?;
+    r.f64()?;
+    r.u64()?;
+    r.f64()?;
+    for _ in 0..4 {
+        r.u64()?;
+    }
+    let mut edge = None;
+    for _ in 0..r.count(LINK_LOSS_MIN_BYTES)? {
+        let e = r.u32()?;
+        if edge.is_some_and(|prev| e <= prev) {
+            return Err(LggError::corrupt("window link losses out of edge order"));
+        }
+        edge = Some(e);
+        r.u64()?;
+    }
+    let mut counted = 0u128;
+    for _ in 0..r.count(1)? {
+        counted += r.u64()? as u128;
+    }
+    if counted != samples as u128 {
+        return Err(LggError::corrupt(format!(
+            "window histogram counts {counted} samples, the window {samples}"
+        )));
+    }
+    Ok(t_start)
+}
+
 /// Histogram bucket for a sample whose largest queue is `q`.
 fn qh_bucket(q: u64) -> usize {
     if q == 0 {
@@ -915,7 +993,9 @@ impl WindowAggregator {
         WindowAggregator {
             size: size.max(1),
             closed: Vec::new(),
-            cur: None,
+            closed_count: 0,
+            open: false,
+            cur: Accum::new(0),
         }
     }
 
@@ -924,82 +1004,59 @@ impl WindowAggregator {
         self.size
     }
 
-    /// Windows closed so far (call [`SimObserver::finish`] to close the
-    /// trailing partial window first).
-    pub fn windows(&self) -> &[WindowStats] {
-        &self.closed
+    /// Windows closed so far, decoded from their records (call
+    /// [`SimObserver::finish`] to close the trailing partial window
+    /// first).
+    pub fn windows(&self) -> Vec<WindowStats> {
+        let mut r = wire::Reader::new(&self.closed);
+        (0..self.closed_count)
+            .map(|_| read_window(&mut r).expect("records are encoded here or validated on load"))
+            .collect()
     }
 
     /// Consumes the aggregator, returning all windows (the trailing
     /// partial window is closed if `finish` was not called).
     pub fn into_windows(mut self) -> Vec<WindowStats> {
         self.finish();
-        self.closed
+        self.windows()
     }
 
-    fn accum_for(&mut self, t: u64) -> &mut Accum {
-        // Divide only when `t` leaves the open window (once per window).
-        let size = self.size;
-        let stale = match &self.cur {
-            Some(a) => t.checked_sub(a.index * size).is_none_or(|d| d >= size),
-            None => true,
-        };
-        if stale {
-            if let Some(a) = self.cur.take() {
-                self.closed.push(a.close(size));
-            }
-            self.cur = Some(Accum::new(t / size));
+    /// Encodes the open window into `closed`, if there is one.
+    fn close(&mut self) {
+        if self.open {
+            self.cur.close_into(self.size, &mut self.closed);
+            self.closed_count += 1;
+            self.open = false;
         }
-        self.cur.as_mut().expect("just installed")
     }
 }
 
 impl SimObserver for WindowAggregator {
     fn on_step(&mut self, step: &StepRecord<'_>) {
-        let l = &step.ledger;
-        let a = self.accum_for(l.t);
-        a.t_end = l.t;
-        a.injected += l.injected;
-        a.delivered += l.delivered;
-        a.rejected += l.rejected;
-        a.losses += l.lost;
-        if l.lost > 0 {
-            for (tx, _) in step.plan.iter().zip(step.lost).filter(|(_, &lost)| lost) {
-                let edge = tx.edge.index() as u32;
-                match a.link_losses.last_mut() {
-                    Some((e, n)) if *e == edge => *n += 1,
-                    _ => a.link_losses.push((edge, 1)),
-                }
-            }
+        // Divide only when `t` leaves the open window (once per window).
+        let (t, size) = (step.ledger.t, self.size);
+        let stale = !self.open
+            || t.checked_sub(self.cur.index * size)
+                .is_none_or(|d| d >= size);
+        if stale {
+            self.close();
+            self.cur.reopen(t / size);
+            self.open = true;
         }
-        a.samples += 1;
-        a.pt_min = a.pt_min.min(l.pt);
-        a.pt_max = a.pt_max.max(l.pt);
-        a.pt_sum += l.pt;
-        a.max_queue = a.max_queue.max(l.max_queue);
-        a.active_sum += l.active;
-        let b = qh_bucket(l.max_queue);
-        if a.queue_histogram.len() <= b {
-            a.queue_histogram.resize(b + 1, 0);
-        }
-        a.queue_histogram[b] += 1;
+        self.cur.add(step);
     }
 
     fn finish(&mut self) {
-        if let Some(a) = self.cur.take() {
-            self.closed.push(a.close(self.size));
-        }
+        self.close();
     }
 
     fn save_state(&mut self, out: &mut Vec<u8>) {
         wire::put_u64(out, self.size);
-        wire::put_u64(out, self.closed.len() as u64);
-        for w in &self.closed {
-            put_window(out, w);
-        }
-        wire::put_bool(out, self.cur.is_some());
-        if let Some(a) = &self.cur {
-            a.save(out);
+        wire::put_u64(out, self.closed_count);
+        out.extend_from_slice(&self.closed);
+        wire::put_bool(out, self.open);
+        if self.open {
+            self.cur.save(out);
         }
     }
 
@@ -1009,20 +1066,30 @@ impl SimObserver for WindowAggregator {
         if size == 0 {
             return Err(LggError::corrupt("window size 0"));
         }
-        let closed = r.seq(WINDOW_MIN_BYTES, read_window)?;
-        let cur = if r.bool_()? {
-            Some(Accum::load(&mut r)?)
+        let closed_count = r.count(WINDOW_MIN_BYTES)?;
+        let start = bytes.len() - r.remaining();
+        let mut last = None;
+        for _ in 0..closed_count {
+            last = Some(check_window(&mut r, size, last)?);
+        }
+        let closed = bytes[start..bytes.len() - r.remaining()].to_vec();
+        let open = r.bool_()?;
+        let cur = if open {
+            Accum::load(&mut r)?
         } else {
-            None
+            Accum::new(0)
         };
         r.done()?;
-        if cur
-            .as_ref()
-            .is_some_and(|a| a.index.checked_mul(size).is_none())
-        {
+        if open && cur.index.checked_mul(size).is_none() {
             return Err(LggError::corrupt("open window starts past u64::MAX"));
         }
-        *self = WindowAggregator { size, closed, cur };
+        *self = WindowAggregator {
+            size,
+            closed,
+            closed_count: closed_count as u64,
+            open,
+            cur,
+        };
         Ok(())
     }
 }
@@ -1537,5 +1604,197 @@ pub(crate) mod tests {
         assert_eq!(qh_bucket(4), 3);
         assert_eq!(qh_bucket(7), 3);
         assert_eq!(qh_bucket(8), 4);
+    }
+
+    /// The aggregator as it was before closed windows were kept as their
+    /// records: each window closed into a [`WindowStats`], and every save
+    /// encoded all of them again. The record store is held to it.
+    struct Reference {
+        size: u64,
+        closed: Vec<WindowStats>,
+        cur: Option<Accum>,
+    }
+
+    impl Reference {
+        fn new(size: u64) -> Self {
+            Reference {
+                size: size.max(1),
+                closed: Vec::new(),
+                cur: None,
+            }
+        }
+
+        fn on_step(&mut self, step: &StepRecord<'_>) {
+            let (l, size) = (&step.ledger, self.size);
+            let stale = match &self.cur {
+                Some(a) => l.t.checked_sub(a.index * size).is_none_or(|d| d >= size),
+                None => true,
+            };
+            if stale {
+                if let Some(a) = self.cur.take() {
+                    self.closed.push(Self::close(a, size));
+                }
+                self.cur = Some(Accum::new(l.t / size));
+            }
+            let a = self.cur.as_mut().expect("just installed");
+            a.t_end = l.t;
+            a.injected += l.injected;
+            a.delivered += l.delivered;
+            a.rejected += l.rejected;
+            a.losses += l.lost;
+            for (tx, _) in step.plan.iter().zip(step.lost).filter(|(_, &lost)| lost) {
+                let edge = tx.edge.index() as u32;
+                match a.link_losses.last_mut() {
+                    Some((e, n)) if *e == edge => *n += 1,
+                    _ => a.link_losses.push((edge, 1)),
+                }
+            }
+            a.samples += 1;
+            a.pt_min = a.pt_min.min(l.pt);
+            a.pt_max = a.pt_max.max(l.pt);
+            a.pt_sum += l.pt;
+            a.max_queue = a.max_queue.max(l.max_queue);
+            a.active_sum += l.active;
+            let b = qh_bucket(l.max_queue);
+            if a.queue_histogram.len() <= b {
+                a.queue_histogram.resize(b + 1, 0);
+            }
+            a.queue_histogram[b] += 1;
+        }
+
+        fn close(mut a: Accum, size: u64) -> WindowStats {
+            a.link_losses.sort_unstable();
+            let mut link_losses: Vec<LinkLoss> = Vec::new();
+            for (edge, lost) in a.link_losses {
+                match link_losses.last_mut() {
+                    Some(last) if last.edge == edge => last.lost += lost,
+                    _ => link_losses.push(LinkLoss { edge, lost }),
+                }
+            }
+            let samples = a.samples.max(1) as f64;
+            WindowStats {
+                t_start: a.index * size,
+                t_end: a.t_end,
+                samples: a.samples,
+                pt_min: if a.samples == 0 { 0 } else { a.pt_min },
+                pt_max: a.pt_max,
+                pt_mean: a.pt_sum as f64 / samples,
+                max_queue: a.max_queue,
+                mean_active: a.active_sum as f64 / samples,
+                injected: a.injected,
+                delivered: a.delivered,
+                losses: a.losses,
+                rejected: a.rejected,
+                link_losses,
+                queue_histogram: a.queue_histogram,
+            }
+        }
+
+        fn finish(&mut self) {
+            if let Some(a) = self.cur.take() {
+                self.closed.push(Self::close(a, self.size));
+            }
+        }
+
+        fn save_state(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            wire::put_u64(&mut out, self.size);
+            wire::put_u64(&mut out, self.closed.len() as u64);
+            for w in &self.closed {
+                wire::put_u64(&mut out, w.t_start);
+                wire::put_u64(&mut out, w.t_end);
+                wire::put_u64(&mut out, w.samples);
+                wire::put_u128(&mut out, w.pt_min);
+                wire::put_u128(&mut out, w.pt_max);
+                wire::put_f64(&mut out, w.pt_mean);
+                wire::put_u64(&mut out, w.max_queue);
+                wire::put_f64(&mut out, w.mean_active);
+                for x in [w.injected, w.delivered, w.losses, w.rejected] {
+                    wire::put_u64(&mut out, x);
+                }
+                put_link_losses(&mut out, w.link_losses.iter().map(|l| (l.edge, l.lost)));
+                wire::put_u64_slice(&mut out, &w.queue_histogram);
+            }
+            wire::put_bool(&mut out, self.cur.is_some());
+            if let Some(a) = &self.cur {
+                a.save(&mut out);
+            }
+            out
+        }
+
+        fn load_state(bytes: &[u8]) -> Self {
+            let mut r = wire::Reader::new(bytes);
+            let size = r.u64().unwrap();
+            let closed = r.seq(WINDOW_MIN_BYTES, read_window).unwrap();
+            let cur = r.bool_().unwrap().then(|| Accum::load(&mut r).unwrap());
+            r.done().unwrap();
+            Reference { size, closed, cur }
+        }
+    }
+
+    fn saved(w: &mut WindowAggregator) -> Vec<u8> {
+        let mut out = Vec::new();
+        w.save_state(&mut out);
+        out
+    }
+
+    proptest::proptest! {
+        /// The store against the reference over random step records:
+        /// losses on a few edges (repeats included), empty networks, clock
+        /// gaps that skip whole windows, a save and load at a random step
+        /// (usually mid-window), and a trailing partial window. Decoded
+        /// windows and saved bytes must be equal at the cut and at the end.
+        #[test]
+        fn window_store_matches_the_reference(
+            size in 1u64..9,
+            steps in 0usize..90,
+            cut in 0usize..90,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut w, mut want) = (WindowAggregator::new(size), Reference::new(size));
+            let mut t = rng.random_range(0..2 * size);
+            for i in 0..steps {
+                let mut step = Crafted::at(t);
+                for _ in 0..rng.random_range(0..4) {
+                    step.plan.push(tx(rng.random_range(0..5), 0));
+                    step.lost.push(rng.random_range(0..3) == 0);
+                }
+                let max_queue = if rng.random_range(0..4) == 0 { 0 } else { rng.random_range(1..600) };
+                step.ledger = StepLedger {
+                    t,
+                    injected: rng.random_range(0..5),
+                    delivered: rng.random_range(0..5),
+                    rejected: rng.random_range(0..2),
+                    sent: step.plan.len() as u64,
+                    lost: step.lost.iter().filter(|&&l| l).count() as u64,
+                    pt: rng.random_range(0..1u64 << 40) as u128,
+                    max_queue,
+                    active: rng.random_range(0..4),
+                    ..StepLedger::default()
+                };
+                w.on_step(&step.record());
+                want.on_step(&step.record());
+                if i == cut {
+                    let bytes = want.save_state();
+                    proptest::prop_assert_eq!(&saved(&mut w), &bytes);
+                    proptest::prop_assert_eq!(&w.windows(), &want.closed);
+                    w = WindowAggregator::new(1);
+                    w.load_state(&bytes).unwrap();
+                    want = Reference::load_state(&bytes);
+                }
+                t += match rng.random_range(0..6) {
+                    0 => rng.random_range(size..3 * size + 1),
+                    _ => 1,
+                };
+            }
+            proptest::prop_assert_eq!(&saved(&mut w), &want.save_state());
+            w.finish();
+            want.finish();
+            proptest::prop_assert_eq!(&saved(&mut w), &want.save_state());
+            proptest::prop_assert_eq!(&w.windows(), &want.closed);
+            proptest::prop_assert_eq!(&w.into_windows(), &want.closed);
+        }
     }
 }

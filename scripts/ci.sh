@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, a quick `lgg-sim bench` run exercising
-# the throughput suite and every layer kernel end-to-end (so no kernel
-# can bit-rot), the cross-thread-count determinism
+# CI gate: formatting, tier-1 build + tests, a quick `lgg-sim bench`
+# run exercising the throughput suite and every layer kernel end-to-end
+# (so no kernel can bit-rot), the cross-thread-count determinism
 # suite under both pool configurations, and a `lgg-sim sweep --smoke`
 # whose internal serial-vs-parallel digest check fails on any divergence.
 # (Bench/sweep results go to temp files and are discarded; the checked-in
 # BENCH_throughput.json is refreshed manually with full runs.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting: the workspace (crates, tests, examples and the vendored
+# stand-ins) is rustfmt-clean; lggbench/ is its own workspace and is
+# not checked here.
+cargo fmt --check
 
 cargo build --release
 cargo test -q
