@@ -50,9 +50,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simqueue::declare::{FullRetention, TruthfulDeclaration, ZeroBelowRetention};
-use simqueue::dynamic::RotatingOutage;
+use simqueue::dynamic::{MarkovTopology, RotatingOutage, TopologyProcess};
 use simqueue::injection::UniformInjection;
-use simqueue::loss::IidLoss;
+use simqueue::loss::{GilbertElliottLoss, IidLoss, LossModel};
 use simqueue::{
     DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NetView, NoopObserver,
     RingRecorder, RoutingProtocol, SimObserver, SimulationBuilder, Transmission, WindowAggregator,
@@ -720,6 +720,49 @@ fn layer_table() -> Vec<LayerRow> {
         MatchingLgg::new(),
     ));
 
+    // The RNG-driven fault models alone, one call per step on a 128-link
+    // cycle: the Markov link process updates every link, the
+    // Gilbert–Elliott channel advances every link and draws for a plan
+    // with one entry per link, and i.i.d. loss draws for the same plan.
+    let ring = generators::cycle(128);
+    let plan: Vec<Transmission> = ring
+        .edges()
+        .map(|edge| Transmission {
+            edge,
+            from: ring.endpoints(edge).0,
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut markov = MarkovTopology::new(0.05, 0.3, Vec::new());
+    let mut active = vec![true; ring.edge_count()];
+    let g = ring.clone();
+    rows.push(row(
+        "fault_model/markov_update/cycle128",
+        20_000,
+        move || {
+            markov.update(&g, 0, &mut rng, &mut active);
+            active.iter().filter(|&&a| a).count()
+        },
+    ));
+    type Loss = fn() -> Box<dyn LossModel>;
+    let losses: [(&str, Loss); 2] = [
+        ("gilbert_elliott_apply", || {
+            Box::new(GilbertElliottLoss::new(0.02, 0.5, 0.05, 0.25))
+        }),
+        ("iid_loss_apply", || Box::new(IidLoss::new(0.2))),
+    ];
+    for (name, make) in losses {
+        let (g, plan, mut model) = (ring.clone(), plan.clone(), make());
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut lost = vec![false; plan.len()];
+        let name = format!("fault_model/{name}/cycle128");
+        rows.push(row(name, 20_000, move || {
+            lost.fill(false);
+            model.apply(&g, &plan, &[], 0, &mut rng, &mut lost);
+            lost.iter().filter(|&&l| l).count()
+        }));
+    }
+
     // The max-flow solvers on unit-capacity networks. Each call clones the
     // prepared network and solves the clone, so the clone is timed too.
     let grids = [(8usize, 1000), (16, 200), (24, 50)]
@@ -966,7 +1009,7 @@ mod tests {
             assert!(l.ns_per_iter > 0.0, "{}", l.name);
         }
         let want = expected_layer_ids();
-        assert_eq!(want.len(), 83);
+        assert_eq!(want.len(), 86);
         assert!(want.windows(2).all(|w| w[0] < w[1]), "ids are distinct");
         assert_eq!(layer_names(layers), want);
 
@@ -993,6 +1036,9 @@ mod tests {
         lgg_plan leaf_spine
         lgg_plan/grid 16
         matching_lgg_plan/grid 16
+        fault_model/markov_update cycle128
+        fault_model/gilbert_elliott_apply cycle128
+        fault_model/iid_loss_apply cycle128
         maxflow/grid/edmonds-karp 8x8 16x16 24x24
         maxflow/grid/dinic 8x8 16x16 24x24
         maxflow/grid/push-relabel 8x8 16x16 24x24

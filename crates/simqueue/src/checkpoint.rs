@@ -386,21 +386,47 @@ pub mod wire {
             Ok(s)
         }
 
-        /// Reads a varint of at most `max_bytes` bytes whose value fits
-        /// in a `u128`.
-        fn varint(&mut self, max_bytes: usize, what: &str) -> Result<u128, LggError> {
+        /// Reads a `u32` varint.
+        pub fn u32(&mut self) -> Result<u32, LggError> {
+            u32::try_from(self.u64()?).map_err(|_| too_large("u32"))
+        }
+
+        /// Reads a `u64` varint: at most ten bytes, the tenth carrying
+        /// bit 63 alone.
+        pub fn u64(&mut self) -> Result<u64, LggError> {
             // One-byte values, most of a payload, need no group checks.
             if let Some(&b) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
                 self.pos += 1;
-                return Ok(b as u128);
+                return Ok(u64::from(b));
             }
+            let mut x = 0u64;
+            for i in 0..U64_MAX_BYTES {
+                let b = *self.buf.get(self.pos).ok_or_else(|| truncated("u64"))?;
+                self.pos += 1;
+                let group = u64::from(b & 0x7f);
+                x |= group << (7 * i);
+                if b & 0x80 == 0 {
+                    return if i == U64_MAX_BYTES - 1 && group > 1 {
+                        Err(too_large("u64"))
+                    } else {
+                        Ok(x)
+                    };
+                }
+            }
+            Err(LggError::corrupt(format!(
+                "u64 varint longer than {U64_MAX_BYTES} bytes"
+            )))
+        }
+
+        /// Reads a `u128` varint of at most nineteen bytes.
+        pub fn u128(&mut self) -> Result<u128, LggError> {
             let mut x = 0u128;
-            for i in 0..max_bytes {
-                let b = *self.buf.get(self.pos).ok_or_else(|| truncated(what))?;
+            for i in 0..U128_MAX_BYTES {
+                let b = *self.buf.get(self.pos).ok_or_else(|| truncated("u128"))?;
                 self.pos += 1;
                 let (group, shift) = ((b & 0x7f) as u128, 7 * i as u32);
                 if (group << shift) >> shift != group {
-                    return Err(too_large(what));
+                    return Err(too_large("u128"));
                 }
                 x |= group << shift;
                 if b & 0x80 == 0 {
@@ -408,23 +434,8 @@ pub mod wire {
                 }
             }
             Err(LggError::corrupt(format!(
-                "{what} varint longer than {max_bytes} bytes"
+                "u128 varint longer than {U128_MAX_BYTES} bytes"
             )))
-        }
-
-        /// Reads a `u32` varint.
-        pub fn u32(&mut self) -> Result<u32, LggError> {
-            u32::try_from(self.u64()?).map_err(|_| too_large("u32"))
-        }
-
-        /// Reads a `u64` varint.
-        pub fn u64(&mut self) -> Result<u64, LggError> {
-            u64::try_from(self.varint(U64_MAX_BYTES, "u64")?).map_err(|_| too_large("u64"))
-        }
-
-        /// Reads a `u128` varint.
-        pub fn u128(&mut self) -> Result<u128, LggError> {
-            self.varint(U128_MAX_BYTES, "u128")
         }
 
         /// Reads a bit pattern written by [`put_word`].
@@ -517,6 +528,121 @@ pub mod wire {
                     "{} trailing bytes in state blob",
                     self.remaining()
                 )))
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// The varint reader before its `u64` loop, kept verbatim as the
+        /// reference: every width went through `u128` groups.
+        fn reference_varint(
+            r: &mut Reader<'_>,
+            max_bytes: usize,
+            what: &str,
+        ) -> Result<u128, LggError> {
+            if let Some(&b) = r.buf.get(r.pos).filter(|&&b| b < 0x80) {
+                r.pos += 1;
+                return Ok(b as u128);
+            }
+            let mut x = 0u128;
+            for i in 0..max_bytes {
+                let b = *r.buf.get(r.pos).ok_or_else(|| truncated(what))?;
+                r.pos += 1;
+                let (group, shift) = ((b & 0x7f) as u128, 7 * i as u32);
+                if (group << shift) >> shift != group {
+                    return Err(too_large(what));
+                }
+                x |= group << shift;
+                if b & 0x80 == 0 {
+                    return Ok(x);
+                }
+            }
+            Err(LggError::corrupt(format!(
+                "{what} varint longer than {max_bytes} bytes"
+            )))
+        }
+
+        fn reference_u64(r: &mut Reader<'_>) -> Result<u64, LggError> {
+            u64::try_from(reference_varint(r, U64_MAX_BYTES, "u64")?).map_err(|_| too_large("u64"))
+        }
+
+        fn reference_u32(r: &mut Reader<'_>) -> Result<u32, LggError> {
+            u32::try_from(reference_u64(r)?).map_err(|_| too_large("u32"))
+        }
+
+        /// Reads the whole of `bytes` as a run of values with both
+        /// readers, comparing each value or error message and the reader
+        /// position after it; stops at the first error.
+        fn same_reads<T: PartialEq + std::fmt::Debug>(
+            bytes: &[u8],
+            read: fn(&mut Reader<'_>) -> Result<T, LggError>,
+            reference: fn(&mut Reader<'_>) -> Result<T, LggError>,
+        ) -> Result<(), TestCaseError> {
+            let (mut a, mut b) = (Reader::new(bytes), Reader::new(bytes));
+            while a.remaining() > 0 {
+                let (got, want) = (read(&mut a), reference(&mut b));
+                prop_assert_eq!(a.pos, b.pos, "position on {:02x?}", bytes);
+                match (got, want) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+                    (Err(x), Err(y)) => {
+                        prop_assert_eq!(x.to_string(), y.to_string());
+                        break;
+                    }
+                    (x, y) => {
+                        return Err(TestCaseError::fail(format!(
+                            "{x:?} != {y:?} on {bytes:02x?}"
+                        )))
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn u64_reader_equals_the_reference(seed in any::<u64>()) {
+                // Varint-shaped runs of 1 to 12 bytes whose last byte is
+                // often 0..=3 (the edge of the tenth byte), with stray
+                // raw bytes, cut at a random length: long, overlong,
+                // too-large and truncated varints all come up.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut bytes = Vec::new();
+                for _ in 0..rng.random_range(1..=4u32) {
+                    let len = rng.random_range(1..=12usize);
+                    bytes.extend((1..len).map(|_| 0x80 | rng.random_range(0..0x80u8)));
+                    bytes.push(match rng.random_range(0..3u32) {
+                        0 => rng.random_range(0..4u8),
+                        1 => rng.random_range(0..0x80u8),
+                        _ => rng.random::<f64>().to_bits() as u8,
+                    });
+                }
+                bytes.truncate(rng.random_range(0..=bytes.len()));
+                same_reads(&bytes, |r| r.u64(), reference_u64)?;
+                same_reads(&bytes, |r| r.u32(), reference_u32)?;
+            }
+        }
+
+        #[test]
+        fn u64_reader_equals_the_reference_at_the_width_edges() {
+            let cont = |n: usize, last: u8| {
+                let mut v = vec![0xff; n];
+                v.push(last);
+                v
+            };
+            let mut cases = vec![cont(9, 0x00), cont(9, 0x01), cont(9, 0x02), cont(9, 0x7f)];
+            cases.extend([cont(9, 0x81), cont(10, 0x00), cont(8, 0x01), vec![0xff; 9]]);
+            cases.extend([vec![0x80, 0x00], cont(4, 0x0f), cont(4, 0x10), vec![]]);
+            for bytes in cases {
+                same_reads(&bytes, |r| r.u64(), reference_u64).unwrap();
+                same_reads(&bytes, |r| r.u32(), reference_u32).unwrap();
             }
         }
     }

@@ -10,10 +10,10 @@
 
 use mgraph::MultiGraph;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::checkpoint::wire;
 use crate::error::LggError;
+use crate::rng::Coin;
 
 /// Maintains the link-activity mask, called once at the start of each step.
 pub trait TopologyProcess {
@@ -88,18 +88,17 @@ impl TopologyProcess for MarkovTopology {
         if self.down.len() < graph.edge_count() {
             self.down.resize(graph.edge_count(), false);
         }
-        for e in 0..graph.edge_count() {
-            let protected = self.protected.get(e).copied().unwrap_or(false);
-            if protected {
-                self.down[e] = false;
-            } else if self.down[e] {
-                if rng.random_bool(self.p_repair) {
-                    self.down[e] = false;
-                }
-            } else if rng.random_bool(self.p_fail) {
-                self.down[e] = true;
+        // An unprotected link draws once whatever its state: an up link
+        // flips on a failure, a down one on a repair.
+        let flip = [Coin::new(self.p_fail), Coin::new(self.p_repair)];
+        let m = graph.edge_count();
+        for (e, (down, up)) in self.down[..m].iter_mut().zip(&mut active[..m]).enumerate() {
+            if self.protected.get(e).copied().unwrap_or(false) {
+                *down = false;
+            } else {
+                *down ^= flip[usize::from(*down)].toss(rng);
             }
-            active[e] = !self.down[e];
+            *up = !*down;
         }
     }
 

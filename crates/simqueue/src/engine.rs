@@ -147,10 +147,11 @@ fn clamp_extraction(spec: &TrafficSpec, v: NodeId, q: u64, raw: u64) -> u64 {
 }
 
 /// Queue lengths plus an occupancy bitset over them, one `u64` word per
-/// 64 nodes. Bit `v` is set for every node with `q(v) > 0`: a credit from
-/// an empty queue sets it. A debit leaves it alone; the step's closing
-/// pass, [`QueueState::settle`], drops the bits of nodes that drained, so
-/// between steps the set is exactly `{v : q(v) > 0}`.
+/// 64 nodes. Bit `v` is set for every node with `q(v) > 0`: every nonzero
+/// credit sets it, which is a no-op on a non-empty queue. A debit leaves
+/// it alone; the step's closing pass, [`QueueState::settle`], drops the
+/// bits of nodes that drained, so between steps the set is exactly
+/// `{v : q(v) > 0}`.
 struct QueueState {
     q: Vec<u64>,
     occupied: Vec<u64>,
@@ -181,9 +182,7 @@ impl QueueState {
     /// Adds `amt` packets to node `v`'s queue.
     #[inline]
     fn credit(&mut self, v: usize, amt: u64) {
-        if self.q[v] == 0 && amt > 0 {
-            self.occupied[v / 64] |= 1 << (v % 64);
-        }
+        self.occupied[v / 64] |= u64::from(amt > 0) << (v % 64);
         self.q[v] += amt;
     }
 
@@ -694,22 +693,23 @@ impl<O: SimObserver> Simulation<O> {
         }
 
         // Validate the plan in order: one packet per link, active links
-        // only, senders cannot overdraw. Invalid entries are dropped and
-        // kept aside.
+        // only, senders cannot overdraw. Invalid entries, unknown links
+        // and senders included, are dropped and kept aside. Past the two
+        // bounds checks the four tests are all evaluated (`&`, not `&&`),
+        // so none of them branches.
         self.rejected.clear();
         let mut write = 0usize;
         for read in 0..self.plan.len() {
             let tx = self.plan[read];
             let e = tx.edge.index();
             let from = tx.from.index();
-            let valid = e < self.edge_used.len()
-                && !self.edge_used[e]
-                && self.active_edges[e]
-                && (self.sent[from] as u64) < self.queues.q[from]
-                && {
-                    let (a, b) = g.endpoints(tx.edge);
-                    a == tx.from || b == tx.from
-                };
+            let valid = e < self.edge_used.len() && from < self.sent.len() && {
+                let (a, b) = g.endpoints(tx.edge);
+                !self.edge_used[e]
+                    & self.active_edges[e]
+                    & (u64::from(self.sent[from]) < self.queues.q[from])
+                    & ((a == tx.from) | (b == tx.from))
+            };
             if valid {
                 self.edge_used[e] = true;
                 self.sent[from] += 1;
@@ -746,11 +746,8 @@ impl<O: SimObserver> Simulation<O> {
             self.sent[tx.from.index()] = 0;
             self.queues.debit(tx.from.index(), 1);
             self.metrics.link_sends[tx.edge.index()] += 1;
-            if lost {
-                ledger.lost += 1;
-            } else {
-                self.queues.credit(to.index(), 1);
-            }
+            ledger.lost += u64::from(lost);
+            self.queues.credit(to.index(), u64::from(!lost));
             if let Some(ages) = &mut self.ages {
                 let born = ages.fifos[tx.from.index()]
                     .pop_front()
@@ -1379,8 +1376,9 @@ mod tests {
 
     #[test]
     fn invalid_plans_are_rejected_not_executed() {
-        /// Plans nonsense: sends from an empty node, doubles a link, and
-        /// claims a foreign endpoint.
+        /// Plans nonsense: sends from an empty node, doubles a link,
+        /// claims a foreign endpoint, and names senders past the last
+        /// node on an unused, active link.
         struct Rogue;
         impl RoutingProtocol for Rogue {
             fn name(&self) -> &'static str {
@@ -1407,7 +1405,14 @@ mod tests {
                     edge: e0,
                     from: NodeId::new(2),
                 });
-                let _ = view;
+                // nodes that do not exist, on the unused edge 1
+                let n = view.graph.node_count() as u32;
+                for from in [n, n + 5, u32::MAX] {
+                    out.push(Transmission {
+                        edge: mgraph::EdgeId::new(1),
+                        from: NodeId::new(from),
+                    });
+                }
             }
         }
         let mut sim = SimulationBuilder::new(path_spec(), Box::new(Rogue)).build();
@@ -1415,7 +1420,7 @@ mod tests {
         let m = sim.metrics();
         // Only the first source transmission on edge 0 is valid.
         assert_eq!(m.sent, 1);
-        assert_eq!(m.rejected_plans, 3);
+        assert_eq!(m.rejected_plans, 6);
         // Conservation still holds.
         let stored: u64 = sim.queues().iter().sum();
         assert_eq!(m.injected, stored + m.delivered + m.lost);

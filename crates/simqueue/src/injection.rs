@@ -15,6 +15,7 @@ use rand::Rng;
 
 use crate::checkpoint::wire;
 use crate::error::LggError;
+use crate::rng::Coin;
 
 /// Decides the injection amount for node `v` at step `t`.
 ///
@@ -133,7 +134,8 @@ impl InjectionProcess for BernoulliInjection {
     }
 
     fn amount(&mut self, _v: NodeId, _t: u64, cap: u64, rng: &mut StdRng) -> u64 {
-        (0..cap).filter(|_| rng.random_bool(self.p)).count() as u64
+        let coin = Coin::new(self.p);
+        (0..cap).map(|_| u64::from(coin.toss(rng))).sum()
     }
 }
 
@@ -250,20 +252,12 @@ impl InjectionProcess for OnOffInjection {
         if self.state.len() <= v.index() {
             self.state.resize(v.index() + 1, true);
         }
+        // One draw whatever the state: an off source flips on with
+        // `p_on`, an on one off with `p_off`.
+        let flip = [Coin::new(self.p_on), Coin::new(self.p_off)];
         let on = &mut self.state[v.index()];
-        let flip = if *on {
-            rng.random_bool(self.p_off)
-        } else {
-            rng.random_bool(self.p_on)
-        };
-        if flip {
-            *on = !*on;
-        }
-        if *on {
-            cap
-        } else {
-            0
-        }
+        *on ^= flip[usize::from(*on)].toss(rng);
+        cap * u64::from(*on)
     }
 
     fn reset(&mut self) {

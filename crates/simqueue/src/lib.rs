@@ -42,6 +42,8 @@
 
 mod ages;
 mod engine;
+#[cfg(test)]
+mod fault_reference;
 mod metrics;
 mod rng;
 mod stability;

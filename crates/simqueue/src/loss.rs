@@ -9,11 +9,11 @@
 
 use mgraph::MultiGraph;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::checkpoint::wire;
 use crate::error::LggError;
 use crate::protocol::Transmission;
+use crate::rng::Coin;
 
 /// Decides, for the whole batch of planned transmissions of one step,
 /// which are lost. `lost` arrives zero-initialized with one slot per
@@ -97,10 +97,9 @@ impl LossModel for IidLoss {
         rng: &mut StdRng,
         lost: &mut [bool],
     ) {
-        for i in 0..transmissions.len() {
-            if rng.random_bool(self.p) {
-                lost[i] = true;
-            }
+        let coin = Coin::new(self.p);
+        for l in &mut lost[..transmissions.len()] {
+            *l |= coin.toss(rng);
         }
     }
 }
@@ -128,8 +127,8 @@ impl LossModel for PerLinkLoss {
     ) {
         for (i, tx) in transmissions.iter().enumerate() {
             let p = self.p.get(tx.edge.index()).copied().unwrap_or(0.0);
-            if p > 0.0 && rng.random_bool(p) {
-                lost[i] = true;
+            if p > 0.0 {
+                lost[i] |= Coin::new(p).toss(rng);
             }
         }
     }
@@ -183,25 +182,17 @@ impl LossModel for GilbertElliottLoss {
         if self.bad.len() < graph.edge_count() {
             self.bad.resize(graph.edge_count(), false);
         }
-        // Advance every link's channel state once per step.
+        // Advance every link's channel state once per step: one draw per
+        // link, against the leaving probability of its state.
+        let flip = [Coin::new(self.p_g2b), Coin::new(self.p_b2g)];
         for b in self.bad.iter_mut() {
-            let flip = if *b {
-                rng.random_bool(self.p_b2g)
-            } else {
-                rng.random_bool(self.p_g2b)
-            };
-            if flip {
-                *b = !*b;
-            }
+            *b ^= flip[usize::from(*b)].toss(rng);
         }
-        for (i, tx) in transmissions.iter().enumerate() {
-            let p = if self.bad[tx.edge.index()] {
-                self.p_loss_bad
-            } else {
-                self.p_loss_good
-            };
-            if p > 0.0 && rng.random_bool(p) {
-                lost[i] = true;
+        // A state whose loss probability is zero draws nothing.
+        let loss = [self.p_loss_good, self.p_loss_bad].map(|p| (p > 0.0).then(|| Coin::new(p)));
+        for (l, tx) in lost.iter_mut().zip(transmissions) {
+            if let Some(coin) = loss[usize::from(self.bad[tx.edge.index()])] {
+                *l |= coin.toss(rng);
             }
         }
     }

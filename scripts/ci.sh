@@ -54,6 +54,18 @@ echo "$CHAOS_1"
     echo "ci: chaos campaign diverged across LGG_THREADS: '$CHAOS_1' vs '$CHAOS_4'" >&2
     exit 1
 }
+# The same at the benchmark's campaign size (32 trials x 4000 steps),
+# where the random fault models reach states the smoke campaign never
+# does.
+CHAOS_FULL_1="$(LGG_THREADS=1 cargo run --release -p lgg-cli -- chaos \
+    --trials 32 --steps 4000 --seed 42 --out "$(mktemp -d)" 2>/dev/null | head -1)"
+CHAOS_FULL_4="$(LGG_THREADS=4 cargo run --release -p lgg-cli -- chaos \
+    --trials 32 --steps 4000 --seed 42 --out "$(mktemp -d)" 2>/dev/null | head -1)"
+echo "$CHAOS_FULL_1"
+[ "$CHAOS_FULL_1" = "$CHAOS_FULL_4" ] || {
+    echo "ci: full-size chaos campaign diverged across LGG_THREADS: '$CHAOS_FULL_1' vs '$CHAOS_FULL_4'" >&2
+    exit 1
+}
 
 # Reproducer replay: the checked-in shrunk reproducer (a planted
 # conservation fault) must still re-trigger its recorded violation at the

@@ -222,8 +222,8 @@ impl Oracle {
         }
 
         // 4. Planning over all of V, then validation in plan order: a
-        // link carries at most one packet, inactive links none, and no
-        // sender overdraws its queue.
+        // link carries at most one packet, inactive links none, no sender
+        // overdraws its queue, and links and senders must exist.
         let all: Vec<NodeId> = g.nodes().collect();
         let mut plan = Vec::new();
         p.protocol.plan(
@@ -244,6 +244,7 @@ impl Oracle {
         for tx in plan {
             let e = tx.edge.index();
             let ok = e < used.len()
+                && tx.from.index() < budget.len()
                 && !used[e]
                 && self.active_edges[e]
                 && budget[tx.from.index()] > 0

@@ -5,10 +5,14 @@
 //! assembled — field order, nesting, a component's record — moves a
 //! digest here; a change that keeps the bytes, such as a new way to store
 //! or copy them, must not.
+//!
+//! Also pinned: the `run_chaos` digest of two full-size campaigns
+//! (32 trials × 4 000 steps, the size the `chaos-campaign` benchmark
+//! runs), long enough for the random fault models to visit their states.
 
 use std::fs;
 
-use lgg_cli::{Scenario, SimOverrides};
+use lgg_cli::{run_chaos, ChaosConfig, Scenario, SimOverrides};
 use simqueue::checkpoint::fnv1a;
 use simqueue::{GuardConfig, InvariantGuard};
 
@@ -86,4 +90,25 @@ fn checkpoint_payload_digests_are_pinned() {
         .map(|(run, d)| format!("    (\"{run}\", 0x{d:016x}),\n"))
         .collect();
     assert_eq!(got, PINNED, "payload digests moved; now:\n{table}");
+}
+
+/// `(campaign seed, digest)` of `lgg-sim chaos --trials 32 --steps 4000`.
+const CHAOS_PINNED: &[(u64, &str)] = &[(42, "313e133ad71022fb"), (43, "f50cd8ff0d118fe8")];
+
+#[test]
+fn full_size_chaos_campaign_digests_are_pinned() {
+    for &(seed, want) in CHAOS_PINNED {
+        let out_dir =
+            std::env::temp_dir().join(format!("lgg_contract_chaos_{}", std::process::id()));
+        let report = run_chaos(&ChaosConfig {
+            trials: 32,
+            seed,
+            steps: 4_000,
+            out_dir: out_dir.display().to_string(),
+            inject_fault: None,
+        })
+        .unwrap();
+        assert_eq!(report.violations, 0, "seed {seed}");
+        assert_eq!(report.digest, want, "seed {seed}");
+    }
 }

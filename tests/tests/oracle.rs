@@ -148,7 +148,8 @@ fn pipeline_matches_oracle_warm_start() {
 #[test]
 fn invalid_plans_match_oracle() {
     /// Plans nonsense: sends from an empty node, doubles a link, claims a
-    /// foreign endpoint and names an edge that does not exist.
+    /// foreign endpoint, names an edge that does not exist, and names
+    /// senders that do not exist on links that do.
     struct Rogue;
     impl RoutingProtocol for Rogue {
         fn name(&self) -> &'static str {
@@ -160,6 +161,7 @@ fn invalid_plans_match_oracle() {
                 from: NodeId::new(v),
             };
             out.extend([tx(0, 1), tx(0, 0), tx(0, 0), tx(0, 2), tx(1, 1), tx(9, 0)]);
+            out.extend([tx(1, 8), tx(0, u32::MAX)]);
         }
     }
     assert_matches_oracle(|| Parts::new(path_spec(), Box::new(Rogue)), 50);
