@@ -5,7 +5,9 @@
 //! any bad input ends in [`LggError::Usage`], which names the command and
 //! the flag and ends with the command's usage line. That line and
 //! `--help` ([`help`]) are generated from the same rows, so they cannot
-//! drift from what the parser accepts.
+//! drift from what the parser accepts. `--help` (or `-h`) is one rule for
+//! every row: [`main`] prints the selected command's usage and what it
+//! does, and exits 0.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -51,7 +53,7 @@ pub struct Command {
 #[rustfmt::skip]
 pub const LGG_SIM: &[Command] = &[
     Command { program: "lgg-sim", name: "", operand: "SCENARIO.json", max_operands: 1,
-        flags: &[Flag("--json", Switch), Flag("--template", Switch), Flag("--help|-h", Switch)],
+        flags: &[Flag("--json", Switch), Flag("--template", Switch)],
         about: "run a scenario file (topology, sources/sinks/R-generalized nodes, protocol, \
             arrivals, loss, topology dynamics, lying/extraction policies, steps, seed, age \
             tracking) and print its report; --template prints a starter scenario" },
@@ -91,7 +93,7 @@ pub const LGG_SIM: &[Command] = &[
 #[rustfmt::skip]
 pub const EXPERIMENTS: &[Command] = &[
     Command { program: "experiments", name: "", operand: "[IDS...|all]", max_operands: usize::MAX,
-        flags: &[Flag("--quick|-q", Switch), Flag("--out|-o DIR", Text), Flag("--help|-h", Switch)],
+        flags: &[Flag("--quick|-q", Switch), Flag("--out|-o DIR", Text)],
         about: "run the experiments; --quick shrinks step counts (CI mode); --out writes \
             per-experiment .md/.json and a combined report" },
 ];
@@ -103,6 +105,12 @@ impl Command {
         let words = head.filter(|s| !s.is_empty()).map(String::from);
         let flags = self.flags.iter().map(|f| format!("[{}]", f.0));
         wrap(first, first.len() + 4, words.chain(flags))
+    }
+
+    /// The usage line after `first`, then what the command does.
+    fn described(&self, first: &str) -> String {
+        let about = wrap("      ", 6, self.about.split_whitespace().map(String::from));
+        format!("{}\n{about}\n", self.usage(first))
     }
 }
 
@@ -127,8 +135,7 @@ fn wrap(first: &str, indent: usize, words: impl Iterator<Item = String>) -> Stri
 pub fn help(title: &str, table: &[Command]) -> String {
     let mut out = format!("{title}\n\nUSAGE:\n");
     for c in table {
-        let about = wrap("      ", 6, c.about.split_whitespace().map(String::from));
-        out += &format!("{}\n{about}\n", c.usage("  "));
+        out += &c.described("  ");
     }
     out
 }
@@ -140,11 +147,14 @@ pub struct Args {
     /// Each given flag's value under its first spelling ("" for a switch).
     values: BTreeMap<&'static str, String>,
     operands: Vec<String>,
+    /// `--help` or `-h` was given: the rest of the line is not read.
+    help: bool,
 }
 
 /// Reads `argv` (without the binary name) against `table`: the first
 /// argument selects a row by name, else the first row, the bare path,
-/// takes every argument. A repeated flag keeps its last value.
+/// takes every argument. A repeated flag keeps its last value, and
+/// `--help` or `-h` ends the line for any row.
 pub fn parse(table: &'static [Command], argv: &[String]) -> Result<Args, LggError> {
     let named = table[1..]
         .iter()
@@ -157,6 +167,7 @@ pub fn parse(table: &'static [Command], argv: &[String]) -> Result<Args, LggErro
         command,
         values: BTreeMap::new(),
         operands: Vec::new(),
+        help: false,
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -166,6 +177,10 @@ pub fn parse(table: &'static [Command], argv: &[String]) -> Result<Args, LggErro
             }
             args.operands.push(a.clone());
             continue;
+        }
+        if a == "--help" || a == "-h" {
+            args.help = true;
+            break;
         }
         let unknown = || args.usage_error(format!("unknown flag {a}"));
         let flag = command
@@ -284,9 +299,22 @@ pub fn write_stdout(text: impl AsRef<[u8]>) -> Result<(), LggError> {
         .map_err(|e| LggError::io("cannot write to stdout", e))
 }
 
-/// A binary's exit: the code it chose, or the error printed to stderr and
-/// its [`LggError::exit_code`].
-pub fn exit(result: Result<ExitCode, LggError>) -> ExitCode {
+/// A binary's `main`: reads its command line against `table` and runs
+/// `body` on it, or, when help was asked for, prints the selected row's
+/// help (for the bare row, the binary's [`help`] under `title`). Exits
+/// with the code `body` chose, 0 after help, or an error's
+/// [`LggError::exit_code`] after printing it to stderr.
+pub fn main(
+    table: &'static [Command],
+    title: &str,
+    body: impl FnOnce(&Args) -> Result<ExitCode, LggError>,
+) -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = parse(table, &argv).and_then(|a| match (a.help, a.command.name) {
+        (false, _) => body(&a),
+        (true, "") => write_stdout(help(title, table)).map(|()| ExitCode::SUCCESS),
+        (true, _) => write_stdout(a.command.described("usage: ")).map(|()| ExitCode::SUCCESS),
+    });
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
         ExitCode::from(e.exit_code())
@@ -302,7 +330,6 @@ mod tests {
     const PINNED: &[(&str, &str, &str, Kind)] = &[
         ("lgg-sim", "", "--json", Switch),
         ("lgg-sim", "", "--template", Switch),
-        ("lgg-sim", "", "--help|-h", Switch),
         ("lgg-sim", "run", "--steps N", Uint(0)),
         ("lgg-sim", "run", "--checkpoint-every N", Uint(1)),
         ("lgg-sim", "run", "--checkpoint-dir DIR", Text),
@@ -337,7 +364,6 @@ mod tests {
         ("lgg-sim", "sweep", "--threads N", Uint(1)),
         ("experiments", "", "--quick|-q", Switch),
         ("experiments", "", "--out|-o DIR", Text),
-        ("experiments", "", "--help|-h", Switch),
     ];
 
     fn table(program: &str) -> &'static [Command] {
@@ -383,7 +409,7 @@ mod tests {
             }
         }
         assert_eq!(rows, PINNED);
-        assert_eq!(rows.len(), 38);
+        assert_eq!(rows.len(), 36);
     }
 
     #[test]
@@ -466,6 +492,26 @@ mod tests {
             let e = trace(rest).operand_unless("--smoke").unwrap_err();
             assert!(matches!(e, LggError::Usage(_)), "{e}");
             assert!(e.to_string().contains("--smoke"), "{e}");
+        }
+    }
+
+    #[test]
+    fn help_is_one_rule_for_every_row() {
+        for program in ["lgg-sim", "experiments"] {
+            for c in table(program) {
+                for flag in ["--help", "-h"] {
+                    let a = parse_cmd(program, c.name, &[flag, "--no-such-flag"]).unwrap();
+                    assert!(
+                        a.help && a.command() == c.name,
+                        "{program} {} {flag}",
+                        c.name
+                    );
+                }
+                assert!(!parse_cmd(program, c.name, &[]).unwrap().help);
+                let text = c.described("usage: ");
+                assert!(text.starts_with(&format!("usage: {program}")), "{text}");
+                assert!(text.lines().all(|l| l.len() <= 80), "{text}");
+            }
         }
     }
 

@@ -55,7 +55,7 @@ use simqueue::injection::UniformInjection;
 use simqueue::loss::{GilbertElliottLoss, IidLoss, LossModel};
 use simqueue::{
     DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NetView, NoopObserver,
-    RingRecorder, RoutingProtocol, SimObserver, SimulationBuilder, Transmission, WindowAggregator,
+    RoutingProtocol, SimObserver, SimulationBuilder, Transmission, WindowAggregator,
 };
 
 use crate::sweep::SweepReport;
@@ -145,7 +145,7 @@ pub struct GuardBench {
 }
 
 /// Observer overhead on one case: the production disabled path against
-/// two live observers, same step count for all three legs.
+/// a live window aggregator, same step count for both legs.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ObserverBench {
     /// Suite case the overhead is measured on.
@@ -159,15 +159,10 @@ pub struct ObserverBench {
     /// ignores the step records). This is the leg the 2% regression gate
     /// watches.
     pub off: EngineThroughput,
-    /// In-memory [`RingRecorder`], capacity 4096 — every step record is
-    /// rendered into trace events and most are retained.
-    pub ring: EngineThroughput,
     /// [`WindowAggregator`] with window 256 — every step record is folded
     /// into running aggregates (the experiments-driver configuration); it
     /// renders no events.
     pub window: EngineThroughput,
-    /// `ring.steps_per_sec / off.steps_per_sec`.
-    pub ring_vs_off: f64,
     /// `window.steps_per_sec / off.steps_per_sec`.
     pub window_vs_off: f64,
 }
@@ -353,11 +348,10 @@ fn overhead_case() -> Result<(String, Scenario, u64, TrafficSpec), LggError> {
 /// dead-code elimination.
 pub fn observer_bench() -> Result<ObserverBench, LggError> {
     let (name, sc, steps, spec) = overhead_case()?;
-    eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x3 observers)...");
-    let [off, ring, window] = time_interleaved(
+    eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x2 observers)...");
+    let [off, window] = time_interleaved(
         [
             &mut leg(|| sc.build(bench_overrides())),
-            &mut leg(|| sc.build_with_observer(bench_overrides(), RingRecorder::new(4096))),
             &mut leg(|| sc.build_with_observer(bench_overrides(), WindowAggregator::new(256))),
         ],
         steps,
@@ -368,9 +362,7 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
         case: name,
         steps,
         off,
-        ring,
         window,
-        ring_vs_off: round(ring.steps_per_sec / off.steps_per_sec, 3),
         window_vs_off: round(window.steps_per_sec / off.steps_per_sec, 3),
     })
 }
@@ -984,10 +976,9 @@ mod tests {
         assert_eq!(obs.case, "grid-16x16-steady");
         assert_eq!(obs.steps, 50_000);
         assert!(obs.off.steps_per_sec > 0.0);
-        assert!(obs.ring.steps_per_sec > 0.0);
         assert!(obs.window.steps_per_sec > 0.0);
-        let ring_vs_off = obs.ring.steps_per_sec / obs.off.steps_per_sec;
-        assert!((obs.ring_vs_off - ring_vs_off).abs() <= 0.0005 + 1e-9);
+        let window_vs_off = obs.window.steps_per_sec / obs.off.steps_per_sec;
+        assert!((obs.window_vs_off - window_vs_off).abs() <= 0.0005 + 1e-9);
 
         // So is the guard-overhead leg.
         let g = report.guard.as_ref().expect("guard section");
@@ -1098,9 +1089,7 @@ mod tests {
             case: "grid-16x16-steady".into(),
             steps: 50_000,
             off: tp(off_sps),
-            ring: tp(off_sps * 0.8),
             window: tp(off_sps * 0.9),
-            ring_vs_off: 0.8,
             window_vs_off: 0.9,
         });
         BenchReport {

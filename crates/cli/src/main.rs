@@ -33,17 +33,15 @@ const TEMPLATE: &str = r#"{
 }"#;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    args::exit(
-        args::parse(args::LGG_SIM, &argv).and_then(|a| match a.command() {
-            "run" => run_cmd(&a),
-            "chaos" => chaos_cmd(&a),
-            "bench" => bench_cmd(&a),
-            "trace" => trace_cmd(&a),
-            "sweep" => sweep_cmd(&a),
-            _ => scenario_cmd(&a),
-        }),
-    )
+    let title = "lgg-sim — run an LGG-routing scenario from a JSON file";
+    args::main(args::LGG_SIM, title, |a| match a.command() {
+        "run" => run_cmd(a),
+        "chaos" => chaos_cmd(a),
+        "bench" => bench_cmd(a),
+        "trace" => trace_cmd(a),
+        "sweep" => sweep_cmd(a),
+        _ => scenario_cmd(a),
+    })
 }
 
 fn read_scenario(path: &str) -> Result<Scenario, LggError> {
@@ -52,12 +50,9 @@ fn read_scenario(path: &str) -> Result<Scenario, LggError> {
     Scenario::from_json(&text)
 }
 
-/// The bare path: `--help`, `--template`, or run a scenario file.
+/// The bare path: `--template`, or run a scenario file.
 fn scenario_cmd(a: &Args) -> Result<ExitCode, LggError> {
-    if a.switch("--help") {
-        let title = "lgg-sim — run an LGG-routing scenario from a JSON file";
-        write_stdout(args::help(title, args::LGG_SIM))?;
-    } else if a.switch("--template") {
+    if a.switch("--template") {
         write_stdout(format!("{TEMPLATE}\n"))?;
     } else {
         let report = run_scenario(&read_scenario(a.operand()?)?)?;
@@ -205,14 +200,8 @@ fn bench_cmd(a: &Args) -> Result<ExitCode, LggError> {
     }
     if let Some(obs) = &report.observer {
         text += &format!(
-            "observer overhead on {}: off {:.1} steps/s  ring {:.1} ({:.3} of off)  \
-             window {:.1} ({:.3} of off)\n",
-            obs.case,
-            obs.off.steps_per_sec,
-            obs.ring.steps_per_sec,
-            obs.ring_vs_off,
-            obs.window.steps_per_sec,
-            obs.window_vs_off
+            "observer overhead on {}: off {:.1} steps/s  window {:.1} ({:.3} of off)\n",
+            obs.case, obs.off.steps_per_sec, obs.window.steps_per_sec, obs.window_vs_off
         );
     }
     if let Some(g) = &report.guard {

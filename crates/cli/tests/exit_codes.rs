@@ -1,6 +1,7 @@
 //! `lgg-sim`'s process exit codes, checked on the built binary: a bad
 //! command line exits with the usage code, an unreadable input or a
-//! closed stdout with the I/O code, whichever subcommand met it.
+//! closed stdout with the I/O code, whichever subcommand met it, and
+//! `--help` on any subcommand with 0.
 
 use std::process::{Command, Stdio};
 
@@ -27,6 +28,24 @@ fn bad_command_lines_exit_with_the_usage_code() {
     assert_eq!(exit_code(&[]), USAGE);
     // Flag combinations are checked before the scenario is read.
     assert_eq!(exit_code(&["run", "missing.json", "--resume"]), USAGE);
+}
+
+#[test]
+fn help_on_any_subcommand_prints_its_usage_and_exits_zero() {
+    for (args, usage) in [
+        (&["run", "--help"][..], "usage: lgg-sim run SCENARIO.json"),
+        (&["chaos", "--help"], "usage: lgg-sim chaos [--smoke]"),
+        (
+            &["trace", "x.json", "-h"],
+            "usage: lgg-sim trace [SCENARIO.json]",
+        ),
+        (&["--help"], "lgg-sim SCENARIO.json"),
+    ] {
+        let out = lgg_sim(args).stdout(Stdio::piped()).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(stdout.contains(usage), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

@@ -340,9 +340,6 @@ pub(crate) fn downhill_keys<K: PlanKey>(
 }
 
 #[cfg(test)]
-mod plan_reference;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use mgraph::generators;

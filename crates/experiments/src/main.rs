@@ -20,17 +20,14 @@ use lgg_cli::args::{self, write_stdout, Args};
 use lgg_cli::LggError;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    args::exit(args::parse(args::EXPERIMENTS, &argv).and_then(|a| run(&a)))
+    let title = format!(
+        "experiments — regenerate the figures/claims of the IPPS 2010 LGG paper\nIDS: {}",
+        ALL_IDS.join(", ")
+    );
+    args::main(args::EXPERIMENTS, &title, run)
 }
 
 fn run(a: &Args) -> Result<ExitCode, LggError> {
-    if a.switch("--help") {
-        let title = "experiments — regenerate the figures/claims of the IPPS 2010 LGG paper";
-        let help = args::help(title, args::EXPERIMENTS);
-        write_stdout(format!("{help}\nIDS: {}\n", ALL_IDS.join(", ")))?;
-        return Ok(ExitCode::SUCCESS);
-    }
     let ids = resolve_ids(a)?;
     let out_dir = a.text("--out");
     if let Some(dir) = &out_dir {

@@ -43,3 +43,15 @@ fn a_closed_stdout_is_an_io_error_not_a_panic() {
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn help_prints_the_usage_and_ids_and_exits_zero() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["e1", "-h"])
+        .output()
+        .expect("spawn experiments");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("experiments [IDS...|all]"), "{stdout}");
+    assert!(stdout.contains("IDS: fig1,"), "{stdout}");
+}

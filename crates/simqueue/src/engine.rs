@@ -604,8 +604,8 @@ impl<O: SimObserver> Simulation<O> {
         &self.observer
     }
 
-    /// Mutable access to the observer (e.g. to drain a
-    /// [`RingRecorder`](crate::RingRecorder) mid-run).
+    /// Mutable access to the observer (e.g. to drain what it collected
+    /// mid-run).
     pub fn observer_mut(&mut self) -> &mut O {
         &mut self.observer
     }
@@ -1087,9 +1087,19 @@ mod tests {
     use crate::injection::{BernoulliInjection, ScaledInjection};
     use crate::loss::IidLoss;
     use crate::protocol::NullProtocol;
-    use crate::trace::TraceEvent;
+    use crate::trace::{TraceEvent, TraceRenderer};
     use mgraph::generators;
     use netmodel::TrafficSpecBuilder;
+
+    /// Collects the trace rendered from every step record.
+    #[derive(Default)]
+    struct Events(TraceRenderer, Vec<TraceEvent>);
+
+    impl SimObserver for Events {
+        fn on_step(&mut self, step: &StepRecord<'_>) {
+            self.0.render(step, |ev| self.1.push(ev));
+        }
+    }
 
     fn path_spec() -> TrafficSpec {
         TrafficSpecBuilder::new(generators::path(3))
@@ -1197,7 +1207,6 @@ mod tests {
         // The DeclarationPolicy contract: one call per special node per
         // step, in ascending node order, and none at a relay. The policy
         // always claims 99, so every lie reported is the clamp's R = 3.
-        use crate::trace::RingRecorder;
         use std::{cell::RefCell, rc::Rc};
         struct Recording(Rc<RefCell<Vec<(u64, usize)>>>);
         impl DeclarationPolicy for Recording {
@@ -1226,13 +1235,13 @@ mod tests {
         let calls = Rc::new(RefCell::new(Vec::new()));
         let mut sim = SimulationBuilder::new(spec, Box::new(TestGreedy))
             .declaration(Box::new(Recording(Rc::clone(&calls))))
-            .observer(RingRecorder::new(usize::MAX))
+            .observer(Events::default())
             .build();
         sim.run(20);
         let expected: Vec<(u64, usize)> =
             (0..20).flat_map(|t| [0, 5, 15].map(|v| (t, v))).collect();
         assert_eq!(*calls.borrow(), expected);
-        let events = sim.into_observer().take();
+        let events = sim.into_observer().1;
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::DeclarationLie { .. })));
@@ -1254,7 +1263,6 @@ mod tests {
         // The event stream is part of the observable outcome: on this
         // workload it must carry injections, lies, transmissions, losses
         // and extractions, and close every step with exactly one sample.
-        use crate::trace::RingRecorder;
         let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
             .generalized(0, 3, 1)
             .generalized(15, 1, 3)
@@ -1266,10 +1274,10 @@ mod tests {
             .extraction(Box::new(LazyExtraction))
             .loss(Box::new(IidLoss::new(0.2)))
             .seed(11)
-            .observer(RingRecorder::new(usize::MAX))
+            .observer(Events::default())
             .build();
         sim.run(200);
-        let events = sim.into_observer().take();
+        let events = sim.into_observer().1;
         let has = |f: fn(&TraceEvent) -> bool| events.iter().any(f);
         assert!(has(|e| matches!(e, TraceEvent::Injection { .. })));
         assert!(has(|e| matches!(e, TraceEvent::DeclarationLie { .. })));
@@ -1293,7 +1301,6 @@ mod tests {
     fn observer_does_not_perturb_trajectory() {
         // Observed and unobserved runs of the same seed must agree on
         // every metric — rendering events consumes no randomness.
-        use crate::trace::RingRecorder;
         let base = || {
             SimulationBuilder::new(path_spec(), Box::new(TestGreedy))
                 .loss(Box::new(IidLoss::new(0.2)))
@@ -1302,11 +1309,11 @@ mod tests {
         };
         let mut plain = base().build();
         plain.run(300);
-        let mut observed = base().observer(RingRecorder::new(64)).build();
+        let mut observed = base().observer(Events::default()).build();
         observed.run(300);
         assert_eq!(plain.queues(), observed.queues());
         assert_eq!(plain.metrics(), observed.metrics());
-        assert!(observed.observer().total_seen() > 0);
+        assert!(!observed.observer().1.is_empty());
     }
 
     #[test]

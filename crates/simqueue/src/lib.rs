@@ -42,8 +42,6 @@
 
 mod ages;
 mod engine;
-#[cfg(test)]
-mod fault_reference;
 mod metrics;
 mod rng;
 mod stability;
@@ -74,8 +72,8 @@ pub use protocol::{NetView, RoutingProtocol, Transmission};
 pub use rng::split_seed;
 pub use stability::{assess_stability, OnlineStability, StabilityReport, StabilityVerdict};
 pub use trace::{
-    Declaration, JsonlSink, NodeAmount, NoopObserver, RingRecorder, SimObserver, StepRecord,
-    TraceEvent, TraceRenderer, WindowAggregator, WindowStats,
+    Declaration, JsonlSink, NodeAmount, NoopObserver, SimObserver, StepRecord, TraceEvent,
+    TraceRenderer, WindowAggregator, WindowStats,
 };
 
 /// The stable import surface in one line: `use simqueue::prelude::*`.

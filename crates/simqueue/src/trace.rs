@@ -15,7 +15,7 @@
 //! The trace is a rendering of the records. [`TraceRenderer`] turns each
 //! record into [`TraceEvent`]s, one per state change of the seven step
 //! phases documented on the crate root, in a fixed deterministic order;
-//! [`JsonlSink`] and [`RingRecorder`] each own one:
+//! [`JsonlSink`] owns one, and tests collect its output:
 //!
 //! | phase | events |
 //! |-------|--------|
@@ -38,7 +38,6 @@
 //! assumed: `lgg-sim bench` has an observer-overhead section persisted in
 //! `BENCH_throughput.json`, and CI fails if the disabled path regresses).
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
@@ -345,203 +344,6 @@ impl TraceRenderer {
             active: l.active,
         });
     }
-}
-
-/// In-memory recorder keeping the most recent `capacity` events — the
-/// "flight recorder" for tests and post-mortem debugging of instability
-/// onsets.
-#[derive(Debug, Clone)]
-pub struct RingRecorder {
-    capacity: usize,
-    buf: VecDeque<TraceEvent>,
-    seen: u64,
-    renderer: TraceRenderer,
-}
-
-impl RingRecorder {
-    /// A recorder holding at most `capacity` events (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        RingRecorder {
-            capacity: capacity.max(1),
-            // Grown on demand: `usize::MAX` is a valid "keep everything"
-            // capacity and must not preallocate.
-            buf: VecDeque::with_capacity(capacity.clamp(1, 1024)),
-            seen: 0,
-            renderer: TraceRenderer::new(),
-        }
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number held right now (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever observed, including evicted ones.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Drains the buffer, oldest first.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
-    }
-}
-
-impl SimObserver for RingRecorder {
-    fn on_step(&mut self, step: &StepRecord<'_>) {
-        self.renderer.render(step, |ev| {
-            if self.buf.len() == self.capacity {
-                self.buf.pop_front();
-            }
-            self.buf.push_back(ev);
-            self.seen += 1;
-        });
-    }
-
-    fn save_state(&mut self, out: &mut Vec<u8>) {
-        wire::put_u64(out, self.capacity as u64);
-        wire::put_u64(out, self.seen);
-        wire::put_bool_slice(out, &self.renderer.links);
-        wire::put_u64(out, self.buf.len() as u64);
-        for ev in &self.buf {
-            put_event(out, ev);
-        }
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), LggError> {
-        let mut r = wire::Reader::new(bytes);
-        let capacity = usize::try_from(r.u64()?).unwrap_or(0);
-        let seen = r.u64()?;
-        let links = r.bool_vec()?;
-        let buf = VecDeque::from(r.seq(EVENT_MIN_BYTES, read_event)?);
-        r.done()?;
-        if capacity == 0 || buf.len() > capacity || buf.len() as u64 > seen {
-            return Err(LggError::corrupt(format!(
-                "ring recorder: {} of {capacity} events, {seen} seen",
-                buf.len()
-            )));
-        }
-        *self = RingRecorder {
-            capacity,
-            buf,
-            seen,
-            renderer: TraceRenderer { links },
-        };
-        Ok(())
-    }
-}
-
-/// Fewest bytes an event takes on the wire: its kind, its step and one
-/// more field, one varint byte each.
-const EVENT_MIN_BYTES: usize = 3;
-
-/// Appends an event as its kind code (the variant's position), then its
-/// fields in declaration order, all varints.
-fn put_event(out: &mut Vec<u8>, ev: &TraceEvent) {
-    let mut put = |fields: &[u128]| {
-        for &x in fields {
-            wire::put_u128(out, x);
-        }
-    };
-    match *ev {
-        TraceEvent::LinkUp { t, edge } => put(&[0, t.into(), edge.into()]),
-        TraceEvent::LinkDown { t, edge } => put(&[1, t.into(), edge.into()]),
-        TraceEvent::Injection { t, node, amount } => {
-            put(&[2, t.into(), node.into(), amount.into()])
-        }
-        TraceEvent::DeclarationLie {
-            t,
-            node,
-            true_q,
-            declared,
-        } => put(&[3, t.into(), node.into(), true_q.into(), declared.into()]),
-        TraceEvent::PlanRejected { t, edge, from } => put(&[4, t.into(), edge.into(), from.into()]),
-        TraceEvent::Transmission { t, edge, from, to } => {
-            put(&[5, t.into(), edge.into(), from.into(), to.into()])
-        }
-        TraceEvent::Loss { t, edge, from } => put(&[6, t.into(), edge.into(), from.into()]),
-        TraceEvent::Extraction { t, node, amount } => {
-            put(&[7, t.into(), node.into(), amount.into()])
-        }
-        TraceEvent::Sample {
-            t,
-            pt,
-            total,
-            max_queue,
-            active,
-        } => put(&[
-            8,
-            t.into(),
-            pt,
-            total.into(),
-            max_queue.into(),
-            active.into(),
-        ]),
-    }
-}
-
-/// Reads what [`put_event`] wrote.
-fn read_event(r: &mut wire::Reader<'_>) -> Result<TraceEvent, LggError> {
-    let code = r.u32()?;
-    let t = r.u64()?;
-    Ok(match code {
-        0 => TraceEvent::LinkUp { t, edge: r.u32()? },
-        1 => TraceEvent::LinkDown { t, edge: r.u32()? },
-        2 => TraceEvent::Injection {
-            t,
-            node: r.u32()?,
-            amount: r.u64()?,
-        },
-        3 => TraceEvent::DeclarationLie {
-            t,
-            node: r.u32()?,
-            true_q: r.u64()?,
-            declared: r.u64()?,
-        },
-        4 => TraceEvent::PlanRejected {
-            t,
-            edge: r.u32()?,
-            from: r.u32()?,
-        },
-        5 => TraceEvent::Transmission {
-            t,
-            edge: r.u32()?,
-            from: r.u32()?,
-            to: r.u32()?,
-        },
-        6 => TraceEvent::Loss {
-            t,
-            edge: r.u32()?,
-            from: r.u32()?,
-        },
-        7 => TraceEvent::Extraction {
-            t,
-            node: r.u32()?,
-            amount: r.u64()?,
-        },
-        8 => TraceEvent::Sample {
-            t,
-            pt: r.u128()?,
-            total: r.u64()?,
-            max_queue: r.u64()?,
-            active: r.u64()?,
-        },
-        code => {
-            return Err(LggError::corrupt(format!(
-                "unknown trace event kind {code}"
-            )))
-        }
-    })
 }
 
 /// Streams the rendered events as JSON Lines — one object per event,
@@ -1316,65 +1118,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent() {
-        let mut r = RingRecorder::new(3);
-        for t in 0..5 {
-            r.on_step(&quiet_step(t, 0).record());
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.total_seen(), 5);
-        let ts: Vec<u64> = r.events().map(|e| e.t()).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-        assert_eq!(r.take().len(), 3);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn ring_snapshot_round_trips_every_event_kind() {
-        let mut ring = RingRecorder::new(64);
-        busy_step().feed(&mut ring);
-        Crafted::at(6).feed(&mut ring); // link 1 comes back up
-        let mut bytes = Vec::new();
-        ring.save_state(&mut bytes);
-        let mut back = RingRecorder::new(1);
-        back.load_state(&bytes).unwrap();
-        assert!(back.events().eq(ring.events()));
-        assert!(back
-            .events()
-            .any(|e| matches!(e, TraceEvent::LinkUp { .. })));
-        assert_eq!(
-            (back.capacity, back.total_seen(), &back.renderer),
-            (64, ring.total_seen(), &ring.renderer)
-        );
-
-        for cut in 0..bytes.len() {
-            let err = RingRecorder::new(1).load_state(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, LggError::CheckpointCorrupt { .. }),
-                "cut {cut}: {err}"
-            );
-        }
-        // Capacity, then the count seen, the link mask and the event
-        // count; the first event's kind follows.
-        let mut r = wire::Reader::new(&bytes);
-        let (capacity, seen) = (r.u64().unwrap(), r.u64().unwrap());
-        assert_eq!((capacity, seen), (64, ring.total_seen()));
-        r.bool_vec().unwrap();
-        let count_at = bytes.len() - r.remaining();
-        r.u64().unwrap();
-        let kind_at = bytes.len() - r.remaining();
-        for forged in [
-            with_varint(&bytes, 0, 0),
-            with_varint(&bytes, 0, 2),
-            with_varint(&bytes, count_at, u64::MAX),
-            with_varint(&bytes, kind_at, 9),
-        ] {
-            let err = RingRecorder::new(1).load_state(&forged).unwrap_err();
-            assert!(matches!(err, LggError::CheckpointCorrupt { .. }), "{err}");
-        }
-    }
-
-    #[test]
     fn jsonl_lines_parse_back() {
         let mut sink = JsonlSink::new(Vec::new());
         let mut step = Crafted::at(0);
@@ -1604,197 +1347,5 @@ pub(crate) mod tests {
         assert_eq!(qh_bucket(4), 3);
         assert_eq!(qh_bucket(7), 3);
         assert_eq!(qh_bucket(8), 4);
-    }
-
-    /// The aggregator as it was before closed windows were kept as their
-    /// records: each window closed into a [`WindowStats`], and every save
-    /// encoded all of them again. The record store is held to it.
-    struct Reference {
-        size: u64,
-        closed: Vec<WindowStats>,
-        cur: Option<Accum>,
-    }
-
-    impl Reference {
-        fn new(size: u64) -> Self {
-            Reference {
-                size: size.max(1),
-                closed: Vec::new(),
-                cur: None,
-            }
-        }
-
-        fn on_step(&mut self, step: &StepRecord<'_>) {
-            let (l, size) = (&step.ledger, self.size);
-            let stale = match &self.cur {
-                Some(a) => l.t.checked_sub(a.index * size).is_none_or(|d| d >= size),
-                None => true,
-            };
-            if stale {
-                if let Some(a) = self.cur.take() {
-                    self.closed.push(Self::close(a, size));
-                }
-                self.cur = Some(Accum::new(l.t / size));
-            }
-            let a = self.cur.as_mut().expect("just installed");
-            a.t_end = l.t;
-            a.injected += l.injected;
-            a.delivered += l.delivered;
-            a.rejected += l.rejected;
-            a.losses += l.lost;
-            for (tx, _) in step.plan.iter().zip(step.lost).filter(|(_, &lost)| lost) {
-                let edge = tx.edge.index() as u32;
-                match a.link_losses.last_mut() {
-                    Some((e, n)) if *e == edge => *n += 1,
-                    _ => a.link_losses.push((edge, 1)),
-                }
-            }
-            a.samples += 1;
-            a.pt_min = a.pt_min.min(l.pt);
-            a.pt_max = a.pt_max.max(l.pt);
-            a.pt_sum += l.pt;
-            a.max_queue = a.max_queue.max(l.max_queue);
-            a.active_sum += l.active;
-            let b = qh_bucket(l.max_queue);
-            if a.queue_histogram.len() <= b {
-                a.queue_histogram.resize(b + 1, 0);
-            }
-            a.queue_histogram[b] += 1;
-        }
-
-        fn close(mut a: Accum, size: u64) -> WindowStats {
-            a.link_losses.sort_unstable();
-            let mut link_losses: Vec<LinkLoss> = Vec::new();
-            for (edge, lost) in a.link_losses {
-                match link_losses.last_mut() {
-                    Some(last) if last.edge == edge => last.lost += lost,
-                    _ => link_losses.push(LinkLoss { edge, lost }),
-                }
-            }
-            let samples = a.samples.max(1) as f64;
-            WindowStats {
-                t_start: a.index * size,
-                t_end: a.t_end,
-                samples: a.samples,
-                pt_min: if a.samples == 0 { 0 } else { a.pt_min },
-                pt_max: a.pt_max,
-                pt_mean: a.pt_sum as f64 / samples,
-                max_queue: a.max_queue,
-                mean_active: a.active_sum as f64 / samples,
-                injected: a.injected,
-                delivered: a.delivered,
-                losses: a.losses,
-                rejected: a.rejected,
-                link_losses,
-                queue_histogram: a.queue_histogram,
-            }
-        }
-
-        fn finish(&mut self) {
-            if let Some(a) = self.cur.take() {
-                self.closed.push(Self::close(a, self.size));
-            }
-        }
-
-        fn save_state(&self) -> Vec<u8> {
-            let mut out = Vec::new();
-            wire::put_u64(&mut out, self.size);
-            wire::put_u64(&mut out, self.closed.len() as u64);
-            for w in &self.closed {
-                wire::put_u64(&mut out, w.t_start);
-                wire::put_u64(&mut out, w.t_end);
-                wire::put_u64(&mut out, w.samples);
-                wire::put_u128(&mut out, w.pt_min);
-                wire::put_u128(&mut out, w.pt_max);
-                wire::put_f64(&mut out, w.pt_mean);
-                wire::put_u64(&mut out, w.max_queue);
-                wire::put_f64(&mut out, w.mean_active);
-                for x in [w.injected, w.delivered, w.losses, w.rejected] {
-                    wire::put_u64(&mut out, x);
-                }
-                put_link_losses(&mut out, w.link_losses.iter().map(|l| (l.edge, l.lost)));
-                wire::put_u64_slice(&mut out, &w.queue_histogram);
-            }
-            wire::put_bool(&mut out, self.cur.is_some());
-            if let Some(a) = &self.cur {
-                a.save(&mut out);
-            }
-            out
-        }
-
-        fn load_state(bytes: &[u8]) -> Self {
-            let mut r = wire::Reader::new(bytes);
-            let size = r.u64().unwrap();
-            let closed = r.seq(WINDOW_MIN_BYTES, read_window).unwrap();
-            let cur = r.bool_().unwrap().then(|| Accum::load(&mut r).unwrap());
-            r.done().unwrap();
-            Reference { size, closed, cur }
-        }
-    }
-
-    fn saved(w: &mut WindowAggregator) -> Vec<u8> {
-        let mut out = Vec::new();
-        w.save_state(&mut out);
-        out
-    }
-
-    proptest::proptest! {
-        /// The store against the reference over random step records:
-        /// losses on a few edges (repeats included), empty networks, clock
-        /// gaps that skip whole windows, a save and load at a random step
-        /// (usually mid-window), and a trailing partial window. Decoded
-        /// windows and saved bytes must be equal at the cut and at the end.
-        #[test]
-        fn window_store_matches_the_reference(
-            size in 1u64..9,
-            steps in 0usize..90,
-            cut in 0usize..90,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let (mut w, mut want) = (WindowAggregator::new(size), Reference::new(size));
-            let mut t = rng.random_range(0..2 * size);
-            for i in 0..steps {
-                let mut step = Crafted::at(t);
-                for _ in 0..rng.random_range(0..4) {
-                    step.plan.push(tx(rng.random_range(0..5), 0));
-                    step.lost.push(rng.random_range(0..3) == 0);
-                }
-                let max_queue = if rng.random_range(0..4) == 0 { 0 } else { rng.random_range(1..600) };
-                step.ledger = StepLedger {
-                    t,
-                    injected: rng.random_range(0..5),
-                    delivered: rng.random_range(0..5),
-                    rejected: rng.random_range(0..2),
-                    sent: step.plan.len() as u64,
-                    lost: step.lost.iter().filter(|&&l| l).count() as u64,
-                    pt: rng.random_range(0..1u64 << 40) as u128,
-                    max_queue,
-                    active: rng.random_range(0..4),
-                    ..StepLedger::default()
-                };
-                w.on_step(&step.record());
-                want.on_step(&step.record());
-                if i == cut {
-                    let bytes = want.save_state();
-                    proptest::prop_assert_eq!(&saved(&mut w), &bytes);
-                    proptest::prop_assert_eq!(&w.windows(), &want.closed);
-                    w = WindowAggregator::new(1);
-                    w.load_state(&bytes).unwrap();
-                    want = Reference::load_state(&bytes);
-                }
-                t += match rng.random_range(0..6) {
-                    0 => rng.random_range(size..3 * size + 1),
-                    _ => 1,
-                };
-            }
-            proptest::prop_assert_eq!(&saved(&mut w), &want.save_state());
-            w.finish();
-            want.finish();
-            proptest::prop_assert_eq!(&saved(&mut w), &want.save_state());
-            proptest::prop_assert_eq!(&w.windows(), &want.closed);
-            proptest::prop_assert_eq!(&w.into_windows(), &want.closed);
-        }
     }
 }

@@ -70,12 +70,11 @@ echo "$CHAOS_FULL_1"
 # Reproducer replay: the checked-in shrunk reproducer (a planted
 # conservation fault) must still re-trigger its recorded violation at the
 # recorded step — replay exits with the invariant-violation code 9.
+status=0
 cargo run --release -p lgg-cli -- chaos \
-    --replay results/chaos/repro_conservation_fault.json && {
-    echo "ci: chaos replay: expected exit 9 (violation reproduced)" >&2
-    exit 1
-} || [ $? -eq 9 ] || {
-    echo "ci: chaos replay: expected exit 9, got $?" >&2
+    --replay results/chaos/repro_conservation_fault.json || status=$?
+[ "$status" -eq 9 ] || {
+    echo "ci: chaos replay: expected exit 9 (violation reproduced), got $status" >&2
     exit 1
 }
 
@@ -86,12 +85,11 @@ cargo run --release -p lgg-cli -- chaos \
 # fold step records, and neither renders a trace.
 for scenario in scenarios/saturated_dumbbell.json scenarios/flapping_fabric.json; do
     GUARD_DUMP="$(mktemp -d)"
+    status=0
     cargo run --release -p lgg-cli -- run "$scenario" \
-        --guard --guard-dump "$GUARD_DUMP" --inject-fault 120 --steps 500 && {
-        echo "ci: guard: $scenario: expected exit 9 on the injected fault" >&2
-        exit 1
-    } || [ $? -eq 9 ] || {
-        echo "ci: guard: $scenario: expected exit 9, got $?" >&2
+        --guard --guard-dump "$GUARD_DUMP" --inject-fault 120 --steps 500 || status=$?
+    [ "$status" -eq 9 ] || {
+        echo "ci: guard: $scenario: expected exit 9 on the injected fault, got $status" >&2
         exit 1
     }
     [ -f "$GUARD_DUMP/repro_conservation_t0.json" ] || {
@@ -108,12 +106,11 @@ done
 OVERLOAD="$(mktemp -d)"
 sed -e 's/"rate": 1$/"rate": 9/' -e 's/"kind": "window"/"kind": "off"/' \
     scenarios/flapping_fabric.json > "$OVERLOAD/overloaded.json"
+status=0
 cargo run --release -p lgg-cli -- run "$OVERLOAD/overloaded.json" \
-    --guard --guard-dump "$OVERLOAD/dump" --steps 20000 && {
-    echo "ci: guard: overloaded fabric: expected exit 9 on divergence" >&2
-    exit 1
-} || [ $? -eq 9 ] || {
-    echo "ci: guard: overloaded fabric: expected exit 9, got $?" >&2
+    --guard --guard-dump "$OVERLOAD/dump" --steps 20000 || status=$?
+[ "$status" -eq 9 ] || {
+    echo "ci: guard: overloaded fabric: expected exit 9 on divergence, got $status" >&2
     exit 1
 }
 [ -f "$OVERLOAD/dump/repro_divergence_t0.json" ] || {

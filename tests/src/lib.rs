@@ -7,11 +7,13 @@
 //! packets are staged and join their receivers only after all
 //! transmissions, and `P_t`, totals and maxima are recomputed from the
 //! queue vector every step: no accumulators, stamps or active lists. It
-//! drives the same component traits with the same seeded RNG streams, so
-//! for one configuration it must reproduce the pipeline's queues, metrics
-//! and latency statistics bit for bit. It also writes its own trace, in
-//! the documented phase order from its own scans, which must equal the
-//! events the pipeline's observers render from its step records.
+//! runs the [`reference`] components (the planners, fault models and
+//! injection processes as first written) wherever a configuration has
+//! one, with the same seeded RNG streams, so for one configuration it
+//! must reproduce the pipeline's queues, metrics and latency statistics
+//! bit for bit. It also writes its own trace, in the documented phase
+//! order from its own scans, which must equal the events rendered from
+//! the pipeline's step records.
 //!
 //! Next to it, [`EventFold`] and [`EventWindows`] rebuild from a rendered
 //! `TraceEvent` stream what the observers read from the engine's step
@@ -20,6 +22,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use lgg_cli::{DynamicsSpec, InjectionSpec, LossSpec, ProtocolSpec, Scenario};
+use lgg_core::TieBreak;
 use mgraph::NodeId;
 use netmodel::TrafficSpec;
 use rand::rngs::StdRng;
@@ -30,9 +34,17 @@ use simqueue::injection::{ExactInjection, InjectionProcess};
 use simqueue::loss::{LossModel, NoLoss};
 use simqueue::trace::LinkLoss;
 use simqueue::{
-    split_seed, Declaration, ExtractionPolicy, HistoryMode, LatencyStats, MaxExtraction, Metrics,
-    NetView, NodeAmount, RingRecorder, RoutingProtocol, Simulation, SimulationBuilder, Snapshot,
-    StepLedger, StepRecord, TraceEvent, Transmission, WindowStats,
+    assess_stability, split_seed, Declaration, ExtractionPolicy, HistoryMode, LatencyStats,
+    MaxExtraction, Metrics, NetView, NodeAmount, RoutingProtocol, SimObserver, Simulation,
+    SimulationBuilder, Snapshot, StepLedger, StepRecord, TraceEvent, TraceRenderer, Transmission,
+    WindowStats,
+};
+
+pub mod reference;
+
+use reference::{
+    ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg, ReferenceMarkov,
+    ReferenceMatchingLgg,
 };
 
 /// One run's configuration. The pipeline and the oracle each consume a
@@ -65,6 +77,57 @@ impl Parts {
             initial_queues: None,
             track_ages: false,
         }
+    }
+
+    /// The components `Scenario::build` wires into its simulation.
+    pub fn production(sc: &Scenario) -> Self {
+        let spec = sc.traffic_spec().expect("scenario builds");
+        Parts {
+            protocol: sc.protocol.build(&spec, sc.seed),
+            injection: sc.injection.build().expect("injection builds"),
+            loss: sc.loss.build().expect("loss builds"),
+            topology: sc.dynamics.build(spec.graph.edge_count()),
+            declaration: sc.declaration.build(),
+            extraction: sc.extraction.build(),
+            seed: sc.seed,
+            initial_queues: None,
+            track_ages: sc.track_ages,
+            spec,
+        }
+    }
+
+    /// What the oracle runs for `sc`: [`Parts::production`] with every
+    /// component that has a [`reference`] replaced by it.
+    pub fn reference(sc: &Scenario) -> Self {
+        let mut p = Parts::production(sc);
+        let lgg = |tie_break| Box::new(ReferenceLgg::new(tie_break, 0, sc.seed));
+        match sc.protocol {
+            ProtocolSpec::Lgg => p.protocol = lgg(TieBreak::SmallestFirst),
+            ProtocolSpec::LggRandom => p.protocol = lgg(TieBreak::Random),
+            ProtocolSpec::LggRoundRobin => p.protocol = lgg(TieBreak::RoundRobin),
+            ProtocolSpec::MatchingLgg => p.protocol = Box::<ReferenceMatchingLgg>::default(),
+            _ => {}
+        }
+        if let InjectionSpec::Bernoulli { p: prob } = sc.injection {
+            p.injection = Box::new(ReferenceBernoulli { p: prob });
+        }
+        match sc.loss {
+            LossSpec::Iid { p: prob } => p.loss = Box::new(ReferenceIid { p: prob }),
+            LossSpec::GilbertElliott {
+                p_loss_good,
+                p_loss_bad,
+                p_g2b,
+                p_b2g,
+            } => {
+                let ge = ReferenceGilbertElliott::new(p_loss_good, p_loss_bad, p_g2b, p_b2g);
+                p.loss = Box::new(ge);
+            }
+            _ => {}
+        }
+        if let DynamicsSpec::Markov { p_fail, p_repair } = sc.dynamics {
+            p.topology = Box::new(ReferenceMarkov::new(p_fail, p_repair, Vec::new()));
+        }
+        p
     }
 
     /// The step pipeline, recording every step's snapshot.
@@ -366,23 +429,36 @@ fn record(s: &mut LatencyStats, sojourn: u64) {
     s.buckets[i.min(last)] += 1;
 }
 
-/// Runs `steps` of the configuration `make` builds on both the pipeline
-/// and the oracle, and requires equal queues, metrics (every step's
-/// snapshot included) and latency statistics, and the trace a
-/// `RingRecorder` renders from the pipeline's step records to equal the
-/// oracle's own.
-pub fn assert_matches_oracle(make: impl Fn() -> Parts, steps: u64) {
-    let mut sim = make()
-        .builder()
-        .observer(RingRecorder::new(usize::MAX))
-        .build();
-    let mut oracle = Oracle::new(make());
+/// Collects the events a [`TraceRenderer`] renders from every step
+/// record: the pipeline's trace.
+#[derive(Default)]
+struct Capture {
+    renderer: TraceRenderer,
+    events: Vec<TraceEvent>,
+}
+
+impl SimObserver for Capture {
+    fn on_step(&mut self, step: &StepRecord<'_>) {
+        self.renderer.render(step, |ev| self.events.push(ev));
+    }
+}
+
+/// Runs `steps` of `pipeline` on the step pipeline and of `oracle` on the
+/// oracle, and requires equal queues, metrics (every step's snapshot
+/// included), latency statistics and stability assessments, and the
+/// trace rendered from the pipeline's step records to equal the oracle's
+/// own. The two are one configuration: the same parts, or the oracle's
+/// with reference components ([`Parts::reference`]).
+pub fn assert_matches_oracle(pipeline: Parts, oracle: Parts, steps: u64) {
+    let mut sim = pipeline.builder().observer(Capture::default()).build();
+    let mut oracle = Oracle::new(oracle);
     // In chunks, so a long run's traces never pile up.
     while sim.time() < steps {
         let (from, chunk) = (sim.time(), (steps - sim.time()).min(256));
         sim.run(chunk);
         oracle.run(chunk);
-        let (rendered, written) = (sim.observer_mut().take(), oracle.take_events());
+        let rendered = std::mem::take(&mut sim.observer_mut().events);
+        let written = oracle.take_events();
         let len = rendered.len().max(written.len());
         if let Some(i) = (0..len).find(|&i| rendered.get(i) != written.get(i)) {
             panic!(
@@ -399,6 +475,11 @@ pub fn assert_matches_oracle(make: impl Fn() -> Parts, steps: u64) {
         sim.latency_stats(),
         oracle.latency_stats(),
         "latency stats diverged"
+    );
+    assert_eq!(
+        assess_stability(&sim.metrics().history),
+        assess_stability(&oracle.metrics().history),
+        "stability assessments diverged"
     );
 }
 
@@ -585,13 +666,16 @@ impl EventFold {
 }
 
 /// Windows folded from a captured event stream, the way the event-fed
-/// window aggregator used to fold them: feed events in order with
-/// [`EventWindows::push`], then close with [`EventWindows::finish`].
+/// window aggregator used to fold them: the one reference for
+/// `WindowAggregator`. Feed events in order with [`EventWindows::push`],
+/// then close with [`EventWindows::finish`].
+#[derive(Clone)]
 pub struct EventWindows {
     size: u64,
     open: Vec<OpenWindow>,
 }
 
+#[derive(Clone)]
 struct OpenWindow {
     index: u64,
     t_end: u64,

@@ -6,9 +6,9 @@
 //! * `flapping_fabric` under the guard (divergence on) around its window
 //!   telemetry: the guard's latch and online detector, closed windows and
 //!   an open accumulator, the rotating-outage link mask and LGG's state;
-//! * `lossy_sensor_field`, the one scenario with `track_ages` on, with a
-//!   `RingRecorder` installed: age FIFOs, the latency statistics, the
-//!   Gilbert–Elliott channel states, `matching-lgg`, and recorded events.
+//! * `lossy_sensor_field`, the one scenario with `track_ages` on, with no
+//!   observer: age FIFOs, the latency statistics, the Gilbert–Elliott
+//!   channel states and `matching-lgg`.
 //!
 //! Each payload is sealed into a container image, damaged, re-sealed so
 //! the digest holds, and decoded and restored the way `resume_from_dir`
@@ -26,7 +26,7 @@ use std::fs;
 use lgg_cli::{Scenario, SimOverrides};
 use simqueue::checkpoint::{self, wire};
 use simqueue::{
-    GuardConfig, InvariantGuard, LggError, RingRecorder, SimObserver, Simulation, WindowAggregator,
+    GuardConfig, InvariantGuard, LggError, NoopObserver, SimObserver, Simulation, WindowAggregator,
 };
 
 /// The system allocator, noting the largest request of each thread.
@@ -119,7 +119,7 @@ fn aged_sensor_field(steps: u64) -> Case {
     let sc = load("scenarios/lossy_sensor_field.json");
     assert!(sc.track_ages);
     let build = move || {
-        sc.build_with_observer(SimOverrides::default(), RingRecorder::new(64))
+        sc.build_with_observer(SimOverrides::default(), NoopObserver)
             .unwrap()
     };
     let mut sim = build();

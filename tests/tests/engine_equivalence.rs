@@ -5,9 +5,11 @@
 //! The scenario corpus spans the surface the unit tests reach piecewise:
 //! matching-LGG interference, Gilbert–Elliott and adversarial loss,
 //! R-generalized lying with lazy extraction, bursty injection, and
-//! topology dynamics. Running both over each file and demanding equality
-//! of queues, metrics (every step's snapshot included) and latency
-//! statistics is the end-to-end form of the bit-for-bit requirement.
+//! topology dynamics. Running both over each file, the oracle with the
+//! reference components wherever the file names one, and demanding
+//! equality of queues, metrics (every step's snapshot included), latency
+//! statistics and traces is the end-to-end form of the bit-for-bit
+//! requirement.
 
 use integration_tests::{assert_matches_oracle, Parts};
 use lgg_cli::{Scenario, SimOverrides};
@@ -18,23 +20,6 @@ const STEPS: u64 = 3_000;
 
 fn scenario_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
-}
-
-/// The components `Scenario::build` wires into its simulation.
-fn parts(sc: &Scenario) -> Parts {
-    let spec = sc.traffic_spec().expect("scenario builds");
-    Parts {
-        protocol: sc.protocol.build(&spec, sc.seed),
-        injection: sc.injection.build().expect("injection builds"),
-        loss: sc.loss.build().expect("loss builds"),
-        topology: sc.dynamics.build(spec.graph.edge_count()),
-        declaration: sc.declaration.build(),
-        extraction: sc.extraction.build(),
-        seed: sc.seed,
-        initial_queues: None,
-        track_ages: sc.track_ages,
-        spec,
-    }
 }
 
 #[test]
@@ -50,7 +35,7 @@ fn pipeline_matches_oracle_on_all_scenarios() {
         let text = std::fs::read_to_string(&path).unwrap();
         let sc = Scenario::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         eprintln!("oracle: {name}");
-        assert_matches_oracle(|| parts(&sc), STEPS);
+        assert_matches_oracle(Parts::production(&sc), Parts::reference(&sc), STEPS);
         seen += 1;
     }
     assert!(seen >= 4, "scenario corpus shrank: only {seen} files");
@@ -58,8 +43,9 @@ fn pipeline_matches_oracle_on_all_scenarios() {
 
 #[test]
 fn parts_rebuild_what_scenario_build_runs() {
-    // The oracle comparison above is only meaningful if `parts` wires the
-    // same components `Scenario::build` does.
+    // The oracle comparison above is only meaningful if
+    // `Parts::production` wires the same components `Scenario::build`
+    // does.
     let text = std::fs::read_to_string(scenario_dir().join("saturated_dumbbell.json")).unwrap();
     let sc = Scenario::from_json(&text).unwrap();
     let mut built = sc
@@ -68,7 +54,7 @@ fn parts_rebuild_what_scenario_build_runs() {
             ..SimOverrides::default()
         })
         .unwrap();
-    let mut rebuilt = parts(&sc).pipeline();
+    let mut rebuilt = Parts::production(&sc).pipeline();
     built.run(500);
     rebuilt.run(500);
     assert_eq!(built.queues(), rebuilt.queues());

@@ -3,14 +3,21 @@
 //!
 //! Each case builds one configuration twice — once for the pipeline, once
 //! for the oracle — and demands equal queues, metrics (every step's
-//! snapshot included) and latency statistics, and equal traces: the
-//! events a `RingRecorder` renders from the pipeline's step records
+//! snapshot included), latency statistics and stability assessments, and
+//! equal traces: the events rendered from the pipeline's step records
 //! against the log the oracle writes from its own scans. The cases cover
 //! lying declarations, randomized policies, loss, link flips, ages, warm
 //! starts, invalid plans, both density extremes, and network sizes whose
 //! occupancy bitset spans several words and ends in a partial one.
+//!
+//! The hand-built cases give both sides the same components. Whole chaos
+//! compositions give the oracle the reference components instead
+//! (`Parts::reference`), so the planners, fault models and injection
+//! processes are checked against their first versions in every regime
+//! the campaign draws.
 
 use integration_tests::{assert_matches_oracle, Parts};
+use lgg_cli::{compose_trial, Scenario};
 use lgg_core::baselines::ShortestPathRouting;
 use lgg_core::Lgg;
 use mgraph::{generators, EdgeId, NodeId};
@@ -40,14 +47,12 @@ fn lgg() -> Box<dyn RoutingProtocol> {
 
 #[test]
 fn pipeline_matches_oracle_classic() {
-    assert_matches_oracle(
-        || Parts {
-            loss: Box::new(IidLoss::new(0.2)),
-            seed: 7,
-            ..Parts::new(path_spec(), lgg())
-        },
-        300,
-    );
+    let make = || Parts {
+        loss: Box::new(IidLoss::new(0.2)),
+        seed: 7,
+        ..Parts::new(path_spec(), lgg())
+    };
+    assert_matches_oracle(make(), make(), 300);
 }
 
 #[test]
@@ -61,24 +66,22 @@ fn pipeline_matches_oracle_rgen_liars() {
     fn full() -> Box<dyn DeclarationPolicy> {
         Box::new(FullRetention)
     }
-    for make in [zero as fn() -> Box<dyn DeclarationPolicy>, full] {
-        assert_matches_oracle(
-            || {
-                let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
-                    .generalized(0, 3, 1)
-                    .generalized(15, 1, 3)
-                    .retention(4)
-                    .build()
-                    .unwrap();
-                Parts {
-                    declaration: make(),
-                    extraction: Box::new(LazyExtraction),
-                    seed: 11,
-                    ..Parts::new(spec, lgg())
-                }
-            },
-            400,
-        );
+    for declaration in [zero as fn() -> Box<dyn DeclarationPolicy>, full] {
+        let make = || {
+            let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
+                .generalized(0, 3, 1)
+                .generalized(15, 1, 3)
+                .retention(4)
+                .build()
+                .unwrap();
+            Parts {
+                declaration: declaration(),
+                extraction: Box::new(LazyExtraction),
+                seed: 11,
+                ..Parts::new(spec, lgg())
+            }
+        };
+        assert_matches_oracle(make(), make(), 400);
     }
 }
 
@@ -87,23 +90,21 @@ fn pipeline_matches_oracle_random_declaration() {
     // RandomBelowRetention draws from the policy stream at special nodes
     // with q <= R; the oracle consults every node, the pipeline only the
     // special ones, and both must consume the same stream.
-    assert_matches_oracle(
-        || {
-            let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
-                .generalized(0, 2, 1)
-                .generalized(15, 1, 2)
-                .retention(3)
-                .build()
-                .unwrap();
-            Parts {
-                declaration: Box::new(RandomBelowRetention),
-                loss: Box::new(IidLoss::new(0.1)),
-                seed: 13,
-                ..Parts::new(spec, lgg())
-            }
-        },
-        400,
-    );
+    let make = || {
+        let spec = TrafficSpecBuilder::new(generators::grid2d(4, 4))
+            .generalized(0, 2, 1)
+            .generalized(15, 1, 2)
+            .retention(3)
+            .build()
+            .unwrap();
+        Parts {
+            declaration: Box::new(RandomBelowRetention),
+            loss: Box::new(IidLoss::new(0.1)),
+            seed: 13,
+            ..Parts::new(spec, lgg())
+        }
+    };
+    assert_matches_oracle(make(), make(), 400);
 }
 
 #[test]
@@ -111,38 +112,34 @@ fn pipeline_matches_oracle_bursty_ages() {
     // Bernoulli injection, loss and age tracking on a larger random graph:
     // nodes wake and drain constantly, and arrivals are credited inside
     // the transmission loop while the oracle stages them.
-    assert_matches_oracle(
-        || {
-            let mut rng = StdRng::seed_from_u64(21);
-            let g = generators::connected_random(40, 30, &mut rng);
-            let spec = TrafficSpecBuilder::new(g)
-                .source(0, 3)
-                .sink(39, 4)
-                .build()
-                .unwrap();
-            Parts {
-                injection: Box::new(BernoulliInjection::new(0.6)),
-                loss: Box::new(IidLoss::new(0.15)),
-                track_ages: true,
-                seed: 17,
-                ..Parts::new(spec, lgg())
-            }
-        },
-        300,
-    );
+    let make = || {
+        let mut rng = StdRng::seed_from_u64(21);
+        let g = generators::connected_random(40, 30, &mut rng);
+        let spec = TrafficSpecBuilder::new(g)
+            .source(0, 3)
+            .sink(39, 4)
+            .build()
+            .unwrap();
+        Parts {
+            injection: Box::new(BernoulliInjection::new(0.6)),
+            loss: Box::new(IidLoss::new(0.15)),
+            track_ages: true,
+            seed: 17,
+            ..Parts::new(spec, lgg())
+        }
+    };
+    assert_matches_oracle(make(), make(), 300);
 }
 
 #[test]
 fn pipeline_matches_oracle_warm_start() {
-    assert_matches_oracle(
-        || Parts {
-            initial_queues: Some(vec![9, 0, 4]),
-            track_ages: true,
-            seed: 3,
-            ..Parts::new(path_spec(), lgg())
-        },
-        150,
-    );
+    let make = || Parts {
+        initial_queues: Some(vec![9, 0, 4]),
+        track_ages: true,
+        seed: 3,
+        ..Parts::new(path_spec(), lgg())
+    };
+    assert_matches_oracle(make(), make(), 150);
 }
 
 #[test]
@@ -164,7 +161,8 @@ fn invalid_plans_match_oracle() {
             out.extend([tx(1, 8), tx(0, u32::MAX)]);
         }
     }
-    assert_matches_oracle(|| Parts::new(path_spec(), Box::new(Rogue)), 50);
+    let make = || Parts::new(path_spec(), Box::new(Rogue));
+    assert_matches_oracle(make(), make(), 50);
 }
 
 #[test]
@@ -186,7 +184,7 @@ fn saturated_lgg_grid_matches_oracle() {
         "grid not saturated: {} of 256 nodes active",
         sim.active_node_count()
     );
-    assert_matches_oracle(make, 3_000);
+    assert_matches_oracle(make(), make(), 3_000);
 }
 
 #[test]
@@ -209,7 +207,7 @@ fn steady_shortest_path_grid_matches_oracle() {
         "grid not sparse: {} of 4096 nodes active",
         sim.active_node_count()
     );
-    assert_matches_oracle(make, 600);
+    assert_matches_oracle(make(), make(), 600);
 }
 
 /// A busy random spec: several sources and sinks plus an R-generalized
@@ -246,32 +244,49 @@ proptest! {
         lying in any::<bool>(),
     ) {
         let n = [64, 65, 129].get(pick).copied().unwrap_or(any_n);
-        assert_matches_oracle(
-            || {
-                let mut parts = Parts::new(busy_spec(seed, n), lgg());
-                parts.injection = match inj {
-                    0 => parts.injection,
-                    1 => Box::new(ScaledInjection::new(1, 3)),
-                    2 => Box::new(BernoulliInjection::new(0.6)),
-                    _ => Box::new(UniformInjection { mean: 2 }),
-                };
-                if lossy {
-                    parts.loss = Box::new(IidLoss::new(0.2));
-                }
-                if flapping {
-                    parts.topology = Box::new(MarkovTopology::new(0.05, 0.4, vec![]));
-                }
-                if lying {
-                    parts.declaration = Box::new(RandomBelowRetention);
-                }
-                if seed % 2 == 1 {
-                    parts.extraction = Box::new(LazyExtraction);
-                }
-                parts.seed = seed;
-                parts.track_ages = true;
-                parts
-            },
-            steps,
-        );
+        let make = || {
+            let mut parts = Parts::new(busy_spec(seed, n), lgg());
+            parts.injection = match inj {
+                0 => parts.injection,
+                1 => Box::new(ScaledInjection::new(1, 3)),
+                2 => Box::new(BernoulliInjection::new(0.6)),
+                _ => Box::new(UniformInjection { mean: 2 }),
+            };
+            if lossy {
+                parts.loss = Box::new(IidLoss::new(0.2));
+            }
+            if flapping {
+                parts.topology = Box::new(MarkovTopology::new(0.05, 0.4, vec![]));
+            }
+            if lying {
+                parts.declaration = Box::new(RandomBelowRetention);
+            }
+            if seed % 2 == 1 {
+                parts.extraction = Box::new(LazyExtraction);
+            }
+            parts.seed = seed;
+            parts.track_ages = true;
+            parts
+        };
+        assert_matches_oracle(make(), make(), steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whole chaos compositions (topology, endpoints, retention, protocol,
+    /// injection, loss, dynamics, declaration and extraction drawn by
+    /// `compose_trial`), with and without age tracking: the production
+    /// components on the pipeline are bit-for-bit the reference
+    /// components on the oracle.
+    #[test]
+    fn compositions_match_the_reference_oracle(
+        campaign in any::<u64>(),
+        trial in 0usize..64,
+        track_ages in any::<bool>(),
+    ) {
+        let sc = Scenario { track_ages, ..compose_trial(campaign, trial, 1_000) };
+        assert_matches_oracle(Parts::production(&sc), Parts::reference(&sc), sc.steps);
     }
 }
