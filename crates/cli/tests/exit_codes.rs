@@ -1,12 +1,14 @@
 //! `lgg-sim`'s process exit codes, checked on the built binary: a bad
 //! command line exits with the usage code, an unreadable input or a
-//! closed stdout with the I/O code, whichever subcommand met it, and
-//! `--help` on any subcommand with 0.
+//! closed stdout with the I/O code, whichever subcommand met it, a rate
+//! past the classifier's bound with the model code, and `--help` on any
+//! subcommand with 0.
 
 use std::process::{Command, Stdio};
 
 const USAGE: i32 = 64;
 const IO: i32 = 4;
+const MODEL: i32 = 5;
 
 fn lgg_sim(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lgg-sim"));
@@ -120,4 +122,27 @@ fn a_planted_fault_under_age_tracking_is_the_guards_to_report() {
     args.extend(["--steps", "500", "--guard-dump", dump_arg]);
     assert_eq!(exit_code(&args), 9);
     std::fs::remove_dir_all(&dump).expect("remove the guard's dump");
+}
+
+#[test]
+fn rate_sums_past_the_bound_are_a_model_error_not_a_panic() {
+    // Once `negative capacity` panics (101) in the classifier's `G*`.
+    let path = std::env::temp_dir().join(format!("lgg-sim-huge-rate-{}.json", std::process::id()));
+    for (topology, sink_rate) in [
+        (r#"{"kind":"path","n":3}"#, "18446744073709551615"),
+        (r#"{"kind":"complete","n":4}"#, "2251799813685248"),
+    ] {
+        let scenario = format!(
+            r#"{{"topology":{topology},"sources":[{{"node":0,"rate":1}}],"sinks":[{{"node":2,"rate":{sink_rate}}}],"protocol":"lgg"}}"#
+        );
+        std::fs::write(&path, scenario).expect("write the scenario");
+        let out = lgg_sim(&[path.to_str().expect("utf-8 temp path")])
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn lgg-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(MODEL), "{topology}: {stderr}");
+        assert!(stderr.contains("2^30 = 1073741824"), "{topology}: {stderr}");
+    }
+    std::fs::remove_file(&path).expect("remove the scenario");
 }

@@ -9,13 +9,14 @@
 //!   complement). Stability then needs the full machinery of Sections IV–V.
 //! * **Unsaturated** — a flow exists even when every `in(v)` is inflated to
 //!   `(1+ε)·in(v)`; Lemma 1 applies and LGG is unconditionally stable. The
-//!   classifier reports the largest dyadic margin `ε` it can certify, which
-//!   feeds the paper's explicit bound `Y = (5 n f*/ε + 3n) Δ²`.
+//!   classifier reports the largest dyadic margin `ε` below the capacity
+//!   radius, which feeds the paper's explicit bound `Y = (5 n f*/ε + 3n) Δ²`.
 //!
-//! All tests are exact: `ε = p/q` is handled by integer-scaling every
-//! capacity by `q` (edges) and `q + p` (source links). No floating point.
+//! All tests are exact: a rate `λ = num/den` is handled by integer-scaling
+//! edge capacities by `den` and source links by `num`. No floating point.
 
 use maxflow::Algorithm;
+use mgraph::ops::cut_size;
 use serde::{Deserialize, Serialize};
 
 use crate::{ExtendedNetwork, TrafficSpec};
@@ -92,22 +93,16 @@ pub struct NetworkClass {
     pub cut_case: CutCase,
 }
 
-/// Denominator used for the dyadic ε search: margins are certified in
-/// multiples of `1/4096`.
+/// Denominator of the dyadic grid the classifier reports on: margins and
+/// radii are multiples of `1/4096`.
 pub const EPS_DENOMINATOR: u64 = 4096;
 
-/// Tests whether the spec admits a feasible flow at inflation `ε = p/q`
-/// (Definition 4, exact integer arithmetic).
-pub fn is_feasible_at(spec: &TrafficSpec, eps_num: u64, eps_den: u64) -> bool {
-    let mut ext = ExtendedNetwork::scaled(spec, eps_den as i64, eps_num as i64);
-    ext.solve(Algorithm::Dinic);
-    ext.sources_saturated()
-}
-
 /// Classifies `spec` per Definitions 3–4 and locates the minimum cut per
-/// Section V. `Unsaturated` margins are certified by binary search over
-/// dyadic rationals `p / EPS_DENOMINATOR`, capped at ε = 16 (far beyond any
-/// relevant slack).
+/// Section V. An `Unsaturated` margin is the largest `ε = p /
+/// EPS_DENOMINATOR` with `1 + ε` at most the capacity radius λ*, capped at
+/// ε = 16 (far beyond any relevant slack). λ* is exact, from Dinkelbach's
+/// iteration on the minimum cuts of `G*` (about two max-flow solves), so
+/// the margin is feasible and the next grid point is not.
 ///
 /// ```
 /// use netmodel::{classify, Feasibility, TrafficSpecBuilder};
@@ -142,27 +137,15 @@ pub fn classify(spec: &TrafficSpec) -> NetworkClass {
         };
     }
 
-    // ε search: find the largest p with (1 + p/q)·in feasible.
+    // Feasible, so grid point q (λ = 1) is known feasible; the cap at
+    // λ = 17 caps the margin at ε = 16.
     let q = EPS_DENOMINATOR;
-    let feasibility = if !is_feasible_at(spec, 1, q) {
+    let margin_num = dyadic_radius(spec, 17 * q, q) - q;
+    let feasibility = if margin_num == 0 {
         Feasibility::Saturated
     } else {
-        let mut lo = 1u64; // feasible
-        let mut hi = 16 * q; // cap: ε = 16
-        if is_feasible_at(spec, hi, q) {
-            lo = hi;
-        } else {
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if is_feasible_at(spec, mid, q) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-        }
         Feasibility::Unsaturated {
-            margin_num: lo,
+            margin_num,
             margin_den: q,
         }
     };
@@ -175,60 +158,56 @@ pub fn classify(spec: &TrafficSpec) -> NetworkClass {
     }
 }
 
-/// Tests feasibility with every source rate scaled to `num·in(v)/den`
-/// (edges keep capacity 1, integer-scaled): the generalization of
-/// [`is_feasible_at`] that also reaches **below** the nominal rate.
-pub fn is_feasible_scaled(spec: &TrafficSpec, num: u64, den: u64) -> bool {
-    assert!(den >= 1);
-    // Reuse the ε-inflated builder: caps are (den + p)·in with p = num − den
-    // when num >= den; below the nominal rate we build directly.
-    if num >= den {
-        return is_feasible_at(spec, num - den, den);
-    }
-    let mut net = maxflow::FlowNetwork::new(spec.node_count());
-    for e in spec.graph.edges() {
-        let (u, v) = spec.graph.endpoints(e);
-        net.add_undirected(u.index(), v.index(), den as i64);
-    }
-    let s_star = net.add_node();
-    let d_star = net.add_node();
-    let mut source_arcs = Vec::new();
-    for v in spec.graph.nodes() {
-        if spec.in_rate(v) > 0 {
-            source_arcs.push(net.add_arc(s_star, v.index(), (num * spec.in_rate(v)) as i64));
-        }
-        if spec.out_rate(v) > 0 {
-            net.add_arc(v.index(), d_star, (den * spec.out_rate(v)) as i64);
-        }
-    }
-    net.max_flow(s_star, d_star, Algorithm::Dinic);
-    source_arcs
-        .iter()
-        .all(|&a| net.flow_on(a) == net.capacity_of(a))
-}
-
-/// The **capacity-region radius** λ* of the traffic pattern: the largest
-/// dyadic λ = p/[`EPS_DENOMINATOR`] such that scaling every `in(v)` to
-/// `λ·in(v)` stays feasible. λ* > 1 on unsaturated networks (= 1 + ε*),
-/// λ* = 1 on saturated ones, and λ* < 1 quantifies **how overloaded** an
-/// infeasible network is (e.g. λ* = 1/3 for a path asked to carry 3×).
+/// The **capacity-region radius** λ* of the traffic pattern, on the dyadic
+/// grid: the largest λ = p/[`EPS_DENOMINATOR`] such that scaling every
+/// `in(v)` to `λ·in(v)` stays feasible, capped at λ = 32. λ* > 1 on
+/// unsaturated networks (= 1 + ε*), λ* = 1 on saturated ones, and λ* < 1
+/// quantifies **how overloaded** an infeasible network is (e.g. λ* = 1/3
+/// for a path asked to carry 3×, reported as `⌊4096/3⌋ / 4096`).
 pub fn capacity_scaling(spec: &TrafficSpec) -> (u64, u64) {
     let q = EPS_DENOMINATOR;
-    let cap = 32 * q;
-    if is_feasible_scaled(spec, cap, q) {
-        return (cap, q);
-    }
-    let mut lo = 0u64; // λ = 0 always feasible (empty flow)
-    let mut hi = cap; // infeasible
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if is_feasible_scaled(spec, mid, q) {
-            lo = mid;
-        } else {
-            hi = mid;
+    (dyadic_radius(spec, 32 * q, 0), q)
+}
+
+/// `⌊q·min(λ*, cap/q)⌋` for `q = EPS_DENOMINATOR`, where λ* is the least
+/// cut ratio `(e(∂A) + out(A)) / in(A)` over node sets `A` with
+/// `in(A) > 0` (infinite when `Σ in = 0`): by the min-cut argument of
+/// Section II, `λ·in` is feasible exactly when `λ <= λ*`, so this is the
+/// largest feasible grid point up to the cap. `known` is a grid point the
+/// caller knows to be feasible.
+///
+/// Dinkelbach's iteration: start at `min(Σ out / Σ in, cap/q)` and solve
+/// `G*` at that rate. If the sources saturate, the rate is `min(λ*,
+/// cap/q)`; otherwise the source side of the minimum cut has a ratio
+/// strictly below the rate, and the next solve runs at that ratio. Every
+/// rate is at least `min(λ*, cap/q)`, so once its floor on the grid is
+/// down to `known`, `known` is the answer without another solve.
+fn dyadic_radius(spec: &TrafficSpec, cap: u64, known: u64) -> u64 {
+    let q = EPS_DENOMINATOR;
+    let (total_in, total_out) = (spec.arrival_rate(), spec.extraction_rate());
+    let (mut num, mut den) = if q * total_out >= cap * total_in {
+        (cap, q)
+    } else {
+        (total_out, total_in)
+    };
+    loop {
+        let grid = q * num / den;
+        if grid <= known {
+            return known;
         }
+        let mut ext = ExtendedNetwork::scaled(spec, num as i64, den as i64);
+        ext.solve(Algorithm::Dinic);
+        if ext.sources_saturated() {
+            return grid;
+        }
+        let side = &ext.min_cut().side[..spec.node_count()];
+        let rates = spec.graph.nodes().filter(|v| side[v.index()]);
+        let (in_a, out_a) = rates.fold((0, 0), |(i, o), v| {
+            (i + spec.in_rate(v), o + spec.out_rate(v))
+        });
+        num = cut_size(&spec.graph, side) as u64 + out_a;
+        den = in_a;
     }
-    (lo, q)
 }
 
 /// Locates the minimum cut of the solved feasibility network per the
@@ -377,6 +356,13 @@ mod tests {
         }
     }
 
+    /// Is `λ·in` feasible at `λ = num/den`?
+    fn feasible(spec: &TrafficSpec, num: i64, den: i64) -> bool {
+        let mut ext = ExtendedNetwork::scaled(spec, num, den);
+        ext.solve(Algorithm::Dinic);
+        ext.sources_saturated()
+    }
+
     #[test]
     fn is_feasible_at_is_monotone_in_eps() {
         let spec = TrafficSpecBuilder::new(generators::parallel_pair(2))
@@ -384,10 +370,10 @@ mod tests {
             .sink(1, 2)
             .build()
             .unwrap();
-        assert!(is_feasible_at(&spec, 0, 1));
-        assert!(is_feasible_at(&spec, 1, 1)); // ε = 1 exactly: cap 2 = 2·in
-        assert!(!is_feasible_at(&spec, 3, 2)); // ε = 1.5
-        assert!(!is_feasible_at(&spec, 2, 1)); // ε = 2
+        assert!(feasible(&spec, 1, 1)); // ε = 0
+        assert!(feasible(&spec, 2, 1)); // ε = 1 exactly: cap 2 = 2·in
+        assert!(!feasible(&spec, 5, 2)); // ε = 1.5
+        assert!(!feasible(&spec, 3, 1)); // ε = 2
     }
 
     #[test]
@@ -448,9 +434,32 @@ mod tests {
             .build()
             .unwrap();
         // λ = 1/2 feasible (effective rate 1 = cut), λ = 3/4 not.
-        assert!(is_feasible_scaled(&spec, 1, 2));
-        assert!(!is_feasible_scaled(&spec, 3, 4));
-        assert!(is_feasible_scaled(&spec, 0, 1));
+        assert!(feasible(&spec, 1, 2));
+        assert!(!feasible(&spec, 3, 4));
+        assert!(feasible(&spec, 0, 1));
+    }
+
+    #[test]
+    fn radius_is_the_least_cut_ratio() {
+        let q = EPS_DENOMINATOR;
+        // 5×5 grid, corner source at 1, far corner sink at 4: the source
+        // corner's two links are the tightest cut, λ* = 2.
+        let spec = TrafficSpecBuilder::new(generators::grid2d(5, 5))
+            .source(0, 1)
+            .sink(24, 4)
+            .build()
+            .unwrap();
+        assert_eq!(dyadic_radius(&spec, 17 * q, q), 2 * q);
+        // Capped: λ* = 8 on parallel_pair(8) but the cap is 4.
+        let spec = TrafficSpecBuilder::new(generators::parallel_pair(8))
+            .source(0, 1)
+            .sink(1, 8)
+            .build()
+            .unwrap();
+        assert_eq!(dyadic_radius(&spec, 4 * q, 0), 4 * q);
+        // No injection: λ* is infinite, the cap is the answer.
+        let spec = TrafficSpec::new(generators::path(2), vec![0, 0], vec![0, 1], 0);
+        assert_eq!(capacity_scaling(&spec), (32 * q, q));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct ExtendedNetwork {
     pub source_arcs: Vec<(NodeId, ArcId)>,
     /// `(v, arc)` for each virtual arc `v -> d*`.
     pub sink_arcs: Vec<(NodeId, ArcId)>,
-    /// Edge-capacity scale `q` used when building (1 for plain feasibility).
+    /// Edge capacity `den` of every link (1 for plain feasibility).
     pub scale: i64,
     /// Forward arc of the pair realizing each graph edge, indexed by edge id.
     pub edge_arcs: Vec<ArcId>,
@@ -35,24 +35,36 @@ impl ExtendedNetwork {
     /// Builds `G*` for plain feasibility: edge capacity 1, `s*->v` capacity
     /// `in(v)`, `v->d*` capacity `out(v)`.
     pub fn feasibility(spec: &TrafficSpec) -> Self {
-        Self::scaled(spec, 1, 0)
+        Self::scaled(spec, 1, 1)
     }
 
-    /// Builds the **ε-inflated** `G*` used by Definition 4: with
-    /// `ε = eps_num / eps_den`, edge capacities become `eps_den`, source
-    /// arcs `(eps_den + eps_num) · in(v)`, sink arcs `eps_den · out(v)`.
-    /// Integer scaling keeps the test exact — no floating point.
-    pub fn scaled(spec: &TrafficSpec, eps_den: i64, eps_num: i64) -> Self {
-        assert!(
-            eps_den >= 1 && eps_num >= 0,
-            "ε must be a non-negative rational"
-        );
+    /// Builds `G*` at the **rate** `λ = num / den`: edge capacities become
+    /// `den`, source arcs `num · in(v)`, sink arcs `den · out(v)`, so the
+    /// sources saturate exactly when `λ · in` is feasible. Definition 4's
+    /// `ε`-inflation is the rate `1 + ε`. Integer scaling keeps the test
+    /// exact — no floating point.
+    pub fn scaled(spec: &TrafficSpec, num: i64, den: i64) -> Self {
+        assert!(num >= 0 && den >= 1, "λ must be a non-negative rational");
+        Self::build(spec, den, |in_r| num * in_r)
+    }
+
+    /// Builds `G*` with **unbounded** source arcs, whose max flow is the
+    /// paper's `f*` (the best any arrival rate could hope for).
+    pub fn uncapped_sources(spec: &TrafficSpec) -> Self {
+        // f* <= Σ out(d), so this capacity is effectively infinite.
+        let inf = spec.extraction_rate() as i64 + spec.graph.edge_count() as i64 + 1;
+        Self::build(spec, 1, |_| inf)
+    }
+
+    /// `G*` with edge capacity `den`, sink arcs `den · out(v)` and source
+    /// arcs `source_cap(in(v))`.
+    fn build(spec: &TrafficSpec, den: i64, source_cap: impl Fn(i64) -> i64) -> Self {
         let n = spec.node_count();
         let mut net = FlowNetwork::new(n);
         let mut edge_arcs = Vec::with_capacity(spec.graph.edge_count());
         for e in spec.graph.edges() {
             let (u, v) = spec.graph.endpoints(e);
-            edge_arcs.push(net.add_undirected(u.index(), v.index(), eps_den));
+            edge_arcs.push(net.add_undirected(u.index(), v.index(), den));
         }
         let s_star = net.add_node();
         let d_star = net.add_node();
@@ -61,12 +73,11 @@ impl ExtendedNetwork {
         for v in spec.graph.nodes() {
             let in_r = spec.in_rate(v) as i64;
             if in_r > 0 {
-                let cap = (eps_den + eps_num) * in_r;
-                source_arcs.push((v, net.add_arc(s_star, v.index(), cap)));
+                source_arcs.push((v, net.add_arc(s_star, v.index(), source_cap(in_r))));
             }
             let out_r = spec.out_rate(v) as i64;
             if out_r > 0 {
-                sink_arcs.push((v, net.add_arc(v.index(), d_star, eps_den * out_r)));
+                sink_arcs.push((v, net.add_arc(v.index(), d_star, den * out_r)));
             }
         }
         ExtendedNetwork {
@@ -75,55 +86,20 @@ impl ExtendedNetwork {
             d_star,
             source_arcs,
             sink_arcs,
-            scale: eps_den,
+            scale: den,
             edge_arcs,
         }
     }
 
-    /// Builds `G*` with **unbounded** source arcs, whose max flow is the
-    /// paper's `f*` (the best any arrival rate could hope for).
-    pub fn uncapped_sources(spec: &TrafficSpec) -> Self {
-        let mut ext = Self::scaled(spec, 1, 0);
-        // Rebuild with huge source capacities instead of in(v).
-        let n = spec.node_count();
-        let mut net = FlowNetwork::new(n);
-        let mut edge_arcs = Vec::with_capacity(spec.graph.edge_count());
-        for e in spec.graph.edges() {
-            let (u, v) = spec.graph.endpoints(e);
-            edge_arcs.push(net.add_undirected(u.index(), v.index(), 1));
-        }
-        let s_star = net.add_node();
-        let d_star = net.add_node();
-        // f* <= Σ out(d), so this capacity is effectively infinite.
-        let inf = spec.extraction_rate() as i64 + spec.graph.edge_count() as i64 + 1;
-        let mut source_arcs = Vec::new();
-        let mut sink_arcs = Vec::new();
-        for v in spec.graph.nodes() {
-            if spec.in_rate(v) > 0 {
-                source_arcs.push((v, net.add_arc(s_star, v.index(), inf)));
-            }
-            if spec.out_rate(v) > 0 {
-                sink_arcs.push((v, net.add_arc(v.index(), d_star, spec.out_rate(v) as i64)));
-            }
-        }
-        ext.net = net;
-        ext.s_star = s_star;
-        ext.d_star = d_star;
-        ext.source_arcs = source_arcs;
-        ext.sink_arcs = sink_arcs;
-        ext.edge_arcs = edge_arcs;
-        ext
-    }
-
-    /// Solves max flow `s* -> d*` and returns its value (in scaled units
-    /// when built via [`ExtendedNetwork::scaled`]).
+    /// Solves max flow `s* -> d*` and returns its value (in units of
+    /// `1/den` when built via [`ExtendedNetwork::scaled`]).
     pub fn solve(&mut self, algo: Algorithm) -> i64 {
         self.net.max_flow(self.s_star, self.d_star, algo)
     }
 
     /// After [`ExtendedNetwork::solve`]: is every source arc saturated
     /// (`Φ(s*, s) = cap`)? This is Definition 3's feasibility condition
-    /// (and Definition 4's when built with an ε inflation).
+    /// (and Definition 4's when built at a rate `1 + ε`).
     pub fn sources_saturated(&self) -> bool {
         self.source_arcs
             .iter()
@@ -235,13 +211,13 @@ mod tests {
             .sink(1, 2)
             .build()
             .unwrap();
-        // ε = 1 (i.e. capacity (1+1)·in = 2): still feasible.
-        let mut ext = ExtendedNetwork::scaled(&spec, 1, 1);
+        // ε = 1 (i.e. rate 2, capacity 2·in = 2): still feasible.
+        let mut ext = ExtendedNetwork::scaled(&spec, 2, 1);
         let f = ext.solve(Algorithm::Dinic);
         assert_eq!(f, 2);
         assert!(ext.sources_saturated());
         // ε = 2: capacity 3·in = 3 > edges 2 -> not saturable.
-        let mut ext = ExtendedNetwork::scaled(&spec, 1, 2);
+        let mut ext = ExtendedNetwork::scaled(&spec, 3, 1);
         ext.solve(Algorithm::Dinic);
         assert!(!ext.sources_saturated());
     }

@@ -28,15 +28,20 @@ pub mod cutdecomp;
 pub mod extended;
 mod spec;
 
-pub use classify::{
-    capacity_scaling, classify, is_feasible_at, is_feasible_scaled, CutCase, Feasibility,
-    NetworkClass,
-};
+pub use classify::{capacity_scaling, classify, CutCase, Feasibility, NetworkClass};
 pub use cutdecomp::{
     cut_membership, decompose_at_cut, find_interior_min_cut, CutDecomposition, CutMembership,
 };
 pub use extended::ExtendedNetwork;
 pub use spec::{NodeKind, TrafficSpec, TrafficSpecBuilder};
+
+/// The largest `Σ in(v)` and the largest `Σ out(v)` a valid specification
+/// may have. The classifier solves `G*` at rates `λ = num/den` that are
+/// cut ratios (`den <= Σ in`, `num <= Σ out + |E|`) or a cap (`den =
+/// 4096`, `num <= 32 · 4096`), with source arcs `num · in(v)` and sink
+/// arcs `den · out(v)`; keeping both sums at most `2³⁰` keeps every such
+/// capacity and flow within `i64`.
+pub const MAX_RATE_SUM: u64 = 1 << 30;
 
 /// Errors raised while constructing or validating network specifications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +61,8 @@ pub enum ModelError {
     /// The retention constant is `u64::MAX`, which a lie could then equal;
     /// the simulation engine reserves that value for "truthful".
     RetentionTooLarge,
+    /// `Σ in(v)` or `Σ out(v)` exceeds [`MAX_RATE_SUM`].
+    RateSumTooLarge,
 }
 
 impl std::fmt::Display for ModelError {
@@ -76,6 +83,10 @@ impl std::fmt::Display for ModelError {
             ModelError::RetentionTooLarge => {
                 write!(f, "retention must be below {}", u64::MAX)
             }
+            ModelError::RateSumTooLarge => write!(
+                f,
+                "the in rates and the out rates must each sum to at most 2^30 = {MAX_RATE_SUM}"
+            ),
         }
     }
 }
@@ -95,5 +106,8 @@ mod tests {
         assert!(ModelError::DuplicateTraffic(9)
             .to_string()
             .contains("twice"));
+        assert!(ModelError::RateSumTooLarge
+            .to_string()
+            .contains("1073741824"));
     }
 }

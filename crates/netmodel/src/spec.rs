@@ -3,7 +3,7 @@
 use mgraph::{MultiGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::ModelError;
+use crate::{ModelError, MAX_RATE_SUM};
 
 /// The role a node plays under Definition 7 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -147,14 +147,24 @@ impl TrafficSpec {
                 .all(|v| self.in_rate[v.index()] == 0 || self.out_rate[v.index()] == 0)
     }
 
-    /// Validates that at least one source and one sink exist and that the
-    /// retention constant is below `u64::MAX`.
+    /// Validates that at least one source and one sink exist, that the
+    /// retention constant is below `u64::MAX`, and that the in rates and
+    /// the out rates each sum to at most [`MAX_RATE_SUM`].
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.sources().next().is_none() || self.sinks().next().is_none() {
             return Err(ModelError::MissingTerminals);
         }
         if self.retention == u64::MAX {
             return Err(ModelError::RetentionTooLarge);
+        }
+        let within = |rates: &[u64]| {
+            rates
+                .iter()
+                .try_fold(0u64, |sum, &r| sum.checked_add(r))
+                .is_some_and(|sum| sum <= MAX_RATE_SUM)
+        };
+        if !within(&self.in_rate) || !within(&self.out_rate) {
+            return Err(ModelError::RateSumTooLarge);
         }
         Ok(())
     }
@@ -388,6 +398,27 @@ mod tests {
         };
         assert_eq!(build(u64::MAX).unwrap_err(), ModelError::RetentionTooLarge);
         assert_eq!(build(u64::MAX - 1).unwrap().retention, u64::MAX - 1);
+    }
+
+    #[test]
+    fn builder_rejects_rate_sums_past_the_bound() {
+        let build = |a, b| {
+            TrafficSpecBuilder::new(generators::path(3))
+                .generalized(0, a, 1)
+                .sink(2, b)
+                .build()
+        };
+        assert!(build(MAX_RATE_SUM, MAX_RATE_SUM - 1).is_ok());
+        assert_eq!(
+            build(MAX_RATE_SUM + 1, 1).unwrap_err(),
+            ModelError::RateSumTooLarge
+        );
+        // Σ out = 1 + MAX_RATE_SUM, and a sum that would wrap a u64.
+        assert_eq!(
+            build(1, MAX_RATE_SUM).unwrap_err(),
+            ModelError::RateSumTooLarge
+        );
+        assert_eq!(build(1, u64::MAX).unwrap_err(), ModelError::RateSumTooLarge);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use maxflow::Algorithm;
 use mgraph::generators;
 use netmodel::{
-    classify, decompose_at_cut, find_interior_min_cut, is_feasible_at, CutCase, ExtendedNetwork,
-    Feasibility, TrafficSpec, TrafficSpecBuilder,
+    classify, decompose_at_cut, find_interior_min_cut, CutCase, ExtendedNetwork, Feasibility,
+    TrafficSpec, TrafficSpecBuilder,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +19,13 @@ fn random_spec(seed: u64, n: usize, extra: usize, in_rate: u64, out_rate: u64) -
         .sink((n - 1) as u32, out_rate)
         .build()
         .unwrap()
+}
+
+/// Is the `ε = eps_num / eps_den` inflation of `spec` feasible?
+fn is_feasible_at(spec: &TrafficSpec, eps_num: u64, eps_den: u64) -> bool {
+    let mut ext = ExtendedNetwork::scaled(spec, (eps_den + eps_num) as i64, eps_den as i64);
+    ext.solve(Algorithm::Dinic);
+    ext.sources_saturated()
 }
 
 proptest! {

@@ -10,9 +10,16 @@
 //! production crate for it; `tests/tests/reference.rs` holds the inputs
 //! whole compositions never reach (heights near 2³², `p` at 0, 1 and
 //! subnormal, saved state after every call).
+//!
+//! The classifier's references are functions: the dyadic bisections of
+//! [`feasibility`] and [`capacity_scaling`] with the one-solve probes
+//! [`is_feasible_at`] and [`is_feasible_scaled`] they call.
 
 use lgg_core::TieBreak;
+use maxflow::Algorithm;
 use mgraph::{EdgeId, MultiGraph, NodeId};
+use netmodel::classify::EPS_DENOMINATOR;
+use netmodel::{ExtendedNetwork, Feasibility, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -399,4 +406,107 @@ impl InjectionProcess for ReferenceOnOff {
     fn save_state(&mut self, out: &mut Vec<u8>) {
         wire::put_bool_slice(out, &self.state);
     }
+}
+
+/// Tests whether the spec admits a feasible flow at inflation `ε = p/q`
+/// (Definition 4, exact integer arithmetic). The one line that differs
+/// from the first version names the same `G*` through the rate builder.
+pub fn is_feasible_at(spec: &TrafficSpec, eps_num: u64, eps_den: u64) -> bool {
+    let mut ext = ExtendedNetwork::scaled(spec, (eps_den + eps_num) as i64, eps_den as i64);
+    ext.solve(Algorithm::Dinic);
+    ext.sources_saturated()
+}
+
+/// `classify`'s verdict by plain feasibility and a binary search over
+/// dyadic rationals `p / EPS_DENOMINATOR`, capped at ε = 16.
+pub fn feasibility(spec: &TrafficSpec) -> Feasibility {
+    let arrival_rate = spec.arrival_rate();
+
+    // Plain feasibility.
+    let mut ext = ExtendedNetwork::feasibility(spec);
+    let max_flow = ext.solve(Algorithm::Dinic) as u64;
+    if !ext.sources_saturated() {
+        return Feasibility::Infeasible {
+            max_flow,
+            arrival_rate,
+        };
+    }
+
+    // ε search: find the largest p with (1 + p/q)·in feasible.
+    let q = EPS_DENOMINATOR;
+    if !is_feasible_at(spec, 1, q) {
+        Feasibility::Saturated
+    } else {
+        let mut lo = 1u64; // feasible
+        let mut hi = 16 * q; // cap: ε = 16
+        if is_feasible_at(spec, hi, q) {
+            lo = hi;
+        } else {
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if is_feasible_at(spec, mid, q) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        Feasibility::Unsaturated {
+            margin_num: lo,
+            margin_den: q,
+        }
+    }
+}
+
+/// Tests feasibility with every source rate scaled to `num·in(v)/den`
+/// (edges keep capacity 1, integer-scaled): the generalization of
+/// [`is_feasible_at`] that also reaches **below** the nominal rate.
+pub fn is_feasible_scaled(spec: &TrafficSpec, num: u64, den: u64) -> bool {
+    assert!(den >= 1);
+    // Reuse the ε-inflated builder: caps are (den + p)·in with p = num − den
+    // when num >= den; below the nominal rate we build directly.
+    if num >= den {
+        return is_feasible_at(spec, num - den, den);
+    }
+    let mut net = maxflow::FlowNetwork::new(spec.node_count());
+    for e in spec.graph.edges() {
+        let (u, v) = spec.graph.endpoints(e);
+        net.add_undirected(u.index(), v.index(), den as i64);
+    }
+    let s_star = net.add_node();
+    let d_star = net.add_node();
+    let mut source_arcs = Vec::new();
+    for v in spec.graph.nodes() {
+        if spec.in_rate(v) > 0 {
+            source_arcs.push(net.add_arc(s_star, v.index(), (num * spec.in_rate(v)) as i64));
+        }
+        if spec.out_rate(v) > 0 {
+            net.add_arc(v.index(), d_star, (den * spec.out_rate(v)) as i64);
+        }
+    }
+    net.max_flow(s_star, d_star, Algorithm::Dinic);
+    source_arcs
+        .iter()
+        .all(|&a| net.flow_on(a) == net.capacity_of(a))
+}
+
+/// The largest dyadic λ = p/[`EPS_DENOMINATOR`], capped at 32, such that
+/// scaling every `in(v)` to `λ·in(v)` stays feasible, by binary search.
+pub fn capacity_scaling(spec: &TrafficSpec) -> (u64, u64) {
+    let q = EPS_DENOMINATOR;
+    let cap = 32 * q;
+    if is_feasible_scaled(spec, cap, q) {
+        return (cap, q);
+    }
+    let mut lo = 0u64; // λ = 0 always feasible (empty flow)
+    let mut hi = cap; // infeasible
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if is_feasible_scaled(spec, mid, q) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, q)
 }

@@ -8,11 +8,17 @@
 //!
 //! Also pinned: the `run_chaos` digest of two full-size campaigns
 //! (32 trials × 4 000 steps, the size the `chaos-campaign` benchmark
-//! runs), long enough for the random fault models to visit their states.
+//! runs), long enough for the random fault models to visit their states;
+//! and the classification (`NetworkClass` and `capacity_scaling`) of every
+//! scenario file, of the experiment catalogs and of the bench's three
+//! stability cases.
 
 use std::fs;
 
+use experiments::common::{saturated_catalog, unsaturated_catalog};
 use lgg_cli::{run_chaos, ChaosConfig, Scenario, SimOverrides};
+use mgraph::generators;
+use netmodel::{capacity_scaling, classify, TrafficSpec, TrafficSpecBuilder};
 use simqueue::checkpoint::fnv1a;
 use simqueue::{GuardConfig, InvariantGuard};
 
@@ -111,4 +117,87 @@ fn full_size_chaos_campaign_digests_are_pinned() {
         assert_eq!(report.violations, 0, "seed {seed}");
         assert_eq!(report.digest, want, "seed {seed}");
     }
+}
+
+/// `(group, digest)`: the FNV-1a of each spec's name, serialized
+/// `NetworkClass` and `capacity_scaling`, over the group's specs in order,
+/// as the dyadic bisections classified them.
+const CLASS_PINNED: &[(&str, u64)] = &[
+    ("scenario bursty_rgen_gauntlet", 0x7487_4705_eb90_9fb8),
+    ("scenario flapping_fabric", 0x6abb_2e98_7330_b494),
+    ("scenario liar_declaration_shrunk", 0x4fc5_2ffd_c545_593b),
+    ("scenario lossy_sensor_field", 0x83eb_d845_09bc_a3ae),
+    ("scenario saturated_dumbbell", 0xa0ea_56a0_a62a_614d),
+    ("unsaturated_catalog(0xE1)", 0x0508_37a5_9c09_5fab),
+    ("unsaturated_catalog(0xE2)", 0x66fe_9a07_9cc1_54ec),
+    ("unsaturated_catalog(0xE3)", 0xc4a2_31d6_c85a_8328),
+    ("unsaturated_catalog(0xE11)", 0xc4a2_31d6_c85a_8328),
+    ("saturated_catalog", 0x16ec_f653_9113_d2fa),
+    ("bench unsaturated-grid", 0x7d8b_3c17_f10f_aa91),
+    ("bench saturated-dumbbell", 0x277e_4c10_a0a9_78ab),
+    ("bench infeasible-path", 0xf839_b751_7249_5eed),
+];
+
+/// A source at `g`'s first node and a sink at its last, as `lgg-sim
+/// bench` builds its stability cases.
+fn corner_spec(g: mgraph::MultiGraph, source: u64, sink: u64) -> TrafficSpec {
+    let last = (g.node_count() - 1) as u32;
+    TrafficSpecBuilder::new(g)
+        .source(0, source)
+        .sink(last, sink)
+        .build()
+        .unwrap()
+}
+
+fn class_digest(specs: &[(String, TrafficSpec)]) -> u64 {
+    let mut bytes = Vec::new();
+    for (name, spec) in specs {
+        let record = (name, classify(spec), capacity_scaling(spec));
+        bytes.extend(serde_json::to_string(&record).unwrap().as_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+#[test]
+fn classification_digests_are_pinned() {
+    let mut groups: Vec<(String, Vec<(String, TrafficSpec)>)> = Vec::new();
+    for (run, _) in PINNED.iter().filter(|(r, _)| !r.ends_with("--guard")) {
+        let spec = load(run).traffic_spec().unwrap();
+        groups.push((format!("scenario {run}"), vec![(run.to_string(), spec)]));
+    }
+    for seed in [0xE1, 0xE2, 0xE3, 0xE11] {
+        groups.push((
+            format!("unsaturated_catalog(0x{seed:X})"),
+            unsaturated_catalog(seed),
+        ));
+    }
+    groups.push(("saturated_catalog".into(), saturated_catalog()));
+    let stability = [
+        (
+            "unsaturated-grid",
+            corner_spec(generators::grid2d(5, 5), 1, 4),
+        ),
+        (
+            "saturated-dumbbell",
+            corner_spec(generators::dumbbell(4, 2), 1, 4),
+        ),
+        ("infeasible-path", corner_spec(generators::path(5), 3, 3)),
+    ];
+    for (name, spec) in stability {
+        groups.push((format!("bench {name}"), vec![(name.to_string(), spec)]));
+    }
+
+    let got: Vec<(String, u64)> = groups
+        .iter()
+        .map(|(group, specs)| (group.clone(), class_digest(specs)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(group, d)| format!("    (\"{group}\", 0x{d:016x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = CLASS_PINNED
+        .iter()
+        .map(|&(group, d)| (group.to_string(), d))
+        .collect();
+    assert_eq!(got, pinned, "classification digests moved; now:\n{table}");
 }

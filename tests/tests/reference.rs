@@ -6,15 +6,21 @@
 //! `OnOffInjection`, protected links, and the saved state and RNG state
 //! after every call. `oracle.rs` runs the same references through whole
 //! compositions.
+//!
+//! The classifier and `capacity_scaling` against their bisections, on
+//! multigraphs with bundles of parallel links, generalized nodes, and
+//! radii below 1, on and beside the first grid point `1 + 1/4096`, and
+//! at and around both caps.
 
 use integration_tests::reference::{
-    ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg, ReferenceMarkov,
+    self, ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg, ReferenceMarkov,
     ReferenceMatchingLgg, ReferenceOnOff, ReferencePerLink,
 };
 use lgg_core::interference::MatchingLgg;
 use lgg_core::{Lgg, TieBreak};
 use mgraph::{EdgeId, MultiGraph, MultiGraphBuilder, NodeId};
-use netmodel::TrafficSpec;
+use netmodel::classify::EPS_DENOMINATOR;
+use netmodel::{capacity_scaling, classify, Feasibility, TrafficSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -350,4 +356,109 @@ proptest! {
         let mut kernel = OnOffInjection::new(p_off, p_on);
         same_amounts(n, &mut rng, seed, &mut kernel, &mut ReferenceOnOff::new(p_off, p_on))?;
     }
+}
+
+/// A multigraph on 1–8 nodes whose links come in bundles of up to 1, 2,
+/// 4 or 40 parallel ones, so a cut holds anything from one link to
+/// hundreds.
+fn bundled_graph(rng: &mut StdRng) -> MultiGraph {
+    let n = rng.random_range(1..=8usize);
+    let bundle = [1, 2, 4, 40][rng.random_range(0..4usize)];
+    let mut b = MultiGraphBuilder::with_nodes(n);
+    if n > 1 {
+        for _ in 0..rng.random_range(0..=12) {
+            let u = rng.random_range(0..n as u32);
+            let v = rng.random_range(0..n as u32);
+            if u != v {
+                for _ in 0..rng.random_range(1..=bundle) {
+                    b.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// Rates on a bundled graph, one of three kinds:
+///
+/// * every node a relay, source, sink or generalized node with rates
+///   1–8, so radii fall below 1 as often as above it;
+/// * one node `v` with `in(v) = 4096·a` and `e(∂{v}) + out(v) =
+///   4096·a + t·a + δ` (`t` ≤ 2, `δ` ∈ {−1, 0, 1}), so λ* sits on or just
+///   beside the grid points `1`, `1 + 1/4096`, `1 + 2/4096`;
+/// * one node `v` with `in(v) = a` and `e(∂{v}) + out(v) = c·a + δ` for
+///   `c` ∈ {16, 17, 31, 32, 33}, so λ* sits at or around either cap.
+///
+/// In the last two every other node extracts 8192, more than `v`'s links
+/// could ever add, so `{v}` is the tightest cut.
+fn rated_spec(rng: &mut StdRng) -> TrafficSpec {
+    let g = bundled_graph(rng);
+    let n = g.node_count();
+    let (mut in_rate, mut out_rate) = (vec![0; n], vec![0; n]);
+    let kind = rng.random_range(0..3u32);
+    if kind == 0 {
+        for v in 0..n {
+            match rng.random_range(0..4u32) {
+                0 => {}
+                1 => in_rate[v] = rng.random_range(1..=8),
+                2 => out_rate[v] = rng.random_range(1..=8),
+                _ => {
+                    in_rate[v] = rng.random_range(1..=8);
+                    out_rate[v] = rng.random_range(1..=8);
+                }
+            }
+        }
+    } else {
+        let v = rng.random_range(0..n);
+        let a = rng.random_range(1..=3u64);
+        let delta = rng.random_range(0..3u64);
+        let (inj, ratio_times_inj) = if kind == 1 {
+            let t = rng.random_range(0..=2u64);
+            let q = EPS_DENOMINATOR;
+            (q * a, q * a + t * a + delta - 1)
+        } else {
+            let c = [16, 17, 31, 32, 33][rng.random_range(0..5usize)];
+            (a, c * a + delta - 1)
+        };
+        let degree = g.degree(NodeId::new(v as u32)) as u64;
+        out_rate.fill(8192);
+        in_rate[v] = inj;
+        out_rate[v] = ratio_times_inj.saturating_sub(degree);
+    }
+    TrafficSpec::new(g, in_rate, out_rate, 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn classification_equals_the_bisection(seed in any::<u64>()) {
+        let spec = rated_spec(&mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(classify(&spec).feasibility, reference::feasibility(&spec));
+        prop_assert_eq!(capacity_scaling(&spec), reference::capacity_scaling(&spec));
+    }
+}
+
+/// The rated specs reach every edge the bisections have: infeasible,
+/// saturated, the smallest margin, the ε = 16 cap, a radius below 1 and
+/// the λ = 32 cap.
+#[test]
+fn rated_specs_reach_every_edge_of_the_grid() {
+    let q = EPS_DENOMINATOR;
+    let mut seen = [false; 6];
+    for seed in 0..512 {
+        let spec = rated_spec(&mut StdRng::seed_from_u64(seed));
+        match reference::feasibility(&spec) {
+            Feasibility::Infeasible { .. } => seen[0] = true,
+            Feasibility::Saturated => seen[1] = true,
+            Feasibility::Unsaturated { margin_num, .. } => {
+                seen[2] |= margin_num == 1;
+                seen[3] |= margin_num == 16 * q;
+            }
+        }
+        let (lambda, _) = reference::capacity_scaling(&spec);
+        seen[4] |= lambda < q;
+        seen[5] |= lambda == 32 * q;
+    }
+    assert_eq!(seen, [true; 6]);
 }
