@@ -75,18 +75,15 @@ pub const LGG_SIM: &[Command] = &[
     Command { program: "lgg-sim", name: "bench", operand: "", max_operands: 0, flags: &[
         Flag("--quick", Switch), Flag("--out FILE", Text), Flag("--scenarios DIR", Text),
         Flag("--baseline FILE", Text)],
-        about: "throughput suite and layer kernels -> BENCH_throughput.json; --baseline gates \
-            observer overhead at 2%" },
+        about: "every timing (step cases, observer and guard overhead, a scenario grid run \
+            serially and in parallel with its digest check, layer kernels) as one row of \
+            BENCH_throughput.json; --baseline fails if observer/off is more than 2% slower than \
+            the file's" },
     Command { program: "lgg-sim", name: "trace", operand: "[SCENARIO.json]", max_operands: 1, flags: &[
         Flag("--smoke", Switch), Flag("--out FILE", Text), Flag("--steps N", Uint(0)),
         Flag("--sample-every N", Uint(1))],
         about: "per-step event trace as JSON Lines; --smoke checks two captures agree and prints \
             their digest" },
-    Command { program: "lgg-sim", name: "sweep", operand: "", max_operands: 0, flags: &[
-        Flag("--smoke", Switch), Flag("--out FILE", Text), Flag("--scenarios DIR", Text),
-        Flag("--threads N", Uint(1))],
-        about: "parallel parameter grid, serial-vs-parallel wall clock -> sweep section of the \
-            bench file" },
 ];
 
 /// The `experiments` binary: experiment ids are its operands.
@@ -326,7 +323,8 @@ mod tests {
     use super::*;
 
     /// Every settable flag, as the binaries accepted it before the table
-    /// existed: (binary, command, spellings and metavar, kind).
+    /// existed, less the four of the `sweep` command that `bench` absorbed:
+    /// (binary, command, spellings and metavar, kind).
     const PINNED: &[(&str, &str, &str, Kind)] = &[
         ("lgg-sim", "", "--json", Switch),
         ("lgg-sim", "", "--template", Switch),
@@ -358,10 +356,6 @@ mod tests {
         ("lgg-sim", "trace", "--out FILE", Text),
         ("lgg-sim", "trace", "--steps N", Uint(0)),
         ("lgg-sim", "trace", "--sample-every N", Uint(1)),
-        ("lgg-sim", "sweep", "--smoke", Switch),
-        ("lgg-sim", "sweep", "--out FILE", Text),
-        ("lgg-sim", "sweep", "--scenarios DIR", Text),
-        ("lgg-sim", "sweep", "--threads N", Uint(1)),
         ("experiments", "", "--quick|-q", Switch),
         ("experiments", "", "--out|-o DIR", Text),
     ];
@@ -409,7 +403,7 @@ mod tests {
             }
         }
         assert_eq!(rows, PINNED);
-        assert_eq!(rows.len(), 36);
+        assert_eq!(rows.len(), 32);
     }
 
     #[test]

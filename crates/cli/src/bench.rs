@@ -1,37 +1,47 @@
-//! `lgg-sim bench`: a fixed throughput suite timing the step pipeline
-//! ([`simqueue::Simulation::step`]) on workloads from nearly idle to
-//! saturated, writing the numbers to `BENCH_throughput.json`.
+//! `lgg-sim bench`: one table of timings, written to
+//! `BENCH_throughput.json`.
 //!
-//! The suite is deliberately small and fixed so successive runs (and
-//! successive PRs) produce comparable files:
+//! Every timing is a [`BenchRow`]: a suite-stable id, the units one timed
+//! repetition runs (steps, kernel calls or grid passes), and nanoseconds
+//! per unit. One loop, [`time_interleaved`], times them all: a group of
+//! legs with the same units runs one untimed warm-up each, then [`REPS`]
+//! rounds in which every leg runs once, in order, and each leg reports its
+//! fastest round (minimum-of-N is the usual noise filter). The rows, in
+//! suite order:
 //!
-//! * `grid-16x16-steady` / `grid-64x64-steady` — single source/sink pair on
-//!   a grid, feasible rates, shortest-path forwarding: the steady state
-//!   keeps only the packets in flight busy, so almost the whole grid is
-//!   idle, and the active-set pipeline visits only the busy nodes. (The
-//!   protocol matters: LGG's steady state is a network-wide queue
-//!   *gradient* — nearly every node holds packets by construction — so a
-//!   draining protocol is the one that actually exhibits a sparse active
-//!   set.)
-//! * `lgg-gradient-16x16` — the same grid under LGG, recording the dense
-//!   gradient regime honestly: here the active set is nearly all of `V`.
-//! * `random-512-dense` — an oversubscribed random graph where backlogs
-//!   grow everywhere; the active set approaches all of `V` (an honest
-//!   worst case).
-//! * three files from `scenarios/` — saturated dumbbell, lossy sensor
-//!   field (matching-LGG + Gilbert–Elliott loss), bursty R-generalized
-//!   gauntlet (lying + lazy extraction) — covering the declaration and
-//!   loss machinery.
+//! * `step/<case>`: the step pipeline ([`simqueue::Simulation::step`]) on
+//!   seven workloads from nearly idle to saturated, one unit per step:
+//!   * `grid-16x16-steady` / `grid-64x64-steady`: one source/sink pair on
+//!     a grid, feasible rates, shortest-path forwarding. The steady state
+//!     keeps only the packets in flight busy, so almost the whole grid is
+//!     idle and the active-set pipeline visits only the busy nodes. (LGG's
+//!     steady state is a network-wide queue *gradient*, so a draining
+//!     protocol is the one with a sparse active set.)
+//!   * `lgg-gradient-16x16`: the same grid under LGG, the dense gradient
+//!     regime, where the active set is nearly all of `V`.
+//!   * `random-512-dense`: an oversubscribed random graph where backlogs
+//!     grow everywhere (an honest worst case).
+//!   * three files from `scenarios/`: saturated dumbbell, lossy sensor
+//!     field (matching-LGG + Gilbert–Elliott loss) and bursty
+//!     R-generalized gauntlet (lying + lazy extraction), covering the
+//!     declaration and loss machinery.
+//! * `observer/off`, `observer/window`, `guard/checks`, `guard/divergence`:
+//!   the cost of observers and of the invariant guard on
+//!   `grid-16x16-steady`, one interleaved group at 50 000 steps that
+//!   `--quick` never shortens. `observer/off` is the production path of a
+//!   default run and the leg the `--baseline` gate compares.
+//! * `sweep/serial`, `sweep/parallel`: one pass over a 12-item scenario ×
+//!   seed × rate grid, pinned to one worker and across the pool. The two
+//!   passes must agree bit for bit; a mismatch is an
+//!   [`LggError::SelfCheck`].
+//! * the layer kernels below the step pipeline: the max-flow solvers, the
+//!   feasibility classifier, the Fig. 2/3 constructions, one LGG step, the
+//!   LGG and matching planners alone on captured views, the fault models,
+//!   and the E11 protocol and E14 ablation runs.
 //!
-//! Each case is run once untimed as warm-up, then `REPS` times; the
-//! fastest repetition is reported (minimum-of-N is the usual noise filter
-//! for throughput benches).
-//!
-//! Below the step pipeline, the same timing covers one table of layer
-//! kernels ([`LayerTiming`]): the max-flow solvers, the feasibility
-//! classifier, the Fig. 2/3 constructions, one LGG step, the LGG and
-//! matching planners alone on captured views, and the E11 protocol and
-//! E14 ablation runs.
+//! What the rows imply (steps/s, ns per (node + edge)·step, the overhead
+//! ratios, the sweep's speedup and digest) is printed from the run and not
+//! stored.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,126 +59,57 @@ use netmodel::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use simqueue::checkpoint::fnv1a;
 use simqueue::declare::{FullRetention, TruthfulDeclaration, ZeroBelowRetention};
 use simqueue::dynamic::{MarkovTopology, RotatingOutage, TopologyProcess};
 use simqueue::injection::UniformInjection;
 use simqueue::loss::{GilbertElliottLoss, IidLoss, LossModel};
 use simqueue::{
     DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NetView, NoopObserver,
-    RoutingProtocol, SimObserver, SimulationBuilder, Transmission, WindowAggregator,
+    RoutingProtocol, SimObserver, Simulation, SimulationBuilder, Transmission, WindowAggregator,
 };
 
-use crate::sweep::SweepReport;
-use crate::{Endpoint, LggError, ProtocolSpec, Scenario, SimOverrides, TopologySpec};
+use crate::{
+    fnv1a_digest, Endpoint, InjectionSpec, LggError, ProtocolSpec, Scenario, SimOverrides,
+    TopologySpec,
+};
 
-/// Timed repetitions per case; the fastest is reported. Five because the
+/// Timed repetitions per row; the fastest is reported. Five because the
 /// min-of-N filter has to beat scheduler noise on shared machines: the
 /// 2% observer gate is tighter than the noise floor of a 3-rep minimum.
 const REPS: usize = 5;
 
-/// Throughput numbers for one timed leg.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
-pub struct EngineThroughput {
-    /// Simulation steps per wall-clock second.
-    pub steps_per_sec: f64,
-    /// Nanoseconds per (node + edge) · step — a size-normalized cost that
-    /// is comparable across topologies.
-    pub ns_per_node_edge_step: f64,
-}
-
-/// One benchmark case.
+/// One timing: the fastest of [`REPS`] repetitions of `iters` units,
+/// divided by `iters`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct BenchCase {
-    /// Suite-stable case name.
+pub struct BenchRow {
+    /// Suite-stable id, e.g. `step/grid-16x16-steady` or
+    /// `maxflow/grid/dinic/16x16`.
     pub name: String,
-    /// Node count of the topology.
-    pub nodes: usize,
-    /// Edge count of the topology.
-    pub edges: usize,
-    /// Steps simulated per timed repetition.
-    pub steps: u64,
-    /// Step-pipeline throughput.
-    pub throughput: EngineThroughput,
+    /// Units per timed repetition: steps, kernel calls or grid passes.
+    pub iters: u64,
+    /// Nanoseconds per unit.
+    pub ns_per_iter: f64,
 }
 
-/// The whole suite, as serialized to `BENCH_throughput.json`.
+/// The suite, as serialized to `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct BenchReport {
     /// Provenance marker for the file.
     pub generated_by: String,
-    /// One entry per suite case, in suite order.
-    pub cases: Vec<BenchCase>,
-    /// Parallel sweep wall-clock numbers (`lgg-sim sweep`); absent until
-    /// the first sweep run, preserved across `lgg-sim bench` rewrites.
-    #[serde(default)]
-    pub sweep: Option<SweepReport>,
-    /// Observer-overhead numbers (disabled vs live observers); absent in
-    /// files written before the telemetry subsystem existed.
-    #[serde(default)]
-    pub observer: Option<ObserverBench>,
-    /// Invariant-guard overhead numbers; absent in files written before
-    /// the guard existed.
-    #[serde(default)]
-    pub guard: Option<GuardBench>,
-    /// Per-kernel timings of the layers below the step pipeline (max-flow,
-    /// classification, figure constructions, protocol and ablation runs);
-    /// absent in files written before the suite timed them.
-    #[serde(default)]
-    pub layers: Option<Vec<LayerTiming>>,
+    /// Every timing, in suite order.
+    pub rows: Vec<BenchRow>,
 }
 
-/// Invariant-guard overhead on one case: the unguarded production path
-/// against a fully-checking [`simqueue::InvariantGuard`], same step count
-/// for both legs.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct GuardBench {
-    /// Suite case the overhead is measured on.
-    pub case: String,
-    /// Steps per timed repetition (never scaled by `--quick`, same
-    /// reasoning as [`ObserverBench::steps`]).
-    pub steps: u64,
-    /// The unguarded production path (`Scenario::build`, telemetry off) —
-    /// the leg the 2% regression gate watches; the guard must cost
-    /// nothing when it is not installed.
-    pub off: EngineThroughput,
-    /// All hard invariant checks live (conservation, link capacity,
-    /// declaration legality) on a [`simqueue::NoopObserver`] inner.
-    pub guarded: EngineThroughput,
-    /// `guarded.steps_per_sec / off.steps_per_sec`. The guard can be on
-    /// by default once this is at least 0.9 (ROADMAP item 4).
-    pub guarded_vs_off: f64,
-    /// The configuration `lgg-sim run --guard` installs: the hard checks
-    /// plus the online divergence detector, assessed every 128 steps.
-    pub guarded_divergence: EngineThroughput,
-    /// `guarded_divergence.steps_per_sec / off.steps_per_sec`.
-    pub guarded_divergence_vs_off: f64,
+impl BenchReport {
+    /// The row with id `name`, if the report has one.
+    pub fn row(&self, name: &str) -> Option<&BenchRow> {
+        self.rows.iter().find(|r| r.name == name)
+    }
 }
 
-/// Observer overhead on one case: the production disabled path against
-/// a live window aggregator, same step count for both legs.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct ObserverBench {
-    /// Suite case the overhead is measured on.
-    pub case: String,
-    /// Steps per timed repetition. Never scaled by `--quick`: the CI
-    /// regression gate compares these numbers against a recorded
-    /// baseline, and a 2% bar is meaningless on 1/10-length runs.
-    pub steps: u64,
-    /// The production path of a default run: `Scenario::build` with the
-    /// `telemetry` section off (a dynamically dispatched observer that
-    /// ignores the step records). This is the leg the 2% regression gate
-    /// watches.
-    pub off: EngineThroughput,
-    /// [`WindowAggregator`] with window 256 — every step record is folded
-    /// into running aggregates (the experiments-driver configuration); it
-    /// renders no events.
-    pub window: EngineThroughput,
-    /// `window.steps_per_sec / off.steps_per_sec`.
-    pub window_vs_off: f64,
-}
-
-/// Builds the synthetic suite scenarios (shared with `lgg-sim sweep`).
-pub(crate) fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
+/// Builds the synthetic step cases, which the sweep grid also draws on.
+fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
     let base = Scenario::from_json(
         r#"{"topology": {"kind": "path", "n": 2},
             "sources": [{"node": 0, "rate": 1}],
@@ -241,16 +182,37 @@ const SCENARIO_FILES: &[(&str, &str, u64)] = &[
     ("bursty-rgen-gauntlet", "bursty_rgen_gauntlet.json", 20_000),
 ];
 
-/// One timed leg: builds a fresh simulation with `build` and returns the
-/// nanoseconds `n` steps of it take. The build runs outside the timed
-/// region, so observer construction cost never leaks into the per-step
-/// numbers.
-fn leg<O, F>(build: F) -> impl FnMut(u64) -> Result<f64, LggError>
-where
-    O: SimObserver,
-    F: Fn() -> Result<simqueue::Simulation<O>, LggError>,
-{
-    move |n| {
+/// Reads `file` from the scenario directory.
+fn suite_file(scenario_dir: &str, file: &str) -> Result<Scenario, LggError> {
+    let path = format!("{scenario_dir}/{file}");
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        LggError::scenario(format!(
+            "cannot read {path}: {e} (run `lgg-sim bench` from the repo root \
+             or pass --scenarios DIR)"
+        ))
+    })?;
+    Scenario::from_json(&text)
+}
+
+/// The seven `step/` cases with their steps per repetition: the synthetic
+/// cases, then the scenario files; `quick` divides every count by 10.
+fn step_cases(scenario_dir: &str, quick: bool) -> Result<Vec<(String, Scenario, u64)>, LggError> {
+    let mut cases = synthetic_cases(quick);
+    for &(name, file, steps) in SCENARIO_FILES {
+        let steps = if quick { steps / 10 } else { steps };
+        cases.push((name.into(), suite_file(scenario_dir, file)?, steps));
+    }
+    Ok(cases)
+}
+
+/// A timed leg: runs `n` units and returns the nanoseconds they took.
+type Leg<'a> = Box<dyn FnMut(u64) -> Result<f64, LggError> + 'a>;
+
+/// A step leg: builds a fresh simulation with `build` and times `n` steps
+/// of it. The build runs outside the timed region, so observer
+/// construction cost never leaks into the per-step numbers.
+fn leg<'a, O: SimObserver>(build: impl Fn() -> Result<Simulation<O>, LggError> + 'a) -> Leg<'a> {
+    Box::new(move |n| {
         let mut sim = build()?;
         let t = Instant::now();
         sim.run(n);
@@ -258,33 +220,36 @@ where
         // Consume a result so the run cannot be optimized away.
         std::hint::black_box(sim.metrics().sup_total);
         Ok(ns)
-    }
+    })
 }
 
-/// Times `steps` steps of each leg: one untimed warm-up run of each
-/// (caches, page faults), then [`REPS`] rounds in which every leg runs
-/// once, in order. Each leg's fastest round is returned. Interleaving the
-/// legs puts them through the same host conditions, so a slow stretch of
-/// the machine cannot skew the ratios between them.
-fn time_interleaved<const N: usize>(
-    mut legs: [&mut dyn FnMut(u64) -> Result<f64, LggError>; N],
-    steps: u64,
-) -> Result<[f64; N], LggError> {
-    for leg in legs.iter_mut() {
-        leg(steps.min(1_000))?;
+/// Times a group of named legs that share `iters` units per repetition:
+/// one untimed warm-up run of each (caches, page faults; at most 1 000
+/// units), then [`REPS`] rounds in which every leg runs once, in order.
+/// Each leg's row is its fastest round per unit. Interleaving the legs
+/// puts them through the same host conditions, so a slow stretch of the
+/// machine cannot skew the ratios between them.
+fn time_interleaved(iters: u64, legs: Vec<(String, Leg<'_>)>) -> Result<Vec<BenchRow>, LggError> {
+    let (names, mut legs): (Vec<String>, Vec<Leg<'_>>) = legs.into_iter().unzip();
+    for leg in &mut legs {
+        leg(iters.min(1_000))?;
     }
-    let mut best = [f64::INFINITY; N];
+    let mut best = vec![f64::INFINITY; legs.len()];
     for _ in 0..REPS {
         for (leg, best) in legs.iter_mut().zip(&mut best) {
-            *best = best.min(leg(steps)?);
+            *best = best.min(leg(iters)?);
         }
     }
-    Ok(best)
+    let rows = names.into_iter().zip(best).map(|(name, ns)| BenchRow {
+        name,
+        iters,
+        // To 0.1 ns.
+        ns_per_iter: (ns / iters as f64 * 10.0).round() / 10.0,
+    });
+    Ok(rows.collect())
 }
 
-/// History override shared by every timed leg of a case. `SimOverrides`
-/// owns a boxed observer slot, so it is rebuilt per call rather than
-/// cloned.
+/// History override shared by every timed simulation: no sampled history.
 fn bench_overrides() -> SimOverrides {
     SimOverrides {
         history: Some(HistoryMode::None),
@@ -292,145 +257,206 @@ fn bench_overrides() -> SimOverrides {
     }
 }
 
-/// Rounds `x` to `decimals` decimal places (report formatting).
-pub(crate) fn round(x: f64, decimals: i32) -> f64 {
-    let f = 10f64.powi(decimals);
-    (x * f).round() / f
-}
-
-fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError> {
-    let spec = sc.traffic_spec()?;
-    let nodes = spec.graph.node_count();
-    let edges = spec.graph.edge_count();
-
-    let [ns] = time_interleaved(
-        [&mut leg(|| {
-            sc.build_with_observer(bench_overrides(), NoopObserver)
-        })],
-        steps,
-    )?;
-    Ok(BenchCase {
-        name: name.to_string(),
-        nodes,
-        edges,
-        steps,
-        throughput: throughput(steps, &spec)(ns),
-    })
-}
-
-/// Converts a leg's nanoseconds for `steps` steps on `spec`'s topology
-/// into its throughput.
-fn throughput(steps: u64, spec: &TrafficSpec) -> impl Fn(f64) -> EngineThroughput {
-    let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
-    move |ns| EngineThroughput {
-        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-    }
-}
-
-/// The case both overhead sections measure: the first synthetic case
-/// (`grid-16x16-steady`) at full length, with its traffic spec.
-fn overhead_case() -> Result<(String, Scenario, u64, TrafficSpec), LggError> {
+/// The overhead legs on the first synthetic case (`grid-16x16-steady`) at
+/// full length, one interleaved group:
+///
+/// * `observer/off`: the production [`Scenario::build`] path with
+///   `telemetry: off` (a `Simulation<ScenarioObserver>` dispatching to an
+///   arm that ignores the step records), so the number is what every
+///   default `lgg-sim` run pays for having telemetry compiled in, not an
+///   assumption about dead-code elimination;
+/// * `observer/window`: a live [`WindowAggregator`] with window 256 (the
+///   experiments-driver configuration), which renders no events;
+/// * `guard/checks`: every hard invariant check of
+///   [`simqueue::InvariantGuard`] on a `NoopObserver` inner; the guard
+///   can be on by default once this costs at most 1/0.9 of `off`
+///   (ROADMAP item 4);
+/// * `guard/divergence`: the checks plus the online divergence detector,
+///   as `lgg-sim run --guard` installs them.
+fn overhead_rows() -> Result<Vec<BenchRow>, LggError> {
     let (name, sc, steps) = synthetic_cases(false)
         .into_iter()
         .next()
         .expect("fixed suite is non-empty");
-    debug_assert_eq!(name, "grid-16x16-steady");
     let spec = sc.traffic_spec()?;
-    Ok((name, sc, steps, spec))
-}
-
-/// Measures observer overhead on the `grid-16x16-steady` case.
-/// The disabled leg goes through the production [`Scenario::build`] path
-/// (a `Simulation<ScenarioObserver>` with `telemetry: off`), so the
-/// number reflects what every default `lgg-sim` run actually pays for
-/// having the telemetry subsystem compiled in — not an assumption about
-/// dead-code elimination.
-pub fn observer_bench() -> Result<ObserverBench, LggError> {
-    let (name, sc, steps, spec) = overhead_case()?;
-    eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x2 observers)...");
-    let [off, window] = time_interleaved(
-        [
-            &mut leg(|| sc.build(bench_overrides())),
-            &mut leg(|| sc.build_with_observer(bench_overrides(), WindowAggregator::new(256))),
-        ],
-        steps,
-    )?
-    .map(throughput(steps, &spec));
-
-    Ok(ObserverBench {
-        case: name,
-        steps,
-        off,
-        window,
-        window_vs_off: round(window.steps_per_sec / off.steps_per_sec, 3),
-    })
-}
-
-/// Measures invariant-guard overhead on the `grid-16x16-steady` case: the
-/// unguarded production build path against the same scenario with every
-/// hard check live. The guard reads one step record per step (the ledger,
-/// the validated plan, the link mask and the declarations at `S ∪ D`) and
-/// renders no trace events; with its `NoopObserver` inner nothing does.
-/// ROADMAP item 4 targets `guarded_vs_off ≥ 0.9`. A third leg adds the
-/// online divergence detector, as `lgg-sim run --guard` does.
-pub fn guard_bench() -> Result<GuardBench, LggError> {
-    let (name, sc, steps, spec) = overhead_case()?;
-    let guarded_with = |divergence: bool| {
+    let guarded = |divergence: bool| {
         let config = GuardConfig {
             divergence,
             ..GuardConfig::checks()
         };
         sc.build_with_observer(bench_overrides(), InvariantGuard::new(&spec, config))
     };
-    eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x3 legs)...");
-    let [off, guarded, guarded_divergence] = time_interleaved(
-        [
-            &mut leg(|| sc.build(bench_overrides())),
-            &mut leg(|| guarded_with(false)),
-            &mut leg(|| guarded_with(true)),
+    eprintln!(
+        "bench: observer and guard overhead on {name} ({steps} steps x{REPS} reps x4 legs)..."
+    );
+    time_interleaved(
+        steps,
+        vec![
+            ("observer/off".into(), leg(|| sc.build(bench_overrides()))),
+            (
+                "observer/window".into(),
+                leg(|| sc.build_with_observer(bench_overrides(), WindowAggregator::new(256))),
+            ),
+            ("guard/checks".into(), leg(|| guarded(false))),
+            ("guard/divergence".into(), leg(|| guarded(true))),
         ],
-        steps,
-    )?
-    .map(throughput(steps, &spec));
-    let vs_off = |t: EngineThroughput| round(t.steps_per_sec / off.steps_per_sec, 3);
+    )
+}
 
-    Ok(GuardBench {
-        case: name,
-        steps,
-        off,
-        guarded,
-        guarded_vs_off: vs_off(guarded),
-        guarded_divergence,
-        guarded_divergence_vs_off: vs_off(guarded_divergence),
+/// The sweep grid: scenario × seed × rate, 12 independent simulations,
+/// each with its label. Two synthetic cases with opposite density profiles
+/// (the sparse steady grid and the dense oversubscribed random graph) and
+/// one file exercising the declaration and loss machinery. Every item
+/// carries its own master seed, so the pool decides only which worker runs
+/// which item, never what any item computes. `quick` divides the step
+/// counts by 10.
+fn sweep_grid(scenario_dir: &str, quick: bool) -> Result<Vec<(String, Scenario)>, LggError> {
+    let mut bases: Vec<(String, Scenario, u64)> = synthetic_cases(true)
+        .into_iter()
+        .filter_map(|(name, sc, _)| match name.as_str() {
+            "grid-16x16-steady" => Some((name, sc, 3_000)),
+            "random-512-dense" => Some((name, sc, 400)),
+            _ => None,
+        })
+        .collect();
+    let dumbbell = suite_file(scenario_dir, "saturated_dumbbell.json")?;
+    bases.push(("saturated-dumbbell".into(), dumbbell, 2_000));
+
+    let mut grid = Vec::new();
+    for (name, base, steps) in bases {
+        let steps = if quick { steps / 10 } else { steps };
+        for seed in [1u64, 2] {
+            for (num, den) in [(1u64, 1u64), (1, 2)] {
+                let label = format!("{name} seed {seed} rate {num}/{den} ({steps} steps)");
+                let sc = Scenario {
+                    seed,
+                    injection: InjectionSpec::Scaled { num, den },
+                    steps,
+                    ..base.clone()
+                };
+                grid.push((label, sc));
+            }
+        }
+    }
+    Ok(grid)
+}
+
+/// What one grid item leaves behind, enough to witness any divergence:
+/// delivered, sent, lost, the peak total queue mass, and the FNV-1a of the
+/// final queue vector.
+type SweepOutcome = [u64; 5];
+
+/// Little-endian bytes of `xs`, concatenated: the input the sweep's
+/// FNV-1a digests hash.
+fn le_bytes(xs: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    xs.into_iter().flat_map(u64::to_le_bytes).collect()
+}
+
+/// Runs one grid item to its step count.
+fn run_item(sc: &Scenario) -> Result<SweepOutcome, LggError> {
+    let mut sim = sc.build_with_observer(bench_overrides(), NoopObserver)?;
+    sim.run(sc.steps);
+    let m = sim.metrics();
+    let queue_fnv = fnv1a(&le_bytes(sim.queues().iter().copied()));
+    Ok([m.delivered, m.sent, m.lost, m.sup_total, queue_fnv])
+}
+
+/// Runs the whole grid once across the current pool configuration,
+/// returning outcomes in input order.
+fn run_grid(grid: &[(String, Scenario)]) -> Result<Vec<SweepOutcome>, LggError> {
+    parpool::run_ordered(grid.iter().collect(), |(_, sc)| run_item(sc))
+        .into_iter()
+        .collect()
+}
+
+/// The printable FNV-1a digest of a grid's outcomes.
+fn digest_outcomes(outcomes: &[SweepOutcome]) -> String {
+    fnv1a_digest(&le_bytes(outcomes.iter().flatten().copied()))
+}
+
+/// Runs the sweep grid once under the *current* pool configuration and
+/// returns its digest (the `--quick` grid when `quick`). The determinism
+/// test calls this at different pool widths and pins the result.
+pub fn sweep_digest(scenario_dir: &str, quick: bool) -> Result<String, LggError> {
+    let grid = sweep_grid(scenario_dir, quick)?;
+    Ok(digest_outcomes(&run_grid(&grid)?))
+}
+
+/// A sweep leg: `n` passes over `grid` with the pool pinned to `threads`
+/// workers (`None`: `LGG_THREADS` or the machine's cores), keeping the
+/// last pass's outcomes in `out`.
+fn sweep_leg<'a>(
+    grid: &'a [(String, Scenario)],
+    threads: Option<usize>,
+    out: &'a mut Vec<SweepOutcome>,
+) -> Leg<'a> {
+    Box::new(move |n| {
+        parpool::set_thread_override(threads);
+        let t = Instant::now();
+        let passes = (0..n).try_for_each(|_| run_grid(grid).map(|o| *out = o));
+        let ns = t.elapsed().as_nanos() as f64;
+        parpool::set_thread_override(None);
+        passes.map(|()| ns)
     })
 }
 
-/// One layer kernel's timing: the fastest of [`REPS`] repetitions of
-/// `iters` back-to-back calls, divided by `iters`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct LayerTiming {
-    /// Suite-stable kernel id, e.g. `maxflow/grid/dinic/16x16`.
-    pub name: String,
-    /// Kernel calls per timed repetition (1 under `--quick`).
-    pub iters: u64,
-    /// Nanoseconds per kernel call.
-    pub ns_per_iter: f64,
+/// The digest of the serial leg's outcomes, or a [`LggError::SelfCheck`]
+/// naming the first item where the parallel leg disagrees.
+fn agreed_digest(
+    grid: &[(String, Scenario)],
+    serial: &[SweepOutcome],
+    parallel: &[SweepOutcome],
+) -> Result<String, LggError> {
+    if serial != parallel {
+        let first = serial.iter().zip(parallel).position(|(a, b)| a != b);
+        let item = grid.get(first.unwrap_or(0)).map_or("?", |(label, _)| label);
+        return Err(LggError::SelfCheck(format!(
+            "sweep results diverged between 1 and {} threads (first at {item}); \
+             determinism is broken",
+            parpool::max_threads()
+        )));
+    }
+    Ok(digest_outcomes(serial))
+}
+
+/// `sweep/serial` and `sweep/parallel`, one grid pass per unit, and the
+/// digest both legs agree on.
+fn sweep_rows(grid: &[(String, Scenario)]) -> Result<(Vec<BenchRow>, String), LggError> {
+    eprintln!(
+        "bench: sweep grid, {} items x{REPS} reps x2 legs...",
+        grid.len()
+    );
+    let (mut serial, mut parallel) = (Vec::new(), Vec::new());
+    let rows = time_interleaved(
+        1,
+        vec![
+            ("sweep/serial".into(), sweep_leg(grid, Some(1), &mut serial)),
+            (
+                "sweep/parallel".into(),
+                sweep_leg(grid, None, &mut parallel),
+            ),
+        ],
+    )?;
+    Ok((rows, agreed_digest(grid, &serial, &parallel)?))
 }
 
 /// A layer-kernel row: its id, its calls per timed repetition in the full
-/// suite, and the kernel, which runs once per call.
-type LayerRow = (String, u64, Box<dyn FnMut()>);
+/// suite, and a leg that times that many calls of the kernel.
+type LayerRow = (String, u64, Leg<'static>);
 
 fn row<T>(
     name: impl Into<String>,
     iters: u64,
     mut kernel: impl FnMut() -> T + 'static,
 ) -> LayerRow {
-    let run = move || {
-        std::hint::black_box(kernel());
+    let calls = move |n| {
+        let t = Instant::now();
+        for _ in 0..n {
+            std::hint::black_box(kernel());
+        }
+        Ok(t.elapsed().as_nanos() as f64)
     };
-    (name.into(), iters, Box::new(run))
+    (name.into(), iters, Box::new(calls))
 }
 
 /// The arrays behind one [`NetView`], copied out of a running simulation.
@@ -855,100 +881,109 @@ fn layer_table() -> Vec<LayerRow> {
     rows
 }
 
-/// Times every layer kernel: [`time_interleaved`] over `iters` calls per
-/// repetition, one call under `quick`.
-fn layer_timings(quick: bool) -> Result<Vec<LayerTiming>, LggError> {
-    let rows = layer_table();
-    eprintln!("bench: {} layer kernels (x{REPS} reps)...", rows.len());
-    rows.into_iter()
-        .map(|(name, iters, mut kernel)| {
-            let iters = if quick { 1 } else { iters };
-            let mut calls = |n: u64| {
-                let t = Instant::now();
-                for _ in 0..n {
-                    kernel();
-                }
-                Ok(t.elapsed().as_nanos() as f64)
-            };
-            let [ns] = time_interleaved([&mut calls], iters)?;
-            Ok(LayerTiming {
-                name,
-                iters,
-                ns_per_iter: round(ns / iters as f64, 1),
-            })
-        })
-        .collect()
+/// Times every layer kernel on its own: `iters` calls per repetition, one
+/// call under `quick`.
+fn layer_rows(quick: bool) -> Result<Vec<BenchRow>, LggError> {
+    let table = layer_table();
+    eprintln!("bench: {} layer kernels (x{REPS} reps)...", table.len());
+    let mut rows = Vec::new();
+    for (name, iters, kernel) in table {
+        let iters = if quick { 1 } else { iters };
+        rows.extend(time_interleaved(iters, vec![(name, kernel)])?);
+    }
+    Ok(rows)
 }
 
-/// CI gate: errors when the disabled-observer throughput in `report`
-/// falls more than 2% below the recorded baseline file's own
-/// `observer.off` leg.
+/// CI gate: errors when this run's `observer/off` row is more than 2%
+/// slower, in steps/s, than the baseline file's own `observer/off` row.
 pub fn check_observer_baseline(
     report: &BenchReport,
     baseline: &BenchReport,
 ) -> Result<(), LggError> {
-    let current = report
-        .observer
-        .as_ref()
-        .ok_or_else(|| LggError::scenario("report has no observer bench section"))?;
-    let reference = baseline
-        .observer
-        .as_ref()
-        .map(|o| o.off.steps_per_sec)
-        .ok_or_else(|| LggError::scenario("baseline has no observer bench section"))?;
-    if current.off.steps_per_sec < 0.98 * reference {
+    let off = |r: &BenchReport, which: &str| {
+        r.row("observer/off")
+            .map(|row| row.ns_per_iter)
+            .ok_or_else(|| LggError::scenario(format!("{which} has no observer/off row")))
+    };
+    let (current, reference) = (off(report, "report")?, off(baseline, "baseline")?);
+    // In steps/s: current < 0.98 · reference.
+    if 0.98 * current > reference {
         return Err(LggError::SelfCheck(format!(
-            "disabled-observer throughput regressed: {} steps/s is more than 2% below \
-             the recorded baseline {} steps/s on {}",
-            current.off.steps_per_sec, reference, current.case
+            "disabled-observer throughput regressed: {:.1} steps/s is more than 2% below \
+             the recorded baseline {:.1} steps/s on grid-16x16-steady",
+            1e9 / current,
+            1e9 / reference
         )));
     }
     eprintln!(
-        "bench: disabled-observer gate ok ({} steps/s vs baseline {} on {})",
-        current.off.steps_per_sec, reference, current.case
+        "bench: disabled-observer gate ok ({:.1} steps/s vs baseline {:.1} on grid-16x16-steady)",
+        1e9 / current,
+        1e9 / reference
     );
     Ok(())
 }
 
 /// Runs the fixed suite. `scenario_dir` is where the `scenarios/` files
 /// live (normally `scenarios` relative to the repo root); `quick` divides
-/// the step counts by 10 for smoke runs (except the observer-overhead
-/// section, which always runs full length).
-pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, LggError> {
-    let mut cases = Vec::new();
-    for (name, sc, steps) in synthetic_cases(quick) {
+/// the step counts by 10, times each layer kernel with one call and runs
+/// the sweep grid at a tenth of its steps (the overhead group always runs
+/// full length). Returns the report and a summary of what this run's rows
+/// imply: steps/s and ns per (node + edge)·step per case, the overhead
+/// ratios, the pool width, the sweep's speedup and its digest.
+pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<(BenchReport, String), LggError> {
+    let mut rows = Vec::new();
+    let mut summary = String::new();
+    for (name, sc, steps) in step_cases(scenario_dir, quick)? {
         eprintln!("bench: {name} ({steps} steps x{REPS} reps)...");
-        cases.push(run_case(&name, &sc, steps)?);
+        let build = || sc.build_with_observer(bench_overrides(), NoopObserver);
+        let timed = time_interleaved(steps, vec![(format!("step/{name}"), leg(build))])?;
+        let ns = timed[0].ns_per_iter;
+        let graph = sc.traffic_spec()?.graph;
+        let size = graph.node_count() + graph.edge_count();
+        summary += &format!(
+            "{name:<22} {size:>7} nodes+edges  {:>12.1} steps/s  {:.3} ns/(node+edge)/step\n",
+            1e9 / ns,
+            ns / size as f64
+        );
+        rows.extend(timed);
     }
-    for &(name, file, steps) in SCENARIO_FILES {
-        let path = format!("{scenario_dir}/{file}");
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            LggError::scenario(format!(
-                "cannot read {path}: {e} (run `lgg-sim bench` from the repo root \
-                 or pass --scenarios DIR)"
-            ))
-        })?;
-        let sc = Scenario::from_json(&text)?;
-        let steps = if quick { steps / 10 } else { steps };
-        eprintln!("bench: {name} ({steps} steps x{REPS} reps)...");
-        cases.push(run_case(name, &sc, steps)?);
-    }
-    let observer = Some(observer_bench()?);
-    let guard = Some(guard_bench()?);
-    let layers = Some(layer_timings(quick)?);
-    Ok(BenchReport {
+
+    let overhead = overhead_rows()?;
+    let vs_off = |i: usize| overhead[0].ns_per_iter / overhead[i].ns_per_iter;
+    summary += &format!(
+        "overhead on grid-16x16-steady (steps/s over observer/off): window {:.3}  \
+         guard checks {:.3} (target >= 0.9)  guard + divergence {:.3}\n",
+        vs_off(1),
+        vs_off(2),
+        vs_off(3)
+    );
+    rows.extend(overhead);
+
+    let grid = sweep_grid(scenario_dir, quick)?;
+    let (sweep, digest) = sweep_rows(&grid)?;
+    summary += &format!(
+        "sweep: {} items  pool width {}  speedup x{:.2}  digest {digest}\n",
+        grid.len(),
+        parpool::max_threads(),
+        sweep[0].ns_per_iter / sweep[1].ns_per_iter
+    );
+    rows.extend(sweep);
+
+    rows.extend(layer_rows(quick)?);
+    let report = BenchReport {
         generated_by: "lgg-sim bench (fixed suite; schema documented in DESIGN.md)".into(),
-        cases,
-        sweep: None,
-        observer,
-        guard,
-        layers,
-    })
+        rows,
+    };
+    Ok((report, summary))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scenario_dir() -> &'static str {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios")
+    }
 
     #[test]
     fn synthetic_cases_build_and_step() {
@@ -962,56 +997,31 @@ mod tests {
 
     #[test]
     fn quick_suite_produces_all_cases_and_round_trips() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
-        let report = run_bench_suite(dir, true).unwrap();
-        assert_eq!(report.cases.len(), 7);
-        for c in &report.cases {
-            assert!(c.throughput.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.throughput.ns_per_node_edge_step > 0.0, "{}", c.name);
+        let (report, summary) = run_bench_suite(scenario_dir(), true).unwrap();
+        for r in &report.rows {
+            assert!(r.ns_per_iter > 0.0, "{}", r.name);
         }
+        // Every id once, each with the units `--quick` gives it.
+        assert_eq!(ids(&report.rows), expected_rows(true));
+        assert!(summary.contains("digest "), "{summary}");
 
-        // Observer overhead is part of every suite run, at full length
-        // even under --quick.
-        let obs = report.observer.as_ref().expect("observer section");
-        assert_eq!(obs.case, "grid-16x16-steady");
-        assert_eq!(obs.steps, 50_000);
-        assert!(obs.off.steps_per_sec > 0.0);
-        assert!(obs.window.steps_per_sec > 0.0);
-        let window_vs_off = obs.window.steps_per_sec / obs.off.steps_per_sec;
-        assert!((obs.window_vs_off - window_vs_off).abs() <= 0.0005 + 1e-9);
-
-        // So is the guard-overhead leg.
-        let g = report.guard.as_ref().expect("guard section");
-        assert_eq!(g.case, "grid-16x16-steady");
-        assert_eq!(g.steps, 50_000);
-        assert!(g.off.steps_per_sec > 0.0);
-        assert!(g.guarded.steps_per_sec > 0.0);
-        let guarded_vs_off = g.guarded.steps_per_sec / g.off.steps_per_sec;
-        assert!((g.guarded_vs_off - guarded_vs_off).abs() <= 0.0005 + 1e-9);
-        assert!(g.guarded_divergence.steps_per_sec > 0.0);
-        let divergence_vs_off = g.guarded_divergence.steps_per_sec / g.off.steps_per_sec;
-        assert!((g.guarded_divergence_vs_off - divergence_vs_off).abs() <= 0.0005 + 1e-9);
-
-        // Every layer kernel runs once per call under --quick, and the ids
-        // are exactly the fixed set below, each reported once.
-        let layers = report.layers.as_ref().expect("layers section");
-        for l in layers {
-            assert_eq!(l.iters, 1, "{}", l.name);
-            assert!(l.ns_per_iter > 0.0, "{}", l.name);
-        }
-        let want = expected_layer_ids();
-        assert_eq!(want.len(), 86);
-        assert!(want.windows(2).all(|w| w[0] < w[1]), "ids are distinct");
-        assert_eq!(layer_names(layers), want);
-
-        // The report must survive a JSON round trip unchanged — this is
-        // the schema contract `lgg-sim sweep` relies on when it edits the
-        // file in place.
+        // The report must survive a JSON round trip unchanged: it is the
+        // baseline file a later run reads back.
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert!(back.sweep.is_none());
     }
+
+    /// The `step/` cases with their full-suite steps per repetition.
+    const STEP_CASES: [(&str, u64); 7] = [
+        ("grid-16x16-steady", 50_000),
+        ("grid-64x64-steady", 10_000),
+        ("lgg-gradient-16x16", 20_000),
+        ("random-512-dense", 2_000),
+        ("saturated-dumbbell", 20_000),
+        ("lossy-sensor-field", 20_000),
+        ("bursty-rgen-gauntlet", 20_000),
+    ];
 
     /// Every layer id, one group per line: the id prefix, then the
     /// parameters that complete it.
@@ -1052,22 +1062,53 @@ mod tests {
         classify unsaturated-grid saturated-dumbbell infeasible-path
     ";
 
-    /// [`LAYER_IDS`] expanded and sorted.
-    fn expected_layer_ids() -> Vec<String> {
-        let mut ids: Vec<String> = LAYER_IDS
+    /// Every row id with its units per repetition, sorted: 7 `step/`, 4
+    /// overhead, 2 `sweep/` and 86 layer rows. `quick` scales the steps by
+    /// 1/10 and the kernel calls to 1; the overhead group keeps its 50 000
+    /// steps and a sweep row is one pass either way.
+    fn expected_rows(quick: bool) -> Vec<(String, u64)> {
+        let table = layer_table();
+        let mut layer_ids: Vec<&str> = table.iter().map(|(name, ..)| name.as_str()).collect();
+        layer_ids.sort_unstable();
+        let mut want_layers: Vec<String> = LAYER_IDS
             .lines()
             .filter_map(|line| line.trim().split_once(' '))
             .flat_map(|(prefix, params)| params.split(' ').map(move |p| format!("{prefix}/{p}")))
             .collect();
-        ids.sort_unstable();
-        ids
+        want_layers.sort_unstable();
+        assert_eq!(layer_ids, want_layers);
+        assert_eq!(want_layers.len(), 86);
+
+        let scale = if quick { 10 } else { 1 };
+        let steps = STEP_CASES.map(|(case, n)| (format!("step/{case}"), n / scale));
+        let overhead = [
+            "observer/off",
+            "observer/window",
+            "guard/checks",
+            "guard/divergence",
+        ]
+        .map(|id| (id.to_string(), 50_000));
+        let sweep = ["sweep/serial", "sweep/parallel"].map(|id| (id.to_string(), 1));
+        let layers = table
+            .into_iter()
+            .map(|(name, iters, _)| (name, if quick { 1 } else { iters }));
+        let mut rows: Vec<(String, u64)> = steps
+            .into_iter()
+            .chain(overhead)
+            .chain(sweep)
+            .chain(layers)
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows.len(), 99);
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "ids are distinct");
+        rows
     }
 
-    /// Sorted names of a report's layer timings.
-    fn layer_names(layers: &[LayerTiming]) -> Vec<String> {
-        let mut names: Vec<String> = layers.iter().map(|l| l.name.clone()).collect();
-        names.sort_unstable();
-        names
+    /// Sorted `(name, iters)` of `rows`.
+    fn ids(rows: &[BenchRow]) -> Vec<(String, u64)> {
+        let mut ids: Vec<(String, u64)> = rows.iter().map(|r| (r.name.clone(), r.iters)).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -1075,46 +1116,85 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
         let text = std::fs::read_to_string(path).unwrap();
         let report: BenchReport = serde_json::from_str(&text).unwrap();
-        assert!(report.observer.is_some(), "the CI gate reads observer.off");
-        let layers = report.layers.expect("layers section");
-        assert_eq!(layer_names(&layers), expected_layer_ids());
+        // Written back, the report is the file: it holds nothing else.
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        assert!(
+            text == format!("{json}\n"),
+            "the file is not what the suite writes"
+        );
+        assert_eq!(ids(&report.rows), expected_rows(false));
+        assert!(report.row("observer/off").is_some(), "the CI gate reads it");
     }
 
-    fn fake_report(off_sps: f64, with_observer: bool) -> BenchReport {
-        let tp = |sps: f64| EngineThroughput {
-            steps_per_sec: sps,
-            ns_per_node_edge_step: 1.0,
-        };
-        let observer = with_observer.then(|| ObserverBench {
-            case: "grid-16x16-steady".into(),
-            steps: 50_000,
-            off: tp(off_sps),
-            window: tp(off_sps * 0.9),
-            window_vs_off: 0.9,
+    fn fake_report(off_steps_per_sec: Option<f64>) -> BenchReport {
+        let rows = off_steps_per_sec.map(|sps| BenchRow {
+            name: "observer/off".into(),
+            iters: 50_000,
+            ns_per_iter: 1e9 / sps,
         });
         BenchReport {
             generated_by: "test".into(),
-            cases: Vec::new(),
-            sweep: None,
-            observer,
-            guard: None,
-            layers: None,
+            rows: rows.into_iter().collect(),
         }
     }
 
     #[test]
     fn observer_baseline_gate_accepts_and_rejects() {
         // Within 2% of the baseline's own off leg: ok (even slightly slower).
-        let baseline = fake_report(1000.0, true);
-        check_observer_baseline(&fake_report(985.0, true), &baseline).unwrap();
+        let baseline = fake_report(Some(1000.0));
+        check_observer_baseline(&fake_report(Some(985.0)), &baseline).unwrap();
         // More than 2% below: rejected.
-        let err = check_observer_baseline(&fake_report(975.0, true), &baseline).unwrap_err();
+        let err = check_observer_baseline(&fake_report(Some(975.0)), &baseline).unwrap_err();
         assert_eq!(err.exit_code(), 70, "a failed gate is a failed self-check");
         assert!(err.to_string().contains("regressed"), "{err}");
-        // A baseline without the observer section is an error, as is a
+        // A baseline without the observer/off row is an error, as is a
         // report without it.
-        let empty = fake_report(0.0, false);
-        assert!(check_observer_baseline(&fake_report(985.0, true), &empty).is_err());
+        let empty = fake_report(None);
+        assert!(check_observer_baseline(&fake_report(Some(985.0)), &empty).is_err());
         assert!(check_observer_baseline(&empty, &baseline).is_err());
+    }
+
+    #[test]
+    fn sweep_grid_covers_all_dimensions() {
+        let grid = sweep_grid(scenario_dir(), true).unwrap();
+        // 3 scenarios x 2 seeds x 2 rates.
+        assert_eq!(grid.len(), 12);
+        let distinct = |key: &dyn Fn(&(String, Scenario)) -> String| {
+            grid.iter()
+                .map(key)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+        };
+        assert_eq!(distinct(&|(label, _)| label.clone()), 12);
+        assert_eq!(distinct(&|(_, sc)| format!("{:?}", sc.topology)), 3);
+        assert_eq!(distinct(&|(_, sc)| sc.seed.to_string()), 2);
+        assert_eq!(distinct(&|(_, sc)| format!("{:?}", sc.injection)), 2);
+    }
+
+    #[test]
+    fn smoke_sweep_is_deterministic_and_reports() {
+        let grid = sweep_grid(scenario_dir(), true).unwrap();
+        let (rows, digest) = sweep_rows(&grid).unwrap();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["sweep/serial", "sweep/parallel"]);
+        assert!(rows.iter().all(|r| r.iters == 1 && r.ns_per_iter > 0.0));
+        assert_eq!(digest.len(), 16);
+        // The digest is reproducible across whole-grid reruns.
+        assert_eq!(digest, sweep_digest(scenario_dir(), true).unwrap());
+    }
+
+    #[test]
+    fn sweep_legs_that_disagree_are_a_failed_self_check() {
+        let grid = sweep_grid(scenario_dir(), true).unwrap();
+        let serial = vec![[1, 2, 3, 4, 5]; grid.len()];
+        let mut parallel = serial.clone();
+        assert_eq!(
+            agreed_digest(&grid, &serial, &parallel).unwrap(),
+            digest_outcomes(&serial)
+        );
+        parallel[5][4] ^= 1;
+        let err = agreed_digest(&grid, &serial, &parallel).unwrap_err();
+        assert_eq!(err.exit_code(), 70, "{err}");
+        assert!(err.to_string().contains(&grid[5].0), "{err}");
     }
 }

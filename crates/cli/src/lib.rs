@@ -43,13 +43,9 @@ mod chaos;
 mod checkpoint_cmd;
 mod report;
 mod scenario;
-mod sweep;
 mod trace_cmd;
 
-pub use bench::{
-    check_observer_baseline, guard_bench, observer_bench, run_bench_suite, BenchCase, BenchReport,
-    EngineThroughput, GuardBench, LayerTiming, ObserverBench,
-};
+pub use bench::{check_observer_baseline, run_bench_suite, sweep_digest, BenchReport, BenchRow};
 pub use chaos::{
     compose_trial, replay_reproducer, run_chaos, shrink, write_reproducer, ChaosConfig,
     ChaosReport, Reproducer,
@@ -59,9 +55,6 @@ pub use report::{run_scenario, RunReport};
 pub use scenario::{
     DeclarationSpec, DynamicsSpec, Endpoint, ExtractionSpec, GeneralizedNode, InjectionSpec,
     LossSpec, ObserverSpec, ProtocolSpec, Scenario, ScenarioObserver, TopologySpec,
-};
-pub use sweep::{
-    run_sweep, sweep_digest, write_sweep_into_bench, SweepConfig, SweepItem, SweepReport,
 };
 // The workspace error type and override bag live in `simqueue`; re-export
 // them so CLI-facing code keeps one import path.

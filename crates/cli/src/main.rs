@@ -11,8 +11,8 @@ use std::process::ExitCode;
 use lgg_cli::args::{self, write_stdout, Args};
 use lgg_cli::{
     capture_trace, check_observer_baseline, fnv1a_digest, replay_reproducer, run_bench_suite,
-    run_chaos, run_scenario, run_sweep, run_with_checkpoints, trace_smoke_scenario,
-    write_sweep_into_bench, BenchReport, ChaosConfig, LggError, RunConfig, Scenario, SweepConfig,
+    run_chaos, run_scenario, run_with_checkpoints, trace_smoke_scenario, BenchReport, ChaosConfig,
+    LggError, RunConfig, Scenario,
 };
 
 const TEMPLATE: &str = r#"{
@@ -39,7 +39,6 @@ fn main() -> ExitCode {
         "chaos" => chaos_cmd(a),
         "bench" => bench_cmd(a),
         "trace" => trace_cmd(a),
-        "sweep" => sweep_cmd(a),
         _ => scenario_cmd(a),
     })
 }
@@ -151,9 +150,9 @@ fn chaos_cmd(a: &Args) -> Result<ExitCode, LggError> {
     })
 }
 
-/// `lgg-sim bench`: run the throughput suite into `--out`; with
-/// `--baseline`, fail if the disabled-observer leg is more than 2% below
-/// the numbers recorded there.
+/// `lgg-sim bench`: run the suite into `--out` and print its rows and
+/// what they imply; with `--baseline`, fail if the disabled-observer leg
+/// is more than 2% slower than the one recorded there.
 fn bench_cmd(a: &Args) -> Result<ExitCode, LggError> {
     let out = a
         .text("--out")
@@ -171,52 +170,18 @@ fn bench_cmd(a: &Args) -> Result<ExitCode, LggError> {
         }
     };
     let scenario_dir = a.text("--scenarios").unwrap_or_else(|| "scenarios".into());
-    let mut report = run_bench_suite(&scenario_dir, a.switch("--quick"))?;
-    // Keep a previously recorded sweep section: the two commands own
-    // disjoint parts of the same file.
-    if let Ok(old) = fs::read_to_string(&out) {
-        if let Ok(prev) = serde_json::from_str::<BenchReport>(&old) {
-            report.sweep = prev.sweep;
-        }
-    }
+    let (report, summary) = run_bench_suite(&scenario_dir, a.switch("--quick"))?;
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     fs::write(&out, format!("{json}\n"))
         .map_err(|e| LggError::io(format!("cannot write {out}"), e))?;
     let mut text = String::new();
-    for c in &report.cases {
-        text += &format!(
-            "{:<22} {:>7} nodes+edges  {:>12.1} steps/s  {:.3} ns/(node+edge)/step\n",
-            c.name,
-            c.nodes + c.edges,
-            c.throughput.steps_per_sec,
-            c.throughput.ns_per_node_edge_step
-        );
-    }
-    for l in report.layers.iter().flatten() {
+    for r in &report.rows {
         text += &format!(
             "{:<52} {:>14.1} ns/iter  ({} iters)\n",
-            l.name, l.ns_per_iter, l.iters
+            r.name, r.ns_per_iter, r.iters
         );
     }
-    if let Some(obs) = &report.observer {
-        text += &format!(
-            "observer overhead on {}: off {:.1} steps/s  window {:.1} ({:.3} of off)\n",
-            obs.case, obs.off.steps_per_sec, obs.window.steps_per_sec, obs.window_vs_off
-        );
-    }
-    if let Some(g) = &report.guard {
-        text += &format!(
-            "guard overhead on {}: off {:.1} steps/s  guarded {:.1} ({:.3} of off, \
-             target >= 0.9)  + divergence {:.1} ({:.3} of off)\n",
-            g.case,
-            g.off.steps_per_sec,
-            g.guarded.steps_per_sec,
-            g.guarded_vs_off,
-            g.guarded_divergence.steps_per_sec,
-            g.guarded_divergence_vs_off
-        );
-    }
-    text += &format!("wrote {out}\n");
+    text += &format!("{summary}wrote {out}\n");
     write_stdout(text)?;
     if let Some(baseline) = &baseline {
         check_observer_baseline(&report, baseline)?;
@@ -261,33 +226,5 @@ fn trace_cmd(a: &Args) -> Result<ExitCode, LggError> {
         }
         None => write_stdout(&bytes)?,
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `lgg-sim sweep`: the grid serially and in parallel, checked for
-/// bit-for-bit agreement; timings go to the `sweep` section of `--out`.
-fn sweep_cmd(a: &Args) -> Result<ExitCode, LggError> {
-    let cfg = SweepConfig {
-        smoke: a.switch("--smoke"),
-        scenario_dir: a.text("--scenarios").unwrap_or_else(|| "scenarios".into()),
-        threads: a.count("--threads"),
-    };
-    let out = a
-        .text("--out")
-        .unwrap_or_else(|| "BENCH_throughput.json".into());
-    let report = run_sweep(&cfg)?;
-    write_stdout(format!(
-        "sweep: {} items  serial {:.3}s  parallel {:.3}s ({} threads)  \
-         speedup x{:.2}  efficiency {:.2}  digest {}\n",
-        report.items,
-        report.serial_secs,
-        report.parallel_secs,
-        report.threads,
-        report.speedup,
-        report.per_core_efficiency,
-        report.digest
-    ))?;
-    write_sweep_into_bench(&out, report)?;
-    write_stdout(format!("wrote {out}\n"))?;
     Ok(ExitCode::SUCCESS)
 }

@@ -12,7 +12,7 @@ use simqueue::JsonlSink;
 use crate::{LggError, Scenario, SimOverrides};
 
 /// FNV-1a digest of a byte stream, printed as 16 hex digits — the same
-/// witness format `lgg-sim sweep` uses for outcome digests.
+/// witness format the bench's sweep uses for outcome digests.
 pub fn fnv1a_digest(bytes: &[u8]) -> String {
     format!("{:016x}", simqueue::checkpoint::fnv1a(bytes))
 }

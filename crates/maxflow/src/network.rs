@@ -1,6 +1,6 @@
 //! The residual flow network shared by all three max-flow algorithms.
 
-use mgraph::{MultiGraph, NodeId};
+use mgraph::MultiGraph;
 
 use crate::Algorithm;
 
@@ -201,9 +201,8 @@ impl FlowNetwork {
     /// Builds a flow network over the nodes of an undirected multigraph:
     /// node indices are preserved, every graph edge becomes an undirected
     /// unit-capacity pair (the paper's "each link can transmit at most 1
-    /// packet"), and the returned network has two extra nodes appended —
-    /// use [`FlowNetwork::add_node`]/[`FlowNetwork::add_arc`] on the result
-    /// to attach virtual terminals.
+    /// packet"); attach virtual terminals to the result with
+    /// [`FlowNetwork::add_node`]/[`FlowNetwork::add_arc`].
     pub fn from_multigraph_unit(g: &MultiGraph) -> Self {
         let mut net = FlowNetwork::new(g.node_count());
         for e in g.edges() {
@@ -211,26 +210,6 @@ impl FlowNetwork {
             net.add_undirected(u.index(), v.index(), 1);
         }
         net
-    }
-
-    /// Like [`FlowNetwork::from_multigraph_unit`] but scales every edge
-    /// capacity by `scale` — used by the integer-scaled ε-feasibility test
-    /// (capacities `(1+ε)·in(s)` become `(q+p)·in(s)` against edge
-    /// capacities `q`).
-    pub fn from_multigraph_scaled(g: &MultiGraph, scale: i64) -> Self {
-        assert!(scale >= 0);
-        let mut net = FlowNetwork::new(g.node_count());
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            net.add_undirected(u.index(), v.index(), scale);
-        }
-        net
-    }
-
-    /// Convenience: node index of a [`NodeId`] (they coincide by
-    /// construction in [`FlowNetwork::from_multigraph_unit`]).
-    pub fn node_of(v: NodeId) -> usize {
-        v.index()
     }
 }
 

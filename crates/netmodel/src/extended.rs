@@ -25,8 +25,6 @@ pub struct ExtendedNetwork {
     pub source_arcs: Vec<(NodeId, ArcId)>,
     /// `(v, arc)` for each virtual arc `v -> d*`.
     pub sink_arcs: Vec<(NodeId, ArcId)>,
-    /// Edge capacity `den` of every link (1 for plain feasibility).
-    pub scale: i64,
     /// Forward arc of the pair realizing each graph edge, indexed by edge id.
     pub edge_arcs: Vec<ArcId>,
 }
@@ -86,7 +84,6 @@ impl ExtendedNetwork {
             d_star,
             source_arcs,
             sink_arcs,
-            scale: den,
             edge_arcs,
         }
     }

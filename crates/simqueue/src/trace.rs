@@ -35,8 +35,9 @@
 //! Observers that do not render pay nothing for the trace: the engine
 //! fills the record from its own scratch whether or not anyone reads it,
 //! and a default-built simulation runs at full speed (measured, not
-//! assumed: `lgg-sim bench` has an observer-overhead section persisted in
-//! `BENCH_throughput.json`, and CI fails if the disabled path regresses).
+//! assumed: `lgg-sim bench` records the disabled path as the
+//! `observer/off` row of `BENCH_throughput.json`, and CI fails if a run's
+//! row is more than 2% slower than the one recorded there).
 
 use std::io::{self, Write};
 

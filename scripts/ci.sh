@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# CI gate: formatting, tier-1 build + tests, a quick `lgg-sim bench`
-# run exercising the throughput suite and every layer kernel end-to-end
-# (so no kernel can bit-rot), the cross-thread-count determinism
-# suite under both pool configurations, and a `lgg-sim sweep --smoke`
-# whose internal serial-vs-parallel digest check fails on any divergence.
-# (Bench/sweep results go to temp files and are discarded; the checked-in
-# BENCH_throughput.json is refreshed manually with full runs.)
+# CI gate: formatting, tier-1 build + tests, the cross-thread-count
+# determinism suite under both pool configurations, and a quick
+# `lgg-sim bench` run. The bench times every row once (step cases,
+# observer and guard overhead, every layer kernel, so no kernel can
+# bit-rot) and runs the sweep grid serially and in parallel, failing on
+# any digest divergence. (Bench results go to a temp file and are
+# discarded; the checked-in BENCH_throughput.json is refreshed manually
+# with full runs.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,15 +26,12 @@ LGG_THREADS=1 cargo test -q --test determinism
 LGG_THREADS=4 cargo test -q --test determinism
 
 # Quick bench end-to-end, gated against the checked-in baseline: every
-# layer kernel runs once, the observer section always runs full-length,
-# and the run fails if the disabled-observer engine drops >2% below the
-# recorded numbers.
+# layer kernel runs once, the observer and guard rows always run
+# full-length, the 12-item sweep grid runs serially and in parallel and
+# exits 70 if the two result digests differ, and the run fails if this
+# run's observer/off row is more than 2% slower than the file's.
 cargo run --release -p lgg-cli -- bench --quick --out "$(mktemp)" \
     --baseline BENCH_throughput.json
-
-# Sweep smoke: runs the 12-item scenario x seed x rate grid serially and
-# in parallel and exits nonzero if the two result digests differ.
-cargo run --release -p lgg-cli -- sweep --smoke --out "$(mktemp)"
 
 # Trace smoke: captures the built-in scenario's JSONL event stream twice
 # and fails unless the two captures are byte-identical; the golden-trace
@@ -44,7 +42,7 @@ cargo test -q --test golden_trace
 # Chaos smoke: a small guarded adversarial campaign, run at both pool
 # widths; every trial is invariant-checked and the campaign digest must
 # be identical regardless of thread count (the chaos analogue of the
-# sweep determinism gate). A clean engine exits 0 with zero violations.
+# sweep's determinism check). A clean engine exits 0 with zero violations.
 CHAOS_1="$(LGG_THREADS=1 cargo run --release -p lgg-cli -- chaos --smoke \
     --out "$(mktemp -d)" 2>/dev/null | head -1)"
 CHAOS_4="$(LGG_THREADS=4 cargo run --release -p lgg-cli -- chaos --smoke \

@@ -9,14 +9,15 @@
 //! Also pinned: the `run_chaos` digest of two full-size campaigns
 //! (32 trials × 4 000 steps, the size the `chaos-campaign` benchmark
 //! runs), long enough for the random fault models to visit their states;
-//! and the classification (`NetworkClass` and `capacity_scaling`) of every
+//! the classification (`NetworkClass` and `capacity_scaling`) of every
 //! scenario file, of the experiment catalogs and of the bench's three
-//! stability cases.
+//! stability cases; and the report `lgg-sim FILE --json` prints for every
+//! scenario file.
 
 use std::fs;
 
 use experiments::common::{saturated_catalog, unsaturated_catalog};
-use lgg_cli::{run_chaos, ChaosConfig, Scenario, SimOverrides};
+use lgg_cli::{run_chaos, run_scenario, ChaosConfig, Scenario, SimOverrides};
 use mgraph::generators;
 use netmodel::{capacity_scaling, classify, TrafficSpec, TrafficSpecBuilder};
 use simqueue::checkpoint::fnv1a;
@@ -67,8 +68,8 @@ fn payload_digest(run: &str) -> u64 {
     fnv1a(&payload)
 }
 
-#[test]
-fn checkpoint_payload_digests_are_pinned() {
+/// The stem of every `scenarios/*.json`, sorted.
+fn scenario_names() -> Vec<String> {
     let mut names: Vec<String> =
         fs::read_dir(format!("{}/../scenarios", env!("CARGO_MANIFEST_DIR")))
             .unwrap()
@@ -77,6 +78,12 @@ fn checkpoint_payload_digests_are_pinned() {
             .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
             .collect();
     names.sort();
+    names
+}
+
+#[test]
+fn checkpoint_payload_digests_are_pinned() {
+    let names = scenario_names();
     let unguarded: Vec<&str> = PINNED
         .iter()
         .map(|(run, _)| *run)
@@ -200,4 +207,36 @@ fn classification_digests_are_pinned() {
         .map(|&(group, d)| (group.to_string(), d))
         .collect();
     assert_eq!(got, pinned, "classification digests moved; now:\n{table}");
+}
+
+/// `(scenario file, digest)`: the FNV-1a of what `lgg-sim FILE --json`
+/// prints, trailing newline included.
+const REPORT_PINNED: &[(&str, u64)] = &[
+    ("bursty_rgen_gauntlet", 0x9fc5_4c17_167f_571e),
+    ("flapping_fabric", 0x0dec_b8e6_a1e6_07be),
+    ("liar_declaration_shrunk", 0xa3d4_4c7c_bbbb_fbac),
+    ("lossy_sensor_field", 0x3e24_ab02_8074_1206),
+    ("saturated_dumbbell", 0x5f5a_03b2_675e_d538),
+];
+
+#[test]
+fn scenario_report_digests_are_pinned() {
+    let pinned: Vec<&str> = REPORT_PINNED.iter().map(|(name, _)| *name).collect();
+    assert_eq!(scenario_names(), pinned, "every scenario file is pinned");
+    let got: Vec<(&str, u64)> = REPORT_PINNED
+        .iter()
+        .map(|&(name, _)| {
+            let report = run_scenario(&load(name)).unwrap();
+            let json = serde_json::to_string_pretty(&report).unwrap();
+            (name, fnv1a(format!("{json}\n").as_bytes()))
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n"))
+        .collect();
+    assert_eq!(
+        got, REPORT_PINNED,
+        "scenario report digests moved; now:\n{table}"
+    );
 }

@@ -9,13 +9,19 @@
 //! override takes precedence over only while a test holds it — is
 //! exercised end to end as well.
 //!
+//! The outputs are pinned too: the FNV-1a (`simqueue::checkpoint::fnv1a`)
+//! of the quick experiment suite's JSON, and the digests of the sweep grid
+//! that `lgg-sim bench` times, at both of its sizes. A failure prints the
+//! values the code now produces.
+//!
 //! The tests share one global override via a mutex: the override is
 //! process-wide state, and cargo runs tests in this file concurrently.
 
 use std::sync::{Mutex, OnceLock};
 
 use experiments::{run_experiment, ALL_IDS};
-use lgg_cli::{capture_trace, sweep_digest, trace_smoke_scenario, SweepConfig};
+use lgg_cli::{capture_trace, sweep_digest, trace_smoke_scenario};
+use simqueue::checkpoint::fnv1a;
 
 /// Serializes access to the process-wide thread-count override.
 fn override_lock() -> &'static Mutex<()> {
@@ -55,21 +61,36 @@ fn experiment_suite_is_thread_count_independent() {
     for (id, (a, b)) in ALL_IDS.iter().zip(narrow.iter().zip(&wide)) {
         assert_eq!(a, b, "{id}: JSON diverged between 1 and {WIDE} threads");
     }
+    // Each report followed by a newline, in `ALL_IDS` order.
+    let suite: String = narrow.iter().map(|json| format!("{json}\n")).collect();
+    let digest = format!("{:016x}", fnv1a(suite.as_bytes()));
+    assert_eq!(
+        digest, "1d20da3f46f46ea7",
+        "experiment suite digest moved; now:\n{digest}"
+    );
 }
 
 #[test]
 fn sweep_grid_digest_is_thread_count_independent() {
-    let cfg = SweepConfig {
-        smoke: true,
-        scenario_dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios").into(),
-        threads: None,
-    };
-    let narrow = with_threads(1, || sweep_digest(&cfg).expect("sweep runs"));
-    let wide = with_threads(WIDE, || sweep_digest(&cfg).expect("sweep runs"));
-    assert_eq!(
-        narrow, wide,
-        "sweep digest diverged between 1 and {WIDE} threads"
-    );
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios");
+    // `(quick, digest)`: the grid `bench --quick` times, then the full one.
+    const PINNED: [(bool, &str); 2] = [(true, "b356a78b7e77739d"), (false, "4fb1e748e3edeb09")];
+    let mut got = Vec::new();
+    for (quick, _) in PINNED {
+        let narrow = with_threads(1, || sweep_digest(dir, quick).expect("sweep runs"));
+        let wide = with_threads(WIDE, || sweep_digest(dir, quick).expect("sweep runs"));
+        assert_eq!(
+            narrow, wide,
+            "sweep digest (quick {quick}) diverged between 1 and {WIDE} threads"
+        );
+        got.push((quick, narrow));
+    }
+    let table: String = got
+        .iter()
+        .map(|(quick, d)| format!("    ({quick}, \"{d}\"),\n"))
+        .collect();
+    let pinned: Vec<(bool, String)> = PINNED.iter().map(|&(q, d)| (q, d.to_string())).collect();
+    assert_eq!(got, pinned, "sweep digests moved; now:\n{table}");
 }
 
 #[test]
