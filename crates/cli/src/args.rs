@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 use crate::LggError;
@@ -150,8 +151,10 @@ pub struct Args {
 
 /// Reads `argv` (without the binary name) against `table`: the first
 /// argument selects a row by name, else the first row, the bare path,
-/// takes every argument. A repeated flag keeps its last value, and
-/// `--help` or `-h` ends the line for any row.
+/// takes every argument. In a table with commands, a first argument that
+/// reads as a word (no `-`, `.` or `/`) and names no existing file is a
+/// mistyped command, not a path. A repeated flag keeps its last value,
+/// and `--help` or `-h` ends the line for any row.
 pub fn parse(table: &'static [Command], argv: &[String]) -> Result<Args, LggError> {
     let named = table[1..]
         .iter()
@@ -166,6 +169,14 @@ pub fn parse(table: &'static [Command], argv: &[String]) -> Result<Args, LggErro
         operands: Vec::new(),
         help: false,
     };
+    if let (None, [first, ..]) = (named, argv) {
+        let word = !first.starts_with('-') && !first.contains(['.', '/']);
+        if table.len() > 1 && word && !Path::new(first).exists() {
+            let names: Vec<&str> = table[1..].iter().map(|c| c.name).collect();
+            let msg = format!("unknown command {first} (commands: {})", names.join(", "));
+            return Err(args.usage_error(msg));
+        }
+    }
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         if !a.starts_with('-') {
@@ -459,6 +470,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_first_word_names_a_command_or_a_file() {
+        for word in ["sweep", "bnech", "Run"] {
+            let r = parse_cmd("lgg-sim", "", &[word, "--quick"]);
+            let needle = format!("unknown command {word} (commands: run, chaos, bench, trace)");
+            assert_usage(r, "lgg-sim", "", &needle);
+        }
+        // Paths, and a word naming a file (this crate's `src`), stay
+        // operands: reading them fails later, with exit 4.
+        for path in ["missing.json", "dir/x.json", "./sweep", "src"] {
+            let a = parse_cmd("lgg-sim", "", &[path]).unwrap();
+            assert_eq!((a.command(), a.operands()), ("", &[path.to_string()][..]));
+        }
+        // `experiments` has no commands: its words are experiment ids.
+        let a = parse_cmd("experiments", "", &["e1", "sweep"]).unwrap();
+        assert_eq!(a.operands(), ["e1", "sweep"]);
     }
 
     #[test]

@@ -57,13 +57,13 @@ use netmodel::{
     TrafficSpecBuilder,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simqueue::checkpoint::fnv1a;
 use simqueue::declare::{FullRetention, TruthfulDeclaration, ZeroBelowRetention};
 use simqueue::dynamic::{MarkovTopology, RotatingOutage, TopologyProcess};
 use simqueue::injection::UniformInjection;
-use simqueue::loss::{GilbertElliottLoss, IidLoss, LossModel};
+use simqueue::loss::{AdversarialLoss, GilbertElliottLoss, IidLoss, LossModel};
 use simqueue::{
     DeclarationPolicy, GuardConfig, HistoryMode, InvariantGuard, NetView, NoopObserver,
     RoutingProtocol, SimObserver, Simulation, SimulationBuilder, Transmission, WindowAggregator,
@@ -738,10 +738,11 @@ fn layer_table() -> Vec<LayerRow> {
         MatchingLgg::new(),
     ));
 
-    // The RNG-driven fault models alone, one call per step on a 128-link
-    // cycle: the Markov link process updates every link, the
-    // Gilbert–Elliott channel advances every link and draws for a plan
-    // with one entry per link, and i.i.d. loss draws for the same plan.
+    // The fault models alone, one call per step on a 128-link cycle: the
+    // Markov link process updates every link, the Gilbert–Elliott channel
+    // advances every link and draws for a plan with one entry per link,
+    // i.i.d. loss draws for the same plan, and the adversary picks its 3
+    // victims from it by receiver queue (drawn from 0..8, so many tie).
     let ring = generators::cycle(128);
     let plan: Vec<Transmission> = ring
         .edges()
@@ -749,6 +750,10 @@ fn layer_table() -> Vec<LayerRow> {
             edge,
             from: ring.endpoints(edge).0,
         })
+        .collect();
+    let mut draw = StdRng::seed_from_u64(13);
+    let queues: Vec<u64> = (0..ring.node_count())
+        .map(|_| draw.random_range(0..8))
         .collect();
     let mut rng = StdRng::seed_from_u64(11);
     let mut markov = MarkovTopology::new(0.05, 0.3, Vec::new());
@@ -763,20 +768,21 @@ fn layer_table() -> Vec<LayerRow> {
         },
     ));
     type Loss = fn() -> Box<dyn LossModel>;
-    let losses: [(&str, Loss); 2] = [
+    let losses: [(&str, Loss); 3] = [
         ("gilbert_elliott_apply", || {
             Box::new(GilbertElliottLoss::new(0.02, 0.5, 0.05, 0.25))
         }),
         ("iid_loss_apply", || Box::new(IidLoss::new(0.2))),
+        ("adversarial_apply", || Box::new(AdversarialLoss::new(3))),
     ];
     for (name, make) in losses {
-        let (g, plan, mut model) = (ring.clone(), plan.clone(), make());
+        let (g, plan, queues, mut model) = (ring.clone(), plan.clone(), queues.clone(), make());
         let mut rng = StdRng::seed_from_u64(11);
         let mut lost = vec![false; plan.len()];
         let name = format!("fault_model/{name}/cycle128");
         rows.push(row(name, 20_000, move || {
             lost.fill(false);
-            model.apply(&g, &plan, &[], 0, &mut rng, &mut lost);
+            model.apply(&g, &plan, &queues, 0, &mut rng, &mut lost);
             lost.iter().filter(|&&l| l).count()
         }));
     }
@@ -1040,6 +1046,7 @@ mod tests {
         fault_model/markov_update cycle128
         fault_model/gilbert_elliott_apply cycle128
         fault_model/iid_loss_apply cycle128
+        fault_model/adversarial_apply cycle128
         maxflow/grid/edmonds-karp 8x8 16x16 24x24
         maxflow/grid/dinic 8x8 16x16 24x24
         maxflow/grid/push-relabel 8x8 16x16 24x24
@@ -1063,7 +1070,7 @@ mod tests {
     ";
 
     /// Every row id with its units per repetition, sorted: 7 `step/`, 4
-    /// overhead, 2 `sweep/` and 86 layer rows. `quick` scales the steps by
+    /// overhead, 2 `sweep/` and 87 layer rows. `quick` scales the steps by
     /// 1/10 and the kernel calls to 1; the overhead group keeps its 50 000
     /// steps and a sweep row is one pass either way.
     fn expected_rows(quick: bool) -> Vec<(String, u64)> {
@@ -1077,7 +1084,7 @@ mod tests {
             .collect();
         want_layers.sort_unstable();
         assert_eq!(layer_ids, want_layers);
-        assert_eq!(want_layers.len(), 86);
+        assert_eq!(want_layers.len(), 87);
 
         let scale = if quick { 10 } else { 1 };
         let steps = STEP_CASES.map(|(case, n)| (format!("step/{case}"), n / scale));
@@ -1099,7 +1106,7 @@ mod tests {
             .chain(layers)
             .collect();
         rows.sort_unstable();
-        assert_eq!(rows.len(), 99);
+        assert_eq!(rows.len(), 100);
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "ids are distinct");
         rows
     }

@@ -134,7 +134,8 @@ impl Lgg {
     /// Algorithm 1 at node `u` (declared height `h_u > θ`, `budget`
     /// packets): keys `h_v << 32 | link` of the links with
     /// `h_v + θ < h_u`, ordered per the tie-break, the first `budget`
-    /// emitted.
+    /// emitted. Smallest-first with one packet needs only the smallest
+    /// key, which [`lowest_downhill`] finds without a buffer or a sort.
     fn plan_node<K: PlanKey>(
         &mut self,
         view: &NetView<'_>,
@@ -143,11 +144,19 @@ impl Lgg {
         budget: u64,
         out: &mut Vec<Transmission>,
     ) {
-        let keys = K::buffer(&mut self.keys);
         // `h_v < h_u − θ` is `h_v + θ < h_u` without overflow.
-        let n = downhill_keys(view, u, h_u - self.threshold, keys, 0, |h_v, e| {
-            K::pack(h_v, e.raw())
-        });
+        let limit = h_u - self.threshold;
+        if budget == 1 && self.tie_break == TieBreak::SmallestFirst {
+            if let Some(k) = lowest_downhill::<K>(view, u, limit) {
+                out.push(Transmission {
+                    edge: EdgeId::new(k.low()),
+                    from: u,
+                });
+            }
+            return;
+        }
+        let keys = K::buffer(&mut self.keys);
+        let n = downhill_keys(view, u, limit, keys, 0, |h_v, e| K::pack(h_v, e.raw()));
         let keys = &mut keys[..n];
         if keys.is_empty() {
             return;
@@ -249,6 +258,9 @@ impl RoutingProtocol for Lgg {
 pub(crate) trait PlanKey: Copy + Ord + Default {
     /// The largest `high` part the key holds.
     const HIGH_MAX: u64;
+    /// Every bit set: above any key whose `high` part is below
+    /// [`PlanKey::HIGH_MAX`].
+    const ONES: Self;
     /// `high << 32 | low`; bits of `high` above [`PlanKey::HIGH_MAX`] are
     /// dropped, which only ever happens to slots the scan does not keep.
     fn pack(high: u64, low: u32) -> Self;
@@ -260,6 +272,7 @@ pub(crate) trait PlanKey: Copy + Ord + Default {
 
 impl PlanKey for u64 {
     const HIGH_MAX: u64 = u32::MAX as u64;
+    const ONES: Self = u64::MAX;
 
     #[inline(always)]
     fn pack(high: u64, low: u32) -> Self {
@@ -278,6 +291,7 @@ impl PlanKey for u64 {
 
 impl PlanKey for u128 {
     const HIGH_MAX: u64 = u64::MAX;
+    const ONES: Self = u128::MAX;
 
     #[inline(always)]
     fn pack(high: u64, low: u32) -> Self {
@@ -337,6 +351,30 @@ pub(crate) fn downhill_keys<K: PlanKey>(
         n += usize::from(active[link.edge.index()] & (h_v < limit));
     }
     start + n
+}
+
+/// The smallest key `h_v << 32 | link` among the links [`downhill_keys`]
+/// would keep, in one pass that writes no buffer: a link that is not kept
+/// scores [`PlanKey::ONES`], which no kept key reaches (`h_v < limit ≤
+/// HIGH_MAX`). Keys are distinct, so this is the first key of the sorted
+/// order.
+#[inline(always)]
+fn lowest_downhill<K: PlanKey>(view: &NetView<'_>, u: NodeId, limit: u64) -> Option<K> {
+    let (declared, active) = (view.declared, view.active_edges);
+    let queues = &view.true_queues[..declared.len()];
+    let mut best = K::ONES;
+    for link in view.graph.incident_links(u) {
+        let v = link.neighbor.index();
+        let (d, q) = (declared[v], queues[v]);
+        let h_v = if d == u64::MAX { q } else { d };
+        let kept = active[link.edge.index()] & (h_v < limit);
+        best = best.min(if kept {
+            K::pack(h_v, link.edge.raw())
+        } else {
+            K::ONES
+        });
+    }
+    (best != K::ONES).then_some(best)
 }
 
 #[cfg(test)]

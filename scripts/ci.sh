@@ -76,6 +76,16 @@ cargo run --release -p lgg-cli -- chaos \
     exit 1
 }
 
+# Usage path end to end: a word that is neither a command nor a file
+# (here the `sweep` command that `bench` absorbed) is a usage error, exit
+# 64, not an unreadable scenario (exit 4).
+status=0
+cargo run --release -p lgg-cli -- sweep 2>/dev/null || status=$?
+[ "$status" -eq 64 ] || {
+    echo "ci: usage: lgg-sim sweep: expected exit 64 (unknown command), got $status" >&2
+    exit 1
+}
+
 # Guard abort path end to end: a guarded run hitting an injected
 # conservation bug must abort with exit code 9 and dump a replayable
 # reproducer + checkpoint. Run once without telemetry (saturated_dumbbell)

@@ -43,8 +43,8 @@ use simqueue::{
 pub mod reference;
 
 use reference::{
-    ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg, ReferenceMarkov,
-    ReferenceMatchingLgg,
+    ReferenceAdversarial, ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg,
+    ReferenceMarkov, ReferenceMatchingLgg,
 };
 
 /// One run's configuration. The pipeline and the oracle each consume a
@@ -121,6 +121,9 @@ impl Parts {
             } => {
                 let ge = ReferenceGilbertElliott::new(p_loss_good, p_loss_bad, p_g2b, p_b2g);
                 p.loss = Box::new(ge);
+            }
+            LossSpec::Adversarial { budget } => {
+                p.loss = Box::new(ReferenceAdversarial::new(budget))
             }
             _ => {}
         }

@@ -345,6 +345,51 @@ impl LossModel for ReferencePerLink {
     }
 }
 
+/// `AdversarialLoss` with the full sort of its first version.
+pub struct ReferenceAdversarial {
+    budget: usize,
+    scratch: Vec<(u64, usize)>,
+}
+
+impl ReferenceAdversarial {
+    /// An adversary killing up to `budget` packets per step.
+    pub fn new(budget: usize) -> Self {
+        ReferenceAdversarial {
+            budget,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl LossModel for ReferenceAdversarial {
+    fn name(&self) -> &'static str {
+        "reference-adversarial"
+    }
+
+    fn apply(
+        &mut self,
+        graph: &MultiGraph,
+        transmissions: &[Transmission],
+        queues: &[u64],
+        _t: u64,
+        _rng: &mut StdRng,
+        lost: &mut [bool],
+    ) {
+        if self.budget == 0 || transmissions.is_empty() {
+            return;
+        }
+        self.scratch.clear();
+        for (i, tx) in transmissions.iter().enumerate() {
+            let to = graph.other_endpoint(tx.edge, tx.from);
+            self.scratch.push((queues[to.index()], i));
+        }
+        self.scratch.sort_unstable();
+        for &(_, i) in self.scratch.iter().take(self.budget) {
+            lost[i] = true;
+        }
+    }
+}
+
 /// `BernoulliInjection` counting `random_bool` successes.
 pub struct ReferenceBernoulli {
     pub p: f64,

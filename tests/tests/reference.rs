@@ -4,7 +4,9 @@
 //! overlay, thresholds θ > 0 and the `LinkOrder` tie-break, probabilities
 //! at 0, 1 and the smallest subnormal, `PerLinkLoss` and
 //! `OnOffInjection`, protected links, and the saved state and RNG state
-//! after every call. `oracle.rs` runs the same references through whole
+//! after every call; one-packet LGG senders among equal heights, parallel
+//! and inactive links, and adversary budgets around the plan length with
+//! tied receivers. `oracle.rs` runs the same references through whole
 //! compositions.
 //!
 //! The classifier and `capacity_scaling` against their bisections, on
@@ -13,12 +15,12 @@
 //! at and around both caps.
 
 use integration_tests::reference::{
-    self, ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid, ReferenceLgg, ReferenceMarkov,
-    ReferenceMatchingLgg, ReferenceOnOff, ReferencePerLink,
+    self, ReferenceAdversarial, ReferenceBernoulli, ReferenceGilbertElliott, ReferenceIid,
+    ReferenceLgg, ReferenceMarkov, ReferenceMatchingLgg, ReferenceOnOff, ReferencePerLink,
 };
 use lgg_core::interference::MatchingLgg;
 use lgg_core::{Lgg, TieBreak};
-use mgraph::{EdgeId, MultiGraph, MultiGraphBuilder, NodeId};
+use mgraph::{generators, EdgeId, MultiGraph, MultiGraphBuilder, NodeId};
 use netmodel::classify::EPS_DENOMINATOR;
 use netmodel::{capacity_scaling, classify, Feasibility, TrafficSpec};
 use proptest::prelude::*;
@@ -26,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simqueue::dynamic::{MarkovTopology, TopologyProcess};
 use simqueue::injection::{BernoulliInjection, InjectionProcess, OnOffInjection};
-use simqueue::loss::{GilbertElliottLoss, IidLoss, LossModel, PerLinkLoss};
+use simqueue::loss::{AdversarialLoss, GilbertElliottLoss, IidLoss, LossModel, PerLinkLoss};
 use simqueue::{NetView, RoutingProtocol, Transmission};
 
 /// A multigraph on 1–10 nodes with up to 30 links, parallel ones likely.
@@ -204,10 +206,12 @@ fn twin_rngs(seed: u64) -> (StdRng, StdRng) {
     (StdRng::seed_from_u64(!seed), StdRng::seed_from_u64(!seed))
 }
 
-/// Applies both loss models to `CALLS` random plans on `g` and requires
-/// equal masks, saved state and RNG state after every call.
+/// Applies both loss models to `CALLS` random plans on `g` with receiver
+/// queues `queues` and requires equal masks, saved state and RNG state
+/// after every call.
 fn same_losses(
     g: &MultiGraph,
+    queues: &[u64],
     rng: &mut StdRng,
     seed: u64,
     kernel: &mut dyn LossModel,
@@ -217,8 +221,8 @@ fn same_losses(
     for t in 0..CALLS {
         let plan = random_plan(g, rng);
         let (mut got, mut want) = (vec![false; plan.len()], vec![false; plan.len()]);
-        kernel.apply(g, &plan, &[], t, &mut ra, &mut got);
-        reference.apply(g, &plan, &[], t, &mut rb, &mut want);
+        kernel.apply(g, &plan, queues, t, &mut ra, &mut got);
+        reference.apply(g, &plan, queues, t, &mut rb, &mut want);
         prop_assert_eq!(&got, &want, "{} mask at call {}", reference.name(), t);
         let want_state = saved(|out| reference.save_state(out));
         prop_assert_eq!(saved(|out| kernel.save_state(out)), want_state);
@@ -329,7 +333,7 @@ proptest! {
         let [p_loss_good, p_loss_bad, p_g2b, p_b2g] = [(); 4].map(|_| random_p(&mut rng));
         let mut kernel = GilbertElliottLoss::new(p_loss_good, p_loss_bad, p_g2b, p_b2g);
         let mut reference = ReferenceGilbertElliott::new(p_loss_good, p_loss_bad, p_g2b, p_b2g);
-        same_losses(&g, &mut rng, seed, &mut kernel, &mut reference)?;
+        same_losses(&g, &[], &mut rng, seed, &mut kernel, &mut reference)?;
     }
 
     #[test]
@@ -337,12 +341,25 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
         let p = random_p(&mut rng);
-        same_losses(&g, &mut rng, seed, &mut IidLoss::new(p), &mut ReferenceIid { p })?;
+        same_losses(&g, &[], &mut rng, seed, &mut IidLoss::new(p), &mut ReferenceIid { p })?;
         // Some links past the end of `p` (loss-free), some listed.
         let ps_len = rng.random_range(0..=g.edge_count() + 2);
         let p: Vec<f64> = (0..ps_len).map(|_| random_p(&mut rng)).collect();
         let mut kernel = PerLinkLoss { p: p.clone() };
-        same_losses(&g, &mut rng, seed, &mut kernel, &mut ReferencePerLink { p })?;
+        same_losses(&g, &[], &mut rng, seed, &mut kernel, &mut ReferencePerLink { p })?;
+    }
+
+    /// Budgets from 0 to past the longest plan, over receiver queues drawn
+    /// from four values, so ties between receivers are common.
+    #[test]
+    fn adversarial_apply_equals_the_reference(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_graph(&mut rng);
+        let queues: Vec<u64> = (0..g.node_count()).map(|_| rng.random_range(0..4)).collect();
+        let budget = rng.random_range(0..=2 * g.edge_count() + 2);
+        let mut kernel = AdversarialLoss::new(budget);
+        let mut reference = ReferenceAdversarial::new(budget);
+        same_losses(&g, &queues, &mut rng, seed, &mut kernel, &mut reference)?;
     }
 
     #[test]
@@ -356,6 +373,201 @@ proptest! {
         let mut kernel = OnOffInjection::new(p_off, p_on);
         same_amounts(n, &mut rng, seed, &mut kernel, &mut ReferenceOnOff::new(p_off, p_on))?;
     }
+}
+
+/// `Lgg` and `ReferenceLgg` (smallest-first, threshold `theta`) on one
+/// view of `g` with every node active: requires equal plans and returns
+/// the plan as `(sender, link id)` pairs.
+fn planned(
+    g: MultiGraph,
+    declared: &[u64],
+    queues: &[u64],
+    active: &[bool],
+    theta: u64,
+) -> Vec<(u32, u32)> {
+    let n = g.node_count();
+    let spec = TrafficSpec::new(g, vec![0; n], vec![0; n], 0);
+    let nodes: Vec<NodeId> = spec.graph.nodes().collect();
+    let view = NetView {
+        graph: &spec.graph,
+        spec: &spec,
+        declared,
+        true_queues: queues,
+        active_edges: active,
+        active_nodes: &nodes,
+        t: 0,
+    };
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    Lgg::with_threshold(theta).plan(&view, &mut got);
+    ReferenceLgg::new(TieBreak::SmallestFirst, theta, 0).plan(&view, &mut want);
+    assert_eq!(
+        got, want,
+        "θ = {theta}, declared {declared:?}, queues {queues:?}"
+    );
+    got.iter()
+        .map(|tx| (tx.from.raw(), tx.edge.raw()))
+        .collect()
+}
+
+/// Height offsets that plan on the narrow key, on the wide one, and (for
+/// a sender at 9) from the largest narrow height 2³² − 1.
+const OFFSETS: [u64; 3] = [0, 1 << 32, (1 << 32) - 10];
+
+/// Heights `h` raised by `offset`.
+fn lifted(h: &[u64], offset: u64) -> Vec<u64> {
+    h.iter().map(|&x| x + offset).collect()
+}
+
+#[test]
+fn lgg_budget_one_takes_the_lowest_link_among_equal_heights() {
+    // The centre of a 4-leaf star holds one packet; leaves 2 and 4 (links
+    // 1 and 3) tie below it, and so, on a second star, do leaves 1 and 3.
+    for offset in OFFSETS {
+        let declared = lifted(&[9, 5, 2, 7, 2], offset);
+        let queues = [1, 0, 0, 0, 0];
+        let active = [true; 4];
+        let plan = planned(generators::star(4), &declared, &queues, &active, 0);
+        assert_eq!(plan, [(0, 1)], "offset {offset}");
+        let declared = lifted(&[9, 3, 5, 3, 8], offset);
+        let plan = planned(generators::star(4), &declared, &queues, &active, 0);
+        assert_eq!(plan, [(0, 0)], "offset {offset}");
+    }
+    // Truthful neighbours (the `u64::MAX` overlay) read their queues.
+    let plan = planned(
+        generators::star(3),
+        &[4, u64::MAX, u64::MAX, 3],
+        &[1, 2, 2, 0],
+        &[true; 3],
+        0,
+    );
+    assert_eq!(plan, [(0, 0)]);
+}
+
+#[test]
+fn lgg_parallel_and_inactive_links() {
+    // Four parallel links from node 0 down to node 1; link 0 is down.
+    let active = [false, true, true, true];
+    for offset in OFFSETS {
+        let declared = lifted(&[6, 1], offset);
+        let plan = |budget| {
+            planned(
+                generators::parallel_pair(4),
+                &declared,
+                &[budget, 0],
+                &active,
+                0,
+            )
+        };
+        assert_eq!(plan(1), [(0, 1)]);
+        assert_eq!(plan(2), [(0, 1), (0, 2)]);
+        assert_eq!(plan(9), [(0, 1), (0, 2), (0, 3)]);
+        let down = [false; 4];
+        assert!(planned(generators::parallel_pair(4), &declared, &[1, 0], &down, 0).is_empty());
+        // The lowest neighbour's only link is down: the next one wins.
+        let declared = lifted(&[9, 1, 4, 4], offset);
+        let plan = planned(
+            generators::star(3),
+            &declared,
+            &[1, 0, 0, 0],
+            &[false, true, true],
+            0,
+        );
+        assert_eq!(plan, [(0, 1)]);
+    }
+}
+
+#[test]
+fn lgg_threshold_and_wide_heights() {
+    // Gaps from the centre: 2, 4, 3 and 5 (leaf 4 at the bottom).
+    for offset in OFFSETS {
+        let declared = lifted(&[5, 3, 1, 2, 0], offset);
+        let plan = |theta, budget| {
+            planned(
+                generators::star(4),
+                &declared,
+                &[budget, 0, 0, 0, 0],
+                &[true; 4],
+                theta,
+            )
+        };
+        for theta in 0..=4 {
+            assert_eq!(plan(theta, 1), [(0, 3)], "θ = {theta}");
+        }
+        assert!(plan(5, 1).is_empty());
+        assert_eq!(plan(2, 2), [(0, 3), (0, 1)]);
+        assert_eq!(plan(3, 9), [(0, 3), (0, 1)]);
+    }
+    // A sender just below and just above 2³² over neighbours 2³² − 2 and 1.
+    for h_u in [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, u64::MAX - 1] {
+        let plan = planned(
+            generators::star(2),
+            &[h_u, (1 << 32) - 2, 1],
+            &[1, 0, 0],
+            &[true; 2],
+            0,
+        );
+        assert_eq!(plan, [(0, 1)], "h_u = {h_u}");
+    }
+}
+
+#[test]
+fn lgg_budgets_around_the_kept_count() {
+    // Six leaves: one level with the centre, one above, one link down, so
+    // three are kept; two of them tie.
+    let active = [true, true, true, false, true, true];
+    for offset in OFFSETS {
+        let declared = lifted(&[6, 6, 2, 4, 1, 2, 8], offset);
+        for theta in [0, 1] {
+            let kept = 3;
+            for budget in [kept - 1, kept, kept + 1] {
+                let mut queues = vec![0; 7];
+                queues[0] = budget;
+                let plan = planned(generators::star(6), &declared, &queues, &active, theta);
+                let want: &[(u32, u32)] = &[(0, 1), (0, 4), (0, 2)];
+                assert_eq!(
+                    plan,
+                    want[..budget.min(kept) as usize],
+                    "budget {budget}, θ = {theta}"
+                );
+            }
+        }
+    }
+}
+
+/// `AdversarialLoss` and `ReferenceAdversarial` with `budget` on one plan:
+/// requires equal masks and returns the indices lost.
+fn killed(g: &MultiGraph, plan: &[Transmission], queues: &[u64], budget: usize) -> Vec<usize> {
+    let (mut ra, mut rb) = twin_rngs(0);
+    let (mut got, mut want) = (vec![false; plan.len()], vec![false; plan.len()]);
+    AdversarialLoss::new(budget).apply(g, plan, queues, 0, &mut ra, &mut got);
+    ReferenceAdversarial::new(budget).apply(g, plan, queues, 0, &mut rb, &mut want);
+    assert_eq!(got, want, "budget {budget}");
+    (0..plan.len()).filter(|&i| got[i]).collect()
+}
+
+#[test]
+fn adversary_ties_and_budgets_past_the_plan() {
+    // The centre of a 3-leaf star sends over each link twice: plan entries
+    // 0..6 go to leaves 1, 2, 3, 1, 2, 3. Leaves 1 and 2 tie at queue 4.
+    let g = generators::star(3);
+    let plan: Vec<Transmission> = (0..6)
+        .map(|i| Transmission {
+            edge: EdgeId::new(i % 3),
+            from: NodeId::new(0),
+        })
+        .collect();
+    let queues = [10, 4, 4, 9];
+    assert_eq!(killed(&g, &plan, &queues, 0), [] as [usize; 0]);
+    assert_eq!(killed(&g, &plan, &queues, 1), [0]);
+    assert_eq!(killed(&g, &plan, &queues, 2), [0, 1]);
+    assert_eq!(killed(&g, &plan, &queues, 3), [0, 1, 3]);
+    assert_eq!(killed(&g, &plan, &queues, 5), [0, 1, 2, 3, 4]);
+    for budget in [6, 7, usize::MAX] {
+        assert_eq!(killed(&g, &plan, &queues, budget), [0, 1, 2, 3, 4, 5]);
+    }
+    // Every receiver equal: the earliest entries go first.
+    assert_eq!(killed(&g, &plan, &[0; 4], 2), [0, 1]);
+    assert_eq!(killed(&g, &[], &queues, 3), [] as [usize; 0]);
 }
 
 /// A multigraph on 1–8 nodes whose links come in bundles of up to 1, 2,
